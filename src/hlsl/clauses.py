@@ -1,12 +1,16 @@
 """Path-constrained clause generation.
 
 Candidate first-order Horn clauses are mined from the data: for every target
-atom t(a, b) we enumerate the simple paths of bounded length that connect a
-to b along rounded-1 atoms, variablize each path into a chain clause whose
-head is the target literal, and emit the clause together with its
-head-negated twin. Candidates are deduplicated, filtered by how many target
-atoms they cover, and capped at a fixed pool size; a body-less negative
-prior clause per target predicate is appended last.
+atom t(a, b) the simple paths of bounded length that connect a to b along
+rounded-1 atoms are variablized into chain clauses whose head is the target
+literal, and each clause is emitted together with its head-negated twin.
+Candidates are deduplicated, filtered by how many target atoms they cover,
+and capped at a fixed pool size; a body-less negative prior clause per
+target predicate is appended last.
+
+Mining runs as one chain join over a sparse step graph for all target atoms
+at once (`StepGraph`, `chain_coverage`); `bfs_paths` is the per-target
+reference enumeration of the same paths.
 """
 from __future__ import annotations
 
@@ -14,9 +18,10 @@ import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .data import AtomDatabase, GroundAtom, PredicateSymbol
 from .errors import MalformedLine, NoCandidates, UnknownPredicate
-from .parallel import parallel_map
 
 # One step of a ground relational path: predicate name, whether the edge was
 # walked against its direction, source constant, destination constant.
@@ -106,7 +111,8 @@ def bfs_paths(
     Paths follow adjacency edges (atoms that round to 1), never revisit a
     constant, and have 1..max_depth steps. Backward edges are taken when
     `include_inverses`. The single-step path consisting of the target atom
-    itself is excluded.
+    itself is excluded. `generate_candidates` counts the same paths with
+    `chain_coverage`; this per-target enumeration is its reference.
     """
     if not target_atom.predicate.is_target:
         raise ValueError("bfs_paths roots at a target atom")
@@ -150,6 +156,18 @@ def bfs_paths(
     return found
 
 
+def _chain_clause(
+    steps: Sequence[tuple[str, bool]], head: str, negate_head: bool = False, coverage: int = 0
+) -> PathClause:
+    """Chain clause over (predicate, inverted) body steps; step k joins
+    variables k and k+1, and an inverted step swaps them."""
+    body = tuple(
+        Literal(pred, pos + 1, pos, inverted=True) if inverted else Literal(pred, pos, pos + 1)
+        for pos, (pred, inverted) in enumerate(steps, start=1)
+    )
+    return PathClause(body, Literal(head, 1, len(steps) + 1, negated=negate_head), coverage)
+
+
 def variablize(path: RelationalPath, target: GroundAtom, negate_head: bool = False) -> PathClause:
     """Turn a ground path into a first-order chain clause.
 
@@ -159,14 +177,8 @@ def variablize(path: RelationalPath, target: GroundAtom, negate_head: bool = Fal
     """
     if not path:
         raise ValueError("cannot variablize an empty path")
-    body = []
-    for pos, (pred, inverted, _src, _dst) in enumerate(path, start=1):
-        if inverted:
-            body.append(Literal(pred, pos + 1, pos, inverted=True))
-        else:
-            body.append(Literal(pred, pos, pos + 1))
-    head = Literal(target.predicate.name, 1, len(path) + 1, negated=negate_head)
-    return PathClause(tuple(body), head)
+    steps = [(pred, inverted) for pred, inverted, _src, _dst in path]
+    return _chain_clause(steps, target.predicate.name, negate_head)
 
 
 def negative_prior(pred: PredicateSymbol | str) -> PathClause:
@@ -175,51 +187,180 @@ def negative_prior(pred: PredicateSymbol | str) -> PathClause:
     return PathClause((), Literal(name, 1, 2, negated=True))
 
 
-def generate_candidates(
-    db: AtomDatabase, config: GenerationConfig, threads: int = 1
-) -> list[PathClause]:
+# -- chain joins -----------------------------------------------------------
+
+# Most steps one frontier expansion may materialize. A wider expansion is
+# split into pieces walked one after another, so the working set is bounded
+# by this budget times the depth (plus one node's degree), not by the number
+# of targets or paths.
+ROW_BUDGET = 1 << 16
+
+
+def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerate the ranges [lo[i], hi[i]) as (i, position) pairs."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return owner, first + np.arange(len(owner))
+
+
+class StepGraph:
+    """The adjacency index as one sparse step graph.
+
+    Every atom p(a, b) in the adjacency index is a forward step a -> b with
+    label 2k, where k is p's position in the schema, and, when inverses are
+    walked, a backward step b -> a with label 2k + 1. Steps of target
+    predicates are left out unless `traverse_target_edges`. Steps are held
+    in CSR form sorted by (src, dst, label): `indptr[n]:indptr[n + 1]` are
+    the steps leaving node n.
+    """
+
+    def __init__(self, db: AtomDatabase, include_inverses: bool = True, traverse_target_edges: bool = True):
+        pred_ids = {name: k for k, name in enumerate(db.predicates)}
+        walked = {
+            name: traverse_target_edges or not pred.is_target for name, pred in db.predicates.items()
+        }
+        fwd = np.array(
+            [
+                (node, nbr, 2 * pred_ids[name])
+                for node, edges in db.outgoing.items()
+                for name, nbr, _ in edges
+                if walked[name]
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        steps = np.vstack([fwd, fwd[:, [1, 0, 2]] + [0, 0, 1]]) if include_inverses else fwd
+        steps = steps[np.lexsort((steps[:, 2], steps[:, 1], steps[:, 0]))]
+        self.n_nodes = len(db.constants)
+        self.dst = steps[:, 1]
+        self.label = steps[:, 2]
+        self.indptr = np.searchsorted(steps[:, 0], np.arange(self.n_nodes + 1))
+        # (src, dst) pairs as one sorted key, for goal lookups
+        self.pair = steps[:, 0] * self.n_nodes + self.dst
+
+    def degree(self, nodes: np.ndarray) -> np.ndarray:
+        return self.indptr[nodes + 1] - self.indptr[nodes]
+
+    def expand(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every step leaving each node, as (position in `nodes`, step) pairs."""
+        return _spans(self.indptr[nodes], self.indptr[nodes + 1])
+
+    def lookup(self, nodes: np.ndarray, goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every step from nodes[i] to goals[i], as (i, step) pairs."""
+        key = nodes * self.n_nodes + goals
+        return _spans(np.searchsorted(self.pair, key, "left"), np.searchsorted(self.pair, key, "right"))
+
+
+def chain_coverage(
+    db: AtomDatabase, config: GenerationConfig, row_budget: int = ROW_BUDGET
+) -> dict[tuple[str, tuple[tuple[str, bool], ...]], int]:
+    """Coverage of every chain body that connects some target atom.
+
+    Maps (head predicate, body steps as (predicate, inverted) pairs) to the
+    number of distinct target atoms t(a, b) that at least one simple path
+    with those steps connects, from a to b, along the step graph: the paths
+    `bfs_paths` enumerates, counted per relation sequence.
+
+    The walk is a frontier over all target atoms at once. Each frontier row
+    is a partial path: its target row, its end node, its label-sequence
+    code, and the nodes it has visited. Each depth is closed by a lookup of
+    (end node, goal) steps; rows are then extended by one step, dropping
+    any that revisits a node or reaches the goal (the lookup already found
+    those). Expansions wider than `row_budget` steps are split into pieces
+    walked depth first. A code is the base-(2P+1) number whose digits are
+    the head predicate and the step labels, each plus one, so a code names
+    one (head, sequence) pair at any length; it falls back to Python
+    integers where 64 bits cannot hold the deepest code.
+    """
+    pred_ids = {name: k for k, name in enumerate(db.predicates)}
+    names = list(db.predicates)
+    base = 2 * len(names) + 1
+    graph = StepGraph(db, config.include_inverses, config.traverse_target_edges)
+    targets = [db.atoms[i] for i in db.targets]
+    n = len(targets)
+    start = np.array([a.arg1 for a in targets], dtype=np.int64)
+    goal = np.array([a.arg2 for a in targets], dtype=np.int64)
+    head = np.array([pred_ids[a.predicate.name] for a in targets], dtype=np.int64)
+    code_type = np.int64 if base ** (config.max_depth + 1) * max(n, 1) < 2**63 else object
+
+    codes = np.zeros(0, dtype=code_type)  # every (head, sequence) code seen ...
+    counts = np.zeros(0, dtype=np.int64)  # ... and its coverage over finished chunks
+
+    def pieces(nodes: np.ndarray):
+        """Consecutive slices whose steps fit the row budget (a single node
+        of higher degree forms its own slice)."""
+        deg = graph.degree(nodes)
+        piece = (np.cumsum(deg) - deg) // row_budget
+        cuts = np.flatnonzero(np.diff(piece)) + 1
+        return zip(np.r_[0, cuts], np.r_[cuts, len(nodes)])
+
+    def extend(row, node, code, visited):
+        """The frontier one step further, one piece at a time, without rows
+        that revisit a node or reach the goal (the lookup finds those)."""
+        for lo, hi in pieces(node):
+            i, s = graph.expand(node[lo:hi])
+            i += lo
+            nxt = graph.dst[s]
+            keep = (nxt != goal[row[i]]) & (visited[i] != nxt[:, None]).all(axis=1)
+            i, s, nxt = i[keep], s[keep], nxt[keep]
+            yield row[i], nxt, code[i] * base + graph.label[s] + 1, np.column_stack([visited[i], nxt])
+
+    # Simple paths cannot return to their root, so t(a, a) connects nothing.
+    roots = np.flatnonzero(start != goal)
+    for lo, hi in pieces(start[roots]):
+        rows = roots[lo:hi]
+        found: list[np.ndarray] = []  # code * n + row of the paths found
+        found_limit = row_budget
+        # depth first over frontier pieces, so one piece per depth is live
+        stack = [iter([(rows, start[rows], (head[rows] + 1).astype(code_type), start[rows][:, None])])]
+        while stack:
+            frontier = next(stack[-1], None)
+            if frontier is None:
+                stack.pop()
+                continue
+            row, node, code, visited = frontier
+            i, s = graph.lookup(node, goal[row])
+            label = graph.label[s]
+            if visited.shape[1] == 1:  # the target atom's own forward step is no path
+                keep = label != 2 * head[row[i]]
+                i, label = i[keep], label[keep]
+            found.append(np.unique((code[i] * base + label + 1) * n + row[i]))
+            if sum(map(len, found)) > found_limit:  # drop repeats, at doubling sizes
+                found = [np.unique(np.concatenate(found))]
+                found_limit = max(row_budget, 2 * len(found[0]))
+            if visited.shape[1] < config.max_depth and len(row):
+                stack.append(extend(row, node, code, visited))
+        # a chunk holds every row of its targets, so its coverage is final
+        chunk_codes, chunk_counts = np.unique(np.unique(np.concatenate(found)) // n, return_counts=True)
+        codes, where = np.unique(np.concatenate([codes, chunk_codes]), return_inverse=True)
+        counts = np.bincount(where, np.concatenate([counts, chunk_counts]), len(codes)).astype(np.int64)
+
+    out: dict[tuple[str, tuple[tuple[str, bool], ...]], int] = {}
+    for code, count in zip(codes.tolist(), counts.tolist()):
+        digits = []
+        while code:
+            code, digit = divmod(code, base)
+            digits.append(digit - 1)
+        head_id, *labels = reversed(digits)
+        steps = tuple((names[lab // 2], bool(lab % 2)) for lab in labels)
+        out[(names[head_id], steps)] = count
+    return out
+
+
+def generate_candidates(db: AtomDatabase, config: GenerationConfig) -> list[PathClause]:
     """Mine, deduplicate, filter and rank candidate clauses.
 
-    Paths are enumerated from every target training atom, each unique clause
-    and its head-negated twin share the coverage of their body, clauses with
-    coverage below `min_coverage` are dropped, survivors are ordered by
-    coverage (descending, ties by clause text with the positive twin first)
-    and truncated to `top_k`, and negative priors are appended.
+    Paths are mined from every target training atom by `chain_coverage`;
+    each unique clause and its head-negated twin share the coverage of their
+    body, clauses with coverage below `min_coverage` are dropped, survivors
+    are ordered by coverage (descending, ties by clause text with the
+    positive twin first) and truncated to `top_k`, and negative priors are
+    appended.
     """
-    target_atoms = [db.atoms[i] for i in db.targets]
-
-    def paths_for(atom: GroundAtom) -> set[RelationalPath]:
-        return bfs_paths(
-            db,
-            atom,
-            config.max_depth,
-            include_inverses=config.include_inverses,
-            traverse_target_edges=config.traverse_target_edges,
-        )
-
-    all_paths = parallel_map(paths_for, target_atoms, threads)
-
-    # Deduplicate by (body, head predicate); coverage counts the distinct
-    # target atoms connected by any path with that body.
-    unique: dict[tuple[tuple[Literal, ...], str], PathClause] = {}
-    covered: dict[tuple[tuple[Literal, ...], str], set[int]] = {}
-    for atom, paths in zip(target_atoms, all_paths):
-        for path in paths:
-            clause = variablize(path, atom)
-            key = (clause.body, atom.predicate.name)
-            unique.setdefault(key, clause)
-            covered.setdefault(key, set()).add(atom.index)
-
     candidates: list[PathClause] = []
-    for key, clause in unique.items():
-        cov = len(covered[key])
-        if cov < config.min_coverage:
-            continue
-        positive = PathClause(clause.body, clause.head, coverage=cov)
-        twin = PathClause(clause.body, Literal(
-            clause.head.predicate, clause.head.var1, clause.head.var2, negated=True
-        ), coverage=cov)
-        candidates.extend((positive, twin))
+    for (head, steps), cov in chain_coverage(db, config).items():
+        if cov >= config.min_coverage:
+            candidates.extend(_chain_clause(steps, head, negated, cov) for negated in (False, True))
 
     # Coverage descending; ties by the positive-form clause text, with the
     # positive twin ahead of its negation so files read rule-then-negation.
@@ -304,28 +445,24 @@ def parse_clause(text: str, schema: dict[str, PredicateSymbol] | AtomDatabase) -
         return PathClause((), Literal(head_pred, 1, 2, negated=bool(bang)))
 
     # Walk the chain from the head's first variable, assigning positions.
-    var_pos: dict[str, int] = {hv1: 1}
-    body: list[Literal] = []
+    seen = {hv1}
+    steps: list[tuple[str, bool]] = []
     current = hv1
-    for pos, (pred, v1, v2) in enumerate(raw_body, start=1):
+    for pred, v1, v2 in raw_body:
         if v1 == current:
             nxt, inverted = v2, False
         elif v2 == current:
             nxt, inverted = v1, True
         else:
             raise MalformedLine(0, f"literal {pred}({v1},{v2}) breaks the variable chain")
-        if nxt in var_pos:
+        if nxt in seen:
             raise MalformedLine(0, f"variable {nxt!r} reused outside the chain")
-        var_pos[nxt] = pos + 1
-        if inverted:
-            body.append(Literal(pred, pos + 1, pos, inverted=True))
-        else:
-            body.append(Literal(pred, pos, pos + 1))
+        seen.add(nxt)
+        steps.append((pred, inverted))
         current = nxt
     if current != hv2:
         raise MalformedLine(0, f"head variables ({hv1},{hv2}) do not span the chain")
-    head = Literal(head_pred, 1, len(raw_body) + 1, negated=bool(bang))
-    return PathClause(tuple(body), head)
+    return _chain_clause(steps, head_pred, bool(bang))
 
 
 def write_clause_file(clauses: Sequence[PathClause], stream: IO[str]) -> None:

@@ -13,6 +13,7 @@ configuration at any thread count. Errors print a single machine-parsable
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clauses import GenerationConfig, generate_candidates, read_clause_file, write_clause_file
-from .data import AtomDatabase, build_adjacency, load_database, parse_schema, round_value
+from .data import AtomDatabase, load_database, parse_schema, read_atom_file, round_value
+from .data import build_adjacency  # noqa: F401  (a patch point of perfbench/tracer.py)
 from .errors import HlslError, MalformedLine, NoCandidates
 from .grounding import ground_clauses
 from .inference import auc_roc, map_infer
@@ -173,38 +175,30 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 def _load_train_db(cfg: RunConfig) -> AtomDatabase:
     _require(cfg, "schema", "observed", "train")
-    paths = [cfg.observed, cfg.train]
+    threshold = cfg.generation.threshold
     if cfg.neg_ratio <= 0.0:
-        return load_database(cfg.schema, paths, cfg.generation.threshold)
+        return load_database(cfg.schema, [cfg.observed, cfg.train], threshold)
     # subsample negative training targets to neg_ratio * positives
     with open(cfg.schema, encoding="utf-8") as fh:
-        schema = parse_schema(fh)
-    target_names = {p.name for p in schema if p.is_target}
-    with open(cfg.train, encoding="utf-8") as fh:
-        rows = [line.rstrip("\n") for line in fh if line.strip()]
+        target_names = {p.name for p in parse_schema(fh) if p.is_target}
     pos, neg, other = [], [], []
-    for row in rows:
-        f = row.split("\t")
-        value = float(f[3]) if len(f) == 4 else 1.0
-        if f[0] not in target_names:
+    for row in read_atom_file(cfg.train):
+        _, pred, _, _, value = row
+        if pred not in target_names:
             other.append(row)
-        elif round_value(value, cfg.generation.threshold) == 1:
+        elif round_value(value, threshold) == 1:
             pos.append(row)
         else:
             neg.append(row)
     rng = np.random.default_rng(cfg.seed)
     keep_n = min(len(neg), int(round(cfg.neg_ratio * len(pos))))
     kept = [neg[i] for i in sorted(rng.choice(len(neg), keep_n, replace=False))] if keep_n else []
-    db = load_database(cfg.schema, [cfg.observed], cfg.generation.threshold)
-    for row in other + pos + kept:
-        f = row.split("\t")
-        db.add_atom(f[0], f[1], f[2], float(f[3]) if len(f) == 4 else 1.0)
-    return build_adjacency(db, cfg.generation.threshold)
+    return load_database(cfg.schema, [cfg.observed], threshold, extra_rows=other + pos + kept)
 
 
 def cmd_generate(cfg: RunConfig, out_path: str) -> None:
     db = _load_train_db(cfg)
-    candidates = generate_candidates(db, cfg.generation, threads=cfg.threads)
+    candidates = generate_candidates(db, cfg.generation)
     with open(out_path, "w", encoding="utf-8") as fh:
         write_clause_file(candidates, fh)
 
@@ -250,17 +244,10 @@ def cmd_learn(
 def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
     _require(cfg, "schema", "observed", "test")
     paths = [cfg.observed] + ([cfg.train] if cfg.train else [])
-    db = load_database(cfg.schema, paths, cfg.generation.threshold)
-    free: list[int] = []
-    with open(cfg.test, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            f = line.split("\t")
-            atom = db.add_atom(f[0], f[1], f[2], float(f[3]) if len(f) == 4 else 1.0)
-            free.append(atom.index)
-    build_adjacency(db, cfg.generation.threshold)
+    test_rows = read_atom_file(cfg.test)
+    db = load_database(cfg.schema, paths, cfg.generation.threshold, extra_rows=test_rows)
+    # the test atoms are the last ones added
+    free = list(range(len(db.atoms) - len(test_rows), len(db.atoms)))
     with open(model_path, encoding="utf-8") as fh:
         model = read_model(fh, db)
     grounding = ground_clauses(
@@ -280,24 +267,16 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
 def cmd_eval(predictions_path: str, labels_path: str, out_path: str, threshold: float = 0.5) -> None:
     started = time.perf_counter()
     scores: dict[tuple[str, str, str], float] = {}
-    with open(predictions_path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            f = line.split("\t")
-            if len(f) != 4:
-                raise MalformedLine(line_no, "expected predicate, arg1, arg2, score")
-            scores[(f[0], f[1], f[2])] = float(f[3])
-    labels: dict[tuple[str, str, str], int] = {}
-    with open(labels_path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            f = line.split("\t")
-            value = float(f[3]) if len(f) == 4 else 1.0
-            labels[(f[0], f[1], f[2])] = round_value(value, threshold)
+    for line_no, pred, arg1, arg2, score in read_atom_file(predictions_path, default=None):
+        if score is None:
+            raise MalformedLine(line_no, f"{predictions_path}: expected predicate, arg1, arg2, score")
+        if not math.isfinite(score):
+            raise MalformedLine(line_no, f"{predictions_path}: non-finite score {score!r}")
+        scores[(pred, arg1, arg2)] = score
+    labels = {
+        (pred, arg1, arg2): round_value(value, threshold)
+        for _, pred, arg1, arg2, value in read_atom_file(labels_path)
+    }
     result = auc_roc(scores, labels)
     runtime = time.perf_counter() - started
     with open(out_path, "w", encoding="utf-8") as fh:

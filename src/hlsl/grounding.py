@@ -64,7 +64,10 @@ def ground_clause(
     """All groundings of one clause against the database.
 
     Variables are substituted independently, so distinct variables may bind
-    the same constant. Negative priors ground once per target atom of their
+    the same constant. Mining differs on purpose: it counts only simple
+    paths, yet the clauses it yields also ground substitutions that repeat
+    a constant (P(V1,V2) & Q(V2,V3) -> T(V1,V3) grounds on P(a, b), Q(b, a)
+    with head T(a, a)). Negative priors ground once per target atom of their
     predicate. With `strict`, groundings whose body contains an observed
     target atom are dropped (no training labels inside bodies). The rounding
     gate defaults to the threshold the adjacency index was built with.

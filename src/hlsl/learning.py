@@ -14,6 +14,7 @@ clauses whose weight stayed at zero.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
@@ -311,6 +312,8 @@ def read_model(stream: IO[str] | Iterable[str], schema) -> WeightedModel:
             weight = float(fields[0])
         except ValueError:
             raise MalformedLine(line_no, f"bad weight {fields[0]!r}") from None
+        if not math.isfinite(weight):
+            raise MalformedLine(line_no, f"non-finite clause weight {fields[0]!r}")
         if weight < 0.0:
             raise MalformedLine(line_no, "negative clause weight")
         clauses.append(parse_clause(fields[1], schema))

@@ -1,13 +1,20 @@
 """Clause generation: path enumeration, variablization, candidate pipeline."""
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_simple_paths, random_chain_db
 
 from hlsl.clauses import (
     GenerationConfig,
+    Literal,
+    PathClause,
+    StepGraph,
     bfs_paths,
+    chain_coverage,
     format_clause,
     generate_candidates,
     negative_prior,
@@ -186,8 +193,7 @@ def test_generation_deterministic():
     a = generate_candidates(random_chain_db(4), GenerationConfig(max_depth=3, min_coverage=1))
     b = generate_candidates(random_chain_db(4), GenerationConfig(max_depth=3, min_coverage=1))
     assert [format_clause(c) for c in a] == [format_clause(c) for c in b]
-    threaded = generate_candidates(random_chain_db(4), GenerationConfig(max_depth=3, min_coverage=1), threads=4)
-    assert [format_clause(c) for c in threaded] == [format_clause(c) for c in a]
+    assert [c.coverage for c in a] == [c.coverage for c in b]
 
 
 def test_twins_generated_before_filtering():
@@ -261,3 +267,178 @@ def test_prior_shape():
     prior = negative_prior("T")
     assert prior.is_prior and prior.head_negated
     assert format_clause(prior) == "-> !T(A,B)"
+
+
+# -- the chain-join kernel against the depth-first oracle ---------------------
+
+
+def reference_coverage(db, cfg):
+    """(head, steps) -> distinct target atoms, from `bfs_paths` one target at
+    a time."""
+    covered = {}
+    for i in db.targets:
+        atom = db.atoms[i]
+        paths = bfs_paths(db, atom, cfg.max_depth, cfg.include_inverses, cfg.traverse_target_edges)
+        for path in paths:
+            steps = tuple((pred, inverted) for pred, inverted, _, _ in path)
+            covered.setdefault((atom.predicate.name, steps), set()).add(i)
+    return {key: len(atoms) for key, atoms in covered.items()}
+
+
+def reference_candidates(db, cfg):
+    """`generate_candidates` rebuilt from `variablize(bfs_paths(...))` with
+    the same coverage filter, twins, ranking, cut and priors."""
+    unique, covered = {}, {}
+    for i in db.targets:
+        atom = db.atoms[i]
+        for path in bfs_paths(db, atom, cfg.max_depth, cfg.include_inverses, cfg.traverse_target_edges):
+            clause = variablize(path, atom)
+            key = (clause.body, atom.predicate.name)
+            unique.setdefault(key, clause)
+            covered.setdefault(key, set()).add(i)
+    out = []
+    for key, clause in unique.items():
+        cov = len(covered[key])
+        if cov >= cfg.min_coverage:
+            out.append(PathClause(clause.body, clause.head, coverage=cov))
+            head = Literal(clause.head.predicate, clause.head.var1, clause.head.var2, negated=True)
+            out.append(PathClause(clause.body, head, coverage=cov))
+
+    def sort_key(c):
+        positive = PathClause(c.body, Literal(c.head.predicate, c.head.var1, c.head.var2))
+        return (-c.coverage, format_clause(positive), c.head_negated)
+
+    out = sorted(out, key=sort_key)[: cfg.top_k]
+    if cfg.add_negative_priors:
+        for pred in db.target_predicates():
+            n = sum(1 for i in db.targets if db.atoms[i].predicate.name == pred.name)
+            out.append(PathClause((), Literal(pred.name, 1, 2, negated=True), coverage=n))
+    return out
+
+
+def clause_lines(clauses):
+    buf = io.StringIO()
+    write_clause_file(clauses, buf)
+    return buf.getvalue().splitlines()
+
+
+NODES = [f"n{i}" for i in range(6)]
+SCHEMA_PREDS = ["P", "Q", "T", "U"]  # T and U are targets
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to six constants, two evidence and two target predicates, values
+    on both sides of and exactly at the 0.5 threshold, self-pairs t(a, a),
+    and parallel atoms of different predicates over one pair."""
+    n = draw(st.integers(2, 6))
+    node = st.sampled_from(NODES[:n])
+    keys = draw(st.sets(st.tuples(st.sampled_from(SCHEMA_PREDS), node, node), min_size=1, max_size=24))
+    if draw(st.booleans()):  # force parallel atoms over one pair
+        pred_a, pred_b, a, b = draw(st.sampled_from(SCHEMA_PREDS)), "P", draw(node), draw(node)
+        keys |= {(pred_a, a, b), (pred_b, a, b)}
+    db = AtomDatabase([
+        PredicateSymbol("P"), PredicateSymbol("Q"),
+        PredicateSymbol("T", is_target=True), PredicateSymbol("U", is_target=True),
+    ])
+    for pred, a, b in sorted(keys):
+        db.add_atom(pred, a, b, draw(st.sampled_from([0.0, 0.3, 0.5, 0.5, 0.8, 1.0])))
+    return build_adjacency(db)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_graphs(),
+    st.integers(1, 4),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 3),
+    st.integers(1, 12),
+)
+def test_generate_matches_dfs_oracle(db, depth, inverses, target_edges, min_coverage, top_k):
+    cfg = GenerationConfig(
+        max_depth=depth, min_coverage=min_coverage, top_k=top_k,
+        include_inverses=inverses, traverse_target_edges=target_edges,
+    )
+    assert chain_coverage(db, cfg) == reference_coverage(db, cfg)
+    assert chain_coverage(db, cfg, row_budget=2) == reference_coverage(db, cfg)
+    assert clause_lines(generate_candidates(db, cfg)) == clause_lines(reference_candidates(db, cfg))
+
+
+def test_target_atom_own_step_is_dropped_but_parallel_atoms_count():
+    # T(a,b) itself is no path for T(a,b), but U(a,b) and P(a,b) over the same
+    # pair are one-step paths, and T(a,b) is one for U(a,b)
+    db = AtomDatabase([
+        PredicateSymbol("P"), PredicateSymbol("T", is_target=True), PredicateSymbol("U", is_target=True),
+    ])
+    db.add_atom("T", "a", "b")
+    db.add_atom("U", "a", "b", 0.5)  # exactly at the threshold: an edge
+    db.add_atom("P", "a", "b")
+    db.add_atom("T", "a", "a")  # a self-pair connects nothing
+    build_adjacency(db)
+    cfg = GenerationConfig(max_depth=1, min_coverage=1, include_inverses=False)
+    assert chain_coverage(db, cfg) == {
+        ("T", (("P", False),)): 1,
+        ("T", (("U", False),)): 1,
+        ("U", (("P", False),)): 1,
+        ("U", (("T", False),)): 1,
+    }
+    assert chain_coverage(db, cfg) == reference_coverage(db, cfg)
+
+
+def high_degree_db(seed=0, n=12, p_edge=0.45):
+    rng = np.random.default_rng(seed)
+    db = AtomDatabase([PredicateSymbol("P"), PredicateSymbol("Q"), PredicateSymbol("T", is_target=True)])
+    for pred in ("P", "Q"):
+        for a in range(n):
+            for b in range(n):
+                if a != b and rng.random() < p_edge:
+                    db.add_atom(pred, f"c{a}", f"c{b}")
+    for k in range(8):
+        a, b = rng.choice(n, 2, replace=False)
+        if db.find_atom("T", db.intern(f"c{a}"), db.intern(f"c{b}")) is None:
+            db.add_atom("T", f"c{a}", f"c{b}", float(k % 2))
+    return build_adjacency(db)
+
+
+def test_depth4_high_degree_mining_runs_in_bounded_chunks(monkeypatch):
+    db = high_degree_db()
+    cfg = GenerationConfig(max_depth=4, min_coverage=1)
+    graph = StepGraph(db)
+    max_degree = int(graph.degree(np.arange(graph.n_nodes)).max())
+    budget = 64
+    sizes = []
+    expand = StepGraph.expand
+
+    def recording(self, nodes):
+        out = expand(self, nodes)
+        sizes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(StepGraph, "expand", recording)
+    got = chain_coverage(db, cfg, row_budget=budget)
+    monkeypatch.undo()
+    # an unsplit walk would expand far past the budget at depth 3
+    assert sum(sizes) > 50 * budget
+    assert max(sizes) < budget + max_degree
+    assert got == reference_coverage(db, cfg)
+    assert chain_coverage(db, cfg) == got
+
+
+def test_long_chains_fall_back_to_unbounded_codes():
+    # 41 predicates at depth 9: base 83 ** 10 does not fit 64 bits
+    names = [f"R{i:02d}" for i in range(40)]
+    db = AtomDatabase([PredicateSymbol(p) for p in names] + [PredicateSymbol("T", is_target=True)])
+    for i in range(9):
+        db.add_atom(names[39 - i], f"x{i}", f"x{i + 1}")
+        db.add_atom(names[i], f"y{i}", f"y{i + 1}")
+    db.add_atom("T", "x0", "x9")
+    db.add_atom("T", "y0", "y9")
+    db.add_atom("T", "x9", "x0")
+    build_adjacency(db)
+    assert (2 * 41 + 1) ** 10 * 3 >= 2**63
+    cfg = GenerationConfig(max_depth=9, min_coverage=1)
+    got = chain_coverage(db, cfg)
+    assert got == reference_coverage(db, cfg)
+    # two nine-step chains, and T(x0,x9) walked backwards for T(x9,x0)
+    assert sorted(len(steps) for _, steps in got) == [1, 9, 9, 9]

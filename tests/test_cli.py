@@ -278,3 +278,90 @@ def test_neg_ratio_subsampling(recovery_dir, tmp_path):
     )
     assert code == 0
     assert model.read_text().startswith("# hlsl-model v1")
+
+
+# -- the shared atom-row reader behind every command ------------------------
+
+
+def single_error(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    return err[0]
+
+
+def test_infer_malformed_test_row(recovery_dir, tmp_path, capsys):
+    rows = (recovery_dir / "test.tsv").read_text().splitlines()
+    test = tmp_path / "test.tsv"
+    test.write_text("\n".join(rows + ["T\tonly_two"]) + "\n")
+    code = run(
+        "infer", "--schema", recovery_dir / "schema.tsv", "--observed", recovery_dir / "observed.tsv",
+        "--train", recovery_dir / "train.tsv", "--test", test,
+        "--model", recovery_dir / "candidates.tsv", "--out", tmp_path / "preds.tsv",
+    )
+    assert code == 1
+    assert single_error(capsys).startswith(f"error:MalformedLine:line {len(rows) + 1}: {test}:")
+
+
+def test_neg_ratio_malformed_train_row(recovery_dir, tmp_path, capsys):
+    train = tmp_path / "train.tsv"
+    train.write_text("T\ta\n" + (recovery_dir / "train.tsv").read_text())
+    code = run(
+        "learn", "--schema", recovery_dir / "schema.tsv", "--observed", recovery_dir / "observed.tsv",
+        "--train", train, "--clauses", recovery_dir / "candidates.tsv", "--neg-ratio", 1.0,
+        "--out", tmp_path / "model.tsv",
+    )
+    assert code == 1
+    assert single_error(capsys).startswith("error:MalformedLine:line 1:")
+
+
+@pytest.mark.parametrize(
+    "predictions, labels",
+    [
+        ("T\ta\tb\n", "T\ta\tb\t1\n"),  # prediction without a score
+        ("T\ta\tb\tbad\n", "T\ta\tb\t1\n"),  # unparsable score
+        ("T\ta\tb\tnan\n", "T\ta\tb\t1\n"),  # non-finite scores
+        ("T\ta\tb\tinf\n", "T\ta\tb\t1\n"),
+        ("T\ta\tb\t0.5\n", "T\ta\n"),  # label row with two fields
+        ("T\ta\tb\t0.5\n", "T\ta\tb\t1\textra\n"),  # label row with five fields
+    ],
+)
+def test_eval_rejects_malformed_rows(tmp_path, capsys, predictions, labels):
+    (tmp_path / "p.tsv").write_text(predictions)
+    (tmp_path / "l.tsv").write_text(labels)
+    code = run("eval", "--predictions", tmp_path / "p.tsv", "--labels", tmp_path / "l.tsv", "--out", tmp_path / "m.tsv")
+    assert code == 1
+    assert single_error(capsys).startswith("error:MalformedLine:line 1:")
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_infer_rejects_non_finite_weight(recovery_dir, tmp_path, capsys, weight):
+    model = tmp_path / "model.tsv"
+    model.write_text(f"# hlsl-model v1\n{weight}\t-> !T(A,B)\n")
+    code = run(
+        "infer", "--schema", recovery_dir / "schema.tsv", "--observed", recovery_dir / "observed.tsv",
+        "--train", recovery_dir / "train.tsv", "--test", recovery_dir / "test.tsv",
+        "--model", model, "--out", tmp_path / "preds.tsv",
+    )
+    assert code == 1
+    assert single_error(capsys).startswith("error:MalformedLine:line 2:")
+
+
+def test_commands_build_the_adjacency_once(recovery_dir, tmp_path, monkeypatch):
+    import hlsl.data
+
+    calls = []
+    build = hlsl.data.build_adjacency
+    monkeypatch.setattr(hlsl.data, "build_adjacency", lambda *a, **k: calls.append(1) or build(*a, **k))
+    base = (
+        "--schema", recovery_dir / "schema.tsv", "--observed", recovery_dir / "observed.tsv",
+        "--train", recovery_dir / "train.tsv",
+    )
+    model = tmp_path / "model.tsv"
+    model.write_text("# hlsl-model v1\n2\tCoassoc(V1,V2) -> T(V1,V2)\n1\t-> !T(A,B)\n")
+    assert run("infer", *base, "--test", recovery_dir / "test.tsv", "--model", model, "--out", tmp_path / "p.tsv") == 0
+    assert len(calls) == 1
+    assert run(
+        "learn", *base, "--clauses", recovery_dir / "candidates.tsv", "--neg-ratio", 1.0,
+        "--iters", 2, "--out", tmp_path / "m.tsv",
+    ) == 0
+    assert len(calls) == 2

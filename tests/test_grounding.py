@@ -194,3 +194,23 @@ def test_strict_mode_drops_observed_target_bodies(citation_db):
     clause = parse_clause("Cites(V1,V2) & Mentions(V2,V3) -> Mentions(V1,V3)", citation_db)
     assert len(ground_clause(clause, citation_db)) == 1
     assert ground_clause(clause, citation_db, strict=True) == []
+
+
+def test_mined_clause_grounds_a_repeated_constant():
+    # Mining counts simple paths only: T(a,a) has none, and T(c,e) yields the
+    # chain below. Grounding binds variables independently, so the same
+    # clause also grounds on a -> b -> a with head T(a,a).
+    db = AtomDatabase([PredicateSymbol("P"), PredicateSymbol("Q"), PredicateSymbol("T", is_target=True)])
+    db.add_atom("P", "c", "d")
+    db.add_atom("Q", "d", "e")
+    db.add_atom("T", "c", "e")
+    db.add_atom("P", "a", "b")
+    db.add_atom("Q", "b", "a")
+    db.add_atom("T", "a", "a")
+    build_adjacency(db)
+    mined = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1, include_inverses=False))
+    rule = mined[0]
+    assert rule.id == "P(V1,V2) & Q(V2,V3) -> T(V1,V3)"
+    assert rule.coverage == 1  # only T(c,e)
+    heads = sorted(db.atom_str(g.terms[-1][0]) for g in ground_clause(rule, db))
+    assert heads == ["T(a,a)", "T(c,e)"]

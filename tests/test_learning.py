@@ -243,6 +243,9 @@ def test_model_file_errors(citation_db):
         read_model(io.StringIO("not a header\n"), citation_db)
     with pytest.raises(MalformedLine):
         read_model(io.StringIO("# hlsl-model v1\n-1.0\t-> !Mentions(A,B)\n"), citation_db)
+    for weight in ("nan", "inf", "-nan"):
+        with pytest.raises(MalformedLine, match="non-finite"):
+            read_model(io.StringIO(f"# hlsl-model v1\n{weight}\t-> !Mentions(A,B)\n"), citation_db)
 
 
 def test_trace_format():
