@@ -251,9 +251,7 @@ class StepGraph:
         return _spans(np.searchsorted(self.pair, key, "left"), np.searchsorted(self.pair, key, "right"))
 
 
-def chain_coverage(
-    db: AtomDatabase, config: GenerationConfig, row_budget: int = ROW_BUDGET
-) -> dict[tuple[str, tuple[tuple[str, bool], ...]], int]:
+def chain_coverage(db: AtomDatabase, config: GenerationConfig) -> dict[tuple[str, tuple[tuple[str, bool], ...]], int]:
     """Coverage of every chain body that connects some target atom.
 
     Maps (head predicate, body steps as (predicate, inverted) pairs) to the
@@ -262,89 +260,88 @@ def chain_coverage(
     `bfs_paths` enumerates, counted per relation sequence.
 
     The walk is a frontier over all target atoms at once. Each frontier row
-    is a partial path: its target row, its end node, its label-sequence
-    code, and the nodes it has visited. Each depth is closed by a lookup of
-    (end node, goal) steps; rows are then extended by one step, dropping
-    any that revisits a node or reaches the goal (the lookup already found
-    those). Expansions wider than `row_budget` steps are split into pieces
-    walked depth first. A code is the base-(2P+1) number whose digits are
-    the head predicate and the step labels, each plus one, so a code names
-    one (head, sequence) pair at any length; it falls back to Python
-    integers where 64 bits cannot hold the deepest code.
+    is a partial path: its target row, its end node, its step labels (one
+    column per depth, -1 past its length), and the nodes it has visited.
+    Each depth is closed by a lookup of (end node, goal) steps; rows are
+    then extended by one step, dropping any that revisits a node or reaches
+    the goal (the lookup already found those). Expansions wider than
+    `ROW_BUDGET` steps are split into pieces walked depth first.
     """
-    pred_ids = {name: k for k, name in enumerate(db.predicates)}
     names = list(db.predicates)
-    base = 2 * len(names) + 1
+    pred_ids = {name: k for k, name in enumerate(names)}
+    depth = config.max_depth
     graph = StepGraph(db, config.include_inverses, config.traverse_target_edges)
     targets = [db.atoms[i] for i in db.targets]
-    n = len(targets)
     start = np.array([a.arg1 for a in targets], dtype=np.int64)
     goal = np.array([a.arg2 for a in targets], dtype=np.int64)
     head = np.array([pred_ids[a.predicate.name] for a in targets], dtype=np.int64)
-    code_type = np.int64 if base ** (config.max_depth + 1) * max(n, 1) < 2**63 else object
 
-    codes = np.zeros(0, dtype=code_type)  # every (head, sequence) code seen ...
-    counts = np.zeros(0, dtype=np.int64)  # ... and its coverage over finished chunks
+    # every (head, labels...) key seen, and its coverage over finished chunks
+    keys = np.zeros((0, depth + 1), dtype=np.int64)
+    counts = np.zeros(0, dtype=np.int64)
 
     def pieces(nodes: np.ndarray):
         """Consecutive slices whose steps fit the row budget (a single node
         of higher degree forms its own slice)."""
         deg = graph.degree(nodes)
-        piece = (np.cumsum(deg) - deg) // row_budget
+        piece = (np.cumsum(deg) - deg) // ROW_BUDGET
         cuts = np.flatnonzero(np.diff(piece)) + 1
         return zip(np.r_[0, cuts], np.r_[cuts, len(nodes)])
 
-    def extend(row, node, code, visited):
+    def extend(row, node, labels, visited):
         """The frontier one step further, one piece at a time, without rows
         that revisit a node or reach the goal (the lookup finds those)."""
+        length = visited.shape[1] - 1
         for lo, hi in pieces(node):
             i, s = graph.expand(node[lo:hi])
             i += lo
             nxt = graph.dst[s]
             keep = (nxt != goal[row[i]]) & (visited[i] != nxt[:, None]).all(axis=1)
             i, s, nxt = i[keep], s[keep], nxt[keep]
-            yield row[i], nxt, code[i] * base + graph.label[s] + 1, np.column_stack([visited[i], nxt])
+            grown = labels[i]
+            grown[:, length] = graph.label[s]
+            yield row[i], nxt, grown, np.column_stack([visited[i], nxt])
 
     # Simple paths cannot return to their root, so t(a, a) connects nothing.
     roots = np.flatnonzero(start != goal)
     for lo, hi in pieces(start[roots]):
         rows = roots[lo:hi]
-        found: list[np.ndarray] = []  # code * n + row of the paths found
-        found_limit = row_budget
+        found: list[np.ndarray] = []  # [head, labels..., row] of the paths found
+        found_limit = ROW_BUDGET
+        no_steps = np.full((len(rows), depth), -1, dtype=np.int64)
         # depth first over frontier pieces, so one piece per depth is live
-        stack = [iter([(rows, start[rows], (head[rows] + 1).astype(code_type), start[rows][:, None])])]
+        stack = [iter([(rows, start[rows], no_steps, start[rows][:, None])])]
         while stack:
             frontier = next(stack[-1], None)
             if frontier is None:
                 stack.pop()
                 continue
-            row, node, code, visited = frontier
+            row, node, labels, visited = frontier
+            length = visited.shape[1] - 1
             i, s = graph.lookup(node, goal[row])
             label = graph.label[s]
-            if visited.shape[1] == 1:  # the target atom's own forward step is no path
+            if length == 0:  # the target atom's own forward step is no path
                 keep = label != 2 * head[row[i]]
                 i, label = i[keep], label[keep]
-            found.append(np.unique((code[i] * base + label + 1) * n + row[i]))
+            paths = labels[i]
+            paths[:, length] = label
+            found.append(np.unique(np.column_stack([head[row[i]], paths, row[i]]), axis=0))
             if sum(map(len, found)) > found_limit:  # drop repeats, at doubling sizes
-                found = [np.unique(np.concatenate(found))]
-                found_limit = max(row_budget, 2 * len(found[0]))
-            if visited.shape[1] < config.max_depth and len(row):
-                stack.append(extend(row, node, code, visited))
+                found = [np.unique(np.concatenate(found), axis=0)]
+                found_limit = max(ROW_BUDGET, 2 * len(found[0]))
+            if length + 1 < depth and len(row):
+                stack.append(extend(row, node, labels, visited))
         # a chunk holds every row of its targets, so its coverage is final
-        chunk_codes, chunk_counts = np.unique(np.unique(np.concatenate(found)) // n, return_counts=True)
-        codes, where = np.unique(np.concatenate([codes, chunk_codes]), return_inverse=True)
-        counts = np.bincount(where, np.concatenate([counts, chunk_counts]), len(codes)).astype(np.int64)
+        chunk_keys, chunk_counts = np.unique(
+            np.unique(np.concatenate(found), axis=0)[:, :-1], axis=0, return_counts=True
+        )
+        keys, where = np.unique(np.concatenate([keys, chunk_keys]), axis=0, return_inverse=True)
+        counts = np.bincount(where, np.concatenate([counts, chunk_counts]), len(keys)).astype(np.int64)
 
-    out: dict[tuple[str, tuple[tuple[str, bool], ...]], int] = {}
-    for code, count in zip(codes.tolist(), counts.tolist()):
-        digits = []
-        while code:
-            code, digit = divmod(code, base)
-            digits.append(digit - 1)
-        head_id, *labels = reversed(digits)
-        steps = tuple((names[lab // 2], bool(lab % 2)) for lab in labels)
-        out[(names[head_id], steps)] = count
-    return out
+    return {
+        (names[key[0]], tuple((names[lab // 2], bool(lab % 2)) for lab in key[1:] if lab >= 0)): count
+        for key, count in zip(keys.tolist(), counts.tolist())
+    }
 
 
 def generate_candidates(db: AtomDatabase, config: GenerationConfig) -> list[PathClause]:

@@ -7,7 +7,6 @@ atom whose value rounds to 1, and is what the clause generator traverses.
 """
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -142,14 +141,12 @@ def build_adjacency(db: AtomDatabase, threshold: float = DEFAULT_ROUND_THRESHOLD
     incoming edge at b; incoming edges support inverse-predicate traversal.
     Edge lists are sorted so traversal order is deterministic.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold {threshold} outside (0, 1)")
     out: dict[int, list[tuple[str, int, int]]] = {}
     inc: dict[int, list[tuple[str, int, int]]] = {}
     out_p: dict[tuple[int, str], list[tuple[int, int]]] = {}
     in_p: dict[tuple[int, str], list[tuple[int, int]]] = {}
     for atom in db.atoms:
-        if atom.value < threshold:  # `round_value`: add_atom keeps values in [0, 1]
+        if round_value(atom.value, threshold) != 1:
             continue
         name = atom.predicate.name
         out.setdefault(atom.arg1, []).append((name, atom.arg2, atom.index))
@@ -278,18 +275,8 @@ def load_database(
     """
     with open(schema_path, encoding="utf-8") as fh:
         schema = parse_schema(fh)
-    # Loading allocates only acyclic objects, yet the growing heap sets off
-    # repeated full cyclic collections (a quarter to a third of the load
-    # time); pause the collector until the index is built.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        db = AtomDatabase(schema)
-        for path in atom_paths:
-            with open(path, encoding="utf-8") as fh:
-                _add_rows(db, read_atom_rows(fh, path))
-        _add_rows(db, extra_rows)
-        return build_adjacency(db, threshold)
-    finally:
-        if collecting:
-            gc.enable()
+    db = AtomDatabase(schema)
+    for path in atom_paths:
+        with open(path, encoding="utf-8") as fh:
+            _add_rows(db, read_atom_rows(fh, path))
+    return build_adjacency(_add_rows(db, extra_rows), threshold)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_simple_paths, random_chain_db
 
+import hlsl.clauses
 from hlsl.clauses import (
     GenerationConfig,
     Literal,
@@ -361,7 +362,9 @@ def test_generate_matches_dfs_oracle(db, depth, inverses, target_edges, min_cove
         include_inverses=inverses, traverse_target_edges=target_edges,
     )
     assert chain_coverage(db, cfg) == reference_coverage(db, cfg)
-    assert chain_coverage(db, cfg, row_budget=2) == reference_coverage(db, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hlsl.clauses, "ROW_BUDGET", 2)
+        assert chain_coverage(db, cfg) == reference_coverage(db, cfg)
     assert clause_lines(generate_candidates(db, cfg)) == clause_lines(reference_candidates(db, cfg))
 
 
@@ -416,7 +419,8 @@ def test_depth4_high_degree_mining_runs_in_bounded_chunks(monkeypatch):
         return out
 
     monkeypatch.setattr(StepGraph, "expand", recording)
-    got = chain_coverage(db, cfg, row_budget=budget)
+    monkeypatch.setattr(hlsl.clauses, "ROW_BUDGET", budget)
+    got = chain_coverage(db, cfg)
     monkeypatch.undo()
     # an unsplit walk would expand far past the budget at depth 3
     assert sum(sizes) > 50 * budget
@@ -425,8 +429,7 @@ def test_depth4_high_degree_mining_runs_in_bounded_chunks(monkeypatch):
     assert chain_coverage(db, cfg) == got
 
 
-def test_long_chains_fall_back_to_unbounded_codes():
-    # 41 predicates at depth 9: base 83 ** 10 does not fit 64 bits
+def test_depth9_chains_over_many_predicates_match_the_oracle():
     names = [f"R{i:02d}" for i in range(40)]
     db = AtomDatabase([PredicateSymbol(p) for p in names] + [PredicateSymbol("T", is_target=True)])
     for i in range(9):
@@ -436,7 +439,6 @@ def test_long_chains_fall_back_to_unbounded_codes():
     db.add_atom("T", "y0", "y9")
     db.add_atom("T", "x9", "x0")
     build_adjacency(db)
-    assert (2 * 41 + 1) ** 10 * 3 >= 2**63
     cfg = GenerationConfig(max_depth=9, min_coverage=1)
     got = chain_coverage(db, cfg)
     assert got == reference_coverage(db, cfg)

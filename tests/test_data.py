@@ -149,23 +149,3 @@ def test_tsv_round_trip(rows):
     again = parse_tsv(io.StringIO(text), SCHEMA)
     assert again.atom_set() == db.atom_set()
 
-
-def test_load_database_restores_the_collector(tmp_path):
-    import gc
-
-    from hlsl.data import load_database
-
-    (tmp_path / "schema.tsv").write_text("Cites\tevidence\nMentions\ttarget\n")
-    (tmp_path / "good.tsv").write_text("Cites\ta\tb\nMentions\ta\tc\t0.5\n")
-    (tmp_path / "bad.tsv").write_text("Cites\ta\n")
-    db = load_database(str(tmp_path / "schema.tsv"), [str(tmp_path / "good.tsv")])
-    assert len(db.atoms) == 2 and gc.isenabled()
-    with pytest.raises(MalformedLine):
-        load_database(str(tmp_path / "schema.tsv"), [str(tmp_path / "bad.tsv")])
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        load_database(str(tmp_path / "schema.tsv"), [str(tmp_path / "good.tsv")])
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
