@@ -207,48 +207,71 @@ def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class StepGraph:
     """The adjacency index as one sparse step graph.
 
-    Every atom p(a, b) in the adjacency index is a forward step a -> b with
-    label 2k, where k is p's position in the schema, and, when inverses are
-    walked, a backward step b -> a with label 2k + 1. Steps of target
-    predicates are left out unless `traverse_target_edges`. Steps are held
-    in CSR form sorted by (src, dst, label): `indptr[n]:indptr[n + 1]` are
-    the steps leaving node n.
+    Every atom p(a, b) in the adjacency index, and every atom of `extra`,
+    is a forward step a -> b with label 2k, where k is p's predicate id,
+    and, when inverses are walked, a backward step b -> a with label 2k + 1.
+    Steps of target predicates are left out unless `traverse_target_edges`.
+    Steps are held in CSR form sorted by (src, label): `indptr[n]:indptr[n +
+    1]` are the steps leaving node n, `dst[s]` is where step s leads and
+    `atom[s]` the atom it walks.
     """
 
-    def __init__(self, db: AtomDatabase, include_inverses: bool = True, traverse_target_edges: bool = True):
-        pred_ids = {name: k for k, name in enumerate(db.predicates)}
-        walked = {
-            name: traverse_target_edges or not pred.is_target for name, pred in db.predicates.items()
-        }
-        fwd = np.array(
-            [
-                (node, nbr, 2 * pred_ids[name])
-                for node, edges in db.outgoing.items()
-                for name, nbr, _ in edges
-                if walked[name]
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        steps = np.vstack([fwd, fwd[:, [1, 0, 2]] + [0, 0, 1]]) if include_inverses else fwd
-        steps = steps[np.lexsort((steps[:, 2], steps[:, 1], steps[:, 0]))]
+    def __init__(
+        self,
+        db: AtomDatabase,
+        include_inverses: bool = True,
+        traverse_target_edges: bool = True,
+        extra: np.ndarray | Sequence[int] = (),
+    ):
+        extra = np.asarray(extra, dtype=np.int64)
+        forward = np.concatenate([db.out_atom, extra])
+        backward = np.concatenate([db.in_atom, extra]) if include_inverses else extra[:0]
+        atom = np.concatenate([forward, backward])
+        src = np.concatenate([db.arg1[forward], db.arg2[backward]])
+        dst = np.concatenate([db.arg2[forward], db.arg1[backward]])
+        label = 2 * db.pred[atom] + (np.arange(len(atom)) >= len(forward))
+        if not traverse_target_edges:
+            walked = ~db.is_target_pred[db.pred[atom]]
+            atom, src, dst, label = atom[walked], src[walked], dst[walked], label[walked]
         self.n_nodes = len(db.constants)
-        self.dst = steps[:, 1]
-        self.label = steps[:, 2]
-        self.indptr = np.searchsorted(steps[:, 0], np.arange(self.n_nodes + 1))
-        # (src, dst) pairs as one sorted key, for goal lookups
-        self.pair = steps[:, 0] * self.n_nodes + self.dst
+        self.n_labels = 2 * len(db.predicates)
+        # both index directions are already sorted by (src, label), so this
+        # stable sort merges them (and places the few extra steps)
+        slot = src * self.n_labels + label
+        order = np.argsort(slot, kind="stable")
+        self.slot = slot[order]
+        self.dst = dst[order]
+        self.label = label[order]
+        self.atom = atom[order]
+        self.indptr = np.searchsorted(self.slot, np.arange(self.n_nodes + 1) * self.n_labels)
+        # the steps again, sorted by (src, dst), for goal lookups
+        pair = src[order] * self.n_nodes + self.dst
+        self.by_pair = np.argsort(pair)
+        self.pair = pair[self.by_pair]
 
     def degree(self, nodes: np.ndarray) -> np.ndarray:
         return self.indptr[nodes + 1] - self.indptr[nodes]
 
-    def expand(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every step leaving each node, as (position in `nodes`, step) pairs."""
-        return _spans(self.indptr[nodes], self.indptr[nodes + 1])
+    def expand(self, nodes: np.ndarray, label: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Every step leaving each node (only those labelled `label` if
+        given), as (position in `nodes`, step) pairs."""
+        if label is None:
+            return _spans(self.indptr[nodes], self.indptr[nodes + 1])
+        key = nodes * self.n_labels + label
+        return _spans(np.searchsorted(self.slot, key, "left"), np.searchsorted(self.slot, key, "right"))
 
-    def lookup(self, nodes: np.ndarray, goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every step from nodes[i] to goals[i], as (i, step) pairs."""
+    def lookup(
+        self, nodes: np.ndarray, goals: np.ndarray, label: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every step from nodes[i] to goals[i] (only those labelled `label`
+        if given), as (i, step) pairs."""
         key = nodes * self.n_nodes + goals
-        return _spans(np.searchsorted(self.pair, key, "left"), np.searchsorted(self.pair, key, "right"))
+        i, at = _spans(np.searchsorted(self.pair, key, "left"), np.searchsorted(self.pair, key, "right"))
+        s = self.by_pair[at]
+        if label is None:
+            return i, s
+        keep = self.label[s] == label
+        return i[keep], s[keep]
 
 
 def chain_coverage(db: AtomDatabase, config: GenerationConfig) -> dict[tuple[str, tuple[tuple[str, bool], ...]], int]:
@@ -267,14 +290,11 @@ def chain_coverage(db: AtomDatabase, config: GenerationConfig) -> dict[tuple[str
     the goal (the lookup already found those). Expansions wider than
     `ROW_BUDGET` steps are split into pieces walked depth first.
     """
-    names = list(db.predicates)
-    pred_ids = {name: k for k, name in enumerate(names)}
+    names = db.pred_names
     depth = config.max_depth
     graph = StepGraph(db, config.include_inverses, config.traverse_target_edges)
-    targets = [db.atoms[i] for i in db.targets]
-    start = np.array([a.arg1 for a in targets], dtype=np.int64)
-    goal = np.array([a.arg2 for a in targets], dtype=np.int64)
-    head = np.array([pred_ids[a.predicate.name] for a in targets], dtype=np.int64)
+    targets = np.asarray(db.targets, dtype=np.int64)
+    start, goal, head = db.arg1[targets], db.arg2[targets], db.pred[targets]
 
     # every (head, labels...) key seen, and its coverage over finished chunks
     keys = np.zeros((0, depth + 1), dtype=np.int64)
@@ -369,8 +389,9 @@ def generate_candidates(db: AtomDatabase, config: GenerationConfig) -> list[Path
     candidates = candidates[: config.top_k]
 
     if config.add_negative_priors:
+        target_preds = db.pred[db.targets]
         for pred in db.target_predicates():
-            n_atoms = sum(1 for i in db.targets if db.atoms[i].predicate.name == pred.name)
+            n_atoms = int(np.count_nonzero(target_preds == db.pred_ids[pred.name]))
             prior = PathClause((), Literal(pred.name, 1, 2, negated=True), coverage=n_atoms)
             candidates.append(prior)
     elif not candidates:

@@ -7,8 +7,8 @@ size, and `synth` emits the built-in synthetic datasets.
 
 Options resolve as: built-in defaults, then `--config key=value` file
 entries, then explicit flags. Outputs are deterministic for a fixed seed and
-configuration at any thread count. Errors print a single machine-parsable
-`error:<Code>:<message>` line and exit nonzero.
+configuration. Errors print a single machine-parsable `error:<Code>:<message>`
+line and exit nonzero.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .synth import FIXTURES, write_fixture
 _DEFAULTS: dict[str, object] = {
     "method": "ppll",
     "seed": 0,
-    "threads": 1,
+    "threads": 1,  # accepted for compatibility; nothing reads it
     "neg_ratio": 0.0,
     "strict": False,
     # generation
@@ -76,7 +76,6 @@ class RunConfig:
     test: str | None = None
     method: str = "ppll"
     seed: int = 0
-    threads: int = 1
     neg_ratio: float = 0.0
     strict: bool = False
     generation: GenerationConfig = GenerationConfig()
@@ -151,7 +150,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         test=merged.get("test"),
         method=method,
         seed=int(merged["seed"]),
-        threads=max(1, int(merged["threads"])),
         neg_ratio=float(merged["neg_ratio"]),
         strict=bool(merged["strict"]),
         generation=GenerationConfig(
@@ -218,9 +216,9 @@ def cmd_learn(
         raise NoCandidates(f"no clauses in {clauses_path}")
     trace: list = []
     if cfg.method == "ppll":
-        model = ppll_structure_learn(candidates, db, cfg.learning, cfg.threads, trace)
+        model = ppll_structure_learn(candidates, db, cfg.learning, trace)
     else:
-        model = gls_structure_learn(candidates, db, cfg.learning, cfg.threads, trace)
+        model = gls_structure_learn(candidates, db, cfg.learning, trace)
     with open(out_path, "w", encoding="utf-8") as fh:
         write_model(model, fh)
     if trace_path:
@@ -230,7 +228,7 @@ def cmd_learn(
         from .grounding import dump_grounding_tsv
         from .scoring import log_pll, log_ppll, write_score_tsv
 
-        grounding = ground_clauses(model.clauses, db, threads=cfg.threads)
+        grounding = ground_clauses(model.clauses, db)
         if groundings_path:
             with open(groundings_path, "w", encoding="utf-8") as fh:
                 dump_grounding_tsv(grounding, fh)
@@ -250,10 +248,7 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
     free = list(range(len(db.atoms) - len(test_rows), len(db.atoms)))
     with open(model_path, encoding="utf-8") as fh:
         model = read_model(fh, db)
-    grounding = ground_clauses(
-        model.clauses, db, free_atoms=frozenset(free), strict=cfg.strict,
-        threshold=cfg.generation.threshold, threads=cfg.threads,
-    )
+    grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free), strict=cfg.strict)
     solution = map_infer(model, db, free_atoms=free, grounding=grounding, p=cfg.learning.p)
     with open(out_path, "w", encoding="utf-8") as fh:
         for i in free:
@@ -295,7 +290,7 @@ def cmd_bench(cfg: RunConfig, clauses_path: str, counts: list[int], out_path: st
         for method, learner in (("gls", gls_structure_learn), ("ppll", ppll_structure_learn)):
             learn_cfg = cfg.learning
             started = time.perf_counter()
-            learner(pool[:n], db, learn_cfg, cfg.threads)
+            learner(pool[:n], db, learn_cfg)
             rows.append((method, n, time.perf_counter() - started))
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("method,n,seconds\n")
@@ -309,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *, data: bool = True) -> None:
         p.add_argument("--config", help="key=value options file; flags override it")
-        p.add_argument("--threads", type=int)
+        p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int)
         if data:
             p.add_argument("--schema", help="predicate schema file")

@@ -2,12 +2,15 @@
 
 Atoms are binary-predicate facts with soft values in [0, 1]. Atoms of target
 predicates are the random variables of the model; everything else is
-evidence. The adjacency index holds one outgoing and one incoming edge per
-atom whose value rounds to 1, and is what the clause generator traverses.
+evidence. The database stores atoms as columns and keeps one edge index, in
+CSR form, over the atoms whose value rounds to 1; the clause miner and the
+grounder both walk it.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -35,21 +38,30 @@ class GroundAtom:
     index: int  # position in AtomDatabase.atoms
 
 
-def round_value(v: float, threshold: float = DEFAULT_ROUND_THRESHOLD) -> int:
-    """Round a soft value to {0, 1}; the threshold itself rounds up."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueOutOfRange(f"value {v} outside [0, 1]")
+def rounds_to_one(values, threshold: float = DEFAULT_ROUND_THRESHOLD):
+    """Whether soft values (a scalar or an array) round to 1: the threshold
+    itself rounds up. The one place the rounding rule lives."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold {threshold} outside (0, 1)")
-    return 1 if v >= threshold else 0
+    return values >= threshold
+
+
+def round_value(v: float, threshold: float = DEFAULT_ROUND_THRESHOLD) -> int:
+    """Round a soft value to {0, 1} (see `rounds_to_one`)."""
+    if not 0.0 <= v <= 1.0:
+        raise ValueOutOfRange(f"value {v} outside [0, 1]")
+    return int(rounds_to_one(v, threshold))
 
 
 class AtomDatabase:
-    """Indexed store of ground atoms split into target and evidence atoms.
+    """Columnar store of ground atoms split into target and evidence atoms.
 
-    Constants are interned to dense integer ids; string names are kept for
-    serialization. After `build_adjacency` the database is treated as
-    immutable and may be read concurrently from any number of workers.
+    Atom i is `pred[i](arg1[i], arg2[i])` with value `values[i]`, where
+    `pred` holds predicate ids (`pred_ids`) and the arguments constant ids.
+    Constants are interned to dense ids in order of first appearance (arg1
+    before arg2); string names are kept for serialization. `atoms[i]` builds
+    a `GroundAtom` when it is read. After `build_adjacency` the database is
+    treated as immutable.
     """
 
     def __init__(self, schema: Iterable[PredicateSymbol]):
@@ -60,18 +72,32 @@ class AtomDatabase:
             if pred.name in self.predicates:
                 raise ValueError(f"duplicate predicate {pred.name!r} in schema")
             self.predicates[pred.name] = pred
-        self.atoms: list[GroundAtom] = []
+        # predicate ids number the predicates in name order, so that sorting
+        # edges by predicate id sorts them by name
+        self.pred_names: list[str] = sorted(self.predicates)
+        self.pred_ids: dict[str, int] = {name: k for k, name in enumerate(self.pred_names)}
+        self._symbols = [self.predicates[name] for name in self.pred_names]
+        self.is_target_pred = np.array([p.is_target for p in self._symbols], dtype=bool)
+
         self.constants: list[str] = []
         self._const_ids: dict[str, int] = {}
-        self._atom_ids: dict[tuple[str, int, int], int] = {}
+        self.pred = np.zeros(0, dtype=np.int64)
+        self.arg1 = np.zeros(0, dtype=np.int64)
+        self.arg2 = np.zeros(0, dtype=np.int64)
+        self.values = np.zeros(0, dtype=np.float64)
         self.targets: list[int] = []
         self.evidence: list[int] = []
-        # adjacency: constant id -> sorted list of (predicate name, neighbor id, atom index)
-        self.outgoing: dict[int, list[tuple[str, int, int]]] = {}
-        self.incoming: dict[int, list[tuple[str, int, int]]] = {}
-        # the same edges keyed by (constant id, predicate name), for chain walks
-        self.out_by_pred: dict[tuple[int, str], list[tuple[int, int]]] = {}
-        self.in_by_pred: dict[tuple[int, str], list[tuple[int, int]]] = {}
+        self.atoms = _AtomView(self)
+        # atom indices sorted by the key (arg1 * P + pred, arg2), and the two
+        # key columns in that order: duplicate checks and `find_atom` use them
+        self._key_order = np.zeros(0, dtype=np.int64)
+        self._sorted_hi = np.zeros(0, dtype=np.int64)
+        self._sorted_lo = np.zeros(0, dtype=np.int64)
+        # adjacency (see `build_adjacency`)
+        self.out_ptr = np.zeros(1, dtype=np.int64)
+        self.out_atom = np.zeros(0, dtype=np.int64)
+        self.in_ptr = np.zeros(1, dtype=np.int64)
+        self.in_atom = np.zeros(0, dtype=np.int64)
         # rounding threshold the adjacency was built with
         self.round_threshold: float = DEFAULT_ROUND_THRESHOLD
 
@@ -86,20 +112,72 @@ class AtomDatabase:
         return cid
 
     def add_atom(self, pred_name: str, arg1: str, arg2: str, value: float = 1.0) -> GroundAtom:
-        pred = self.predicates.get(pred_name)
-        if pred is None:
-            raise UnknownPredicate(pred_name)
-        if not 0.0 <= value <= 1.0:
-            raise ValueOutOfRange(f"{pred_name}({arg1},{arg2}) = {value}")
-        a1, a2 = self.intern(arg1), self.intern(arg2)
-        key = (pred_name, a1, a2)
-        if key in self._atom_ids:
-            raise DuplicateAtom(f"{pred_name}({arg1},{arg2})")
-        atom = GroundAtom(pred, a1, a2, float(value), len(self.atoms))
-        self._atom_ids[key] = atom.index
-        self.atoms.append(atom)
-        (self.targets if pred.is_target else self.evidence).append(atom.index)
-        return atom
+        self.add_rows([(0, pred_name, arg1, arg2, value)])
+        return self.atoms[len(self.atoms) - 1]
+
+    def add_rows(self, rows: Iterable[AtomRow]) -> None:
+        """Add atom rows in bulk, checked over whole arrays.
+
+        The outcome equals adding the rows one at a time: the rows before
+        the first faulty one are added, and that row raises. A row is faulty
+        when its predicate is not in the schema (`UnknownPredicate`), else
+        when its value lies outside [0, 1] or is NaN (`ValueOutOfRange`),
+        else when it repeats an atom already stored or earlier in the batch
+        (`DuplicateAtom`). A `MalformedLine` raised while `rows` is read
+        likewise loses to a faulty row before it.
+        """
+        batch: list[AtomRow] = []
+        try:
+            batch.extend(rows)
+        except MalformedLine:
+            self._append(batch)
+            raise
+        self._append(batch)
+
+    def _append(self, batch: list[AtomRow]) -> None:
+        if not batch:
+            return
+        _, preds, args1, args2, values = zip(*batch)
+        n = len(batch)
+        pred = np.fromiter(map(self.pred_ids.get, preds, repeat(-1)), dtype=np.int64, count=n)
+        value = np.array(values, dtype=np.float64)
+        faulty = np.flatnonzero((pred < 0) | ~((value >= 0.0) & (value <= 1.0)))
+        valid = int(faulty[0]) if len(faulty) else n  # rows[:valid] have known ids and values
+
+        names = list(chain.from_iterable(zip(args1[:valid], args2[:valid])))
+        ids = self._const_ids
+        new = [name for name in dict.fromkeys(names) if name not in ids]
+        ids.update(zip(new, range(len(self.constants), len(self.constants) + len(new))))
+        self.constants.extend(new)
+        flat = np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names))
+        arg1, arg2 = flat[0::2], flat[1::2]
+
+        old = len(self.values)
+        hi = np.concatenate([self._sorted_hi, arg1 * len(self.predicates) + pred[:valid]])
+        lo = np.concatenate([self._sorted_lo, arg2])
+        order = np.concatenate([self._key_order, np.arange(old, old + valid)])
+        by_key = np.lexsort((lo, hi))  # stable: a repeat sorts after its original
+        order, hi, lo = order[by_key], hi[by_key], lo[by_key]
+        repeats = order[1:][(hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1])]
+        stop = int(repeats.min()) - old if len(repeats) else valid
+
+        keep = order < old + stop
+        self._key_order, self._sorted_hi, self._sorted_lo = order[keep], hi[keep], lo[keep]
+        self.pred = np.concatenate([self.pred, pred[:stop]])
+        self.arg1 = np.concatenate([self.arg1, arg1[:stop]])
+        self.arg2 = np.concatenate([self.arg2, arg2[:stop]])
+        self.values = np.concatenate([self.values, value[:stop]])
+        is_target = self.is_target_pred[pred[:stop]]
+        self.targets.extend((old + np.flatnonzero(is_target)).tolist())
+        self.evidence.extend((old + np.flatnonzero(~is_target)).tolist())
+
+        if stop < n:
+            atom = f"{preds[stop]}({args1[stop]},{args2[stop]})"
+            if stop < valid:
+                raise DuplicateAtom(atom)
+            if pred[stop] < 0:
+                raise UnknownPredicate(preds[stop])
+            raise ValueOutOfRange(f"{atom} = {values[stop]}")
 
     # -- lookups ----------------------------------------------------------
 
@@ -108,58 +186,117 @@ class AtomDatabase:
 
     def find_atom(self, pred_name: str, arg1: int, arg2: int) -> int | None:
         """Atom index for (predicate, const id, const id), or None."""
-        return self._atom_ids.get((pred_name, arg1, arg2))
+        k = self.pred_ids.get(pred_name)
+        if k is None:
+            return None
+        hi = arg1 * len(self.predicates) + k
+        start = int(np.searchsorted(self._sorted_hi, hi, "left"))
+        stop = int(np.searchsorted(self._sorted_hi, hi, "right"))
+        j = start + int(np.searchsorted(self._sorted_lo[start:stop], arg2))
+        return int(self._key_order[j]) if j < stop and self._sorted_lo[j] == arg2 else None
 
     def target_predicates(self) -> list[PredicateSymbol]:
         return [p for p in self.predicates.values() if p.is_target]
 
     def value_vector(self) -> np.ndarray:
         """Stored values of all atoms, index-aligned with `atoms`."""
-        return np.array([a.value for a in self.atoms], dtype=np.float64)
+        return self.values.copy()
 
     def target_mask(self) -> np.ndarray:
-        mask = np.zeros(len(self.atoms), dtype=bool)
-        mask[self.targets] = True
-        return mask
+        return self.is_target_pred[self.pred]
 
     def atom_str(self, index: int) -> str:
-        a = self.atoms[index]
-        return f"{a.predicate.name}({self.const_name(a.arg1)},{self.const_name(a.arg2)})"
+        name = self.pred_names[self.pred[index]]
+        return f"{name}({self.const_name(self.arg1[index])},{self.const_name(self.arg2[index])})"
 
     def atom_set(self) -> set[tuple[str, str, str, float]]:
         """Order-insensitive view used by round-trip checks."""
+        names, consts = self.pred_names, self.constants
         return {
-            (a.predicate.name, self.const_name(a.arg1), self.const_name(a.arg2), a.value)
-            for a in self.atoms
+            (names[p], consts[a], consts[b], v)
+            for p, a, b, v in zip(self.pred.tolist(), self.arg1.tolist(), self.arg2.tolist(), self.values.tolist())
         }
+
+    @property
+    def outgoing(self) -> Mapping[int, list[tuple[str, int, int]]]:
+        """Constant id -> its outgoing edges as (predicate name, arg2, atom
+        index), sorted; constants without edges are absent."""
+        return _EdgeView(self, self.out_ptr, self.out_atom, self.arg2)
+
+    @property
+    def incoming(self) -> Mapping[int, list[tuple[str, int, int]]]:
+        """Constant id -> its incoming edges as (predicate name, arg1, atom
+        index), sorted."""
+        return _EdgeView(self, self.in_ptr, self.in_atom, self.arg1)
+
+
+class _AtomView(Sequence):
+    """`db.atoms`: a read-only sequence of `GroundAtom`s built on access."""
+
+    def __init__(self, db: AtomDatabase):
+        self._db = db
+
+    def __len__(self) -> int:
+        return len(self._db.values)
+
+    def __getitem__(self, i: int) -> GroundAtom:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"atom index {i} out of range")
+        i = int(i) % n
+        db = self._db
+        return GroundAtom(db._symbols[db.pred[i]], int(db.arg1[i]), int(db.arg2[i]), float(db.values[i]), i)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+class _EdgeView(Mapping):
+    """One direction of the adjacency index as a read-only mapping from a
+    constant id to its edge list."""
+
+    def __init__(self, db: AtomDatabase, ptr: np.ndarray, atoms: np.ndarray, nbr: np.ndarray):
+        self._db, self._ptr, self._atoms, self._nbr = db, ptr, atoms, nbr
+
+    def __getitem__(self, node: int) -> list[tuple[str, int, int]]:
+        if not 0 <= node < len(self._ptr) - 1 or self._ptr[node] == self._ptr[node + 1]:
+            raise KeyError(node)
+        atoms = self._atoms[self._ptr[node]:self._ptr[node + 1]]
+        names = self._db.pred_names
+        return [
+            (names[p], n, a)
+            for p, n, a in zip(self._db.pred[atoms].tolist(), self._nbr[atoms].tolist(), atoms.tolist())
+        ]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.flatnonzero(np.diff(self._ptr)).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(np.diff(self._ptr)))
 
 
 def build_adjacency(db: AtomDatabase, threshold: float = DEFAULT_ROUND_THRESHOLD) -> AtomDatabase:
-    """Populate the per-constant edge index from atoms that round to 1.
+    """Build the edge index over the atoms that round to 1.
 
-    Every qualifying atom p(a, b) contributes one outgoing edge at a and one
-    incoming edge at b; incoming edges support inverse-predicate traversal.
-    Edge lists are sorted so traversal order is deterministic.
+    Every such atom p(a, b) is one outgoing edge at a and one incoming edge
+    at b. Each direction is a CSR array pair: `out_atom[out_ptr[c]:out_ptr[c
+    + 1]]` are the atoms leaving constant c, sorted by (predicate name,
+    arg2); `in_ptr`/`in_atom` hold the atoms entering c, sorted by
+    (predicate name, arg1).
     """
-    out: dict[int, list[tuple[str, int, int]]] = {}
-    inc: dict[int, list[tuple[str, int, int]]] = {}
-    out_p: dict[tuple[int, str], list[tuple[int, int]]] = {}
-    in_p: dict[tuple[int, str], list[tuple[int, int]]] = {}
-    for atom in db.atoms:
-        if round_value(atom.value, threshold) != 1:
-            continue
-        name = atom.predicate.name
-        out.setdefault(atom.arg1, []).append((name, atom.arg2, atom.index))
-        inc.setdefault(atom.arg2, []).append((name, atom.arg1, atom.index))
-        out_p.setdefault((atom.arg1, name), []).append((atom.arg2, atom.index))
-        in_p.setdefault((atom.arg2, name), []).append((atom.arg1, atom.index))
-    for index in (out, inc, out_p, in_p):
-        for edges in index.values():
-            edges.sort()
-    db.outgoing = out
-    db.incoming = inc
-    db.out_by_pred = out_p
-    db.in_by_pred = in_p
+    n, n_preds = len(db.constants), len(db.predicates)
+    if n * n * 2 * n_preds >= 2**63:
+        raise ValueError(f"{n} constants are too many for 64-bit edge keys")
+    edges = np.flatnonzero(rounds_to_one(db.values, threshold))
+
+    def csr(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        atoms = edges[np.argsort((src[edges] * n_preds + db.pred[edges]) * n + dst[edges])]
+        return np.searchsorted(src[atoms], np.arange(n + 1)), atoms
+
+    db.out_ptr, db.out_atom = csr(db.arg1, db.arg2)
+    db.in_ptr, db.in_atom = csr(db.arg2, db.arg1)
     db.round_threshold = threshold
     return db
 
@@ -230,12 +367,6 @@ def read_atom_file(path: str, default: float | None = 1.0) -> list[AtomRow]:
         return list(read_atom_rows(fh, path, default))
 
 
-def _add_rows(db: AtomDatabase, rows: Iterable[AtomRow]) -> AtomDatabase:
-    for _, pred, arg1, arg2, value in rows:
-        db.add_atom(pred, arg1, arg2, value)
-    return db
-
-
 def parse_tsv(stream: IO[str] | Iterable[str], schema: Iterable[PredicateSymbol]) -> AtomDatabase:
     """Read ground atoms from `predicate<TAB>arg1<TAB>arg2[<TAB>value]` lines.
 
@@ -243,16 +374,18 @@ def parse_tsv(stream: IO[str] | Iterable[str], schema: Iterable[PredicateSymbol]
     and out-of-range values are hard errors so data-preparation bugs surface
     immediately.
     """
-    return _add_rows(AtomDatabase(schema), read_atom_rows(stream))
+    db = AtomDatabase(schema)
+    db.add_rows(read_atom_rows(stream))
+    return db
 
 
 def serialize_tsv(db: AtomDatabase) -> str:
     """Write atoms back to the TSV format; reparsing yields an equal database."""
-    lines = []
-    for a in db.atoms:
-        lines.append(
-            f"{a.predicate.name}\t{db.const_name(a.arg1)}\t{db.const_name(a.arg2)}\t{a.value!r}"
-        )
+    names, consts = db.pred_names, db.constants
+    lines = [
+        f"{names[p]}\t{consts[a]}\t{consts[b]}\t{v!r}"
+        for p, a, b, v in zip(db.pred.tolist(), db.arg1.tolist(), db.arg2.tolist(), db.values.tolist())
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -278,5 +411,6 @@ def load_database(
     db = AtomDatabase(schema)
     for path in atom_paths:
         with open(path, encoding="utf-8") as fh:
-            _add_rows(db, read_atom_rows(fh, path))
-    return build_adjacency(_add_rows(db, extra_rows), threshold)
+            db.add_rows(read_atom_rows(fh, path))
+    db.add_rows(extra_rows)
+    return build_adjacency(db, threshold)

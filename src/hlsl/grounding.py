@@ -18,10 +18,9 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .clauses import PathClause
-from .data import AtomDatabase, round_value
+from .clauses import PathClause, StepGraph
+from .data import AtomDatabase, rounds_to_one
 from .errors import MissingAssignment
-from .parallel import parallel_map
 
 SIGN_PLUS = 1
 SIGN_MINUS = -1
@@ -56,93 +55,74 @@ def hinge_penalty(gc: GroundClause, assignment: Mapping[int, float], p: int = 1)
 def ground_clause(
     clause: PathClause,
     db: AtomDatabase,
-    clause_index: int = 0,
     free_atoms: frozenset[int] | set[int] | None = None,
     strict: bool = False,
-    threshold: float | None = None,
-) -> list[GroundClause]:
-    """All groundings of one clause against the database.
+    graph: StepGraph | None = None,
+) -> Grounding:
+    """All groundings of one clause against the database, as a one-clause
+    `Grounding`.
 
-    Variables are substituted independently, so distinct variables may bind
-    the same constant. Mining differs on purpose: it counts only simple
-    paths, yet the clauses it yields also ground substitutions that repeat
-    a constant (P(V1,V2) & Q(V2,V3) -> T(V1,V3) grounds on P(a, b), Q(b, a)
-    with head T(a, a)). Negative priors ground once per target atom of their
-    predicate. With `strict`, groundings whose body contains an observed
-    target atom are dropped (no training labels inside bodies). The rounding
-    gate defaults to the threshold the adjacency index was built with.
+    A substitution grounds when every body atom is stored and either rounds
+    to 1 (at the threshold the adjacency index was built with) or is free,
+    and the head is a stored target atom. Variables are substituted
+    independently, so distinct variables may bind the same constant. Mining
+    differs on purpose: it counts only simple paths, yet the clauses it
+    yields also ground substitutions that repeat a constant (P(V1,V2) &
+    Q(V2,V3) -> T(V1,V3) grounds on P(a, b), Q(b, a) with head T(a, a)).
+    Negative priors ground once per target atom of their predicate. With
+    `strict`, groundings whose body contains an observed target atom are
+    dropped (no training labels inside bodies).
+
+    The body is walked as a chain join over `graph` (by default
+    `walk_graph(db, free_atoms)`) for all head atoms at once: each body
+    literal extends every partial walk by the steps of its label, and the
+    last literal is a lookup of the steps that reach the head's second
+    argument. Groundings come out sorted by their atom indices, body atoms
+    in literal order, then the head.
     """
-    free = free_atoms or frozenset()
-    if threshold is None:
-        threshold = db.round_threshold
-    head_pred = clause.head.predicate
-    target_atoms = [
-        db.atoms[i] for i in db.targets if db.atoms[i].predicate.name == head_pred
-    ]
-    head_sign = SIGN_MINUS if clause.head.negated else SIGN_PLUS
+    targets = np.asarray(db.targets, dtype=np.int64)
+    heads = targets[db.pred[targets] == db.pred_ids[clause.head.predicate]]
+    atoms = heads[:, None]
+    if clause.body:
+        if graph is None:
+            graph = walk_graph(db, free_atoms)
+        labels = [2 * db.pred_ids[lit.predicate] + lit.inverted for lit in clause.body]
+        row = np.arange(len(heads))
+        node = db.arg1[heads]
+        body = np.zeros((len(heads), 0), dtype=np.int64)
+        for label in labels[:-1]:
+            i, s = graph.expand(node, label)
+            row, node = row[i], graph.dst[s]
+            body = np.column_stack([body[i], graph.atom[s]])
+        i, s = graph.lookup(node, db.arg2[heads[row]], labels[-1])
+        atoms = np.column_stack([body[i], graph.atom[s], heads[row[i]]])
+        if strict:
+            observed = db.target_mask()
+            observed[list(free_atoms or ())] = False
+            atoms = atoms[~observed[atoms[:, :-1]].any(axis=1)]
+        atoms = atoms[np.lexsort(atoms.T[::-1])]
 
-    if clause.is_prior:
-        return [
-            GroundClause(clause_index, ((atom.index, head_sign),))
-            for atom in target_atoms
-        ]
+    n, width = atoms.shape
+    n_minus = width - 1 + clause.head.negated
+    coef = np.ones(width)
+    coef[-1] = 1.0 if clause.head.negated else -1.0
+    return Grounding._from_arrays(
+        [clause],
+        db,
+        np.zeros(n, dtype=np.int64),
+        np.full(n, 1.0 - n_minus),
+        np.full(n, width, dtype=np.int64),
+        atoms.ravel(),
+        np.tile(coef, n),
+    )
 
-    # Free atoms may sit below the rounding threshold yet still participate
-    # in bodies at inference time; index them for traversal separately.
-    free_out: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    free_in: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    for i in free:
-        atom = db.atoms[i]
-        if round_value(atom.value, threshold) == 1:
-            continue  # already present in the adjacency index
-        free_out.setdefault((atom.predicate.name, atom.arg1), []).append((atom.arg2, i))
-        free_in.setdefault((atom.predicate.name, atom.arg2), []).append((atom.arg1, i))
 
-    def successors(pred: str, node: int, inverted: bool) -> list[tuple[int, int]]:
-        """(next constant, atom index) pairs for one body literal."""
-        index = db.in_by_pred if inverted else db.out_by_pred
-        edges = index.get((node, pred), [])
-        extra = (free_in if inverted else free_out).get((pred, node))
-        if extra:
-            edges = sorted(edges + extra)
-        return edges
-
-    def last_step_atom(pred: str, node: int, goal: int, inverted: bool) -> int | None:
-        """Atom index closing the chain at the head's second argument."""
-        idx = db.find_atom(pred, goal, node) if inverted else db.find_atom(pred, node, goal)
-        if idx is None:
-            return None
-        if idx in free or round_value(db.atoms[idx].value, threshold) == 1:
-            return idx
-        return None
-
-    target_set = set(db.targets)
-    grounds: list[GroundClause] = []
-    last = len(clause.body) - 1
-    for head_atom in target_atoms:
-        # Walk the body chain from the head's first argument; each complete
-        # walk landing on the head's second argument is one substitution.
-        # The final literal is a direct atom lookup rather than a scan.
-        stack: list[tuple[int, int, tuple[int, ...]]] = [(0, head_atom.arg1, ())]
-        while stack:
-            pos, node, bound = stack.pop()
-            lit = clause.body[pos]
-            if pos == last:
-                ai = last_step_atom(lit.predicate, node, head_atom.arg2, lit.inverted)
-                if ai is None:
-                    continue
-                bound = bound + (ai,)
-                if strict and any(b in target_set and b not in free for b in bound):
-                    continue
-                terms = tuple((b, SIGN_MINUS) for b in bound) + ((head_atom.index, head_sign),)
-                grounds.append(GroundClause(clause_index, terms))
-                continue
-            # literals are stored in predicate order; walk orientation follows
-            # the chain, so inverted literals traverse incoming edges
-            for nbr, ai in successors(lit.predicate, node, lit.inverted):
-                stack.append((pos + 1, nbr, bound + (ai,)))
-    grounds.sort(key=lambda g: g.terms)
-    return grounds
+def walk_graph(db: AtomDatabase, free_atoms: frozenset[int] | set[int] | None = None) -> StepGraph:
+    """The step graph grounding walks: the adjacency index plus, as extra
+    steps, the free atoms that round to 0, since those may take any value
+    at inference time. Forward and backward steps of every predicate."""
+    free = np.unique(np.fromiter(free_atoms or (), dtype=np.int64))
+    return StepGraph(db, extra=free[~rounds_to_one(db.values[free], db.round_threshold)])
 
 
 def build_incidence(
@@ -171,29 +151,6 @@ class Grounding:
     the expression's constant before any atom contributions. The
     `GroundClause` view and the incidence index are materialized lazily.
     """
-
-    def __init__(self, clauses: Sequence[PathClause], grounds: list[GroundClause], db: AtomDatabase):
-        self.clauses = list(clauses)
-        self.db = db
-        self._grounds: list[GroundClause] | None = grounds
-        self._incidence: dict[int, list[int]] | None = None
-
-        n = len(grounds)
-        self.g_clause = np.fromiter((g.clause_index for g in grounds), dtype=np.int64, count=n)
-        self.g_const0 = np.empty(n, dtype=np.float64)
-        self.term_count = np.fromiter((len(g.terms) for g in grounds), dtype=np.int64, count=n)
-        t_ground, t_atom, t_coef = [], [], []
-        for gid, gc in enumerate(grounds):
-            n_minus = sum(1 for _, s in gc.terms if s == SIGN_MINUS)
-            self.g_const0[gid] = gc.constant - n_minus
-            for atom, sign in gc.terms:
-                t_ground.append(gid)
-                t_atom.append(atom)
-                t_coef.append(1.0 if sign == SIGN_MINUS else -1.0)
-        self.term_ground = np.asarray(t_ground, dtype=np.int64)
-        self.term_atom = np.asarray(t_atom, dtype=np.int64)
-        self.term_coef = np.asarray(t_coef, dtype=np.float64)
-        self.term_start = (np.cumsum(self.term_count) - self.term_count).astype(np.int64)
 
     @classmethod
     def _from_arrays(
@@ -301,17 +258,24 @@ def ground_clauses(
     db: AtomDatabase,
     free_atoms: frozenset[int] | set[int] | None = None,
     strict: bool = False,
-    threshold: float | None = None,
-    threads: int = 1,
 ) -> Grounding:
-    """Ground an ordered clause list; clause_index is the list position."""
-    per_clause = parallel_map(
-        lambda ic: ground_clause(ic[1], db, ic[0], free_atoms, strict, threshold),
-        list(enumerate(clauses)),
-        threads,
+    """Ground an ordered clause list; the owning clause of a ground clause
+    is its list position. One step graph serves every clause."""
+    graph = walk_graph(db, free_atoms)
+    parts = [ground_clause(clause, db, free_atoms, strict, graph) for clause in clauses]
+
+    def joined(name: str, dtype) -> np.ndarray:
+        return np.concatenate([getattr(p, name) for p in parts] + [np.zeros(0, dtype=dtype)])
+
+    return Grounding._from_arrays(
+        clauses,
+        db,
+        np.repeat(np.arange(len(parts), dtype=np.int64), [len(p) for p in parts]),
+        joined("g_const0", np.float64),
+        joined("term_count", np.int64),
+        joined("term_atom", np.int64),
+        joined("term_coef", np.float64),
     )
-    grounds = [g for chunk in per_clause for g in chunk]
-    return Grounding(clauses, grounds, db)
 
 
 def dump_grounding_tsv(grounding: Grounding, stream: IO[str]) -> None:

@@ -46,6 +46,8 @@ class WeightedModel:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if len(self.clauses) != len(self.weights):
             raise ValueError("clauses and weights differ in length")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("clause weights must be finite")
         if len(self.weights) and self.weights.min() < 0.0:
             raise ValueError("clause weights must be nonnegative")
 
@@ -213,7 +215,6 @@ def ppll_structure_learn(
     candidates: Sequence[PathClause],
     db: AtomDatabase,
     config: LearnConfig = LearnConfig(),
-    threads: int = 1,
     trace: list[TraceRow] | None = None,
 ) -> WeightedModel:
     """Structure learning as one weight-learning run: fit every candidate's
@@ -221,7 +222,7 @@ def ppll_structure_learn(
     ended above `zero_tol`."""
     if not candidates:
         raise NoCandidates("ppll_structure_learn needs at least one candidate")
-    grounding = ground_clauses(candidates, db, threads=threads)
+    grounding = ground_clauses(candidates, db)
     observed = db.value_vector()
     w0 = np.full(len(candidates), config.init_weight, dtype=np.float64)
     model = learn_weights(WeightedModel(list(candidates), w0), grounding, observed, "ppll", config, trace)
@@ -235,7 +236,6 @@ def gls_structure_learn(
     candidates: Sequence[PathClause],
     db: AtomDatabase,
     config: LearnConfig = LearnConfig(),
-    threads: int = 1,
     trace: list[TraceRow] | None = None,
 ) -> WeightedModel:
     """Greedy local search over the pseudolikelihood score.
@@ -249,7 +249,7 @@ def gls_structure_learn(
     """
     if not candidates:
         raise NoCandidates("gls_structure_learn needs at least one candidate")
-    pool = ground_clauses(candidates, db, threads=threads)
+    pool = ground_clauses(candidates, db)
     observed = db.value_vector()
     inner = replace(config, max_iters=config.gls_inner_iters)
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clauses import PathClause, negative_prior, parse_clause, write_clause_file
-from .data import AtomDatabase, PredicateSymbol, build_adjacency, serialize_schema
+from .data import (
+    AtomDatabase,
+    PredicateSymbol,
+    build_adjacency,
+    read_atom_rows,
+    round_value,
+    serialize_schema,
+)
 
 
 @dataclass
@@ -35,8 +42,7 @@ class Fixture:
     def train_db(self) -> AtomDatabase:
         """Evidence plus training targets, adjacency built."""
         db = AtomDatabase(self.schema)
-        for row in self.observed + self.train:
-            _add_row(db, row)
+        db.add_rows(read_atom_rows(self.observed + self.train))
         return build_adjacency(db)
 
     def eval_db(self) -> tuple[AtomDatabase, list[int], dict[tuple[str, str, str], int]]:
@@ -46,23 +52,12 @@ class Fixture:
         binary labels keyed by (predicate, arg1, arg2).
         """
         db = AtomDatabase(self.schema)
-        for row in self.observed + self.train:
-            _add_row(db, row)
-        free: list[int] = []
-        labels: dict[tuple[str, str, str], int] = {}
-        for row in self.test:
-            atom = _add_row(db, row)
-            free.append(atom.index)
-            labels[(atom.predicate.name, db.const_name(atom.arg1), db.const_name(atom.arg2))] = (
-                1 if atom.value >= 0.5 else 0
-            )
+        db.add_rows(read_atom_rows(self.observed + self.train))
+        test = list(read_atom_rows(self.test))
+        db.add_rows(test)
+        free = list(range(len(db.atoms) - len(test), len(db.atoms)))
+        labels = {(pred, arg1, arg2): round_value(value) for _, pred, arg1, arg2, value in test}
         return build_adjacency(db), free, labels
-
-
-def _add_row(db: AtomDatabase, row: str):
-    fields = row.split("\t")
-    value = float(fields[3]) if len(fields) == 4 else 1.0
-    return db.add_atom(fields[0], fields[1], fields[2], value)
 
 
 def _row(pred: str, a: str, b: str, value: float | None = None) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency
+from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency, round_value
 
 
 @pytest.fixture
@@ -55,7 +55,7 @@ def random_map_instance(seed: int, n_free: int | None = None):
     coincides with a grid point.
     """
     from hlsl.clauses import negative_prior
-    from hlsl.grounding import GroundClause, Grounding
+    from hlsl.grounding import GroundClause
     from hlsl.learning import WeightedModel
 
     rng = np.random.default_rng(seed)
@@ -85,8 +85,24 @@ def random_map_instance(seed: int, n_free: int | None = None):
     carriers = [negative_prior("T") for _ in range(n_clauses)]
     weights = np.round(rng.uniform(0.2, 2.0, n_clauses), 3)
     model = WeightedModel(carriers, weights)
-    grounding = Grounding(carriers, grounds, db)
+    grounding = grounding_of(carriers, grounds, db)
     return db, model, grounding, [a.index for a in free]
+
+
+def grounding_of(clauses, grounds, db):
+    """A `Grounding` holding explicit `GroundClause` objects, which must be
+    ordered by clause index."""
+    from hlsl.grounding import SIGN_MINUS, Grounding
+
+    return Grounding._from_arrays(
+        clauses,
+        db,
+        np.array([g.clause_index for g in grounds], dtype=np.int64),
+        np.array([g.constant - sum(s == SIGN_MINUS for _, s in g.terms) for g in grounds], dtype=np.float64),
+        np.array([len(g.terms) for g in grounds], dtype=np.int64),
+        np.array([a for g in grounds for a, _ in g.terms], dtype=np.int64),
+        np.array([1.0 if s == SIGN_MINUS else -1.0 for g in grounds for _, s in g.terms], dtype=np.float64),
+    )
 
 
 def chain_grid_min(model, grounding, db, free, step=1e-3):
@@ -197,3 +213,33 @@ def brute_force_simple_paths(db, start, goal, max_depth, include_inverses=True, 
 def drop_target_self_step(paths, atom):
     """Remove the one-step path that is the target atom itself."""
     return {p for p in paths if p != ((atom.predicate.name, False, atom.arg1, atom.arg2),)}
+
+
+def dfs_ground_clause(clause, db, free_atoms=None, strict=False):
+    """Reference grounding: for one head atom at a time, a depth-first walk
+    of the body chain over dict indexes built from the atom list. Returns
+    the term tuples of every grounding, sorted."""
+    free = set(free_atoms or ())
+    out_by, in_by = {}, {}
+    for atom in db.atoms:
+        if atom.index in free or round_value(atom.value, db.round_threshold) == 1:
+            out_by.setdefault((atom.arg1, atom.predicate.name), []).append((atom.arg2, atom.index))
+            in_by.setdefault((atom.arg2, atom.predicate.name), []).append((atom.arg1, atom.index))
+    targets = set(db.targets)
+    head_sign = -1 if clause.head.negated else 1
+    heads = [db.atoms[i] for i in db.targets if db.atoms[i].predicate.name == clause.head.predicate]
+    if clause.is_prior:
+        return [((head.index, head_sign),) for head in heads]
+    grounds = []
+    for head in heads:
+        stack = [(0, head.arg1, ())]
+        while stack:
+            pos, node, bound = stack.pop()
+            lit = clause.body[pos]
+            for nbr, atom in (in_by if lit.inverted else out_by).get((node, lit.predicate), ()):
+                body = bound + (atom,)
+                if pos + 1 < len(clause.body):
+                    stack.append((pos + 1, nbr, body))
+                elif nbr == head.arg2 and not (strict and any(b in targets and b not in free for b in body)):
+                    grounds.append(tuple((b, -1) for b in body) + ((head.index, head_sign),))
+    return sorted(grounds)

@@ -133,7 +133,7 @@ def test_variablize_inverted_step_regrounds():
     clause = variablize(next(iter(paths)), atom)
     assert format_clause(clause) == "P(V1,V2) & Q(V3,V2) -> T(V1,V3)"
     assert clause.body[1].inverted
-    grounds = ground_clause(clause, db)
+    grounds = ground_clause(clause, db).grounds
     assert len(grounds) == 1
     atoms_used = {a for a, _ in grounds[0].terms}
     assert atoms_used == {0, 1, 2}
@@ -186,7 +186,7 @@ def test_generated_coverage_is_verified_by_regrounding():
     for clause in generate_candidates(db, cfg):
         if clause.is_prior:
             continue
-        heads = {g.terms[-1][0] for g in ground_clause(clause, db)}
+        heads = {g.terms[-1][0] for g in ground_clause(clause, db).grounds}
         assert len(heads) >= cfg.min_coverage
 
 

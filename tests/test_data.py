@@ -149,3 +149,67 @@ def test_tsv_round_trip(rows):
     again = parse_tsv(io.StringIO(text), SCHEMA)
     assert again.atom_set() == db.atom_set()
 
+
+
+def one_at_a_time(rows, schema):
+    """Reference loader: rows checked and added one by one. Returns the
+    stored (predicate, arg1, arg2, value) rows, the interned constants and
+    the error the first faulty row raises."""
+    names = {p.name for p in schema}
+    stored, seen, constants = [], set(), {}
+    for pred, arg1, arg2, value in rows:
+        if pred not in names:
+            return stored, list(constants), (UnknownPredicate, pred)
+        if not 0.0 <= value <= 1.0:
+            return stored, list(constants), (ValueOutOfRange, f"{pred}({arg1},{arg2}) = {value}")
+        constants.setdefault(arg1)
+        constants.setdefault(arg2)
+        if (pred, arg1, arg2) in seen:
+            return stored, list(constants), (DuplicateAtom, f"{pred}({arg1},{arg2})")
+        seen.add((pred, arg1, arg2))
+        stored.append((pred, arg1, arg2, value))
+    return stored, list(constants), None
+
+
+@given(st.lists(
+    st.tuples(
+        st.sampled_from(["Cites", "Sim", "Mentions", "Nope"]),
+        st.sampled_from(["a", "b", "c", "d"]),
+        st.sampled_from(["a", "b", "c", "d"]),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, -0.25, float("nan"), float("inf")]),
+    ),
+    max_size=12,
+))
+def test_bulk_rows_match_one_at_a_time(rows):
+    # the first faulty row wins, and the rows before it are kept, in order
+    stored, constants, error = one_at_a_time(rows, SCHEMA)
+    db = AtomDatabase(SCHEMA)
+    if error is None:
+        db.add_rows([(k, *row) for k, row in enumerate(rows, start=1)])
+    else:
+        with pytest.raises(error[0]) as err:
+            db.add_rows([(k, *row) for k, row in enumerate(rows, start=1)])
+        assert str(err.value) == error[1]
+    got = [(a.predicate.name, db.const_name(a.arg1), db.const_name(a.arg2), a.value) for a in db.atoms]
+    assert got == stored
+    assert db.constants[: len(constants)] == constants
+    assert db.targets == [i for i, row in enumerate(stored) if row[0] == "Mentions"]
+    for i, (pred, arg1, arg2, _) in enumerate(stored):
+        assert db.find_atom(pred, db.intern(arg1), db.intern(arg2)) == i
+
+
+def test_malformed_line_loses_to_an_earlier_fault():
+    with pytest.raises(DuplicateAtom):
+        parse_tsv(io.StringIO("Cites\ta\tb\nCites\ta\tb\nCites\tonly_one_field\n"), SCHEMA)
+    with pytest.raises(MalformedLine):
+        parse_tsv(io.StringIO("Cites\ta\tb\nCites\tonly_one_field\nCites\ta\tb\n"), SCHEMA)
+
+
+def test_atoms_are_built_on_access(citation_db):
+    db = citation_db
+    assert len(db.atoms) == 3 and db.atoms[-1] == db.atoms[2]
+    assert db.atoms[2].index == 2 and db.atom_str(2) == "Mentions(Paper1,Gene)"
+    with pytest.raises(IndexError):
+        db.atoms[3]
+    assert np.array_equal(db.value_vector(), [1.0, 1.0, 1.0])
+    assert np.array_equal(db.target_mask(), [False, True, True])

@@ -3,8 +3,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_chain_db
+from conftest import dfs_ground_clause, random_chain_db
 
 from hlsl.clauses import GenerationConfig, generate_candidates, negative_prior, parse_clause
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency, round_value
@@ -42,7 +43,7 @@ def herbrand_groundings(clause, db, threshold=0.5):
 
 def test_ground_example_clause(citation_db):
     clause = parse_clause("Cites(V1,V2) & Mentions(V2,V3) -> Mentions(V1,V3)", citation_db)
-    grounds = ground_clause(clause, citation_db)
+    grounds = ground_clause(clause, citation_db).grounds
     assert len(grounds) == 1
     gc = grounds[0]
     minus = {a for a, s in gc.terms if s == -1}
@@ -51,7 +52,7 @@ def test_ground_example_clause(citation_db):
 
 
 def test_ground_negative_prior(citation_db):
-    grounds = ground_clause(negative_prior("Mentions"), citation_db)
+    grounds = ground_clause(negative_prior("Mentions"), citation_db).grounds
     assert [gc.terms for gc in grounds] == [((1, -1),), ((2, -1),)]
 
 
@@ -63,7 +64,7 @@ def test_ground_absent_predicate_body(citation_db):
     db.add_atom("Mentions", "a", "b")
     build_adjacency(db)
     clause = parse_clause("Absent(V1,V2) -> Mentions(V1,V2)", db)
-    assert ground_clause(clause, db) == []
+    assert len(ground_clause(clause, db)) == 0
 
 
 @pytest.mark.parametrize("seed", [0, 3, 9])
@@ -73,7 +74,7 @@ def test_lazy_grounding_matches_herbrand(seed):
     for clause in cands:
         if clause.is_prior:
             continue
-        got = sorted(tuple(a for a, _ in gc.terms) for gc in ground_clause(clause, db))
+        got = sorted(tuple(a for a, _ in gc.terms) for gc in ground_clause(clause, db).grounds)
         assert got == herbrand_groundings(clause, db)
 
 
@@ -126,7 +127,7 @@ def test_incidence_example(citation_db):
 
 def test_incidence_empty_and_prior_only(citation_db):
     assert build_incidence([], citation_db) == {1: [], 2: []}
-    grounds = ground_clause(negative_prior("Mentions"), citation_db)
+    grounds = ground_clause(negative_prior("Mentions"), citation_db).grounds
     incidence = build_incidence(grounds, citation_db)
     assert [len(v) for v in incidence.values()] == [1, 1]
 
@@ -168,12 +169,14 @@ def test_restrict_matches_fresh_grounding():
     assert [g.terms for g in sub.grounds] == [g.terms for g in fresh.grounds]
 
 
-def test_grounding_threads_deterministic():
+def test_grounding_twice_gives_identical_arrays():
     db = random_chain_db(1)
     cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
-    a = ground_clauses(cands, db, threads=1)
-    b = ground_clauses(cands, db, threads=4)
-    assert [g.terms for g in a.grounds] == [g.terms for g in b.grounds]
+    free = frozenset(db.targets[::3])
+    a = ground_clauses(cands, db, free_atoms=free)
+    b = ground_clauses(cands, db, free_atoms=free)
+    for name in ("g_clause", "g_const0", "term_count", "term_start", "term_ground", "term_atom", "term_coef"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_free_atoms_bypass_body_gate():
@@ -184,7 +187,7 @@ def test_free_atoms_bypass_body_gate():
     db.add_atom("T", "a", "c", 0.0)
     build_adjacency(db)
     clause = parse_clause("P(V1,V2) & T(V2,V3) -> T(V1,V3)", db)
-    assert ground_clause(clause, db) == []
+    assert len(ground_clause(clause, db)) == 0
     free = {1, 2}
     grounds = ground_clause(clause, db, free_atoms=free)
     assert len(grounds) == 1
@@ -193,7 +196,7 @@ def test_free_atoms_bypass_body_gate():
 def test_strict_mode_drops_observed_target_bodies(citation_db):
     clause = parse_clause("Cites(V1,V2) & Mentions(V2,V3) -> Mentions(V1,V3)", citation_db)
     assert len(ground_clause(clause, citation_db)) == 1
-    assert ground_clause(clause, citation_db, strict=True) == []
+    assert len(ground_clause(clause, citation_db, strict=True)) == 0
 
 
 def test_mined_clause_grounds_a_repeated_constant():
@@ -212,5 +215,59 @@ def test_mined_clause_grounds_a_repeated_constant():
     rule = mined[0]
     assert rule.id == "P(V1,V2) & Q(V2,V3) -> T(V1,V3)"
     assert rule.coverage == 1  # only T(c,e)
-    heads = sorted(db.atom_str(g.terms[-1][0]) for g in ground_clause(rule, db))
+    heads = sorted(db.atom_str(g.terms[-1][0]) for g in ground_clause(rule, db).grounds)
     assert heads == ["T(a,a)", "T(c,e)"]
+
+
+def test_threshold_value_is_an_edge_and_passes_the_gate():
+    # "the threshold rounds up" holds for the mining index and the grounding gate
+    db = AtomDatabase([PredicateSymbol("P"), PredicateSymbol("T", is_target=True)])
+    db.add_atom("P", "a", "b", 0.5)
+    db.add_atom("T", "a", "b")
+    db.add_atom("P", "b", "c", 0.4999)
+    db.add_atom("T", "b", "c")
+    build_adjacency(db, 0.5)
+    assert db.outgoing[0] == [("P", 1, 0), ("T", 1, 1)]
+    mined = generate_candidates(db, GenerationConfig(max_depth=1, min_coverage=1, include_inverses=False))
+    assert [(c.id, c.coverage) for c in mined[:1]] == [("P(V1,V2) -> T(V1,V2)", 1)]
+    assert [g.terms for g in ground_clause(mined[0], db).grounds] == [((0, -1), (1, 1))]
+
+
+@st.composite
+def grounding_cases(draw):
+    """A small random database over a few constants (so substitutions
+    repeat constants), one random clause (inverted literals, depth 0-4,
+    negated or not), free atoms and strict mode."""
+    consts = ["c0", "c1", "c2"]
+    db = AtomDatabase([
+        PredicateSymbol("P"), PredicateSymbol("Q"),
+        PredicateSymbol("T", is_target=True), PredicateSymbol("U", is_target=True),
+    ])
+    cells = draw(st.lists(
+        st.tuples(st.sampled_from("PQTU"), st.sampled_from(consts), st.sampled_from(consts)),
+        unique=True, min_size=8, max_size=36,
+    ))
+    for pred, a, b in cells:
+        db.add_atom(pred, a, b, draw(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0, 1.0])))
+    build_adjacency(db)
+    depth = draw(st.integers(0, 4))
+    steps = draw(st.lists(st.tuples(st.sampled_from("PQTU"), st.booleans()), min_size=depth, max_size=depth))
+    body = [f"{p}(V{k + 1},V{k})" if inv else f"{p}(V{k},V{k + 1})" for k, (p, inv) in enumerate(steps, 1)]
+    bang = "!" if draw(st.booleans()) else ""
+    head = draw(st.sampled_from("TU"))
+    text = " & ".join(body) + f" -> {bang}{head}(V1,V{len(steps) + 1})" if body else f"-> {bang}{head}(A,B)"
+    clause = parse_clause(text, db)
+    free = draw(st.sets(st.sampled_from(range(len(db.atoms)))))
+    return db, clause, free, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(grounding_cases())
+def test_ground_clause_matches_dfs_oracle(case):
+    db, clause, free, strict = case
+    got = ground_clause(clause, db, free_atoms=free, strict=strict)
+    assert [g.terms for g in got.grounds] == dfs_ground_clause(clause, db, free, strict)
+    prior = dfs_ground_clause(negative_prior("T"), db)
+    both = ground_clauses([negative_prior("T"), clause], db, free_atoms=free, strict=strict)
+    assert [g.terms for g in both.grounds] == prior + [g.terms for g in got.grounds]
+    assert both.g_clause.tolist() == [0] * len(prior) + [1] * len(got)

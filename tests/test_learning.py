@@ -254,3 +254,9 @@ def test_trace_format():
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("#")
     assert lines[1].split("\t")[0] == "1"
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_weighted_model_rejects_non_finite_weights(weight):
+    with pytest.raises(ValueError, match="finite"):
+        WeightedModel([negative_prior("T")], [weight])

@@ -1,0 +1,143 @@
+"""Every atom reader of the CLI, fuzzed: any input ends in exit 0 or in
+exactly one `error:<Code>:` line on stderr.
+
+The readers are the schema and the `--observed`, `--train`, `--test`,
+`--labels` and `--predictions` files. `infer` reads the first four and
+`eval` the last two.
+"""
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hlsl.cli import main
+
+BASE = {
+    "schema": "R\tevidence\nS\tevidence\nT\ttarget\n",
+    "observed": "R\ta\tb\nS\tb\tc\t0.5\n",
+    "train": "T\ta\tc\t1\nT\tb\tc\t0\n",
+    "test": "T\ta\tb\t1\nT\tc\ta\t0\n",
+    "labels": "T\ta\tb\t1\nT\tc\ta\t0\n",
+    "predictions": "T\ta\tb\t0.7\nT\tc\ta\t0.2\n",
+}
+MODEL = "# hlsl-model v1\n1\tR(V1,V2) -> T(V1,V2)\n1\t-> !T(A,B)\n"
+
+
+def run_readers(files: dict[str, str]) -> list[tuple[int, str]]:
+    """Write `files` over the base inputs, run `infer` and `eval` on them,
+    and return each command's (exit code, stderr) with the directory shown
+    as `{d}`."""
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, text in {**BASE, **files}.items():
+            (d / f"{name}.tsv").write_text(text)
+        (d / "model.tsv").write_text(MODEL)
+        commands = [
+            ["infer", "--schema", d / "schema.tsv", "--observed", d / "observed.tsv",
+             "--train", d / "train.tsv", "--test", d / "test.tsv", "--model", d / "model.tsv",
+             "--out", d / "out.tsv", "--threads", "1"],
+            ["eval", "--predictions", d / "predictions.tsv", "--labels", d / "labels.tsv",
+             "--out", d / "metrics.tsv"],
+        ]
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([str(a) for a in argv])
+            results.append((code, err.getvalue().replace(str(d), "{d}")))
+    return results
+
+
+# One fault appended to one valid file, and the error line it gives; the
+# lines are those of the per-row loader the bulk loader replaced.
+SINGLE_FAULTS = [
+    ('schema', 'U\n', "error:MalformedLine:line 4: expected 'name<TAB>target|evidence', got 'U'"),
+    ('schema', 'U\tsometimes\n', "error:MalformedLine:line 4: role must be 'target' or 'evidence', got 'sometimes'"),
+    ('schema', 'R\ttarget\n', "error:MalformedLine:line 4: duplicate predicate 'R'"),
+    ('observed', 'R\tx\n', 'error:MalformedLine:line 3: {d}/observed.tsv: expected 3 or 4 tab-separated fields, got 2'),
+    ('observed', 'R\tx\ty\t1\t2\n', 'error:MalformedLine:line 3: {d}/observed.tsv: expected 3 or 4 tab-separated fields, got 5'),
+    ('observed', 'R\t\ty\n', 'error:MalformedLine:line 3: {d}/observed.tsv: empty field'),
+    ('observed', 'R\tx\ty\tabc\n', "error:MalformedLine:line 3: {d}/observed.tsv: bad value 'abc'"),
+    ('observed', 'R\tx\ty\t\n', "error:MalformedLine:line 3: {d}/observed.tsv: bad value ''"),
+    ('observed', 'R\tx\ty\tnan\n', 'error:ValueOutOfRange:R(x,y) = nan'),
+    ('observed', 'R\tx\ty\tinf\n', 'error:ValueOutOfRange:R(x,y) = inf'),
+    ('observed', 'R\tx\ty\t1.5\n', 'error:ValueOutOfRange:R(x,y) = 1.5'),
+    ('observed', 'R\tx\ty\t-0.1\n', 'error:ValueOutOfRange:R(x,y) = -0.1'),
+    ('observed', 'R\ta\tb\t0.5\n', 'error:DuplicateAtom:R(a,b)'),
+    ('observed', 'X\tx\ty\n', 'error:UnknownPredicate:X'),
+    ('train', 'R\ta\tb\n', 'error:DuplicateAtom:R(a,b)'),
+    ('train', 'T\ta\tc\t0.5\n', 'error:DuplicateAtom:T(a,c)'),
+    ('train', 'T\tx\ty\tnan\n', 'error:ValueOutOfRange:T(x,y) = nan'),
+    ('train', 'T\tx\n', 'error:MalformedLine:line 3: {d}/train.tsv: expected 3 or 4 tab-separated fields, got 2'),
+    ('train', 'X\tx\ty\n', 'error:UnknownPredicate:X'),
+    ('train', 'T\tx\ty\t-inf\n', 'error:ValueOutOfRange:T(x,y) = -inf'),
+    ('test', 'T\ta\tc\n', 'error:DuplicateAtom:T(a,c)'),
+    ('test', 'T\ta\tb\t0\n', 'error:DuplicateAtom:T(a,b)'),
+    ('test', 'T\tx\ty\t-inf\n', 'error:ValueOutOfRange:T(x,y) = -inf'),
+    ('test', 'T\tx\n', 'error:MalformedLine:line 3: {d}/test.tsv: expected 3 or 4 tab-separated fields, got 2'),
+    ('test', 'T\tx\ty\t1\t2\n', 'error:MalformedLine:line 3: {d}/test.tsv: expected 3 or 4 tab-separated fields, got 5'),
+    ('test', 'X\tx\ty\n', 'error:UnknownPredicate:X'),
+    ('test', 'T\t \ty\n', 'error:MalformedLine:line 3: {d}/test.tsv: empty field'),
+    ('labels', 'T\tx\n', 'error:MalformedLine:line 3: {d}/labels.tsv: expected 3 or 4 tab-separated fields, got 2'),
+    ('labels', 'T\tx\ty\tnan\n', 'error:ValueOutOfRange:value nan outside [0, 1]'),
+    ('labels', 'T\tx\ty\t2\n', 'error:ValueOutOfRange:value 2.0 outside [0, 1]'),
+    ('labels', 'T\tx\ty\t\n', "error:MalformedLine:line 3: {d}/labels.tsv: bad value ''"),
+    ('predictions', 'T\tx\ty\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: expected predicate, arg1, arg2, score'),
+    ('predictions', 'T\tx\ty\tinf\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: non-finite score inf'),
+    ('predictions', 'T\tx\ty\tnan\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: non-finite score nan'),
+    ('predictions', 'T\tx\ty\t1\t2\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: expected 3 or 4 tab-separated fields, got 5'),
+    ('predictions', 'T\t\ty\t0.5\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: empty field'),
+]
+
+
+@pytest.mark.parametrize("name, line, expected", SINGLE_FAULTS)
+def test_single_fault_error_line(name, line, expected):
+    infer, evaluate = run_readers({name: BASE[name] + line})
+    code, err = evaluate if name in ("labels", "predictions") else infer
+    assert (code, err) == (1, expected + "\n")
+
+
+FIELDS = ["T", "R", "S", "X", "", " ", "a", "b", "c", "1", "0", "0.5", "nan", "inf", "-inf", "1.5", "-0.1", "abc"]
+ROLES = ["target", "evidence", "other", ""]
+
+
+def lines(field_sets):
+    return st.lists(
+        st.lists(st.sampled_from(field_sets), min_size=1, max_size=5).map("\t".join), max_size=6
+    ).map(lambda rows: "".join(row + "\n" for row in rows))
+
+
+@st.composite
+def reader_inputs(draw):
+    """Files of well-formed rows (duplicates and all), with fuzzed lines
+    mixed into some of them."""
+    names = st.sampled_from(["a", "b", "c"])
+    value = st.sampled_from(["", "\t1", "\t0", "\t0.5", "\tnan", "\tinf", "\t1.5"])
+    good = st.lists(
+        st.tuples(st.sampled_from(["R", "S", "T"]), names, names, value).map(lambda r: "\t".join(r[:3]) + r[3]),
+        max_size=5,
+    ).map(lambda rows: "".join(row + "\n" for row in rows))
+    files = {}
+    for name in ("observed", "train", "test", "labels", "predictions"):
+        kind = draw(st.sampled_from(["base", "good", "fuzzed"]))
+        if kind == "good":
+            files[name] = draw(good)
+        elif kind == "fuzzed":
+            files[name] = draw(good) + draw(lines(FIELDS)) + draw(good)
+    if draw(st.booleans()):
+        files["schema"] = BASE["schema"] + draw(lines(FIELDS + ROLES))
+    return files
+
+
+@settings(max_examples=150, deadline=None)
+@given(reader_inputs())
+def test_readers_exit_zero_or_one_error_line(files):
+    for code, err in run_readers(files):
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1 and re.fullmatch(r"error:[A-Za-z]+:[^\n]*\n", err), err
