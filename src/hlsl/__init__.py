@@ -33,13 +33,12 @@ from .errors import (
     DuplicateAtom,
     HlslError,
     MalformedLine,
-    MissingAssignment,
     NoCandidates,
     NonFiniteObjective,
     UnknownPredicate,
     ValueOutOfRange,
 )
-from .grounding import GroundClause, Grounding, build_incidence, ground_clause, ground_clauses, hinge_penalty
+from .grounding import Grounding, ground_clause, ground_clauses
 from .inference import MapSolution, RocResult, auc_roc, map_infer
 from .learning import (
     LearnConfig,
@@ -51,15 +50,6 @@ from .learning import (
     read_model,
     write_model,
 )
-from .scoring import (
-    PiecewiseAffine,
-    PiecewiseQuadratic,
-    ScoreReport,
-    affine_profile,
-    expected_penalty_1d,
-    log_partition_1d,
-    log_pll,
-    log_ppll,
-)
+from .scoring import ScoreReport, log_pll, log_ppll
 
 __version__ = "0.1.0"

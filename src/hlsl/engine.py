@@ -14,8 +14,8 @@ pseudolikelihood factors; grouping by (clause, variable) gives the piecewise
 factorization whose per-clause terms decouple.
 
 All accumulations run in log space with per-group max subtraction, and all
-reductions follow a fixed array order, so results do not depend on worker
-count.
+reductions follow a fixed array order, so repeated runs give bit-identical
+results.
 """
 from __future__ import annotations
 
@@ -95,6 +95,29 @@ def segment_log_moment(
     bracket = np.maximum(bracket, 0.0)
     with np.errstate(divide="ignore"):
         return -(alpha + beta * anchor) + np.log(length * bracket)
+
+
+def _gauss_legendre_log_mass(
+    lo: np.ndarray,
+    length: np.ndarray,
+    c0: np.ndarray,
+    c1: np.ndarray,
+    c2: np.ndarray,
+    hinge: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """log integral_lo^(lo+length) h(y) exp(-(c0 + c1*y + c2*y**2)) dy per row
+    by Gauss-Legendre quadrature, factored at the nodes' peak; h is 1, or
+    max(a + b*y, 0)**2 for `hinge` = (a, b)."""
+    nodes, weights = gauss_legendre_01()
+    y = lo[:, None] + length[:, None] * nodes[None, :]
+    f = c0[:, None] + c1[:, None] * y + c2[:, None] * y * y
+    peak = f.min(axis=1)
+    mass = np.exp(peak[:, None] - f)
+    if hinge is not None:
+        a, b = hinge
+        mass = np.maximum(a[:, None] + b[:, None] * y, 0.0) ** 2 * mass
+    with np.errstate(divide="ignore"):
+        return -peak + np.log(length * np.einsum("sn,n->s", mass, weights))
 
 
 def group_logsumexp(values: np.ndarray, starts: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:
@@ -242,13 +265,7 @@ class Workspace:
         if self.p == 1:
             alpha, beta = self._segment_coeffs(w)
             return segment_log_partition(alpha, beta, self.seg_lo, self.seg_hi)
-        c0, c1, c2 = self._segment_quad_coeffs(w)
-        nodes, weights = gauss_legendre_01()
-        y = self.seg_lo[:, None] + self.seg_len[:, None] * nodes[None, :]
-        f = c0[:, None] + c1[:, None] * y + c2[:, None] * y * y
-        peak = f.min(axis=1)
-        mass = np.einsum("sn,n->s", np.exp(peak[:, None] - f), weights)
-        return -peak + np.log(self.seg_len * mass)
+        return _gauss_legendre_log_mass(self.seg_lo, self.seg_len, *self._segment_quad_coeffs(w))
 
     def log_partitions(self, w: np.ndarray) -> np.ndarray:
         """log Z per group."""
@@ -296,17 +313,16 @@ class Workspace:
                 self.seg_hi[self.combo_seg],
             )
         else:
-            c0, c1, c2 = self._segment_quad_coeffs(w)
-            nodes, weights = gauss_legendre_01()
             cs = self.combo_seg
-            y = self.seg_lo[cs][:, None] + self.seg_len[cs][:, None] * nodes[None, :]
-            f = c0[cs][:, None] + c1[cs][:, None] * y + c2[cs][:, None] * y * y
-            hinge = self.pair_a[self.combo_pair][:, None] + self.pair_b[self.combo_pair][:, None] * y
-            hinge = np.maximum(hinge, 0.0) ** 2
-            peak = f.min(axis=1)
-            mass = np.einsum("cn,n->c", hinge * np.exp(peak[:, None] - f), weights)
-            with np.errstate(divide="ignore"):
-                logj = -peak + np.log(self.seg_len[cs] * mass)
+            c0, c1, c2 = self._segment_quad_coeffs(w)
+            logj = _gauss_legendre_log_mass(
+                self.seg_lo[cs],
+                self.seg_len[cs],
+                c0[cs],
+                c1[cs],
+                c2[cs],
+                hinge=(self.pair_a[self.combo_pair], self.pair_b[self.combo_pair]),
+            )
         logj = np.where(self.combo_active, logj, -np.inf)
         lognum = group_logsumexp(logj, self.pair_combo_start, self.combo_pair, self.n_pairs)
         return np.exp(lognum - logz[self.pair_group])

@@ -44,10 +44,6 @@ class NoCandidates(HlslError):
     """Clause generation or learning was given an empty candidate set."""
 
 
-class MissingAssignment(HlslError):
-    """A ground clause references an atom absent from the assignment."""
-
-
 class NonFiniteObjective(HlslError):
     """The learning objective became NaN or infinite."""
 

@@ -1,55 +1,24 @@
 """Clause grounding: instantiate first-order clauses into hinge potentials.
 
-Grounding is lazy: a substitution is emitted only when every body atom
-exists in the database with a rounded value of 1 (free variables bypass the
-gate at inference time) and the head atom is a stored target atom. Each
-ground clause records its signed term list; the potential is
+A substitution is emitted only when every body atom exists in the database
+with a rounded value of 1 (free variables bypass the gate at inference
+time) and the head atom is a stored target atom. A ground clause is a run
+of (atom, coefficient) terms in flat arrays; its potential is
 
     max(1 - sum_{plus} x_i - sum_{minus} (1 - x_i), 0) ** p
 
 where `plus` holds non-negated literal occurrences and `minus` negated ones.
-A body -> head implication therefore stores body atoms with sign -1 and the
-head with sign +1 (-1 when the head is negated).
+A body -> head implication therefore has its body atoms in `minus` and the
+head in `plus` (in `minus` when the head is negated).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .clauses import PathClause, StepGraph
 from .data import AtomDatabase, rounds_to_one
-from .errors import MissingAssignment
-
-SIGN_PLUS = 1
-SIGN_MINUS = -1
-
-
-@dataclass(frozen=True)
-class GroundClause:
-    """One instantiated hinge potential.
-
-    `terms` pairs atom indices with their sign (+1 for a non-negated
-    occurrence, -1 for a negated one); `constant` is the leading 1 of the
-    distance-to-satisfaction expression and stays unfolded here.
-    """
-
-    clause_index: int
-    terms: tuple[tuple[int, int], ...]
-    constant: float = 1.0
-
-
-def hinge_penalty(gc: GroundClause, assignment: Mapping[int, float], p: int = 1) -> float:
-    """Distance to satisfaction of one ground clause under an assignment."""
-    inner = gc.constant
-    for atom, sign in gc.terms:
-        try:
-            x = assignment[atom]
-        except KeyError:
-            raise MissingAssignment(f"atom index {atom}") from None
-        inner -= x if sign == SIGN_PLUS else (1.0 - x)
-    return max(inner, 0.0) ** p
 
 
 def ground_clause(
@@ -106,7 +75,7 @@ def ground_clause(
     n_minus = width - 1 + clause.head.negated
     coef = np.ones(width)
     coef[-1] = 1.0 if clause.head.negated else -1.0
-    return Grounding._from_arrays(
+    return Grounding(
         [clause],
         db,
         np.zeros(n, dtype=np.int64),
@@ -125,36 +94,19 @@ def walk_graph(db: AtomDatabase, free_atoms: frozenset[int] | set[int] | None = 
     return StepGraph(db, extra=free[~rounds_to_one(db.values[free], db.round_threshold)])
 
 
-def build_incidence(
-    grounds: Sequence[GroundClause], db: AtomDatabase
-) -> dict[int, list[int]]:
-    """Map each target atom to the ground clauses it appears in."""
-    target_set = set(db.targets)
-    incidence: dict[int, list[int]] = {i: [] for i in db.targets}
-    for gid, gc in enumerate(grounds):
-        seen: set[int] = set()
-        for atom, _sign in gc.terms:
-            if atom in target_set and atom not in seen:
-                incidence[atom].append(gid)
-                seen.add(atom)
-    return incidence
-
-
 class Grounding:
-    """All groundings of an ordered clause list, with flat index arrays.
+    """All groundings of an ordered clause list, as flat index arrays.
 
-    Immutable once built; scoring and learning read it concurrently. Arrays:
-    `g_clause[g]` is the owning clause of ground clause g; term arrays list
-    every (ground, atom, coefficient) occurrence in ground-clause order,
-    where the coefficient is the atom's multiplier inside the hinge's affine
-    expression (+1 for a negated occurrence, -1 otherwise); `g_const0[g]` is
-    the expression's constant before any atom contributions. The
-    `GroundClause` view and the incidence index are materialized lazily.
+    Immutable once built. `g_clause[g]` is the owning clause of ground
+    clause g; term arrays list every (ground, atom, coefficient) occurrence
+    in ground-clause order, where the coefficient is the atom's multiplier
+    inside the hinge's affine expression (+1 for a negated occurrence, -1
+    otherwise); `g_const0[g]` is the expression's constant before any atom
+    contributions.
     """
 
-    @classmethod
-    def _from_arrays(
-        cls,
+    def __init__(
+        self,
         clauses: Sequence[PathClause],
         db: AtomDatabase,
         g_clause: np.ndarray,
@@ -162,12 +114,9 @@ class Grounding:
         term_count: np.ndarray,
         term_atom: np.ndarray,
         term_coef: np.ndarray,
-    ) -> "Grounding":
-        self = cls.__new__(cls)
+    ):
         self.clauses = list(clauses)
         self.db = db
-        self._grounds = None
-        self._incidence = None
         self.g_clause = g_clause
         self.g_const0 = g_const0
         self.term_count = term_count
@@ -175,7 +124,6 @@ class Grounding:
         self.term_ground = np.repeat(np.arange(len(g_clause), dtype=np.int64), term_count)
         self.term_atom = term_atom
         self.term_coef = term_coef
-        return self
 
     def __len__(self) -> int:
         return len(self.g_clause)
@@ -183,27 +131,6 @@ class Grounding:
     @property
     def n_clauses(self) -> int:
         return len(self.clauses)
-
-    @property
-    def grounds(self) -> list[GroundClause]:
-        if self._grounds is None:
-            out = []
-            for gid in range(len(self)):
-                sl = slice(self.term_start[gid], self.term_start[gid] + self.term_count[gid])
-                terms = tuple(
-                    (int(a), SIGN_MINUS if c > 0 else SIGN_PLUS)
-                    for a, c in zip(self.term_atom[sl], self.term_coef[sl])
-                )
-                n_minus = sum(1 for _, s in terms if s == SIGN_MINUS)
-                out.append(GroundClause(int(self.g_clause[gid]), terms, float(self.g_const0[gid] + n_minus)))
-            self._grounds = out
-        return self._grounds
-
-    @property
-    def incidence(self) -> dict[int, list[int]]:
-        if self._incidence is None:
-            self._incidence = build_incidence(self.grounds, self.db)
-        return self._incidence
 
     def by_clause(self, clause_index: int) -> np.ndarray:
         """Ground ids of one clause; grounds are stored clause-contiguous."""
@@ -242,7 +169,7 @@ class Grounding:
             np.cumsum(counts) - counts, counts
         )
         rows = offsets + within
-        return Grounding._from_arrays(
+        return Grounding(
             [self.clauses[i] for i in indices],
             self.db,
             new_clause,
@@ -267,7 +194,7 @@ def ground_clauses(
     def joined(name: str, dtype) -> np.ndarray:
         return np.concatenate([getattr(p, name) for p in parts] + [np.zeros(0, dtype=dtype)])
 
-    return Grounding._from_arrays(
+    return Grounding(
         clauses,
         db,
         np.repeat(np.arange(len(parts), dtype=np.int64), [len(p) for p in parts]),
@@ -279,10 +206,13 @@ def ground_clauses(
 
 
 def dump_grounding_tsv(grounding: Grounding, stream: IO[str]) -> None:
-    """Debug dump: clause index and signed term list per ground clause."""
+    """Debug dump: clause index and signed term list per ground clause, a
+    negated occurrence (positive coefficient) printed as `-`."""
     db = grounding.db
-    for gc in grounding.grounds:
+    for g, start in enumerate(grounding.term_start):
+        end = start + grounding.term_count[g]
         terms = ";".join(
-            f"{'+' if s == SIGN_PLUS else '-'}{db.atom_str(a)}" for a, s in gc.terms
+            f"{'-' if c > 0 else '+'}{db.atom_str(int(a))}"
+            for a, c in zip(grounding.term_atom[start:end], grounding.term_coef[start:end])
         )
-        stream.write(f"{gc.clause_index}\t{terms}\n")
+        stream.write(f"{grounding.g_clause[g]}\t{terms}\n")

@@ -39,27 +39,24 @@ class MapSolution:
     objective: float
 
 
-def _candidate_values(hinges: list[tuple[float, float, float]], p: int) -> list[float]:
-    """Candidate minimizers of sum_j w_j * max(a_j + b_j y, 0)**p on [0, 1]."""
-    cands = {0.0, 1.0}
+def _candidate_values(hinges: list[tuple[float, float, float]], lo: float, hi: float, p: int) -> set[float]:
+    """Candidate minimizers of sum_j w_j * max(a_j + b_j t, 0)**p on [lo, hi]:
+    the ends, the hinge roots inside, and for p=2 each piece's vertex."""
+    cands = {lo, hi}
     for _w, a, b in hinges:
-        if b != 0.0:
-            root = -a / b
-            if 0.0 < root < 1.0:
-                cands.add(root)
+        if b != 0.0 and lo < -a / b < hi:
+            cands.add(-a / b)
     if p == 2:
         # the cost is quadratic between consecutive roots; add each piece's vertex
         points = sorted(cands)
-        for lo, hi in zip(points, points[1:]):
-            mid = 0.5 * (lo + hi)
+        for seg_lo, seg_hi in zip(points, points[1:]):
+            mid = 0.5 * (seg_lo + seg_hi)
             active = [(w, a, b) for w, a, b in hinges if a + b * mid > 0.0]
             c2 = sum(w * b * b for w, a, b in active)
             c1 = sum(2.0 * w * a * b for w, a, b in active)
-            if c2 > 0.0:
-                vertex = -c1 / (2.0 * c2)
-                if lo < vertex < hi:
-                    cands.add(vertex)
-    return sorted(cands)
+            if c2 > 0.0 and seg_lo < -c1 / (2.0 * c2) < seg_hi:
+                cands.add(-c1 / (2.0 * c2))
+    return cands
 
 
 def map_infer(
@@ -125,7 +122,7 @@ def map_infer(
             a = inner[gid] - b * y_old
             hinges.append((float(g_weight[gid]), float(a), float(b)))
         best_y, best_cost = 0.0, np.inf
-        for y in _candidate_values(hinges, p):
+        for y in sorted(_candidate_values(hinges, 0.0, 1.0, p)):
             cost = sum(w * max(a + b * y, 0.0) ** p for w, a, b in hinges)
             if cost < best_cost:  # strict: ties keep the smaller candidate
                 best_y, best_cost = y, cost
@@ -149,19 +146,8 @@ def map_infer(
         for gid in involved:
             slope = sum(d * coef[a].get(gid, 0.0) for a, d in zip(atoms, dirs))
             hinges.append((float(g_weight[gid]), float(inner[gid]), float(slope)))
-        cands = {0.0, lo, hi}
-        for _w, a, b in hinges:
-            if b != 0.0 and lo < -a / b < hi:
-                cands.add(-a / b)
-        if p == 2:
-            points = sorted(cands)
-            for seg_lo, seg_hi in zip(points, points[1:]):
-                mid = 0.5 * (seg_lo + seg_hi)
-                active = [(w, a, b) for w, a, b in hinges if a + b * mid > 0.0]
-                c2 = sum(w * b * b for w, a, b in active)
-                c1 = sum(2.0 * w * a * b for w, a, b in active)
-                if c2 > 0.0 and seg_lo < -c1 / (2 * c2) < seg_hi:
-                    cands.add(-c1 / (2 * c2))
+        cands = _candidate_values(hinges, lo, hi, p)
+        cands.add(0.0)
         best_t = 0.0
         best_cost = sum(w * max(a, 0.0) ** p for w, a, _b in hinges)
         for t in sorted(cands, key=lambda t: (abs(t), t)):

@@ -74,10 +74,21 @@ class LearnConfig:
     gls_inner_iters: int = 50
 
     def __post_init__(self):
+        for name in ("step_size", "tolerance", "w_max", "l2_sigma", "init_weight", "zero_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.step_size <= 0.0:
             raise ValueError("step_size must be positive")
-        if self.l2_sigma < 0.0 or self.init_weight < 0.0:
-            raise ValueError("l2_sigma and init_weight must be nonnegative")
+        if self.w_max <= 0.0:
+            raise ValueError("w_max must be positive")
+        if self.p not in (1, 2):
+            raise ValueError("p must be 1 or 2")
+        for name in ("tolerance", "l2_sigma", "init_weight", "zero_tol"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
+        for name in ("max_iters", "gls_outer_iters", "gls_inner_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 def objective_gradient(

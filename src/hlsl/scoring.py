@@ -1,75 +1,19 @@
-"""Objective functions and exact one-dimensional integral machinery.
+"""Model scores over a grounding: log pseudolikelihood and its piecewise
+factorization.
 
-A single variable's conditional energy, with every other atom held at its
-observed value, is a piecewise profile over [0, 1]: affine per segment for
-the linear hinge, quadratic per segment for the squared hinge. Partition
-functions and expected penalties over these profiles are computed in closed
-form for the linear case and by fixed Gauss-Legendre quadrature for the
-squared case. The two model scores are the log pseudolikelihood (summed per
-variable) and its per-clause piecewise factorization.
+Both scores are read off `engine.Workspace`, which integrates every
+variable's conditional profile: the log pseudolikelihood groups hinges by
+variable, the piecewise pseudolikelihood by (clause, variable), so its
+total splits exactly into per-clause terms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .engine import (
-    Workspace,
-    gauss_legendre_01,
-    group_logsumexp,
-    segment_log_moment,
-    segment_log_partition,
-)
-from .grounding import SIGN_MINUS, Grounding
-
-MERGE_TOL = 1e-12  # collinear adjacent segments closer than this are merged
-CONTINUITY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PiecewiseAffine:
-    """Energy profile f(y) = intercept + slope * y per segment, tiling [0, 1]."""
-
-    segments: tuple[tuple[float, float, float, float], ...]  # (lo, hi, slope, intercept)
-
-    def __call__(self, y: float) -> float:
-        for lo, hi, slope, intercept in self.segments:
-            if lo <= y <= hi:
-                return intercept + slope * y
-        raise ValueError(f"{y} outside [0, 1]")
-
-    def validate(self) -> None:
-        segs = self.segments
-        if not segs:
-            raise ValueError("profile has no segments")
-        if segs[0][0] != 0.0 or segs[-1][1] != 1.0:
-            raise ValueError("segments do not span [0, 1]")
-        for (lo, hi, slope, intercept) in segs:
-            if hi <= lo:
-                raise ValueError("empty or reversed segment")
-            if intercept + slope * lo < -CONTINUITY_TOL or intercept + slope * hi < -CONTINUITY_TOL:
-                raise ValueError("profile is negative")
-        for left, right in zip(segs, segs[1:]):
-            if left[1] != right[0]:
-                raise ValueError("segments are not contiguous")
-            gap = abs((left[3] + left[2] * left[1]) - (right[3] + right[2] * right[0]))
-            if gap > CONTINUITY_TOL:
-                raise ValueError(f"discontinuity {gap} at {left[1]}")
-
-
-@dataclass(frozen=True)
-class PiecewiseQuadratic:
-    """Energy profile f(y) = c0 + c1*y + c2*y**2 per segment (squared hinge)."""
-
-    segments: tuple[tuple[float, float, float, float, float], ...]  # (lo, hi, c0, c1, c2)
-
-    def __call__(self, y: float) -> float:
-        for lo, hi, c0, c1, c2 in self.segments:
-            if lo <= y <= hi:
-                return c0 + c1 * y + c2 * y * y
-        raise ValueError(f"{y} outside [0, 1]")
+from .engine import Workspace
+from .grounding import Grounding
 
 
 @dataclass(frozen=True)
@@ -80,169 +24,6 @@ class ScoreReport:
     total: float
     per_variable: dict[int, tuple[float, float]]  # atom -> (log Z, observed energy)
     per_clause: dict[int, float] | None = None
-
-
-def atom_hinges(
-    atom_index: int,
-    grounding: Grounding,
-    weights: np.ndarray | Sequence[float],
-    observed: np.ndarray,
-    clause_ids: Sequence[int] | None = None,
-) -> list[tuple[float, float, float]]:
-    """(weight, a, b) of every hinge the atom appears in, with all other
-    atoms folded at their observed values."""
-    weights = np.asarray(weights, dtype=np.float64)
-    allowed = None if clause_ids is None else set(clause_ids)
-    hinges = []
-    for gid in grounding.incidence.get(atom_index, ()):
-        gc = grounding.grounds[gid]
-        if allowed is not None and gc.clause_index not in allowed:
-            continue
-        a = gc.constant
-        b = 0.0
-        for atom, sign in gc.terms:
-            coef = 1.0 if sign == SIGN_MINUS else -1.0
-            if sign == SIGN_MINUS:
-                a -= 1.0
-            if atom == atom_index:
-                b += coef
-            else:
-                a += coef * observed[atom]
-        hinges.append((float(weights[gc.clause_index]), a, b))
-    return hinges
-
-
-def _breakpoints(hinges: Sequence[tuple[float, float, float]]) -> list[float]:
-    points = {0.0, 1.0}
-    for _w, a, b in hinges:
-        if b != 0.0:
-            root = -a / b
-            if 0.0 < root < 1.0:
-                points.add(root)
-    return sorted(points)
-
-
-def affine_profile(
-    atom_index: int,
-    grounding: Grounding,
-    weights: np.ndarray | Sequence[float],
-    observed: np.ndarray,
-    clause_ids: Sequence[int] | None = None,
-    p: int = 1,
-) -> PiecewiseAffine | PiecewiseQuadratic:
-    """Conditional energy profile of one variable.
-
-    For p=1 the result is piecewise affine with breakpoints at the clipped
-    hinge roots; adjacent collinear segments are merged. For p=2 the
-    analogous piecewise-quadratic profile is returned.
-    """
-    hinges = atom_hinges(atom_index, grounding, weights, observed, clause_ids)
-    points = _breakpoints(hinges)
-    if p == 1:
-        segs: list[tuple[float, float, float, float]] = []
-        for lo, hi in zip(points, points[1:]):
-            mid = 0.5 * (lo + hi)
-            slope = sum(w * b for w, a, b in hinges if a + b * mid > 0.0)
-            intercept = sum(w * a for w, a, b in hinges if a + b * mid > 0.0)
-            if segs and abs(segs[-1][2] - slope) <= MERGE_TOL and abs(segs[-1][3] - intercept) <= MERGE_TOL:
-                prev = segs.pop()
-                segs.append((prev[0], hi, prev[2], prev[3]))
-            else:
-                segs.append((lo, hi, slope, intercept))
-        return PiecewiseAffine(tuple(segs))
-    qsegs: list[tuple[float, float, float, float, float]] = []
-    for lo, hi in zip(points, points[1:]):
-        mid = 0.5 * (lo + hi)
-        active = [(w, a, b) for w, a, b in hinges if a + b * mid > 0.0]
-        c0 = sum(w * a * a for w, a, b in active)
-        c1 = sum(2.0 * w * a * b for w, a, b in active)
-        c2 = sum(w * b * b for w, a, b in active)
-        if (
-            qsegs
-            and abs(qsegs[-1][2] - c0) <= MERGE_TOL
-            and abs(qsegs[-1][3] - c1) <= MERGE_TOL
-            and abs(qsegs[-1][4] - c2) <= MERGE_TOL
-        ):
-            prev = qsegs.pop()
-            qsegs.append((prev[0], hi, prev[2], prev[3], prev[4]))
-        else:
-            qsegs.append((lo, hi, c0, c1, c2))
-    return PiecewiseQuadratic(tuple(qsegs))
-
-
-def _quad_seg_logz(segments: np.ndarray) -> np.ndarray:
-    lo, hi = segments[:, 0], segments[:, 1]
-    c0, c1, c2 = segments[:, 2], segments[:, 3], segments[:, 4]
-    nodes, ws = gauss_legendre_01()
-    y = lo[:, None] + (hi - lo)[:, None] * nodes[None, :]
-    f = c0[:, None] + c1[:, None] * y + c2[:, None] * y * y
-    peak = f.min(axis=1)
-    mass = np.einsum("sn,n->s", np.exp(peak[:, None] - f), ws)
-    return -peak + np.log((hi - lo) * mass)
-
-
-def log_partition_1d(profile: PiecewiseAffine | PiecewiseQuadratic) -> float:
-    """log integral_0^1 exp(-f(y)) dy in closed form per affine segment
-    (Gauss-Legendre for quadratic profiles), accumulated in log space."""
-    if isinstance(profile, PiecewiseAffine):
-        segs = np.asarray(profile.segments, dtype=np.float64).reshape(-1, 4)
-        seg_logz = segment_log_partition(segs[:, 3], segs[:, 2], segs[:, 0], segs[:, 1])
-    else:
-        segs = np.asarray(profile.segments, dtype=np.float64).reshape(-1, 5)
-        seg_logz = _quad_seg_logz(segs)
-    n = len(seg_logz)
-    return float(group_logsumexp(seg_logz, np.zeros(1, dtype=np.int64), np.zeros(n, dtype=np.int64), 1)[0])
-
-
-def expected_penalty_1d(
-    profile: PiecewiseAffine | PiecewiseQuadratic,
-    hinge: tuple[float, float],
-    p: int = 1,
-) -> float:
-    """E[max(a + b*y, 0)**p] under the density proportional to exp(-f(y)).
-
-    Profile segments are refined at the hinge's own root; linear-hinge
-    moments over affine segments are closed-form with the flat-slope limit
-    handled analytically, everything else integrates by quadrature.
-    """
-    a, b = hinge
-    affine = isinstance(profile, PiecewiseAffine)
-    cuts = {0.0, 1.0}
-    for seg in profile.segments:
-        cuts.update((seg[0], seg[1]))
-    if b != 0.0 and 0.0 < -a / b < 1.0:
-        cuts.add(-a / b)
-    points = sorted(cuts)
-
-    logz = log_partition_1d(profile)
-    log_terms = []
-    for lo, hi in zip(points, points[1:]):
-        mid = 0.5 * (lo + hi)
-        if a + b * mid <= 0.0:
-            continue
-        arr = lambda x: np.asarray([x], dtype=np.float64)
-        if affine and p == 1:
-            f_lo = profile(mid)  # affine on this refined piece
-            slope = next(s for (slo, shi, s, i) in profile.segments if slo <= mid <= shi)
-            intercept = f_lo - slope * mid
-            val = segment_log_moment(arr(intercept), arr(slope), arr(a), arr(b), arr(lo), arr(hi))[0]
-        else:
-            nodes, ws = gauss_legendre_01()
-            y = lo + (hi - lo) * nodes
-            f = np.array([profile(v) for v in y])
-            hv = np.maximum(a + b * y, 0.0) ** p
-            peak = f.min()
-            mass = float(((hv * np.exp(peak - f)) * ws).sum())
-            val = -peak + np.log((hi - lo) * mass) if mass > 0.0 else -np.inf
-        log_terms.append(val)
-    if not log_terms:
-        return 0.0
-    terms = np.asarray(log_terms)
-    peak = terms.max()
-    if not np.isfinite(peak):
-        return 0.0
-    lognum = peak + np.log(np.exp(terms - peak).sum())
-    return float(np.exp(lognum - logz))
 
 
 def log_pll(model, grounding: Grounding, observed: np.ndarray, p: int = 1) -> ScoreReport:

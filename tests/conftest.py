@@ -55,7 +55,6 @@ def random_map_instance(seed: int, n_free: int | None = None):
     coincides with a grid point.
     """
     from hlsl.clauses import negative_prior
-    from hlsl.grounding import GroundClause
     from hlsl.learning import WeightedModel
 
     rng = np.random.default_rng(seed)
@@ -80,8 +79,8 @@ def random_map_instance(seed: int, n_free: int | None = None):
             terms.append((free[v].index, int(rng.choice([-1, 1]))))
         for e in rng.choice(4, int(rng.integers(0, 3)), replace=False):
             terms.append((evid[int(e)].index, int(rng.choice([-1, 1]))))
-        grounds.append(GroundClause(int(rng.integers(0, n_clauses)), tuple(terms)))
-    grounds.sort(key=lambda g: g.clause_index)
+        grounds.append((int(rng.integers(0, n_clauses)), tuple(terms)))
+    grounds.sort(key=lambda g: g[0])
     carriers = [negative_prior("T") for _ in range(n_clauses)]
     weights = np.round(rng.uniform(0.2, 2.0, n_clauses), 3)
     model = WeightedModel(carriers, weights)
@@ -90,19 +89,59 @@ def random_map_instance(seed: int, n_free: int | None = None):
 
 
 def grounding_of(clauses, grounds, db):
-    """A `Grounding` holding explicit `GroundClause` objects, which must be
-    ordered by clause index."""
-    from hlsl.grounding import SIGN_MINUS, Grounding
+    """A `Grounding` of explicit ground clauses, given as (clause index,
+    signed terms) pairs ordered by clause index. A term (atom, -1) is a
+    negated occurrence, (atom, +1) a plain one; the hinge is
+    max(1 - sum_plus x - sum_minus (1 - x), 0)."""
+    from hlsl.grounding import Grounding
 
-    return Grounding._from_arrays(
+    return Grounding(
         clauses,
         db,
-        np.array([g.clause_index for g in grounds], dtype=np.int64),
-        np.array([g.constant - sum(s == SIGN_MINUS for _, s in g.terms) for g in grounds], dtype=np.float64),
-        np.array([len(g.terms) for g in grounds], dtype=np.int64),
-        np.array([a for g in grounds for a, _ in g.terms], dtype=np.int64),
-        np.array([1.0 if s == SIGN_MINUS else -1.0 for g in grounds for _, s in g.terms], dtype=np.float64),
+        np.array([c for c, _ in grounds], dtype=np.int64),
+        np.array([1.0 - sum(s == -1 for _, s in terms) for _, terms in grounds], dtype=np.float64),
+        np.array([len(terms) for _, terms in grounds], dtype=np.int64),
+        np.array([a for _, terms in grounds for a, _ in terms], dtype=np.int64),
+        np.array([1.0 if s == -1 else -1.0 for _, terms in grounds for _, s in terms], dtype=np.float64),
     )
+
+
+def ground_terms(grounding):
+    """Signed term tuples of every ground clause, read from the flat arrays:
+    (atom, -1) for a negated occurrence (positive coefficient), else (atom, +1)."""
+    out = []
+    for start, count in zip(grounding.term_start, grounding.term_count):
+        sl = slice(start, start + count)
+        out.append(tuple(
+            (int(a), -1 if c > 0 else 1) for a, c in zip(grounding.term_atom[sl], grounding.term_coef[sl])
+        ))
+    return out
+
+
+def hinge_workspace(hinges, p=1):
+    """A one-variable `Workspace` whose conditional energy is
+    sum w * max(a + b*y, 0)**p over `hinges` (w, a, b): one clause and one
+    ground clause per hinge, over a single target atom observed at 0 so that
+    every a folds exactly. Returns the workspace and its weight vector."""
+    from hlsl.clauses import negative_prior
+    from hlsl.engine import Workspace
+    from hlsl.grounding import Grounding
+
+    db = AtomDatabase([PredicateSymbol("T", is_target=True)])
+    db.add_atom("T", "x", "y", 0.0)
+    build_adjacency(db)
+    n = len(hinges)
+    grounding = Grounding(
+        [negative_prior("T")] * n,
+        db,
+        np.arange(n, dtype=np.int64),
+        np.array([a for _w, a, _b in hinges], dtype=np.float64),
+        np.ones(n, dtype=np.int64),
+        np.zeros(n, dtype=np.int64),
+        np.array([b for _w, _a, b in hinges], dtype=np.float64),
+    )
+    ws = Workspace(grounding, db.value_vector(), mode="pll", p=p)
+    return ws, np.array([w for w, _a, _b in hinges], dtype=np.float64)
 
 
 def chain_grid_min(model, grounding, db, free, step=1e-3):

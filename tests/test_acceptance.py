@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from conftest import (
     chain_grid_min,
     greedy_reference,
+    hinge_workspace,
     random_chain_db,
     random_map_instance,
 )
@@ -32,13 +33,7 @@ from hlsl.learning import (
     objective_gradient,
     ppll_structure_learn,
 )
-from hlsl.scoring import (
-    PiecewiseAffine,
-    expected_penalty_1d,
-    log_partition_1d,
-    log_pll,
-    log_ppll,
-)
+from hlsl.scoring import log_pll, log_ppll
 from hlsl.synth import recovery_fixture, scaling_fixture, write_fixture
 
 
@@ -61,23 +56,20 @@ def test_c01_integral_oracle():
             for _ in range(n)
         ]
         pts = sorted({0.0, 1.0} | {-a / b for _w, a, b in hinges if b and 0 < -a / b < 1})
-        segs = []
-        for lo, hi in zip(pts, pts[1:]):
-            mid = 0.5 * (lo + hi)
-            slope = sum(w * b for w, a, b in hinges if a + b * mid > 0)
-            icept = sum(w * a for w, a, b in hinges if a + b * mid > 0)
-            segs.append((lo, hi, slope, icept))
-        prof = PiecewiseAffine(tuple(segs))
         f = lambda y: sum(w * max(a + b * y, 0.0) for w, a, b in hinges)
         z = quad(lambda y: np.exp(-f(y)), 0, 1, points=pts, limit=200, epsabs=1e-12, epsrel=1e-12)[0]
-        worst_z = max(worst_z, abs(log_partition_1d(prof) - np.log(z)))
         ha, hb = float(rng.uniform(-1.5, 1.5)), float(rng.choice([-1.0, 1.0]))
+        # the engine over one variable observed at 0, one ground clause per
+        # hinge; the measured hinge is a weight-0 clause, so its root joins
+        # the tiling without changing the profile
+        ws, w = hinge_workspace(hinges + [(0.0, ha, hb)])
+        worst_z = max(worst_z, abs(float(ws.log_partitions(w)[0]) - np.log(z)))
         cut = sorted(set(pts) | ({-ha / hb} if 0 < -ha / hb < 1 else set()))
         num = quad(
             lambda y: max(ha + hb * y, 0.0) * np.exp(-f(y)),
             0, 1, points=cut, limit=200, epsabs=1e-12, epsrel=1e-12,
         )[0]
-        worst_e = max(worst_e, abs(expected_penalty_1d(prof, (ha, hb)) - num / z))
+        worst_e = max(worst_e, abs(float(ws.expected_penalties(w)[-1]) - num / z))
     elapsed = time.perf_counter() - started
     ok = worst_z <= 1e-8 and worst_e <= 1e-8 and elapsed <= 10.0
     report(1, "integral-oracle", ok, f"logZ err {worst_z:.2e}, E err {worst_e:.2e}, {elapsed:.1f}s")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_simple_paths, random_chain_db
+from conftest import brute_force_simple_paths, ground_terms, random_chain_db
 
 import hlsl.clauses
 from hlsl.clauses import (
@@ -133,9 +133,8 @@ def test_variablize_inverted_step_regrounds():
     clause = variablize(next(iter(paths)), atom)
     assert format_clause(clause) == "P(V1,V2) & Q(V3,V2) -> T(V1,V3)"
     assert clause.body[1].inverted
-    grounds = ground_clause(clause, db).grounds
-    assert len(grounds) == 1
-    atoms_used = {a for a, _ in grounds[0].terms}
+    (terms,) = ground_terms(ground_clause(clause, db))
+    atoms_used = {a for a, _ in terms}
     assert atoms_used == {0, 1, 2}
 
 
@@ -186,7 +185,7 @@ def test_generated_coverage_is_verified_by_regrounding():
     for clause in generate_candidates(db, cfg):
         if clause.is_prior:
             continue
-        heads = {g.terms[-1][0] for g in ground_clause(clause, db).grounds}
+        heads = {terms[-1][0] for terms in ground_terms(ground_clause(clause, db))}
         assert len(heads) >= cfg.min_coverage
 
 

@@ -267,6 +267,35 @@ def test_learn_diagnostic_dumps(recovery_dir, tmp_path):
     assert first[0].isdigit() and "(" in first[1]
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        pytest.param(flags, field, id=field)
+        for flags, field in [
+            (("--step-size", "nan"), "step_size"),
+            (("--tolerance", "-1"), "tolerance"),
+            (("--w-max", "-1"), "w_max"),
+            (("--l2-sigma", "nan"), "l2_sigma"),
+            (("--init-weight", "inf"), "init_weight"),
+            (("--zero-tol", "nan"), "zero_tol"),
+            (("--iters", "-3"), "max_iters"),
+            (("--method", "gls", "--iters", "-3"), "gls_outer_iters"),
+            (("--inner-iters", "-1"), "gls_inner_iters"),
+        ]
+    ],
+)
+def test_learn_rejects_bad_config_field(recovery_dir, tmp_path, capsys, flags, field):
+    model = tmp_path / "model.tsv"
+    code = run(
+        "learn", "--schema", recovery_dir / "schema.tsv",
+        "--observed", recovery_dir / "observed.tsv", "--train", recovery_dir / "train.tsv",
+        "--clauses", recovery_dir / "candidates.tsv", "--method", "ppll", "--out", model, *flags,
+    )
+    assert code == 1
+    assert single_error(capsys).startswith(f"error:ValueError:{field} must be")
+    assert not model.exists()
+
+
 def test_neg_ratio_subsampling(recovery_dir, tmp_path):
     # learn with 1:1 subsampling still produces a valid model file
     model = tmp_path / "model.tsv"

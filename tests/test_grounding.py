@@ -1,22 +1,16 @@
-"""Grounding: lazy instantiation, hinge penalties, incidence index."""
+"""Grounding: lazy instantiation, hinge penalties, the engine's incidence."""
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dfs_ground_clause, random_chain_db
+from conftest import dfs_ground_clause, ground_terms, grounding_of, random_chain_db
 
 from hlsl.clauses import GenerationConfig, generate_candidates, negative_prior, parse_clause
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency, round_value
-from hlsl.errors import MissingAssignment
-from hlsl.grounding import (
-    GroundClause,
-    build_incidence,
-    ground_clause,
-    ground_clauses,
-    hinge_penalty,
-)
+from hlsl.engine import Workspace
+from hlsl.grounding import ground_clause, ground_clauses
 
 
 def herbrand_groundings(clause, db, threshold=0.5):
@@ -43,17 +37,15 @@ def herbrand_groundings(clause, db, threshold=0.5):
 
 def test_ground_example_clause(citation_db):
     clause = parse_clause("Cites(V1,V2) & Mentions(V2,V3) -> Mentions(V1,V3)", citation_db)
-    grounds = ground_clause(clause, citation_db).grounds
-    assert len(grounds) == 1
-    gc = grounds[0]
-    minus = {a for a, s in gc.terms if s == -1}
-    plus = {a for a, s in gc.terms if s == 1}
+    (terms,) = ground_terms(ground_clause(clause, citation_db))
+    minus = {a for a, s in terms if s == -1}
+    plus = {a for a, s in terms if s == 1}
     assert minus == {0, 1} and plus == {2}
 
 
 def test_ground_negative_prior(citation_db):
-    grounds = ground_clause(negative_prior("Mentions"), citation_db).grounds
-    assert [gc.terms for gc in grounds] == [((1, -1),), ((2, -1),)]
+    grounds = ground_clause(negative_prior("Mentions"), citation_db)
+    assert ground_terms(grounds) == [((1, -1),), ((2, -1),)]
 
 
 def test_ground_absent_predicate_body(citation_db):
@@ -74,73 +66,95 @@ def test_lazy_grounding_matches_herbrand(seed):
     for clause in cands:
         if clause.is_prior:
             continue
-        got = sorted(tuple(a for a, _ in gc.terms) for gc in ground_clause(clause, db).grounds)
+        got = sorted(tuple(a for a, _ in terms) for terms in ground_terms(ground_clause(clause, db)))
         assert got == herbrand_groundings(clause, db)
+
+
+def three_atom_grounding(terms):
+    """One ground clause with the given signed terms over atoms 0, 1, 2."""
+    db = AtomDatabase([PredicateSymbol("T", is_target=True)])
+    for k in range(3):
+        db.add_atom("T", f"a{k}", "b")
+    build_adjacency(db)
+    return grounding_of([negative_prior("T")], [(0, terms)], db)
 
 
 def test_hinge_penalty_examples():
     # body atoms x1, x2 in the negated set at 1, head y at 0.3
-    gc = GroundClause(0, ((0, -1), (1, -1), (2, 1)))
-    assign = {0: 1.0, 1: 1.0, 2: 0.3}
-    assert hinge_penalty(gc, assign, 1) == pytest.approx(0.7)
-    assert hinge_penalty(gc, assign, 2) == pytest.approx(0.49)
+    grounding = three_atom_grounding(((0, -1), (1, -1), (2, 1)))
+    assign = np.array([1.0, 1.0, 0.3])
+    assert grounding.penalties(assign, 1) == pytest.approx([0.7])
+    assert grounding.penalties(assign, 2) == pytest.approx([0.49])
     # falsified body satisfies the implication for any head value
     for y in np.linspace(0, 1, 7):
-        assert hinge_penalty(gc, {0: 0.0, 1: 1.0, 2: float(y)}) == 0.0
-    with pytest.raises(MissingAssignment):
-        hinge_penalty(gc, {0: 1.0, 1: 1.0})
+        assert grounding.penalties(np.array([0.0, 1.0, y])).tolist() == [0.0]
 
 
 def test_hinge_penalty_midpoint_convex():
     rng = np.random.default_rng(11)
-    gc = GroundClause(0, ((0, -1), (1, -1), (2, 1)))
+    grounding = three_atom_grounding(((0, -1), (1, -1), (2, 1)))
     for p in (1, 2):
         for _ in range(200):
             x = rng.uniform(0, 1, 3)
             y = rng.uniform(0, 1, 3)
-            mid = {i: (x[i] + y[i]) / 2 for i in range(3)}
-            fx = hinge_penalty(gc, dict(enumerate(x)), p)
-            fy = hinge_penalty(gc, dict(enumerate(y)), p)
-            assert hinge_penalty(gc, mid, p) <= (fx + fy) / 2 + 1e-12
+            fx, fy, fmid = (grounding.penalties(v, p)[0] for v in (x, y, (x + y) / 2))
+            assert fmid <= (fx + fy) / 2 + 1e-12
 
 
 def test_hinge_penalty_bounds():
     rng = np.random.default_rng(12)
-    gc = GroundClause(0, ((0, 1), (1, -1), (2, 1)))
+    grounding = three_atom_grounding(((0, 1), (1, -1), (2, 1)))
     for _ in range(100):
-        assign = dict(enumerate(rng.uniform(0, 1, 3)))
+        assign = rng.uniform(0, 1, 3)
         inner = 1 - assign[0] - (1 - assign[1]) - assign[2]
         for p in (1, 2):
-            value = hinge_penalty(gc, assign, p)
+            value = grounding.penalties(assign, p)[0]
             assert value >= 0.0
             assert value <= max(1.0, inner) ** p + 1e-12
 
 
-def test_incidence_example(citation_db):
-    clause = parse_clause("Cites(V1,V2) & Mentions(V2,V3) -> Mentions(V1,V3)", citation_db)
-    grounding = ground_clauses([clause, negative_prior("Mentions")], citation_db)
-    incidence = grounding.incidence
-    # rule grounding touches both Mentions atoms; each prior grounding one
-    assert len(incidence[2]) == 2  # head of the rule + its prior
-    assert len(incidence[1]) == 2  # body of the rule + its prior
-
-
-def test_incidence_empty_and_prior_only(citation_db):
-    assert build_incidence([], citation_db) == {1: [], 2: []}
-    grounds = ground_clause(negative_prior("Mentions"), citation_db).grounds
-    incidence = build_incidence(grounds, citation_db)
-    assert [len(v) for v in incidence.values()] == [1, 1]
+def term_pairs(grounding):
+    """(ground clause, target atom) -> summed coefficient, read term by term."""
+    targets = set(grounding.db.targets)
+    out = {}
+    for g, atom, coef in zip(grounding.term_ground, grounding.term_atom, grounding.term_coef):
+        if int(atom) in targets:
+            key = (int(g), int(atom))
+            out[key] = out.get(key, 0.0) + float(coef)
+    return out
 
 
 def test_incidence_is_exact(citation_db):
+    # every distinct (ground clause, target atom) occurrence is exactly one
+    # engine pair, carrying the atom's summed coefficient
+    clause = parse_clause("Cites(V1,V2) & Mentions(V2,V3) -> Mentions(V1,V3)", citation_db)
     db = random_chain_db(2)
     cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
-    grounding = ground_clauses(cands, db)
-    incidence = grounding.incidence
-    targets = set(db.targets)
-    for gid, gc in enumerate(grounding.grounds):
-        for atom, _sign in gc.terms:
-            assert (atom in targets) == (gid in incidence.get(atom, []))
+    repeated = AtomDatabase([PredicateSymbol("T", is_target=True)])
+    repeated.add_atom("T", "a", "a")
+    repeated.add_atom("T", "a", "b")
+    build_adjacency(repeated)
+    cases = [
+        ground_clauses([clause, negative_prior("Mentions")], citation_db),
+        ground_clauses([negative_prior("Mentions")], citation_db),
+        ground_clauses([], citation_db),
+        ground_clauses(cands, db),
+        # one atom twice in a ground clause: its two coefficients sum to 0
+        grounding_of([negative_prior("T")], [(0, ((0, -1), (0, 1), (1, 1)))], repeated),
+    ]
+    for grounding in cases:
+        for mode in ("pll", "ppll"):
+            ws = Workspace(grounding, grounding.db.value_vector(), mode=mode)
+            keys = list(zip(ws.pair_ground.tolist(), ws.pair_atom.tolist()))
+            assert len(set(keys)) == ws.n_pairs == len(keys)
+            assert dict(zip(keys, ws.pair_b.tolist())) == term_pairs(grounding)
+
+    example, prior_only, empty = (Workspace(g, citation_db.value_vector()) for g in cases[:3])
+    # the rule's grounding touches both Mentions atoms; each prior grounding one
+    assert np.bincount(example.pair_atom).tolist() == [0, 2, 2]
+    assert prior_only.pair_atom.tolist() == [1, 2] and prior_only.pair_b.tolist() == [1.0, 1.0]
+    assert empty.n_pairs == 0
+    assert Workspace(cases[4], repeated.value_vector()).pair_b.tolist() == [0.0, -1.0]
 
 
 def test_lazy_grounding_only_frees_targets():
@@ -150,8 +164,8 @@ def test_lazy_grounding_only_frees_targets():
     cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
     grounding = ground_clauses(cands, db)
     targets = set(db.targets)
-    for gc in grounding.grounds:
-        for atom, _ in gc.terms[:-1]:
+    for terms in ground_terms(grounding):
+        for atom, _ in terms[:-1]:
             assert atom in targets or round_value(db.atoms[atom].value) == 1
 
 
@@ -166,7 +180,7 @@ def test_restrict_matches_fresh_grounding():
     assert np.array_equal(sub.term_atom, fresh.term_atom)
     assert np.array_equal(sub.term_coef, fresh.term_coef)
     assert np.allclose(sub.g_const0, fresh.g_const0)
-    assert [g.terms for g in sub.grounds] == [g.terms for g in fresh.grounds]
+    assert ground_terms(sub) == ground_terms(fresh)
 
 
 def test_grounding_twice_gives_identical_arrays():
@@ -215,7 +229,7 @@ def test_mined_clause_grounds_a_repeated_constant():
     rule = mined[0]
     assert rule.id == "P(V1,V2) & Q(V2,V3) -> T(V1,V3)"
     assert rule.coverage == 1  # only T(c,e)
-    heads = sorted(db.atom_str(g.terms[-1][0]) for g in ground_clause(rule, db).grounds)
+    heads = sorted(db.atom_str(terms[-1][0]) for terms in ground_terms(ground_clause(rule, db)))
     assert heads == ["T(a,a)", "T(c,e)"]
 
 
@@ -230,7 +244,7 @@ def test_threshold_value_is_an_edge_and_passes_the_gate():
     assert db.outgoing[0] == [("P", 1, 0), ("T", 1, 1)]
     mined = generate_candidates(db, GenerationConfig(max_depth=1, min_coverage=1, include_inverses=False))
     assert [(c.id, c.coverage) for c in mined[:1]] == [("P(V1,V2) -> T(V1,V2)", 1)]
-    assert [g.terms for g in ground_clause(mined[0], db).grounds] == [((0, -1), (1, 1))]
+    assert ground_terms(ground_clause(mined[0], db)) == [((0, -1), (1, 1))]
 
 
 @st.composite
@@ -266,8 +280,8 @@ def grounding_cases(draw):
 def test_ground_clause_matches_dfs_oracle(case):
     db, clause, free, strict = case
     got = ground_clause(clause, db, free_atoms=free, strict=strict)
-    assert [g.terms for g in got.grounds] == dfs_ground_clause(clause, db, free, strict)
+    assert ground_terms(got) == dfs_ground_clause(clause, db, free, strict)
     prior = dfs_ground_clause(negative_prior("T"), db)
     both = ground_clauses([negative_prior("T"), clause], db, free_atoms=free, strict=strict)
-    assert [g.terms for g in both.grounds] == prior + [g.terms for g in got.grounds]
+    assert ground_terms(both) == prior + ground_terms(got)
     assert both.g_clause.tolist() == [0] * len(prior) + [1] * len(got)

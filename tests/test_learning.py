@@ -260,3 +260,26 @@ def test_trace_format():
 def test_weighted_model_rejects_non_finite_weights(weight):
     with pytest.raises(ValueError, match="finite"):
         WeightedModel([negative_prior("T")], [weight])
+
+
+# one bad value per field runs through the CLI in test_cli; these are the rest
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tolerance", float("inf")),
+        ("w_max", 0.0),
+        ("w_max", float("inf")),
+        ("l2_sigma", -1.0),
+        ("init_weight", -0.5),
+        ("zero_tol", -1e-6),
+        ("p", 3),
+    ],
+)
+def test_learn_config_rejects_bad_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        LearnConfig(**{field: value})
+
+
+def test_learn_config_accepts_zero_budgets_and_tolerance():
+    cfg = LearnConfig(max_iters=0, gls_outer_iters=0, gls_inner_iters=0, tolerance=0.0, zero_tol=0.0, l2_sigma=0.0)
+    assert cfg.gls_outer_iters == 0 and cfg.tolerance == 0.0

@@ -1,23 +1,66 @@
-"""Scoring: profiles, closed-form integrals vs quadrature, both objectives."""
+"""Scoring: the engine's integrals against closed forms and adaptive
+quadrature, both objectives."""
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import random_chain_db
+from conftest import hinge_workspace, random_chain_db
 
 from hlsl.clauses import GenerationConfig, generate_candidates, negative_prior, parse_clause
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency
 from hlsl.engine import Workspace
 from hlsl.grounding import ground_clauses
 from hlsl.learning import WeightedModel
-from hlsl.scoring import (
-    PiecewiseAffine,
-    affine_profile,
-    expected_penalty_1d,
-    log_partition_1d,
-    log_pll,
-    log_ppll,
-)
+from hlsl.scoring import log_pll, log_ppll
+
+
+def folded_hinges(grounding, atom, weights, observed, clause_ids=None):
+    """(weight, a, b) of every ground clause that holds `atom`, with all other
+    atoms folded at their observed values: the atom's conditional energy is
+    sum w * max(a + b*y, 0)**p. Reads the flat arrays term by term."""
+    out = []
+    for g, (start, count) in enumerate(zip(grounding.term_start, grounding.term_count)):
+        clause = int(grounding.g_clause[g])
+        if clause_ids is not None and clause not in clause_ids:
+            continue
+        atoms = grounding.term_atom[start : start + count]
+        if atom not in atoms:
+            continue
+        a, b = float(grounding.g_const0[g]), 0.0
+        for other, c in zip(atoms, grounding.term_coef[start : start + count]):
+            if other == atom:
+                b += float(c)
+            else:
+                a += float(c) * float(observed[other])
+        out.append((float(weights[clause]), a, b))
+    return out
+
+
+def quad_log_partition(hinges, p=1):
+    """log integral_0^1 exp(-sum w * max(a + b*y, 0)**p) dy by adaptive
+    quadrature, split at the hinge roots."""
+    f = lambda y: sum(w * max(a + b * y, 0.0) ** p for w, a, b in hinges)
+    cuts = hinge_cuts(hinges)
+    z, _ = quad(lambda y: np.exp(-f(y)), 0.0, 1.0, points=cuts, limit=200, epsabs=1e-13, epsrel=1e-13)
+    return np.log(z)
+
+
+def quad_expected(hinges, hinge, p=1):
+    """E[max(a + b*y, 0)**p] for `hinge` = (a, b) under the density
+    proportional to exp(-sum w * max(a_j + b_j y, 0)**p), by adaptive
+    quadrature split at every hinge root."""
+    a, b = hinge
+    f = lambda y: sum(w * max(aa + bb * y, 0.0) ** p for w, aa, bb in hinges)
+    cuts = hinge_cuts(hinges + [(0.0, a, b)])
+    opts = dict(points=cuts, limit=200, epsabs=1e-13, epsrel=1e-13)
+    num, _ = quad(lambda y: max(a + b * y, 0.0) ** p * np.exp(-f(y)), 0.0, 1.0, **opts)
+    z, _ = quad(lambda y: np.exp(-f(y)), 0.0, 1.0, **opts)
+    return num / z
+
+
+def hinge_cuts(hinges):
+    """0, 1 and the hinge roots inside (0, 1), sorted."""
+    return sorted({0.0, 1.0} | {-a / b for _w, a, b in hinges if b != 0.0 and 0.0 < -a / b < 1.0})
 
 
 def random_hinges(rng, max_hinges=8, w_hi=5.0):
@@ -28,58 +71,38 @@ def random_hinges(rng, max_hinges=8, w_hi=5.0):
     ]
 
 
-def profile_from_hinges(hinges):
-    pts = sorted({0.0, 1.0} | {-a / b for _w, a, b in hinges if b != 0.0 and 0.0 < -a / b < 1.0})
-    segs = []
-    for lo, hi in zip(pts, pts[1:]):
-        mid = 0.5 * (lo + hi)
-        slope = sum(w * b for w, a, b in hinges if a + b * mid > 0.0)
-        icept = sum(w * a for w, a, b in hinges if a + b * mid > 0.0)
-        segs.append((lo, hi, slope, icept))
-    return PiecewiseAffine(tuple(segs)), pts
+def log_z(hinges, p=1):
+    """log Z of the one-variable profile built from `hinges`."""
+    ws, w = hinge_workspace(hinges, p)
+    return float(ws.log_partitions(w)[0])
 
 
-def quad_log_partition(hinges, pts):
-    f = lambda y: sum(w * max(a + b * y, 0.0) for w, a, b in hinges)
-    z, _ = quad(lambda y: np.exp(-f(y)), 0.0, 1.0, points=pts, limit=200, epsabs=1e-13, epsrel=1e-13)
-    return np.log(z)
+def expected(hinges, hinge, p=1):
+    """E[max(a + b*y, 0)**p] under the `hinges` profile: `hinge` rides along
+    as a weight-0 clause, so its root joins the tiling."""
+    ws, w = hinge_workspace(hinges + [(0.0, *hinge)], p)
+    return float(ws.expected_penalties(w)[-1])
 
 
-def quad_expected(hinges, pts, hinge, p=1):
-    a, b = hinge
-    cut = sorted(set(pts) | ({-a / b} if b != 0.0 and 0.0 < -a / b < 1.0 else set()))
-    f = lambda y: sum(w * max(aa + bb * y, 0.0) for w, aa, bb in hinges)
-    num, _ = quad(
-        lambda y: max(a + b * y, 0.0) ** p * np.exp(-f(y)), 0.0, 1.0,
-        points=cut, limit=200, epsabs=1e-13, epsrel=1e-13,
-    )
-    z, _ = quad(lambda y: np.exp(-f(y)), 0.0, 1.0, points=cut, limit=200, epsabs=1e-13, epsrel=1e-13)
-    return num / z
-
-
-# -- profile construction ----------------------------------------------------
+# -- profiles of the running example -----------------------------------------
 
 
 def test_profile_trivial_cases(citation_db):
     clause = parse_clause("Cites(V1,V2) & Mentions(V2,V3) -> Mentions(V1,V3)", citation_db)
     prior = negative_prior("Mentions")
     grounding = ground_clauses([clause, prior], citation_db)
-    obs = citation_db.value_vector()
+    ws = Workspace(grounding, citation_db.value_vector(), mode="pll")
+    (head,) = np.flatnonzero(ws.group_atom == 2)
 
     # head variable with body all 1, w=1, prior off: f(y) = 1 - y
-    prof = affine_profile(2, grounding, np.array([1.0, 0.0]), obs, clause_ids=[0])
-    prof.validate()
-    assert prof(0.0) == pytest.approx(1.0) and prof(1.0) == pytest.approx(0.0)
-
+    assert ws.log_partitions(np.array([1.0, 0.0]))[head] == pytest.approx(np.log(1 - np.exp(-1)), abs=1e-12)
     # negative prior only, w=2: f(y) = 2y
-    prof = affine_profile(2, grounding, np.array([0.0, 2.0]), obs, clause_ids=[1])
-    assert prof(0.5) == pytest.approx(1.0)
-
-    # head clause w=1 plus prior w=1: constant profile f = 1
-    prof = affine_profile(2, grounding, np.array([1.0, 1.0]), obs)
-    for y in np.linspace(0, 1, 11):
-        assert prof(float(y)) == pytest.approx(1.0)
-    assert len(prof.segments) == 1  # collinear merge
+    assert ws.log_partitions(np.array([0.0, 2.0]))[head] == pytest.approx(np.log((1 - np.exp(-2)) / 2), abs=1e-12)
+    # head clause w=1 plus prior w=1: constant profile f = 1, a uniform density
+    w = np.array([1.0, 1.0])
+    assert ws.log_partitions(w)[head] == pytest.approx(-1.0, abs=1e-12)
+    mine = ws.pair_atom == 2
+    assert ws.expected_penalties(w)[mine] == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_profile_matches_pointwise_sum():
@@ -89,63 +112,56 @@ def test_profile_matches_pointwise_sum():
     obs = db.value_vector()
     rng = np.random.default_rng(0)
     w = rng.uniform(0, 3, len(cands))
-    from hlsl.scoring import atom_hinges
-
-    for atom in db.targets[:8]:
-        prof = affine_profile(atom, grounding, w, obs)
-        prof.validate()
-        hinges = atom_hinges(atom, grounding, w, obs)
-        for y in np.linspace(0, 1, 11):
-            direct = sum(wc * max(a + b * y, 0.0) for wc, a, b in hinges)
-            assert prof(float(y)) == pytest.approx(direct, abs=1e-10)
+    ws = Workspace(grounding, obs, mode="pll")
+    alpha, beta = ws._segment_coeffs(w)
+    for g, atom in enumerate(ws.group_atom[:8]):
+        hinges = folded_hinges(grounding, atom, w, obs)
+        segs = range(ws.group_seg_start[g], ws.group_seg_start[g] + ws.seg_count[g])
+        assert ws.seg_lo[segs[0]] == 0.0 and ws.seg_hi[segs[-1]] == 1.0
+        for s in segs:
+            for y in np.linspace(ws.seg_lo[s], ws.seg_hi[s], 5):
+                direct = sum(wc * max(a + b * y, 0.0) for wc, a, b in hinges)
+                assert alpha[s] + beta[s] * y == pytest.approx(direct, abs=1e-10)
 
 
 # -- integrals ---------------------------------------------------------------
 
 
 def test_log_partition_flat_profile():
-    assert log_partition_1d(PiecewiseAffine(((0.0, 1.0, 0.0, 0.0),))) == pytest.approx(0.0)
+    assert log_z([(0.0, 0.0, 1.0)]) == pytest.approx(0.0)
     # constant energy alpha: Z = exp(-alpha)
-    assert log_partition_1d(PiecewiseAffine(((0.0, 1.0, 0.0, 1.7),))) == pytest.approx(-1.7)
+    assert log_z([(1.7, 1.0, 0.0)]) == pytest.approx(-1.7)
 
 
 def test_log_partition_known_values():
     # f(y) = 1 - y: Z = 1 - exp(-1); f(y) = 2y: Z = (1 - exp(-2)) / 2
-    assert log_partition_1d(PiecewiseAffine(((0.0, 1.0, -1.0, 1.0),))) == pytest.approx(
-        np.log(1 - np.exp(-1)), abs=1e-12
-    )
-    assert log_partition_1d(PiecewiseAffine(((0.0, 1.0, 2.0, 0.0),))) == pytest.approx(
-        np.log((1 - np.exp(-2)) / 2), abs=1e-12
-    )
+    assert log_z([(1.0, 1.0, -1.0)]) == pytest.approx(np.log(1 - np.exp(-1)), abs=1e-12)
+    assert log_z([(2.0, 0.0, 1.0)]) == pytest.approx(np.log((1 - np.exp(-2)) / 2), abs=1e-12)
 
 
 def test_expected_penalty_uniform_cases():
-    flat = PiecewiseAffine(((0.0, 1.0, 0.0, 0.0),))
-    assert expected_penalty_1d(flat, (0.0, 1.0)) == pytest.approx(0.5)
-    assert expected_penalty_1d(flat, (1.0, -1.0)) == pytest.approx(0.5)
-    ramp = PiecewiseAffine(((0.0, 1.0, 2.0, 0.0),))
+    assert expected([], (0.0, 1.0)) == pytest.approx(0.5)
+    assert expected([], (1.0, -1.0)) == pytest.approx(0.5)
     want = quad(lambda y: y * np.exp(-2 * y), 0, 1)[0] / quad(lambda y: np.exp(-2 * y), 0, 1)[0]
-    assert expected_penalty_1d(ramp, (0.0, 1.0)) == pytest.approx(want, abs=1e-10)
+    assert expected([(2.0, 0.0, 1.0)], (0.0, 1.0)) == pytest.approx(want, abs=1e-10)
 
 
 def test_integrals_against_quadrature_randomized():
     rng = np.random.default_rng(123)
     for _ in range(200):
         hinges = random_hinges(rng)
-        prof, pts = profile_from_hinges(hinges)
-        assert log_partition_1d(prof) == pytest.approx(quad_log_partition(hinges, pts), abs=1e-9)
+        assert log_z(hinges) == pytest.approx(quad_log_partition(hinges), abs=1e-9)
         hinge = (float(rng.uniform(-1.5, 1.5)), float(rng.choice([-1.0, 1.0])))
-        assert expected_penalty_1d(prof, hinge) == pytest.approx(
-            quad_expected(hinges, pts, hinge), abs=1e-9
-        )
+        assert expected(hinges, hinge) == pytest.approx(quad_expected(hinges, hinge), abs=1e-9)
 
 
 def test_integrals_extreme_weights_stay_finite():
-    # energies large enough to underflow exp(-f) outside log space
-    prof = PiecewiseAffine(((0.0, 0.5, 0.0, 900.0), (0.5, 1.0, 200.0, 800.0)))
-    lz = log_partition_1d(prof)
-    assert np.isfinite(lz) and lz == pytest.approx(-900.0 + np.log(0.5 + (1 - np.exp(-100)) / 200) + 0.0, abs=1e-9)
-    e = expected_penalty_1d(prof, (0.5, 1.0))
+    # energies large enough to underflow exp(-f) outside log space:
+    # f = 900 on [0, 0.5], 800 + 200y on [0.5, 1]
+    hinges = [(900.0, 1.0, 0.0), (200.0, -0.5, 1.0)]
+    lz = log_z(hinges)
+    assert np.isfinite(lz) and lz == pytest.approx(-900.0 + np.log(0.5 + (1 - np.exp(-100)) / 200), abs=1e-9)
+    e = expected(hinges, (0.5, 1.0))
     assert np.isfinite(e) and 0.0 <= e <= 1.5
 
 
@@ -156,14 +172,15 @@ def test_quadratic_profile_partition_and_expectation():
     build_adjacency(db)
     clause = parse_clause("P(V1,V2) -> T(V1,V2)", db)
     grounding = ground_clauses([clause, negative_prior("T")], db)
-    obs = db.value_vector()
+    ws = Workspace(grounding, db.value_vector(), mode="pll", p=2)
     w = np.array([1.3, 0.7])
-    prof = affine_profile(1, grounding, w, obs, p=2)
     f = lambda y: 1.3 * max(1 - y, 0.0) ** 2 + 0.7 * max(y, 0.0) ** 2
     z = quad(lambda y: np.exp(-f(y)), 0, 1, epsabs=1e-13)[0]
-    assert log_partition_1d(prof) == pytest.approx(np.log(z), abs=1e-9)
+    assert ws.log_partitions(w) == pytest.approx([np.log(z)], abs=1e-9)
     num = quad(lambda y: max(1 - y, 0.0) ** 2 * np.exp(-f(y)), 0, 1, epsabs=1e-13)[0]
-    assert expected_penalty_1d(prof, (1.0, -1.0), p=2) == pytest.approx(num / z, abs=1e-8)
+    # pair 0 is the rule's hinge 1 - y on T(a,b)
+    assert ws.pair_atom[0] == 1 and (ws.pair_a[0], ws.pair_b[0]) == (1.0, -1.0)
+    assert ws.expected_penalties(w)[0] == pytest.approx(num / z, abs=1e-8)
 
 
 # -- model objectives --------------------------------------------------------
@@ -246,20 +263,31 @@ def test_single_clause_concavity_in_weight():
         assert np.all(mid >= (lo + hi) / 2 - 1e-9)
 
 
-def test_engine_matches_scalar_profiles_pll_and_ppll():
+def assert_engine_matches_quadrature(grounding, obs, w, mode, p, tol):
+    """Every group's log Z and every pair's expected penalty against
+    adaptive quadrature over the hinges folded from the grounding's arrays."""
+    ws = Workspace(grounding, obs, mode=mode, p=p)
+    lz = ws.log_partitions(w)
+    e = ws.expected_penalties(w)
+    for g in range(ws.n_groups):
+        atom = int(ws.group_atom[g])
+        clause_ids = None if mode == "pll" else {int(ws.group_clause[g])}
+        hinges = folded_hinges(grounding, atom, w, obs, clause_ids)
+        assert float(lz[g]) == pytest.approx(quad_log_partition(hinges, p), abs=tol)
+        for k in np.flatnonzero(ws.pair_group == g):
+            hinge = (float(ws.pair_a[k]), float(ws.pair_b[k]))
+            assert float(e[k]) == pytest.approx(quad_expected(hinges, hinge, p), abs=tol)
+
+
+def test_engine_matches_quadrature_pll_and_ppll():
     db = random_chain_db(7)
     cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
     grounding = ground_clauses(cands, db)
     obs = db.value_vector()
     rng = np.random.default_rng(21)
     w = rng.uniform(0, 2.5, len(cands))
-    ws = Workspace(grounding, obs, mode="pll")
-    lz = ws.log_partitions(w)
-    for g in range(ws.n_groups):
-        atom = int(ws.group_atom[g])
-        assert log_partition_1d(affine_profile(atom, grounding, w, obs)) == pytest.approx(
-            float(lz[g]), abs=1e-10
-        )
+    for mode in ("pll", "ppll"):
+        assert_engine_matches_quadrature(grounding, obs, w, mode, p=1, tol=1e-10)
 
 
 def test_engine_squared_hinge_matches_profiles_and_quadrature():
@@ -269,12 +297,8 @@ def test_engine_squared_hinge_matches_profiles_and_quadrature():
     obs = db.value_vector()
     rng = np.random.default_rng(4)
     w = rng.uniform(0.1, 2.0, len(cands))
-    ws = Workspace(grounding, obs, mode="pll", p=2)
-    lz = ws.log_partitions(w)
-    for g in range(ws.n_groups):
-        atom = int(ws.group_atom[g])
-        prof = affine_profile(atom, grounding, w, obs, p=2)
-        assert log_partition_1d(prof) == pytest.approx(float(lz[g]), abs=1e-9)
+    for mode in ("pll", "ppll"):
+        assert_engine_matches_quadrature(grounding, obs, w, mode, p=2, tol=1e-9)
     # gradient against finite differences of the p=2 objective
     from hlsl.learning import objective_gradient
 
