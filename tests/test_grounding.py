@@ -148,13 +148,27 @@ def test_incidence_is_exact(citation_db):
             keys = list(zip(ws.pair_ground.tolist(), ws.pair_atom.tolist()))
             assert len(set(keys)) == ws.n_pairs == len(keys)
             assert dict(zip(keys, ws.pair_b.tolist())) == term_pairs(grounding)
-
-    example, prior_only, empty = (Workspace(g, citation_db.value_vector()) for g in cases[:3])
-    # the rule's grounding touches both Mentions atoms; each prior grounding one
-    assert np.bincount(example.pair_atom).tolist() == [0, 2, 2]
-    assert prior_only.pair_atom.tolist() == [1, 2] and prior_only.pair_b.tolist() == [1.0, 1.0]
-    assert empty.n_pairs == 0
     assert Workspace(cases[4], repeated.value_vector()).pair_b.tolist() == [0.0, -1.0]
+
+
+def test_incidence_example(citation_db):
+    clause = parse_clause("Cites(V1,V2) & Mentions(V2,V3) -> Mentions(V1,V3)", citation_db)
+    grounding = ground_clauses([clause, negative_prior("Mentions")], citation_db)
+    ws = Workspace(grounding, citation_db.value_vector())
+    # rule grounding touches both Mentions atoms; each prior grounding one
+    counts = np.bincount(ws.pair_atom, minlength=3)
+    assert counts[2] == 2  # head of the rule + its prior
+    assert counts[1] == 2  # body of the rule + its prior
+    assert counts[0] == 0  # Cites is evidence, never a pair
+
+
+def test_incidence_empty_and_prior_only(citation_db):
+    empty = Workspace(ground_clauses([], citation_db), citation_db.value_vector())
+    assert empty.n_pairs == 0
+    prior = ground_clauses([negative_prior("Mentions")], citation_db)
+    ws = Workspace(prior, citation_db.value_vector())
+    assert ws.pair_atom.tolist() == [1, 2] and ws.pair_b.tolist() == [1.0, 1.0]
+    assert np.bincount(ws.pair_atom, minlength=3)[1:].tolist() == [1, 1]
 
 
 def test_lazy_grounding_only_frees_targets():
