@@ -493,7 +493,7 @@ def read_clause_file(
     stream: IO[str] | Iterable[str], schema: dict[str, PredicateSymbol] | AtomDatabase
 ) -> list[PathClause]:
     """Read clauses written by `write_clause_file`; the coverage column is
-    optional and restored when present."""
+    optional and restored when present, and must be a non-negative integer."""
     clauses = []
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
@@ -505,6 +505,8 @@ def read_clause_file(
         except MalformedLine as exc:
             raise MalformedLine(line_no, str(exc)) from None
         if len(fields) > 1 and fields[1].strip():
+            if not fields[1].strip().isdecimal():
+                raise MalformedLine(line_no, f"bad coverage {fields[1]!r}")
             clause = PathClause(clause.body, clause.head, coverage=int(fields[1]))
         clauses.append(clause)
     return clauses

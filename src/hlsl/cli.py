@@ -23,7 +23,7 @@ import numpy as np
 from .clauses import GenerationConfig, generate_candidates, read_clause_file, write_clause_file
 from .data import AtomDatabase, load_database, parse_schema, read_atom_file, round_value
 from .data import build_adjacency  # noqa: F401  (a patch point of perfbench/tracer.py)
-from .errors import HlslError, MalformedLine, NoCandidates
+from .errors import DuplicateAtom, HlslError, MalformedLine, NoCandidates
 from .grounding import ground_clauses
 from .inference import auc_roc, map_infer
 from .learning import (
@@ -267,11 +267,14 @@ def cmd_eval(predictions_path: str, labels_path: str, out_path: str, threshold: 
             raise MalformedLine(line_no, f"{predictions_path}: expected predicate, arg1, arg2, score")
         if not math.isfinite(score):
             raise MalformedLine(line_no, f"{predictions_path}: non-finite score {score!r}")
+        if (pred, arg1, arg2) in scores:
+            raise DuplicateAtom(f"{pred}({arg1},{arg2})")
         scores[(pred, arg1, arg2)] = score
-    labels = {
-        (pred, arg1, arg2): round_value(value, threshold)
-        for _, pred, arg1, arg2, value in read_atom_file(labels_path)
-    }
+    labels: dict[tuple[str, str, str], int] = {}
+    for _, pred, arg1, arg2, value in read_atom_file(labels_path):
+        if (pred, arg1, arg2) in labels:
+            raise DuplicateAtom(f"{pred}({arg1},{arg2})")
+        labels[(pred, arg1, arg2)] = round_value(value, threshold)
     result = auc_roc(scores, labels)
     runtime = time.perf_counter() - started
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -141,7 +141,8 @@ class Workspace:
     mode='pll' groups hinges by variable; mode='ppll' groups them by
     (clause, variable). All arrays are flat and index-aligned:
 
-      pairs  - one entry per (ground clause, variable) occurrence, holding
+      pairs  - one entry per (ground clause, variable) occurrence, as
+               `Grounding.pairs` gives them for the target atoms, holding
                the hinge coefficients (a, b) with every other atom folded at
                its observed value, the owning clause, and the penalty of the
                whole ground clause at the observed assignment;
@@ -164,21 +165,11 @@ class Workspace:
         inner_obs = grounding.inner_values(values)
         obs_phi = np.maximum(inner_obs, 0.0) ** p
 
-        tmask = db.target_mask()[grounding.term_atom]
-        t_ground = grounding.term_ground[tmask]
-        t_atom = grounding.term_atom[tmask]
-        t_coef = grounding.term_coef[tmask]
-
-        key = t_ground * np.int64(n_atoms) + t_atom
-        ukey, inv = np.unique(key, return_inverse=True)
-        K = len(ukey)
-        self.pair_ground = (ukey // n_atoms).astype(np.int64)
-        self.pair_atom = (ukey % n_atoms).astype(np.int64)
-        self.pair_b = np.bincount(inv, weights=t_coef, minlength=K)
+        self.pair_ground, self.pair_atom, self.pair_b = grounding.pairs(db.target_mask())
         self.pair_a = inner_obs[self.pair_ground] - self.pair_b * values[self.pair_atom]
         self.pair_clause = grounding.g_clause[self.pair_ground]
         self.pair_obs_phi = obs_phi[self.pair_ground]
-        self.n_pairs = K
+        self.n_pairs = len(self.pair_ground)
 
         if mode == "pll":
             gkey = self.pair_atom
@@ -341,11 +332,7 @@ class Workspace:
         """Per-variable (log Z, observed energy), aggregated over groups."""
         if self.n_groups == 0:
             return {}
-        logz = self.log_partitions(w)
-        energy = self.observed_energies(w)
-        out: dict[int, tuple[float, float]] = {}
-        for g in range(self.n_groups):
-            atom = int(self.group_atom[g])
-            z, e = out.get(atom, (0.0, 0.0))
-            out[atom] = (z + float(logz[g]), e + float(energy[g]))
-        return out
+        # bincount adds in group order, as a loop over the groups would
+        logz = np.bincount(self.group_atom, weights=self.log_partitions(w))
+        energy = np.bincount(self.group_atom, weights=self.observed_energies(w))
+        return {int(a): (float(logz[a]), float(energy[a])) for a in np.unique(self.group_atom)}

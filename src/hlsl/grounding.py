@@ -145,6 +145,17 @@ class Grounding:
             np.add.at(inner, self.term_ground, self.term_coef * values[self.term_atom])
         return inner
 
+    def pairs(self, variables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One (ground, atom, coefficient) row per distinct (ground clause,
+        atom) of the atoms flagged in the boolean mask `variables`, sorted by
+        (ground, atom), each coefficient summed in term order."""
+        keep = variables[self.term_atom]
+        n_atoms = np.int64(len(variables))
+        key = self.term_ground[keep] * n_atoms + self.term_atom[keep]
+        ukey, inv = np.unique(key, return_inverse=True)
+        coef = np.bincount(inv, weights=self.term_coef[keep], minlength=len(ukey))
+        return ukey // n_atoms, ukey % n_atoms, coef
+
     def penalties(self, values: np.ndarray, p: int = 1) -> np.ndarray:
         """Hinge penalty of every ground clause under an assignment."""
         phi = np.maximum(self.inner_values(values), 0.0)

@@ -5,7 +5,8 @@ variables, a convex problem solved here by round-robin exact coordinate
 minimization: each variable's conditional cost is piecewise linear (or
 piecewise quadratic for the squared hinge), so its exact minimum lies among
 the interval endpoints, the hinge roots and, for p=2, the per-piece vertex.
-Ties resolve to the smallest candidate value for determinism.
+Ties resolve to the smallest candidate value for determinism. The hinges
+are the (ground clause, atom) rows of `Grounding.pairs`, viewed atom-major.
 
 Per-variable moves alone can stall when variables are locked together by
 opposing pairwise hinges (the kink of |y_i - y_j| is invisible to any
@@ -17,6 +18,7 @@ non-increasing and the result is deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -39,24 +41,38 @@ class MapSolution:
     objective: float
 
 
-def _candidate_values(hinges: list[tuple[float, float, float]], lo: float, hi: float, p: int) -> set[float]:
-    """Candidate minimizers of sum_j w_j * max(a_j + b_j t, 0)**p on [lo, hi]:
-    the ends, the hinge roots inside, and for p=2 each piece's vertex."""
-    cands = {lo, hi}
-    for _w, a, b in hinges:
-        if b != 0.0 and lo < -a / b < hi:
-            cands.add(-a / b)
+def _line_costs(w: np.ndarray, a: np.ndarray, b: np.ndarray, lo, hi, p: int, extra=()) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate minimizers t of sum_j w_j * max(a_j + b_j t, 0)**p on
+    [lo, hi], ascending, and the cost at each. The candidates are the ends,
+    the hinge roots inside, for p=2 each piece's vertex, and `extra`.
+
+    Every sum runs sequentially in hinge order: flat minima are common, and
+    a pairwise sum could change a last bit and with it the chosen candidate.
+    """
+    roots = (-x / y for x, y in zip(a.tolist(), b.tolist()) if y != 0.0)
+    cands = {lo, hi, *(r for r in roots if lo < r < hi)}
     if p == 2:
         # the cost is quadratic between consecutive roots; add each piece's vertex
-        points = sorted(cands)
-        for seg_lo, seg_hi in zip(points, points[1:]):
-            mid = 0.5 * (seg_lo + seg_hi)
-            active = [(w, a, b) for w, a, b in hinges if a + b * mid > 0.0]
-            c2 = sum(w * b * b for w, a, b in active)
-            c1 = sum(2.0 * w * a * b for w, a, b in active)
-            if c2 > 0.0 and seg_lo < -c1 / (2.0 * c2) < seg_hi:
-                cands.add(-c1 / (2.0 * c2))
-    return cands
+        points = np.array(sorted(cands))
+        active = a + b * (0.5 * (points[:-1] + points[1:]))[:, None] > 0.0
+        c2 = _sequential_sum(np.where(active, w * b * b, 0.0))
+        c1 = _sequential_sum(np.where(active, 2.0 * w * a * b, 0.0))
+        curved = c2 > 0.0
+        vertex = -c1[curved] / (2.0 * c2[curved])
+        cands.update(vertex[(points[:-1][curved] < vertex) & (vertex < points[1:][curved])].tolist())
+    t = np.array(sorted(cands.union(extra)))
+    phi = np.maximum(a + b * t[:, None], 0.0)
+    return t, _sequential_sum(w * (phi if p == 1 else _pow(phi, 2.0).astype(np.float64)))
+
+
+# Python's float power, the C library's pow: phi**2 there can differ from
+# numpy's phi * phi in the last bit, and the costs must match a Python loop's
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _sequential_sum(rows: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, as a Python loop adds them."""
+    return rows.cumsum(axis=1)[:, -1]
 
 
 def map_infer(
@@ -82,89 +98,69 @@ def map_infer(
     values = db.value_vector()
     values[free] = 0.0
     weights = np.asarray(model.weights, dtype=np.float64)
-
-    # static per-ground data: owning weight, and each free atom's coefficient
     g_weight = weights[grounding.g_clause] if len(grounding) else np.zeros(0)
-    coef: dict[int, dict[int, float]] = {i: {} for i in free}
-    free_set = set(free)
-    for gid, atom, c in zip(grounding.term_ground, grounding.term_atom, grounding.term_coef):
-        if atom in free_set:
-            coef[int(atom)][int(gid)] = coef[int(atom)].get(int(gid), 0.0) + float(c)
+
+    # the free atoms' pairs, atom-major: atom x's are rows ptr[x]:ptr[x+1], grounds ascending
+    ground, atom, coef = grounding.pairs(np.isin(np.arange(len(values)), free))
+    by_atom = np.argsort(atom, kind="stable")
+    x_ground, x_coef = ground[by_atom], coef[by_atom]
+    ptr = [0, *np.cumsum(np.bincount(atom, minlength=len(values))).tolist()]
 
     inner = grounding.inner_values(values)
 
-    # variable pairs coupled through a shared ground clause
-    ground_vars: dict[int, list[int]] = {}
-    for atom in free:
-        for gid in coef[atom]:
-            ground_vars.setdefault(gid, []).append(atom)
-    pair_set: set[tuple[int, int]] = set()
-    for members in ground_vars.values():
-        uniq = sorted(set(members))
-        for a in range(len(uniq)):
-            for b in range(a + 1, len(uniq)):
-                pair_set.add((uniq[a], uniq[b]))
-    pairs = sorted(pair_set)
+    # variable pairs coupled through a shared ground clause: each row with the later rows of its ground
+    later = np.searchsorted(ground, ground, "right") - np.arange(len(ground)) - 1
+    first = np.repeat(np.arange(len(ground)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    key = np.unique(atom[first] * np.int64(len(values)) + atom[second])
+    pairs = list(zip((key // len(values)).tolist(), (key % len(values)).tolist()))
     groups = _connected_groups(pairs, limit=2000)
+    # an uncoupled atom that stayed put stays put: no other move touches its grounds
+    coupled, settled = {x for pair in pairs for x in pair}, set()
 
     def objective() -> float:
-        if not len(inner):
-            return 0.0
         return float((g_weight * np.maximum(inner, 0.0) ** p).sum())
 
-    def move_single(atom: int) -> None:
-        incident = coef[atom]
-        if not incident:
+    def move_single(x: int) -> None:
+        rows = slice(ptr[x], ptr[x + 1])
+        if rows.start == rows.stop or x in settled:
             return
-        y_old = values[atom]
-        hinges = []
-        for gid, b in incident.items():
-            a = inner[gid] - b * y_old
-            hinges.append((float(g_weight[gid]), float(a), float(b)))
-        best_y, best_cost = 0.0, np.inf
-        for y in sorted(_candidate_values(hinges, 0.0, 1.0, p)):
-            cost = sum(w * max(a + b * y, 0.0) ** p for w, a, b in hinges)
-            if cost < best_cost:  # strict: ties keep the smaller candidate
-                best_y, best_cost = y, cost
+        gids, b, y_old = x_ground[rows], x_coef[rows], values[x]
+        y, cost = _line_costs(g_weight[gids], inner[gids] - b * y_old, b, 0.0, 1.0, p)
+        best_y = y[cost.argmin()]  # the first minimum: ties keep the smaller candidate
         if best_y != y_old:
-            values[atom] = best_y
-            for gid, b in incident.items():
-                inner[gid] += b * (best_y - y_old)
+            values[x] = best_y
+            inner[gids] += b * (best_y - y_old)
+        elif x not in coupled:
+            settled.add(x)
 
     def move_line(atoms: tuple[int, ...], dirs: tuple[float, ...]) -> None:
         """Exact line search along y_atoms += dirs * t inside the box."""
-        lo, hi = -np.inf, np.inf
-        for atom, d in zip(atoms, dirs):
-            if d > 0:
-                lo, hi = max(lo, -values[atom]), min(hi, 1.0 - values[atom])
-            else:
-                lo, hi = max(lo, values[atom] - 1.0), min(hi, values[atom])
+        y, up = values[list(atoms)], np.array(dirs) > 0
+        lo, hi = max(np.where(up, -y, y - 1.0)), min(np.where(up, 1.0 - y, y))
         if hi <= lo:
             return
-        involved = sorted(set().union(*(coef[a].keys() for a in atoms)))
-        hinges = []
-        for gid in involved:
-            slope = sum(d * coef[a].get(gid, 0.0) for a, d in zip(atoms, dirs))
-            hinges.append((float(g_weight[gid]), float(inner[gid]), float(slope)))
-        cands = _candidate_values(hinges, lo, hi, p)
-        cands.add(0.0)
-        best_t = 0.0
-        best_cost = sum(w * max(a, 0.0) ** p for w, a, _b in hinges)
-        for t in sorted(cands, key=lambda t: (abs(t), t)):
-            cost = sum(w * max(a + b * t, 0.0) ** p for w, a, b in hinges)
-            if cost < best_cost - 1e-15:  # strict: prefer not moving on ties
-                best_t, best_cost = t, cost
+        involved = np.unique(np.concatenate([x_ground[ptr[x] : ptr[x + 1]] for x in atoms]))
+        terms = np.zeros((len(involved), len(atoms)))  # d * coefficient, 0 where absent
+        for k, (x, d) in enumerate(zip(atoms, dirs)):
+            rows = slice(ptr[x], ptr[x + 1])
+            terms[np.searchsorted(involved, x_ground[rows]), k] = d * x_coef[rows]
+        slope = _sequential_sum(terms)  # summed in atom order
+        t, cost = _line_costs(g_weight[involved], inner[involved], slope, lo, hi, p, extra=(0.0,))
+        best_t, best_cost = 0.0, cost[t == 0.0][0]
+        # (|t|, t) order; only a candidate below the start can ever be taken
+        for k in sorted(np.flatnonzero(cost < best_cost - 1e-15), key=lambda k: (abs(t[k]), t[k])):
+            if cost[k] < best_cost - 1e-15:  # strict: prefer not moving on ties
+                best_t, best_cost = t[k], cost[k]
         if best_t != 0.0:
-            for atom, d in zip(atoms, dirs):
-                values[atom] += d * best_t
-            for gid in involved:
-                slope = sum(d * coef[a].get(gid, 0.0) for a, d in zip(atoms, dirs))
-                inner[gid] += slope * best_t
+            for x, d in zip(atoms, dirs):
+                values[x] += d * best_t
+            inner[involved] += slope * best_t
 
     obj = objective()
     for _ in range(max_sweeps):
-        for atom in free:
-            move_single(atom)
+        for x in free:
+            move_single(x)
         new_obj = objective()
         if obj - new_obj < tol:
             # plain sweeps plateaued: search diagonal directions of coupled groups

@@ -362,6 +362,19 @@ def test_eval_rejects_malformed_rows(tmp_path, capsys, predictions, labels):
     assert single_error(capsys).startswith("error:MalformedLine:line 1:")
 
 
+@pytest.mark.parametrize("coverage", ["abc", "-3", "1.5"])
+def test_learn_rejects_bad_clause_coverage(recovery_dir, tmp_path, capsys, coverage):
+    clauses = tmp_path / "clauses.tsv"
+    clauses.write_text(f"Link(V1,V2) -> T(V1,V2)\t{coverage}\n-> !T(A,B)\t5\n")
+    code = run(
+        "learn", "--schema", recovery_dir / "schema.tsv", "--observed", recovery_dir / "observed.tsv",
+        "--train", recovery_dir / "train.tsv", "--clauses", clauses, "--out", tmp_path / "model.tsv",
+    )
+    assert code == 1
+    assert single_error(capsys) == f"error:MalformedLine:line 1: bad coverage {coverage!r}"
+    assert not (tmp_path / "model.tsv").exists()
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf"])
 def test_infer_rejects_non_finite_weight(recovery_dir, tmp_path, capsys, weight):
     model = tmp_path / "model.tsv"

@@ -1,14 +1,15 @@
 """MAP inference and AUC evaluation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_chain_db
+from conftest import candidate_values, dict_map_infer, random_chain_db, random_map_instance
 
 from hlsl.clauses import GenerationConfig, generate_candidates, negative_prior, parse_clause
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency
 from hlsl.errors import DegenerateLabels
 from hlsl.grounding import ground_clauses
-from hlsl.inference import auc_roc, map_infer
+from hlsl.inference import _line_costs, auc_roc, map_infer
 from hlsl.learning import WeightedModel
 
 
@@ -66,7 +67,7 @@ def test_map_objective_nonincreasing_over_sweeps():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_map_matches_grid_search_small(seed):
-    from conftest import chain_grid_min, random_map_instance
+    from conftest import chain_grid_min
 
     db, model, grounding, free = random_map_instance(seed)
     sol = map_infer(model, db, free_atoms=free, grounding=grounding)
@@ -101,6 +102,109 @@ def test_map_on_clause_groundings_matches_grid():
 
     want = chain_grid_min(model, grounding, db, free)
     assert abs(sol.objective - want) <= 1e-3
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_map_matches_dict_oracle(p):
+    # exact equality: a last-bit change in a cost can flip a flat minimum
+    for seed in range(150):
+        db, model, grounding, free = random_map_instance(seed)
+        sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+        values, objective = dict_map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+        assert sol.values == values and sol.objective == objective, seed
+
+
+def test_line_costs_match_python_loops():
+    # Python's float ** 2 (the C library's pow) and numpy's square differ in
+    # the last bit for about one value in a thousand, and numpy's pairwise
+    # sum differs from a loop's from 8 terms on; the costs must match loops
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        w, a = rng.uniform(0.1, 2.0, n), rng.uniform(-2.0, 2.0, n)
+        b = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], n)
+        line = rng.random() < 0.5
+        lo, hi, extra = (rng.uniform(-1.0, 0.0), rng.uniform(0.0, 1.0), (0.0,)) if line else (0.0, 1.0, ())
+        hinges = list(zip(w.tolist(), a.tolist(), b.tolist()))
+        for p in (1, 2):
+            t, cost = _line_costs(w, a, b, lo, hi, p, extra)
+            want = sorted(candidate_values(hinges, lo, hi, p).union(extra))
+            assert t.tolist() == want
+            assert cost.tolist() == [sum(wj * max(aj + bj * y, 0.0) ** p for wj, aj, bj in hinges) for y in want]
+
+
+COUPLED_CLAUSES = [
+    "R(V1,V2) -> T(V1,V2)",
+    "R(V1,V2) & R(V2,V3) -> T(V1,V3)",
+    "T(V1,V2) & R(V2,V3) -> T(V1,V3)",
+    "R(V1,V2) & T(V2,V3) -> !T(V1,V3)",
+    "T(V1,V2) & R(V3,V2) -> T(V1,V3)",
+]
+
+
+@st.composite
+def coupled_instances(draw):
+    """A chain database over one pool of constants whose model has
+    target-in-body clauses, so that free target atoms share ground clauses.
+    T(x0,x1), T(x0,x2) and R(x1,x2) are always present, which couples the
+    two targets through `T(V1,V2) & R(V2,V3) -> T(V1,V3)`."""
+    n = draw(st.integers(3, 9))
+    names = [f"x{i}" for i in range(n)]
+    cells = [(a, b) for a in names for b in names if a != b]
+    edges = draw(st.lists(st.sampled_from(cells), unique=True, min_size=n, max_size=4 * n))
+    targets = draw(st.lists(st.sampled_from(cells), unique=True, min_size=n, max_size=3 * n))
+    # values and weights off the binary lattice, so that sums round
+    value = st.integers(0, 1000).map(lambda k: k / 1000)
+    db = AtomDatabase([PredicateSymbol("R"), PredicateSymbol("T", is_target=True)])
+    for a, b in [("x1", "x2")] + [e for e in edges if e != ("x1", "x2")]:
+        db.add_atom("R", a, b, 1.0 if (a, b) == ("x1", "x2") else draw(value))
+    for a, b in [("x0", "x1"), ("x0", "x2")] + [t for t in targets if t not in (("x0", "x1"), ("x0", "x2"))]:
+        db.add_atom("T", a, b, draw(value))
+    build_adjacency(db)
+    texts = draw(st.lists(st.sampled_from(COUPLED_CLAUSES), unique=True, min_size=1))
+    if "T(V1,V2) & R(V2,V3) -> T(V1,V3)" not in texts:
+        texts.append("T(V1,V2) & R(V2,V3) -> T(V1,V3)")
+    clauses = [parse_clause(t, db) for t in texts] + [negative_prior("T")]
+    weight = st.integers(100, 2000).map(lambda k: k / 1000)
+    weights = draw(st.lists(weight, min_size=len(clauses), max_size=len(clauses)))
+    targets = list(db.targets)
+    free = targets if draw(st.booleans()) else sorted(draw(st.sets(st.sampled_from(targets), min_size=1)) | set(targets[:2]))
+    return db, WeightedModel(clauses, np.array(weights)), free, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coupled_instances())
+def test_map_matches_dict_oracle_on_coupled_chain_databases(instance):
+    db, model, free, p = instance
+    grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free))
+    # some ground clause holds two distinct free atoms, so diagonal moves run
+    is_free = np.isin(grounding.term_atom, free)
+    assert any(
+        len(set(grounding.term_atom[s : s + c][is_free[s : s + c]])) >= 2
+        for s, c in zip(grounding.term_start, grounding.term_count)
+    )
+    sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+    values, objective = dict_map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+    assert sol.values == values and sol.objective == objective
+
+
+def test_map_line_moves_keep_the_margin():
+    # a shrunk instance of the hypothesis test above on which a line move
+    # without the 1e-15 margin takes a rounding-noise decrease at p=2
+    db = AtomDatabase([PredicateSymbol("R"), PredicateSymbol("T", is_target=True)])
+    for a, b, v in [("x1", "x2", 1.0), ("x2", "x3", 0.5), ("x0", "x5", 0.5), ("x3", "x5", 0.751), ("x5", "x4", 0.501)]:
+        db.add_atom("R", a, b, v)
+    free = [db.add_atom("T", "x0", f"x{k}", 0.0).index for k in range(1, 6)]
+    for a, b in [("x0", "x6"), ("x1", "x0"), ("x1", "x2"), ("x1", "x3"), ("x1", "x4"), ("x1", "x5"), ("x1", "x6"),
+                 ("x2", "x0"), ("x2", "x1"), ("x2", "x3")]:
+        db.add_atom("T", a, b, 0.0)
+    build_adjacency(db)
+    clauses = [parse_clause(text, db) for text in COUPLED_CLAUSES] + [negative_prior("T")]
+    model = WeightedModel(clauses, np.full(len(clauses), 0.1))
+    grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free))
+    sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=2)
+    values, objective = dict_map_infer(model, db, free_atoms=free, grounding=grounding, p=2)
+    assert sol.values == values and sol.objective == objective
 
 
 def test_auc_examples():

@@ -53,7 +53,9 @@ def run_readers(files: dict[str, str]) -> list[tuple[int, str]]:
 
 
 # One fault appended to one valid file, and the error line it gives; the
-# lines are those of the per-row loader the bulk loader replaced.
+# loader lines are those of the per-row loader the bulk loader replaced, and
+# a repeated atom in `--labels` or `--predictions` is a `DuplicateAtom` as in
+# the loaders.
 SINGLE_FAULTS = [
     ('schema', 'U\n', "error:MalformedLine:line 4: expected 'name<TAB>target|evidence', got 'U'"),
     ('schema', 'U\tsometimes\n', "error:MalformedLine:line 4: role must be 'target' or 'evidence', got 'sometimes'"),
@@ -86,11 +88,13 @@ SINGLE_FAULTS = [
     ('labels', 'T\tx\ty\tnan\n', 'error:ValueOutOfRange:value nan outside [0, 1]'),
     ('labels', 'T\tx\ty\t2\n', 'error:ValueOutOfRange:value 2.0 outside [0, 1]'),
     ('labels', 'T\tx\ty\t\n', "error:MalformedLine:line 3: {d}/labels.tsv: bad value ''"),
+    ('labels', 'T\ta\tb\t0\n', 'error:DuplicateAtom:T(a,b)'),
     ('predictions', 'T\tx\ty\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: expected predicate, arg1, arg2, score'),
     ('predictions', 'T\tx\ty\tinf\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: non-finite score inf'),
     ('predictions', 'T\tx\ty\tnan\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: non-finite score nan'),
     ('predictions', 'T\tx\ty\t1\t2\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: expected 3 or 4 tab-separated fields, got 5'),
     ('predictions', 'T\t\ty\t0.5\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: empty field'),
+    ('predictions', 'T\tc\ta\t0.9\n', 'error:DuplicateAtom:T(c,a)'),
 ]
 
 
