@@ -284,121 +284,70 @@ def dfs_ground_clause(clause, db, free_atoms=None, strict=False):
     return sorted(grounds)
 
 
-def candidate_values(hinges, lo, hi, p):
-    """Candidate minimizers of sum_j w_j * max(a_j + b_j t, 0)**p on [lo, hi]
-    for hinges (w, a, b), by Python loops: the ends, the hinge roots inside,
-    and for p=2 each piece's vertex."""
-    cands = {lo, hi}
-    for _w, a, b in hinges:
-        if b != 0.0 and lo < -a / b < hi:
-            cands.add(-a / b)
-    if p == 2:
-        points = sorted(cands)
-        for seg_lo, seg_hi in zip(points, points[1:]):
-            mid = 0.5 * (seg_lo + seg_hi)
-            active = [(w, a, b) for w, a, b in hinges if a + b * mid > 0.0]
-            c2 = sum(w * b * b for w, a, b in active)
-            c1 = sum(2.0 * w * a * b for w, a, b in active)
-            if c2 > 0.0 and seg_lo < -c1 / (2.0 * c2) < seg_hi:
-                cands.add(-c1 / (2.0 * c2))
-    return cands
+def map_objective(model, grounding, db, free, y, p):
+    """Total weighted penalty with the free atoms at `y` (in `free` order)."""
+    values = db.value_vector()
+    values[free] = y
+    weights = np.asarray(model.weights, dtype=np.float64)[grounding.g_clause]
+    return float((weights * grounding.penalties(values, p)).sum())
 
 
-def dict_map_infer(model, db, free_atoms=None, grounding=None, p=1, max_sweeps=500, tol=1e-6):
-    """Reference MAP: the same coordinate and diagonal line moves as
-    `map_infer`, over a dict-of-dicts `coef[atom][ground]` built by a Python
-    walk of the term arrays, with every sum a Python loop. Returns
-    (values, objective) and must match `map_infer` exactly."""
-    from hlsl.grounding import ground_clauses
-    from hlsl.inference import _connected_groups, _diag_directions
+def map_hinges(model, grounding, db, free):
+    """The MAP problem over `Grounding.pairs`: a sparse (ground clause x free
+    atom) coefficient matrix, each ground's constant with the free atoms at
+    0, and its weight."""
+    from scipy.sparse import csr_matrix
 
-    free = list(db.targets) if free_atoms is None else list(free_atoms)
-    if grounding is None:
-        grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free))
     values = db.value_vector()
     values[free] = 0.0
-    weights = np.asarray(model.weights, dtype=np.float64)
-    g_weight = weights[grounding.g_clause] if len(grounding) else np.zeros(0)
-    coef = {i: {} for i in free}
-    free_set = set(free)
-    for gid, atom, c in zip(grounding.term_ground, grounding.term_atom, grounding.term_coef):
-        if atom in free_set:
-            coef[int(atom)][int(gid)] = coef[int(atom)].get(int(gid), 0.0) + float(c)
-    inner = grounding.inner_values(values)
-    ground_vars = {}
-    for atom in free:
-        for gid in coef[atom]:
-            ground_vars.setdefault(gid, []).append(atom)
-    pair_set = set()
-    for members in ground_vars.values():
-        uniq = sorted(set(members))
-        for a in range(len(uniq)):
-            for b in range(a + 1, len(uniq)):
-                pair_set.add((uniq[a], uniq[b]))
-    groups = _connected_groups(sorted(pair_set), limit=2000)
+    column = np.full(len(values), -1)
+    column[free] = np.arange(len(free))
+    ground, atom, coef = grounding.pairs(column >= 0)
+    matrix = csr_matrix((coef, (ground, column[atom])), shape=(len(grounding), len(free)))
+    weights = np.asarray(model.weights, dtype=np.float64)[grounding.g_clause]
+    return matrix, grounding.inner_values(values), weights
 
-    def objective():
-        if not len(inner):
-            return 0.0
-        return float((g_weight * np.maximum(inner, 0.0) ** p).sum())
 
-    def move_single(atom):
-        incident = coef[atom]
-        if not incident:
-            return
-        y_old = values[atom]
-        hinges = [(float(g_weight[gid]), float(inner[gid] - b * y_old), float(b)) for gid, b in incident.items()]
-        best_y, best_cost = 0.0, np.inf
-        for y in sorted(candidate_values(hinges, 0.0, 1.0, p)):
-            cost = sum(w * max(a + b * y, 0.0) ** p for w, a, b in hinges)
-            if cost < best_cost:
-                best_y, best_cost = y, cost
-        if best_y != y_old:
-            values[atom] = best_y
-            for gid, b in incident.items():
-                inner[gid] += b * (best_y - y_old)
+def lp_map_oracle(model, grounding, db, free):
+    """Exact p=1 MAP as a linear program (scipy HiGHS): minimize sum_g w_g t_g
+    subject to t_g >= c_g + a_g . y, t_g >= 0 and 0 <= y <= 1. Returns the
+    objective at the LP's point."""
+    from scipy.optimize import linprog
+    from scipy.sparse import eye, hstack
 
-    def move_line(atoms, dirs):
-        lo, hi = -np.inf, np.inf
-        for atom, d in zip(atoms, dirs):
-            if d > 0:
-                lo, hi = max(lo, -values[atom]), min(hi, 1.0 - values[atom])
-            else:
-                lo, hi = max(lo, values[atom] - 1.0), min(hi, values[atom])
-        if hi <= lo:
-            return
-        involved = sorted(set().union(*(coef[a].keys() for a in atoms)))
-        hinges = []
-        for gid in involved:
-            slope = sum(d * coef[a].get(gid, 0.0) for a, d in zip(atoms, dirs))
-            hinges.append((float(g_weight[gid]), float(inner[gid]), float(slope)))
-        cands = candidate_values(hinges, lo, hi, p)
-        cands.add(0.0)
-        best_t = 0.0
-        best_cost = sum(w * max(a, 0.0) ** p for w, a, _b in hinges)
-        for t in sorted(cands, key=lambda t: (abs(t), t)):
-            cost = sum(w * max(a + b * t, 0.0) ** p for w, a, b in hinges)
-            if cost < best_cost - 1e-15:
-                best_t, best_cost = t, cost
-        if best_t != 0.0:
-            for atom, d in zip(atoms, dirs):
-                values[atom] += d * best_t
-            for gid in involved:
-                slope = sum(d * coef[a].get(gid, 0.0) for a, d in zip(atoms, dirs))
-                inner[gid] += slope * best_t
+    matrix, const, weights = map_hinges(model, grounding, db, free)
+    n, m = len(free), len(grounding)
+    res = linprog(
+        np.concatenate([np.zeros(n), weights]),
+        A_ub=hstack([matrix, -eye(m)]).tocsr() if m else None,
+        b_ub=-const if m else None,
+        bounds=[(0.0, 1.0)] * n + [(0.0, None)] * m,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return map_objective(model, grounding, db, free, np.clip(res.x[:n], 0.0, 1.0), 1)
 
-    obj = objective()
-    for _ in range(max_sweeps):
-        for atom in free:
-            move_single(atom)
-        new_obj = objective()
-        if obj - new_obj < tol:
-            for group in groups:
-                for dirs in _diag_directions(len(group)):
-                    move_line(group, dirs)
-            new_obj = objective()
-        if obj - new_obj < tol:
-            obj = new_obj
-            break
-        obj = new_obj
-    return {i: float(values[i]) for i in free}, obj
+
+def lbfgs_map_oracle(model, grounding, db, free):
+    """p=2 MAP by L-BFGS-B on the smooth squared-hinge objective, from the
+    all-0 and the all-1 start; returns the lower objective."""
+    from scipy.optimize import minimize
+
+    matrix, const, weights = map_hinges(model, grounding, db, free)
+
+    def f(y):
+        phi = np.maximum(const + matrix @ y, 0.0)
+        return float(weights @ (phi * phi)), matrix.T @ (2.0 * weights * phi)
+
+    ends = [
+        minimize(f, np.full(len(free), start), jac=True, method="L-BFGS-B", bounds=[(0.0, 1.0)] * len(free),
+                 options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000}).x
+        for start in (0.0, 1.0)
+    ]
+    return min(map_objective(model, grounding, db, free, np.clip(y, 0.0, 1.0), 2) for y in ends)
+
+
+def map_oracle(model, grounding, db, free, p):
+    """The oracle's MAP objective at p = 1 or 2."""
+    oracle = lp_map_oracle if p == 1 else lbfgs_map_oracle
+    return oracle(model, grounding, db, list(free))

@@ -302,7 +302,7 @@ def test_c09_determinism(tmp_path):
     report(9, "determinism", all(same), f"clauses/model/predictions identical: {same}")
 
 
-# -- 10. coordinate-descent MAP vs exhaustive grid search ----------------------
+# -- 10. ADMM MAP vs exhaustive grid search -----------------------------------
 
 
 def test_c10_map_grid_oracle():

@@ -251,6 +251,29 @@ def test_infer_eval_perfect_signal_auc_one(tmp_path):
     assert float(metrics.read_text().splitlines()[1].split("\t")[0]) == 1.0
 
 
+def test_infer_prints_no_negative_zero(tmp_path):
+    # a coupled model whose MAP puts most held-out atoms at 0: each must print
+    # as "0", never "-0"
+    d = tmp_path / "coupled"
+    d.mkdir()
+    (d / "schema.tsv").write_text("R\tevidence\nT\ttarget\n")
+    names = [f"x{i}" for i in range(8)]
+    observed = [f"R\t{a}\t{b}" for a, b in zip(names, names[1:] + names[:1])] + ["R\tx0\tx0"]
+    test = [f"T\t{a}\t{b}\t{(i + j) % 2}" for i, a in enumerate(names) for j, b in enumerate(names) if i != j]
+    (d / "observed.tsv").write_text("\n".join(observed) + "\n")
+    (d / "train.tsv").write_text("T\tx0\tx9\t1.0\n")
+    (d / "test.tsv").write_text("\n".join(test) + "\n")
+    (d / "model.tsv").write_text(
+        "# hlsl-model v1\n0.5\tR(V1,V2) -> T(V1,V2)\n0.75\tT(V1,V2) & R(V2,V3) -> T(V1,V3)\n1\t-> !T(A,B)\n"
+    )
+    preds = tmp_path / "preds.tsv"
+    base = ("--schema", d / "schema.tsv", "--observed", d / "observed.tsv", "--train", d / "train.tsv")
+    assert run("infer", *base, "--test", d / "test.tsv", "--model", d / "model.tsv", "--out", preds) == 0
+    values = [line.split("\t")[3] for line in preds.read_text().splitlines()]
+    assert len(values) == len(test) and "0" in values
+    assert not any(v.startswith("-") for v in values)
+
+
 def test_learn_diagnostic_dumps(recovery_dir, tmp_path):
     model = tmp_path / "model.tsv"
     score = tmp_path / "score.tsv"

@@ -3,13 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import candidate_values, dict_map_infer, random_chain_db, random_map_instance
+from conftest import grounding_of, map_oracle, random_chain_db, random_map_instance
 
 from hlsl.clauses import GenerationConfig, generate_candidates, negative_prior, parse_clause
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency
 from hlsl.errors import DegenerateLabels
 from hlsl.grounding import ground_clauses
-from hlsl.inference import _line_costs, auc_roc, map_infer
+from hlsl.inference import auc_roc, map_infer
 from hlsl.learning import WeightedModel
 
 
@@ -17,8 +17,11 @@ def test_map_prior_only():
     db = AtomDatabase([PredicateSymbol("T", is_target=True)])
     db.add_atom("T", "x", "y", 1.0)
     build_adjacency(db)
-    sol = map_infer(WeightedModel([negative_prior("T")], np.array([3.0])), db)
+    model = WeightedModel([negative_prior("T")], np.array([3.0]))
+    sol = map_infer(model, db)
     assert sol.values[0] == 0.0 and sol.objective == 0.0
+    with pytest.raises(ValueError):
+        map_infer(model, db, p=3)
 
 
 def rule_and_prior_db():
@@ -39,10 +42,13 @@ def test_map_rule_beats_prior():
 
 
 def test_map_flat_tie_resolves_to_zero():
+    # rule and prior of equal weight: every value in [0, 1] is optimal at
+    # cost 1, and the solver may end anywhere in that flat minimum
     db, rule = rule_and_prior_db()
     model = WeightedModel([rule, negative_prior("T")], np.array([1.0, 1.0]))
     sol = map_infer(model, db)
-    assert sol.values[1] == 0.0
+    assert 0.0 <= sol.values[1] <= 1.0
+    assert sol.objective == pytest.approx(1.0, abs=1e-5)
 
 
 def test_map_empty_model_values_zero():
@@ -52,17 +58,30 @@ def test_map_empty_model_values_zero():
     assert sol.objective == 0.0
 
 
+def within_oracle(sol, want):
+    return abs(sol.objective - want) <= 1e-5 * max(1.0, abs(want))
+
+
 def test_map_objective_nonincreasing_over_sweeps():
+    # ADMM is not monotone in the objective: what must hold is that its end
+    # point reaches the optimum of a mined model
     db = random_chain_db(3)
     cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
     rng = np.random.default_rng(0)
     model = WeightedModel(list(cands), rng.uniform(0, 3, len(cands)))
-    grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(db.targets))
-    objectives = []
-    for sweeps in range(1, 6):
-        sol = map_infer(model, db, grounding=grounding, max_sweeps=sweeps, tol=0.0)
-        objectives.append(sol.objective)
-    assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
+    free = list(db.targets)
+    grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free))
+    for p in (1, 2):
+        sol = map_infer(model, db, grounding=grounding, p=p)
+        assert sol.converged and within_oracle(sol, map_oracle(model, grounding, db, free, p)), p
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_map_matches_oracle_on_random_instances(p):
+    for seed in range(300):
+        db, model, grounding, free = random_map_instance(seed)
+        sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+        assert sol.converged and within_oracle(sol, map_oracle(model, grounding, db, free, p)), seed
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -102,35 +121,6 @@ def test_map_on_clause_groundings_matches_grid():
 
     want = chain_grid_min(model, grounding, db, free)
     assert abs(sol.objective - want) <= 1e-3
-
-
-@pytest.mark.parametrize("p", [1, 2])
-def test_map_matches_dict_oracle(p):
-    # exact equality: a last-bit change in a cost can flip a flat minimum
-    for seed in range(150):
-        db, model, grounding, free = random_map_instance(seed)
-        sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
-        values, objective = dict_map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
-        assert sol.values == values and sol.objective == objective, seed
-
-
-def test_line_costs_match_python_loops():
-    # Python's float ** 2 (the C library's pow) and numpy's square differ in
-    # the last bit for about one value in a thousand, and numpy's pairwise
-    # sum differs from a loop's from 8 terms on; the costs must match loops
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        n = int(rng.integers(1, 30))
-        w, a = rng.uniform(0.1, 2.0, n), rng.uniform(-2.0, 2.0, n)
-        b = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], n)
-        line = rng.random() < 0.5
-        lo, hi, extra = (rng.uniform(-1.0, 0.0), rng.uniform(0.0, 1.0), (0.0,)) if line else (0.0, 1.0, ())
-        hinges = list(zip(w.tolist(), a.tolist(), b.tolist()))
-        for p in (1, 2):
-            t, cost = _line_costs(w, a, b, lo, hi, p, extra)
-            want = sorted(candidate_values(hinges, lo, hi, p).union(extra))
-            assert t.tolist() == want
-            assert cost.tolist() == [sum(wj * max(aj + bj * y, 0.0) ** p for wj, aj, bj in hinges) for y in want]
 
 
 COUPLED_CLAUSES = [
@@ -174,37 +164,68 @@ def coupled_instances(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(coupled_instances())
-def test_map_matches_dict_oracle_on_coupled_chain_databases(instance):
+def test_map_reaches_oracle_on_coupled_chain_databases(instance):
     db, model, free, p = instance
     grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free))
-    # some ground clause holds two distinct free atoms, so diagonal moves run
+    # some ground clause holds two distinct free atoms
     is_free = np.isin(grounding.term_atom, free)
     assert any(
         len(set(grounding.term_atom[s : s + c][is_free[s : s + c]])) >= 2
         for s, c in zip(grounding.term_start, grounding.term_count)
     )
     sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
-    values, objective = dict_map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
-    assert sol.values == values and sol.objective == objective
+    assert sol.converged and within_oracle(sol, map_oracle(model, grounding, db, free, p))
 
 
-def test_map_line_moves_keep_the_margin():
-    # a shrunk instance of the hypothesis test above on which a line move
-    # without the 1e-15 margin takes a rounding-noise decrease at p=2
+@pytest.mark.parametrize("p", [1, 2])
+def test_map_stop_record(p):
+    # five free targets tied together by `T(V1,V2) & R(V2,V3) -> T(V1,V3)`
     db = AtomDatabase([PredicateSymbol("R"), PredicateSymbol("T", is_target=True)])
     for a, b, v in [("x1", "x2", 1.0), ("x2", "x3", 0.5), ("x0", "x5", 0.5), ("x3", "x5", 0.751), ("x5", "x4", 0.501)]:
         db.add_atom("R", a, b, v)
     free = [db.add_atom("T", "x0", f"x{k}", 0.0).index for k in range(1, 6)]
-    for a, b in [("x0", "x6"), ("x1", "x0"), ("x1", "x2"), ("x1", "x3"), ("x1", "x4"), ("x1", "x5"), ("x1", "x6"),
-                 ("x2", "x0"), ("x2", "x1"), ("x2", "x3")]:
+    for a, b in [("x0", "x6"), ("x1", "x0"), ("x1", "x2"), ("x1", "x3"), ("x2", "x0"), ("x2", "x3")]:
         db.add_atom("T", a, b, 0.0)
     build_adjacency(db)
     clauses = [parse_clause(text, db) for text in COUPLED_CLAUSES] + [negative_prior("T")]
-    model = WeightedModel(clauses, np.full(len(clauses), 0.1))
+    model = WeightedModel(clauses, np.linspace(0.5, 2.0, len(clauses)))
     grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free))
-    sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=2)
-    values, objective = dict_map_infer(model, db, free_atoms=free, grounding=grounding, p=2)
-    assert sol.values == values and sol.objective == objective
+    sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+    assert sol.converged and sol.iterations > 1
+    assert 0.0 <= sol.primal_residual <= 1e-4 and 0.0 <= sol.dual_residual <= 1e-4
+    assert within_oracle(sol, map_oracle(model, grounding, db, free, p))
+    # the run stopped at the first iteration whose residuals passed
+    short = map_infer(model, db, free_atoms=free, grounding=grounding, p=p, max_iters=sol.iterations - 1)
+    assert not short.converged and short.iterations == sol.iterations - 1
+    capped = map_infer(model, db, free_atoms=free, grounding=grounding, p=p, max_iters=1)
+    assert not capped.converged and capped.iterations == 1
+    assert all(0.0 <= y <= 1.0 for y in capped.values.values())
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_map_zero_norm_hinges(p):
+    # a free atom in both body and head of a ground clause: its coefficients cancel
+    db = AtomDatabase([PredicateSymbol("R"), PredicateSymbol("T", is_target=True)])
+    db.add_atom("R", "x", "x", 1.0)  # a self-loop edge
+    db.add_atom("R", "x", "y", 0.8)
+    for a, b in [("a", "x"), ("a", "y"), ("b", "b")]:
+        db.add_atom("T", a, b, 0.0)
+    build_adjacency(db)
+    free = list(db.targets)
+    clauses = [parse_clause("T(V1,V2) & R(V2,V3) -> T(V1,V3)", db), negative_prior("T")]
+    model = WeightedModel(clauses, np.array([1.5, 0.5]))
+    cases = [
+        ground_clauses(clauses, db, free_atoms=frozenset(free)),
+        # T(a,x) twice plus T(a,y) in one ground, and T(b,b) alone twice
+        grounding_of(clauses, [(0, ((free[0], -1), (free[0], 1), (free[1], 1))), (0, ((free[2], -1), (free[2], 1))),
+                               (1, ((free[1], -1),))], db),
+    ]
+    for grounding in cases:
+        assert (grounding.pairs(np.isin(np.arange(len(db.atoms)), free))[2] == 0.0).any()
+        with np.errstate(all="raise"):
+            sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+        assert sol.converged and all(np.isfinite(list(sol.values.values())))
+        assert within_oracle(sol, map_oracle(model, grounding, db, free, p))
 
 
 def test_auc_examples():
