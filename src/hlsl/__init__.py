@@ -1,9 +1,9 @@
 """Structure learning for hinge-loss Markov random fields.
 
 Pipeline: mine path-constrained Horn clauses from relational data, learn
-clause weights (greedy pseudolikelihood search or the decoupled piecewise
-objective), then predict held-out target atoms by convex MAP inference and
-evaluate with AUC.
+clause weights (greedy pseudolikelihood search or a per-clause root find on
+the decoupled piecewise objective), then predict held-out target atoms by
+convex MAP inference and evaluate with AUC.
 """
 
 from .clauses import (

@@ -6,9 +6,10 @@ Subcommands cover the full pipeline: `generate` mines candidate clauses,
 size, and `synth` emits the built-in synthetic datasets.
 
 Options resolve as: built-in defaults, then `--config key=value` file
-entries, then explicit flags. Outputs are deterministic for a fixed seed and
-configuration. Errors print a single machine-parsable `error:<Code>:<message>`
-line and exit nonzero.
+entries, then explicit flags; `learn` rejects an option that only the other
+method reads rather than ignore it. Outputs are deterministic for a fixed
+seed and configuration. Errors print a single machine-parsable
+`error:<Code>:<message>` line and exit nonzero.
 """
 from __future__ import annotations
 
@@ -61,6 +62,10 @@ _DEFAULTS: dict[str, object] = {
     "init_weight": 0.0,
     "zero_tol": 1e-6,
 }
+
+# learner options that only one method reads; `learn` rejects them, from a
+# flag or a config entry, when the other method runs
+_METHOD_ONLY = {"step_size": "gls", "init_weight": "gls", "inner_iters": "gls", "zero_tol": "ppll"}
 
 _BOOL_KEYS = {"include_inverses", "add_negative_priors", "traverse_target_edges", "strict"}
 _INT_KEYS = {"seed", "threads", "max_depth", "min_coverage", "top_k", "iters", "inner_iters", "p"}
@@ -117,12 +122,16 @@ def _coerce(key: str, value: object):
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     merged: dict[str, object] = dict(_DEFAULTS)
+    given: set[str] = set()
     if getattr(args, "config", None):
-        merged.update(_parse_config_file(args.config))
+        entries = _parse_config_file(args.config)
+        merged.update(entries)
+        given.update(entries)
     for key in list(merged) + ["schema", "observed", "train", "test"]:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+            given.add(key)
     merged = {k: _coerce(k, v) for k, v in merged.items()}
 
     method = str(merged["method"])
@@ -143,6 +152,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         learn_kwargs["gls_outer_iters"] = 15 if iters is None else int(iters)
     else:
         learn_kwargs["max_iters"] = 150 if iters is None else int(iters)
+    learning = LearnConfig(**learn_kwargs)
+    if args.command == "learn":
+        for key in sorted(given):
+            owner = _METHOD_ONLY.get(key, method)
+            if owner != method:
+                raise ValueError(f"{key} applies to --method {owner} only")
     return RunConfig(
         schema=merged.get("schema"),
         observed=merged.get("observed"),
@@ -161,7 +176,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             add_negative_priors=bool(merged["add_negative_priors"]),
             traverse_target_edges=bool(merged["traverse_target_edges"]),
         ),
-        learning=LearnConfig(**learn_kwargs),
+        learning=learning,
     )
 
 
@@ -333,15 +348,19 @@ def _build_parser() -> argparse.ArgumentParser:
     l.add_argument("--score-report", dest="score_report", help="final-model score diagnostic TSV")
     l.add_argument("--dump-groundings", dest="dump_groundings", help="ground-clause debug TSV")
     l.add_argument("--method", choices=("gls", "ppll"))
-    l.add_argument("--iters", type=int, help="iteration budget (ppll: gradient steps; gls: clause additions)")
-    l.add_argument("--inner-iters", type=int, dest="inner_iters", help="gradient steps per gls refit")
-    l.add_argument("--step-size", type=float, dest="step_size")
-    l.add_argument("--tolerance", type=float)
+    l.add_argument("--iters", type=int, help="iteration budget (ppll: root-finding steps, "
+                   "default 150; gls: clause additions, default 15)")
+    l.add_argument("--inner-iters", type=int, dest="inner_iters", help="gls only: gradient steps per refit")
+    l.add_argument("--step-size", type=float, dest="step_size", help="gls only: base gradient step")
+    l.add_argument("--tolerance", type=float, help="ppll: bound on each clause's projected "
+                   "derivative; gls: relative score gain a round or refit step must make")
     l.add_argument("--w-max", type=float, dest="w_max")
     l.add_argument("--l2-sigma", type=float, dest="l2_sigma")
     l.add_argument("--p", type=int, choices=(1, 2))
-    l.add_argument("--init-weight", type=float, dest="init_weight")
-    l.add_argument("--zero-tol", type=float, dest="zero_tol")
+    l.add_argument("--init-weight", type=float, dest="init_weight",
+                   help="gls only: weight a new clause starts at")
+    l.add_argument("--zero-tol", type=float, dest="zero_tol",
+                   help="ppll only: clauses at or below this weight are dropped")
     l.add_argument("--neg-ratio", type=float, dest="neg_ratio",
                    help="subsample negative train targets to this ratio of positives (0 = keep all)")
 

@@ -229,39 +229,46 @@ class Workspace:
         a = self.pair_a[self.combo_pair]
         b = self.pair_b[self.combo_pair]
         self.combo_active = a + b * self.seg_mid[self.combo_seg] > 0.0
-        # pre-masked coefficient gathers: inactive combos contribute nothing
+        # weight-independent gathers, made once: the owning clause, the
+        # hinge coefficients masked to zero on inactive combos (so these add
+        # nothing to the coefficients and have a moment of exactly 0), and
+        # the segment bounds the moment integrals read
+        self._combo_clause = self.pair_clause[self.combo_pair]
         self._combo_a = np.where(self.combo_active, a, 0.0)
         self._combo_b = np.where(self.combo_active, b, 0.0)
+        self._combo_lo = self.seg_lo[self.combo_seg]
+        if self.p == 1:
+            self._combo_hi = self.seg_hi[self.combo_seg]
+        else:
+            self._combo_len = self.seg_len[self.combo_seg]
 
     # -- weight-dependent evaluations ---------------------------------------
 
-    def _segment_coeffs(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-segment slope/intercept of the summed active hinges (p=1)."""
-        cw = w[self.pair_clause][self.combo_pair]
-        alpha = np.bincount(self.combo_seg, weights=cw * self._combo_a, minlength=len(self.seg_lo))
-        beta = np.bincount(self.combo_seg, weights=cw * self._combo_b, minlength=len(self.seg_lo))
-        return alpha, beta
-
-    def _segment_quad_coeffs(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-segment quadratic coefficients of the summed squared hinges (p=2)."""
-        cw = w[self.pair_clause][self.combo_pair]
+    def _segment_coeffs(self, w: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-segment coefficients of the summed active hinges: (alpha, beta)
+        of alpha + beta*y for p=1, (c0, c1, c2) of c0 + c1*y + c2*y**2 for p=2."""
+        cw = w[self._combo_clause]
         a, b = self._combo_a, self._combo_b
         S = len(self.seg_lo)
+        if self.p == 1:
+            alpha = np.bincount(self.combo_seg, weights=cw * a, minlength=S)
+            beta = np.bincount(self.combo_seg, weights=cw * b, minlength=S)
+            return alpha, beta
         c0 = np.bincount(self.combo_seg, weights=cw * a * a, minlength=S)
         c1 = np.bincount(self.combo_seg, weights=cw * 2.0 * a * b, minlength=S)
         c2 = np.bincount(self.combo_seg, weights=cw * b * b, minlength=S)
         return c0, c1, c2
 
-    def _seg_log_partition(self, w: np.ndarray) -> np.ndarray:
+    def _log_partitions(self, coeffs: tuple[np.ndarray, ...]) -> np.ndarray:
         if self.p == 1:
-            alpha, beta = self._segment_coeffs(w)
-            return segment_log_partition(alpha, beta, self.seg_lo, self.seg_hi)
-        return _gauss_legendre_log_mass(self.seg_lo, self.seg_len, *self._segment_quad_coeffs(w))
+            seg_logz = segment_log_partition(*coeffs, self.seg_lo, self.seg_hi)
+        else:
+            seg_logz = _gauss_legendre_log_mass(self.seg_lo, self.seg_len, *coeffs)
+        return group_logsumexp(seg_logz, self.group_seg_start, self.seg_group, self.n_groups)
 
     def log_partitions(self, w: np.ndarray) -> np.ndarray:
         """log Z per group."""
-        seg_logz = self._seg_log_partition(w)
-        return group_logsumexp(seg_logz, self.group_seg_start, self.seg_group, self.n_groups)
+        return self._log_partitions(self._segment_coeffs(w))
 
     def observed_energies(self, w: np.ndarray) -> np.ndarray:
         """Energy of the observed assignment per group."""
@@ -281,52 +288,57 @@ class Workspace:
     def per_clause_totals(self, w: np.ndarray) -> np.ndarray:
         """Per-clause objective terms; meaningful in ppll mode where groups
         belong to a single clause."""
+        return self._clause_terms(w, self.log_partitions(w))
+
+    def _clause_terms(self, w: np.ndarray, logz: np.ndarray) -> np.ndarray:
         if self.mode != "ppll":
             raise ValueError("per-clause totals require ppll grouping")
         if self.n_groups == 0:
             return np.zeros(self.n_clauses)
-        return np.bincount(self.group_clause, weights=self.group_terms(w), minlength=self.n_clauses)
+        terms = -logz - self.observed_energies(w)
+        return np.bincount(self.group_clause, weights=terms, minlength=self.n_clauses)
 
-    def expected_penalties(self, w: np.ndarray, logz: np.ndarray | None = None) -> np.ndarray:
-        """E[hinge penalty] per pair under its group's conditional density."""
-        if self.n_pairs == 0:
-            return np.zeros(0)
-        if logz is None:
-            logz = self.log_partitions(w)
+    def _expected(self, coeffs: tuple[np.ndarray, ...], logz: np.ndarray) -> np.ndarray:
+        """`expected_penalties` from the segment coefficients and log Z."""
+        cs = self.combo_seg
+        a, b = self._combo_a, self._combo_b
         if self.p == 1:
-            alpha, beta = self._segment_coeffs(w)
-            logj = segment_log_moment(
-                alpha[self.combo_seg],
-                beta[self.combo_seg],
-                self.pair_a[self.combo_pair],
-                self.pair_b[self.combo_pair],
-                self.seg_lo[self.combo_seg],
-                self.seg_hi[self.combo_seg],
-            )
+            alpha, beta = coeffs
+            logj = segment_log_moment(alpha[cs], beta[cs], a, b, self._combo_lo, self._combo_hi)
         else:
-            cs = self.combo_seg
-            c0, c1, c2 = self._segment_quad_coeffs(w)
+            c0, c1, c2 = coeffs
             logj = _gauss_legendre_log_mass(
-                self.seg_lo[cs],
-                self.seg_len[cs],
-                c0[cs],
-                c1[cs],
-                c2[cs],
-                hinge=(self.pair_a[self.combo_pair], self.pair_b[self.combo_pair]),
+                self._combo_lo, self._combo_len, c0[cs], c1[cs], c2[cs], hinge=(a, b)
             )
-        logj = np.where(self.combo_active, logj, -np.inf)
         lognum = group_logsumexp(logj, self.pair_combo_start, self.combo_pair, self.n_pairs)
         return np.exp(lognum - logz[self.pair_group])
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        """Ascent gradient of the grouped objective: per clause, the summed
-        expected-minus-observed penalties of its hinge occurrences."""
+    def expected_penalties(self, w: np.ndarray) -> np.ndarray:
+        """E[hinge penalty] per pair under its group's conditional density."""
         if self.n_pairs == 0:
-            return np.zeros(self.n_clauses)
-        expected = self.expected_penalties(w)
-        return np.bincount(
-            self.pair_clause, weights=expected - self.pair_obs_phi, minlength=self.n_clauses
-        )
+            return np.zeros(0)
+        coeffs = self._segment_coeffs(w)
+        return self._expected(coeffs, self._log_partitions(coeffs))
+
+    def gradient(self, w: np.ndarray, with_terms: bool = False):
+        """Ascent gradient of the grouped objective: per clause, the summed
+        expected-minus-observed penalties of its hinge occurrences.
+
+        With `with_terms` (ppll grouping only) it returns (gradient,
+        per-clause terms), the terms read off the same partition functions.
+        """
+        grad = np.zeros(self.n_clauses)
+        logz = np.zeros(0)
+        if self.n_pairs:
+            coeffs = self._segment_coeffs(w)
+            logz = self._log_partitions(coeffs)
+            expected = self._expected(coeffs, logz)
+            grad = np.bincount(
+                self.pair_clause, weights=expected - self.pair_obs_phi, minlength=self.n_clauses
+            )
+        if not with_terms:
+            return grad
+        return grad, self._clause_terms(w, logz)
 
     def per_variable(self, w: np.ndarray) -> dict[int, tuple[float, float]]:
         """Per-variable (log Z, observed energy), aggregated over groups."""

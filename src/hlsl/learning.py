@@ -1,16 +1,19 @@
 """Weight learning and the two structure learners.
 
-Weights are fit by projected gradient ascent on the chosen log objective
-(pseudolikelihood or its piecewise factorization), clipped to [0, w_max],
-with backtracking step halving so the objective trace is non-decreasing. An
-optional Gaussian prior on the weights regularizes separable data; a hard
-cap keeps the box projection well-posed either way.
+Weights live in [0, w_max]. An optional Gaussian prior on the weights
+regularizes separable data; the hard cap keeps the box well-posed either
+way. The two objectives are fit differently:
+
+- pseudolikelihood (`pll`): projected gradient ascent with backtracking
+  step halving, so the objective trace is non-decreasing;
+- its piecewise factorization (`ppll`): every clause's term is concave in
+  its own weight alone, so the fit is one bracketing root find per clause
+  on that term's derivative, all clauses stepping together.
 
 The greedy structure learner repeatedly adds whichever candidate clause most
 improves the pseudolikelihood after refitting weights. The piecewise learner
-exploits the factorized objective: it fits all candidate weights once, with
-each clause's weight following its own decoupled trajectory, then drops the
-clauses whose weight stayed at zero.
+fits all candidate weights once and drops the clauses whose weight stayed at
+zero.
 """
 from __future__ import annotations
 
@@ -30,8 +33,8 @@ from .grounding import Grounding, ground_clauses
 MODEL_HEADER = "# hlsl-model v1"
 MAX_HALVINGS = 60
 
-# One trace row per accepted iteration: (iteration, objective, max |gradient|,
-# cumulative wall-clock ms).
+# One trace row per iteration: (iteration, objective, max |gradient| - for
+# ppll the largest projected derivative -, cumulative wall-clock ms).
 TraceRow = tuple[int, float, float, float]
 
 
@@ -58,9 +61,19 @@ class WeightedModel:
 @dataclass(frozen=True)
 class LearnConfig:
     """Optimizer knobs. `l2_sigma` is the Gaussian prior variance (0 turns
-    the prior off); `max_iters` bounds one weight-learning run, while the
-    greedy learner takes `gls_outer_iters` clause additions with
-    `gls_inner_iters` gradient steps per refit."""
+    the prior off) and `w_max` the weight cap, for both learners.
+
+    - ppll: `max_iters` caps the root-finding steps, `tolerance` bounds each
+      clause's projected derivative (the KKT residual) and clauses at or
+      below `zero_tol` are dropped. Starting weights play no part.
+    - pll fits and gls: `max_iters` caps the gradient steps of one
+      weight-learning run, which starts at the given weights (a new gls
+      clause at `init_weight`) with base step `step_size` and stops once a
+      step gains less than `tolerance` relative to the objective. The
+      greedy learner takes `gls_outer_iters` clause additions with
+      `gls_inner_iters` gradient steps per refit, and stops early once a
+      round gains less than `tolerance` relative to the score.
+    """
 
     step_size: float = 1.0
     tolerance: float = 1e-4
@@ -122,25 +135,19 @@ def _ascend(
     ws: Workspace,
     w0: np.ndarray,
     config: LearnConfig,
-    decoupled: bool,
     trace: list[TraceRow] | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent; returns (weights, final pure objective).
+    """Projected gradient ascent on the joint objective; returns (weights,
+    final pure objective).
 
-    The per-clause base step is step_size / #occurrences so the update scale
-    tracks the gradient's. In decoupled mode each clause backtracks and is
-    accepted against its own objective term, which keeps a joint run
-    identical to independent single-clause runs.
+    The base step is step_size / #occurrences per clause so the update scale
+    tracks the gradient's; each step halves until the objective does not
+    fall, and the run stops when an accepted step gains less than the
+    relative tolerance.
     """
     penalty = config.l2_sigma > 0.0
     w = np.clip(np.asarray(w0, dtype=np.float64), 0.0, config.w_max)
     steps = config.step_size / np.maximum(ws.pairs_per_clause, 1)
-
-    def clause_terms(wv: np.ndarray) -> np.ndarray:
-        terms = ws.per_clause_totals(wv)
-        if penalty:
-            terms = terms - wv * wv / (2.0 * config.l2_sigma)
-        return terms
 
     def total(wv: np.ndarray) -> float:
         value = ws.total(wv)
@@ -149,51 +156,25 @@ def _ascend(
         return value
 
     started = time.perf_counter()
-    if decoupled:
-        terms = clause_terms(w)
-        _check_finite(terms)
-        obj = float(terms.sum())
-    else:
-        obj = total(w)
-        _check_finite(obj)
-
+    obj = total(w)
+    _check_finite(obj)
     for it in range(1, config.max_iters + 1):
         grad = ws.gradient(w)
         if penalty:
             grad = grad - w / config.l2_sigma
         _check_finite(grad)
 
-        if decoupled:
-            t = np.ones_like(w)
-            new_w = np.clip(w + t * steps * grad, 0.0, config.w_max)
-            new_terms = clause_terms(new_w)
-            _check_finite(new_terms)
-            for _ in range(MAX_HALVINGS):
-                bad = new_terms < terms
-                if not bad.any():
-                    break
-                t[bad] *= 0.5
-                new_w = np.clip(w + t * steps * grad, 0.0, config.w_max)
-                new_terms = clause_terms(new_w)
-                _check_finite(new_terms)
-            else:
-                stuck = new_terms < terms
-                new_w[stuck] = w[stuck]
-                new_terms[stuck] = terms[stuck]
-            w, terms = new_w, new_terms
-            new_obj = float(terms.sum())
-        else:
-            t = 1.0
-            new_w, new_obj = w, obj
-            for _ in range(MAX_HALVINGS):
-                cand = np.clip(w + t * steps * grad, 0.0, config.w_max)
-                cand_obj = total(cand)
-                _check_finite(cand_obj)
-                if cand_obj >= obj:
-                    new_w, new_obj = cand, cand_obj
-                    break
-                t *= 0.5
-            w = new_w
+        t = 1.0
+        new_w, new_obj = w, obj
+        for _ in range(MAX_HALVINGS):
+            cand = np.clip(w + t * steps * grad, 0.0, config.w_max)
+            cand_obj = total(cand)
+            _check_finite(cand_obj)
+            if cand_obj >= obj:
+                new_w, new_obj = cand, cand_obj
+                break
+            t *= 0.5
+        w = new_w
 
         improvement = new_obj - obj
         obj = new_obj
@@ -206,6 +187,81 @@ def _ascend(
     return w, ws.total(w)
 
 
+def _clause_roots(
+    ws: Workspace,
+    config: LearnConfig,
+    trace: list[TraceRow] | None = None,
+) -> np.ndarray:
+    """Maximize every clause's piecewise term on [0, w_max] at once.
+
+    Each term is concave in its own weight, so its derivative
+    f(w) = gradient - w/l2_sigma is non-increasing. A clause takes w = 0
+    when f(0) <= 0 and w = w_max when f(w_max) >= 0. Every other clause has
+    its root bracketed in (0, w_max), found by Illinois regula falsi with a
+    bisection fallback; the updates are elementwise, so each clause's
+    iterates depend only on its own derivative, and one step is one
+    gradient call for all clauses. A clause is done once its projected
+    derivative |clip(w + f, 0, w_max) - w| is at most `tolerance` or its
+    bracket is down to adjacent floats; an unfinished one holds the bracket
+    end with the smaller projected derivative. Trace rows, one per step,
+    hold the sum of each clause's best term so far and the largest
+    projected derivative of the current weights.
+    """
+    sigma, w_max = config.l2_sigma, config.w_max
+
+    def derivative(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        grad, terms = ws.gradient(w, with_terms=True)
+        if sigma > 0.0:
+            grad, terms = grad - w / sigma, terms - w * w / (2.0 * sigma)
+        _check_finite(grad)
+        _check_finite(terms)
+        return grad, terms, np.abs(np.clip(w + grad, 0.0, w_max) - w)
+
+    started = time.perf_counter()
+    n = ws.n_clauses
+    lo, hi = np.zeros(n), np.full(n, w_max)
+    g_lo, best, r_lo = derivative(lo)
+    g_hi, t_hi, r_hi = derivative(hi)
+    best = np.maximum(best, t_hi)
+    active = (g_lo > 0.0) & (g_hi < 0.0)
+    w = np.where(active, np.where(r_hi < r_lo, hi, lo), np.where(g_lo <= 0.0, 0.0, w_max))
+    res = np.where(active, np.minimum(r_lo, r_hi), 0.0)
+
+    moved = np.zeros(n)  # +1: lo moved last step, -1: hi did
+    last_width, slow = np.full(n, np.inf), np.zeros(n, dtype=bool)
+    for it in range(1, config.max_iters + 1):
+        if not active.any():
+            break
+        width = hi - lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = hi - g_hi * width / (g_hi - g_lo)
+        x = np.where(slow | ~((lo < x) & (x < hi)), 0.5 * (lo + hi), x)
+        x = np.where(active, x, w)
+        f_x, t_x, r_x = derivative(x)
+        best = np.maximum(best, t_x)
+
+        up, down = active & (f_x > 0.0), active & (f_x <= 0.0)
+        # Illinois: the secant halves the derivative of an end kept twice
+        g_hi = np.where(up & (moved > 0), 0.5 * g_hi, g_hi)
+        g_lo = np.where(down & (moved < 0), 0.5 * g_lo, g_lo)
+        lo, g_lo, r_lo = np.where(up, x, lo), np.where(up, f_x, g_lo), np.where(up, r_x, r_lo)
+        hi, g_hi, r_hi = np.where(down, x, hi), np.where(down, f_x, g_hi), np.where(down, r_x, r_hi)
+        moved = np.where(up, 1.0, np.where(down, -1.0, moved))
+
+        done = r_x <= config.tolerance
+        w = np.where(active, np.where(done, x, np.where(r_hi < r_lo, hi, lo)), w)
+        res = np.where(active, np.where(done, r_x, np.minimum(r_lo, r_hi)), res)
+        mid = 0.5 * (lo + hi)
+        active &= ~done & (lo < mid) & (mid < hi)
+        # bisect where two steps did not halve the bracket
+        slow = hi - lo > 0.5 * last_width
+        last_width = width
+        if trace is not None:
+            ms = (time.perf_counter() - started) * 1000.0
+            trace.append((it, float(best.sum()), float(res.max()) if n else 0.0, ms))
+    return w
+
+
 def learn_weights(
     model: WeightedModel,
     grounding: Grounding,
@@ -214,11 +270,16 @@ def learn_weights(
     config: LearnConfig = LearnConfig(),
     trace: list[TraceRow] | None = None,
 ) -> WeightedModel:
-    """Fit the model's weights by projected gradient ascent on `objective`."""
+    """Fit the model's weights on `objective`: projected gradient ascent
+    from the model's weights for `pll`, a root find per clause for `ppll`
+    (which reads no starting weights)."""
     if not model.clauses:
         raise NoCandidates("cannot learn weights of an empty model")
     ws = Workspace(grounding, observed, mode=objective, p=config.p)
-    w, _ = _ascend(ws, model.weights, config, decoupled=(objective == "ppll"), trace=trace)
+    if objective == "ppll":
+        w = _clause_roots(ws, config, trace)
+    else:
+        w, _ = _ascend(ws, model.weights, config, trace)
     return WeightedModel(model.clauses, w)
 
 
@@ -235,8 +296,8 @@ def ppll_structure_learn(
         raise NoCandidates("ppll_structure_learn needs at least one candidate")
     grounding = ground_clauses(candidates, db)
     observed = db.value_vector()
-    w0 = np.full(len(candidates), config.init_weight, dtype=np.float64)
-    model = learn_weights(WeightedModel(list(candidates), w0), grounding, observed, "ppll", config, trace)
+    unfit = WeightedModel(list(candidates), np.zeros(len(candidates)))
+    model = learn_weights(unfit, grounding, observed, "ppll", config, trace)
     keep = model.weights > config.zero_tol
     return WeightedModel(
         [c for c, k in zip(model.clauses, keep) if k], model.weights[keep]
@@ -278,7 +339,7 @@ def gls_structure_learn(
             sub = pool.restrict(ids)
             ws = Workspace(sub, observed, mode="pll", p=config.p)
             w0 = np.asarray(chosen_w + [config.init_weight])
-            w, score = _ascend(ws, w0, inner, decoupled=False)
+            w, score = _ascend(ws, w0, inner)
             if score > best_score:
                 best_idx, best_score, best_w = cand, score, w
         if best_idx < 0 or best_score - current < config.tolerance * max(1.0, abs(current)):

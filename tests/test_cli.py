@@ -319,6 +319,49 @@ def test_learn_rejects_bad_config_field(recovery_dir, tmp_path, capsys, flags, f
     assert not model.exists()
 
 
+@pytest.mark.parametrize(
+    "method, flags, config, field",
+    [
+        ("ppll", ("--step-size", "0.5"), "", "step_size"),
+        ("ppll", ("--init-weight", "0.5"), "", "init_weight"),
+        ("ppll", ("--inner-iters", "5"), "", "inner_iters"),
+        ("ppll", (), "step_size = 0.5\n", "step_size"),
+        ("ppll", (), "init_weight = 0.5\n", "init_weight"),
+        ("gls", ("--zero-tol", "0.01"), "", "zero_tol"),
+    ],
+)
+def test_learn_rejects_option_of_other_method(
+    recovery_dir, tmp_path, capsys, method, flags, config, field
+):
+    model = tmp_path / "model.tsv"
+    cfg = tmp_path / "learn.cfg"
+    cfg.write_text(config)
+    code = run(
+        "learn", "--schema", recovery_dir / "schema.tsv",
+        "--observed", recovery_dir / "observed.tsv", "--train", recovery_dir / "train.tsv",
+        "--clauses", recovery_dir / "candidates.tsv", "--method", method, "--out", model,
+        "--config", cfg, *flags,
+    )
+    assert code == 1
+    owner = "ppll" if method == "gls" else "gls"
+    assert single_error(capsys) == f"error:ValueError:{field} applies to --method {owner} only"
+    assert not model.exists()
+
+
+def test_learn_ppll_iters_caps_root_finding_steps(recovery_dir, tmp_path):
+    trace = tmp_path / "trace.tsv"
+    code = run(
+        "learn", "--schema", recovery_dir / "schema.tsv",
+        "--observed", recovery_dir / "observed.tsv", "--train", recovery_dir / "train.tsv",
+        "--clauses", recovery_dir / "candidates.tsv", "--method", "ppll",
+        "--out", tmp_path / "model.tsv", "--trace", trace, "--iters", 1,
+    )
+    assert code == 0
+    rows = trace.read_text().splitlines()
+    assert rows[0].startswith("#") and len(rows) == 2
+    assert rows[1].split("\t")[0] == "1"
+
+
 def test_neg_ratio_subsampling(recovery_dir, tmp_path):
     # learn with 1:1 subsampling still produces a valid model file
     model = tmp_path / "model.tsv"

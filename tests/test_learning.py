@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from conftest import random_chain_db
 
@@ -144,6 +146,60 @@ def test_joint_ppll_equals_independent_runs():
             WeightedModel([clause], np.zeros(1)), grounding.restrict([i]), obs, "ppll", cfg
         )
         assert joint.weights[i] == pytest.approx(alone.weights[0], abs=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    p=st.sampled_from([1, 2]),
+    l2_sigma=st.sampled_from([0.0, 1.0, 100.0]),
+)
+def test_ppll_weights_match_per_clause_brentq(seed, p, l2_sigma):
+    # each clause's weight maximizes its own piecewise term: the sign rule
+    # puts it at a bound, else it is the root of its single-clause derivative
+    db = random_chain_db(seed)
+    cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
+    grounding = ground_clauses(cands, db)
+    obs = db.value_vector()
+    cfg = LearnConfig(p=p, l2_sigma=l2_sigma, tolerance=1e-12, max_iters=200)
+    model = learn_weights(WeightedModel(list(cands), np.zeros(len(cands))), grounding, obs, "ppll", cfg)
+    for i, clause in enumerate(cands):
+        alone = grounding.restrict([i])
+
+        def derivative(w):
+            one = WeightedModel([clause], np.array([w]))
+            return objective_gradient(one, alone, obs, "ppll", l2_sigma, p)[0]
+
+        w = model.weights[i]
+        if derivative(0.0) <= 0.0:
+            assert w == 0.0
+        elif derivative(cfg.w_max) >= 0.0:
+            assert w == cfg.w_max
+        else:
+            root = brentq(derivative, 0.0, cfg.w_max, xtol=1e-14, rtol=1e-15, maxiter=500)
+            assert w == pytest.approx(root, abs=1e-8)
+    grad = objective_gradient(model, grounding, obs, "ppll", l2_sigma, p)
+    residual = np.abs(np.clip(model.weights + grad, 0.0, cfg.w_max) - model.weights)
+    assert residual.max() <= cfg.tolerance
+
+
+def test_ppll_trace_ends_with_the_stop_residual():
+    db = random_chain_db(43)
+    cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
+    grounding = ground_clauses(cands, db)
+    obs = db.value_vector()
+    cfg = LearnConfig()
+    for budget, converged in ((1, False), (150, True)):
+        trace = []
+        model = learn_weights(
+            WeightedModel(list(cands), np.zeros(len(cands))), grounding, obs, "ppll",
+            LearnConfig(max_iters=budget), trace,
+        )
+        grad = objective_gradient(model, grounding, obs, "ppll", cfg.l2_sigma)
+        residual = np.abs(np.clip(model.weights + grad, 0.0, cfg.w_max) - model.weights).max()
+        assert len(trace) <= budget and trace[-1][0] == len(trace)
+        assert trace[-1][2] == pytest.approx(residual, rel=1e-9, abs=1e-12)
+        assert (residual <= cfg.tolerance) == converged
 
 
 def test_ppll_structure_learn_prunes_vacuous():
