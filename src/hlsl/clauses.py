@@ -181,10 +181,10 @@ def variablize(path: RelationalPath, target: GroundAtom, negate_head: bool = Fal
     return _chain_clause(steps, target.predicate.name, negate_head)
 
 
-def negative_prior(pred: PredicateSymbol | str) -> PathClause:
+def negative_prior(pred: PredicateSymbol | str, coverage: int = 0) -> PathClause:
     """Body-less clause penalizing high values of a target predicate."""
     name = pred if isinstance(pred, str) else pred.name
-    return PathClause((), Literal(name, 1, 2, negated=True))
+    return PathClause((), Literal(name, 1, 2, negated=True), coverage)
 
 
 # -- chain joins -----------------------------------------------------------
@@ -196,8 +196,9 @@ def negative_prior(pred: PredicateSymbol | str) -> PathClause:
 ROW_BUDGET = 1 << 16
 
 
-def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Enumerate the ranges [lo[i], hi[i]) as (i, position) pairs."""
+def spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerate the ranges [lo[i], hi[i]) as (i, position) pairs, range by
+    range in order: the flat form of a ragged selection."""
     counts = hi - lo
     owner = np.repeat(np.arange(len(lo)), counts)
     first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
@@ -256,9 +257,9 @@ class StepGraph:
         """Every step leaving each node (only those labelled `label` if
         given), as (position in `nodes`, step) pairs."""
         if label is None:
-            return _spans(self.indptr[nodes], self.indptr[nodes + 1])
+            return spans(self.indptr[nodes], self.indptr[nodes + 1])
         key = nodes * self.n_labels + label
-        return _spans(np.searchsorted(self.slot, key, "left"), np.searchsorted(self.slot, key, "right"))
+        return spans(np.searchsorted(self.slot, key, "left"), np.searchsorted(self.slot, key, "right"))
 
     def lookup(
         self, nodes: np.ndarray, goals: np.ndarray, label: int | None = None
@@ -266,7 +267,7 @@ class StepGraph:
         """Every step from nodes[i] to goals[i] (only those labelled `label`
         if given), as (i, step) pairs."""
         key = nodes * self.n_nodes + goals
-        i, at = _spans(np.searchsorted(self.pair, key, "left"), np.searchsorted(self.pair, key, "right"))
+        i, at = spans(np.searchsorted(self.pair, key, "left"), np.searchsorted(self.pair, key, "right"))
         s = self.by_pair[at]
         if label is None:
             return i, s
@@ -392,8 +393,7 @@ def generate_candidates(db: AtomDatabase, config: GenerationConfig) -> list[Path
         target_preds = db.pred[db.targets]
         for pred in db.target_predicates():
             n_atoms = int(np.count_nonzero(target_preds == db.pred_ids[pred.name]))
-            prior = PathClause((), Literal(pred.name, 1, 2, negated=True), coverage=n_atoms)
-            candidates.append(prior)
+            candidates.append(negative_prior(pred, n_atoms))
     elif not candidates:
         raise NoCandidates("no clause covers enough target atoms and priors are disabled")
     return candidates

@@ -2,11 +2,12 @@
 
 Subcommands cover the full pipeline: `generate` mines candidate clauses,
 `learn` fits a model with either learner, `infer` writes MAP predictions,
-`eval` scores them with AUC, `bench` records runtime against candidate-pool
-size, and `synth` emits the built-in synthetic datasets.
+`eval` scores them with AUC, and `synth` emits the built-in synthetic
+datasets.
 
-Options resolve as: built-in defaults, then `--config key=value` file
-entries, then explicit flags; `learn` rejects an option that only the other
+Options resolve as: the defaults of the config dataclasses (`RunConfig`,
+`GenerationConfig`, `LearnConfig`), then `--config key=value` file entries,
+then explicit flags; `learn` rejects an option that only the other
 method reads rather than ignore it. Outputs are deterministic for a fixed
 seed and configuration. Errors print a single machine-parsable
 `error:<Code>:<message>` line and exit nonzero.
@@ -17,7 +18,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,39 +38,6 @@ from .learning import (
 )
 from .synth import FIXTURES, write_fixture
 
-_DEFAULTS: dict[str, object] = {
-    "method": "ppll",
-    "seed": 0,
-    "threads": 1,  # accepted for compatibility; nothing reads it
-    "neg_ratio": 0.0,
-    "strict": False,
-    # generation
-    "max_depth": 4,
-    "min_coverage": 10,
-    "top_k": 50,
-    "threshold": 0.5,
-    "include_inverses": True,
-    "add_negative_priors": True,
-    "traverse_target_edges": True,
-    # learning
-    "step_size": 1.0,
-    "tolerance": 1e-4,
-    "iters": None,  # method-dependent: 150 for ppll, 15 outer rounds for gls
-    "inner_iters": 50,
-    "w_max": 100.0,
-    "l2_sigma": 100.0,
-    "p": 1,
-    "init_weight": 0.0,
-    "zero_tol": 1e-6,
-}
-
-# learner options that only one method reads; `learn` rejects them, from a
-# flag or a config entry, when the other method runs
-_METHOD_ONLY = {"step_size": "gls", "init_weight": "gls", "inner_iters": "gls", "zero_tol": "ppll"}
-
-_BOOL_KEYS = {"include_inverses", "add_negative_priors", "traverse_target_edges", "strict"}
-_INT_KEYS = {"seed", "threads", "max_depth", "min_coverage", "top_k", "iters", "inner_iters", "p"}
-
 
 @dataclass
 class RunConfig:
@@ -86,6 +54,40 @@ class RunConfig:
     generation: GenerationConfig = GenerationConfig()
     learning: LearnConfig = LearnConfig()
 
+    def __post_init__(self):
+        if not math.isfinite(self.neg_ratio):
+            raise ValueError("neg_ratio must be finite")
+
+
+# the learner's iteration budgets go by their option names: `iters` is the
+# ppll root-finding cap or the gls clause additions, `inner_iters` the gls
+# gradient steps per refit
+_ITERS = {"max_iters": "iters", "gls_outer_iters": "iters", "gls_inner_iters": "inner_iters"}
+
+_RUN_KEYS = {f.name for f in fields(RunConfig)} - {"generation", "learning"}
+_GENERATION_KEYS = {f.name for f in fields(GenerationConfig)}
+_LEARN_KEYS = {_ITERS.get(f.name, f.name) for f in fields(LearnConfig)}
+
+# every option a flag or config entry may set, with a default of its type;
+# `threads` is accepted for compatibility and nothing reads it
+_OPTIONS: dict[str, object] = {
+    "threads": 1,
+    **{f.name: f.default for f in fields(RunConfig) if f.name in _RUN_KEYS},
+    **{f.name: f.default for f in fields(GenerationConfig)},
+    **{_ITERS.get(f.name, f.name): f.default for f in fields(LearnConfig)},
+}
+
+# learner options that only one method reads; `learn` rejects them, from a
+# flag or a config entry, when the other method runs
+_METHOD_ONLY = {"step_size": "gls", "init_weight": "gls", "inner_iters": "gls", "zero_tol": "ppll"}
+
+
+def _learn_field(key: str, method: str) -> str:
+    """The `LearnConfig` field an option sets under `method`."""
+    if key == "iters":
+        return "max_iters" if method == "ppll" else "gls_outer_iters"
+    return "gls_inner_iters" if key == "inner_iters" else key
+
 
 def _parse_config_file(path: str) -> dict[str, object]:
     out: dict[str, object] = {}
@@ -98,83 +100,53 @@ def _parse_config_file(path: str) -> dict[str, object]:
                 raise MalformedLine(line_no, f"expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _DEFAULTS and key not in ("schema", "observed", "train", "test"):
+            if key not in _OPTIONS:
                 raise MalformedLine(line_no, f"unknown option {key!r}")
             out[key] = value
     return out
 
 
 def _coerce(key: str, value: object):
-    if value is None or not isinstance(value, str):
+    """A config-file string as the type of the option's default."""
+    kind = type(_OPTIONS[key])
+    if not isinstance(value, str) or kind not in (bool, int, float):
         return value
-    if key in _BOOL_KEYS:
+    if kind is bool:
         if value.lower() in ("1", "true", "yes", "on"):
             return True
         if value.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"bad boolean for {key}: {value!r}")
-    if key in _INT_KEYS:
-        return int(value)
-    if key in ("method", "schema", "observed", "train", "test"):
-        return value
-    return float(value)
+    return kind(value)
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    merged: dict[str, object] = dict(_DEFAULTS)
-    given: set[str] = set()
+    """Options given by config entries, then by flags, over the configs' own
+    defaults."""
+    given: dict[str, object] = {}
     if getattr(args, "config", None):
-        entries = _parse_config_file(args.config)
-        merged.update(entries)
-        given.update(entries)
-    for key in list(merged) + ["schema", "observed", "train", "test"]:
+        given.update(_parse_config_file(args.config))
+    for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = flag
-            given.add(key)
-    merged = {k: _coerce(k, v) for k, v in merged.items()}
+            given[key] = flag
+    given = {key: _coerce(key, value) for key, value in given.items()}
 
-    method = str(merged["method"])
+    method = given.get("method", RunConfig.method)
     if method not in ("gls", "ppll"):
         raise ValueError(f"method must be 'gls' or 'ppll', got {method!r}")
-    iters = merged["iters"]
-    learn_kwargs = dict(
-        step_size=merged["step_size"],
-        tolerance=merged["tolerance"],
-        w_max=merged["w_max"],
-        l2_sigma=merged["l2_sigma"],
-        p=merged["p"],
-        init_weight=merged["init_weight"],
-        zero_tol=merged["zero_tol"],
-        gls_inner_iters=merged["inner_iters"],
+    learning = LearnConfig(
+        **{_learn_field(key, method): value for key, value in given.items() if key in _LEARN_KEYS}
     )
-    if method == "gls":
-        learn_kwargs["gls_outer_iters"] = 15 if iters is None else int(iters)
-    else:
-        learn_kwargs["max_iters"] = 150 if iters is None else int(iters)
-    learning = LearnConfig(**learn_kwargs)
     if args.command == "learn":
         for key in sorted(given):
             owner = _METHOD_ONLY.get(key, method)
             if owner != method:
                 raise ValueError(f"{key} applies to --method {owner} only")
     return RunConfig(
-        schema=merged.get("schema"),
-        observed=merged.get("observed"),
-        train=merged.get("train"),
-        test=merged.get("test"),
-        method=method,
-        seed=int(merged["seed"]),
-        neg_ratio=float(merged["neg_ratio"]),
-        strict=bool(merged["strict"]),
+        **{key: value for key, value in given.items() if key in _RUN_KEYS},
         generation=GenerationConfig(
-            max_depth=int(merged["max_depth"]),
-            min_coverage=int(merged["min_coverage"]),
-            top_k=int(merged["top_k"]),
-            threshold=float(merged["threshold"]),
-            include_inverses=bool(merged["include_inverses"]),
-            add_negative_priors=bool(merged["add_negative_priors"]),
-            traverse_target_edges=bool(merged["traverse_target_edges"]),
+            **{key: value for key, value in given.items() if key in _GENERATION_KEYS}
         ),
         learning=learning,
     )
@@ -297,95 +269,67 @@ def cmd_eval(predictions_path: str, labels_path: str, out_path: str, threshold: 
         fh.write(f"{result.auc:.12g}\t{result.n_pos}\t{result.n_neg}\t{runtime:.6f}\n")
 
 
-def cmd_bench(cfg: RunConfig, clauses_path: str, counts: list[int], out_path: str) -> None:
-    db = _load_train_db(cfg)
-    with open(clauses_path, encoding="utf-8") as fh:
-        pool = read_clause_file(fh, db)
-    if max(counts) > len(pool):
-        raise NoCandidates(f"pool has {len(pool)} clauses, bench asked for {max(counts)}")
-    rows = []
-    for n in counts:
-        for method, learner in (("gls", gls_structure_learn), ("ppll", ppll_structure_learn)):
-            learn_cfg = cfg.learning
-            started = time.perf_counter()
-            learner(pool[:n], db, learn_cfg)
-            rows.append((method, n, time.perf_counter() - started))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("method,n,seconds\n")
-        for method, n, seconds in rows:
-            fh.write(f"{method},{n},{seconds:.6f}\n")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hlsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, data: bool = True) -> None:
+    def option(p: argparse.ArgumentParser, key: str, **kwargs) -> None:
+        """The flag of option `key`, typed like its default."""
+        kind = type(_OPTIONS[key])
+        if kind is bool:
+            kwargs["action"] = argparse.BooleanOptionalAction
+        elif kind in (int, float):
+            kwargs["type"] = kind
+        p.add_argument("--" + key.replace("_", "-"), **kwargs)
+
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key=value options file; flags override it")
-        p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
-        p.add_argument("--seed", type=int)
-        if data:
-            p.add_argument("--schema", help="predicate schema file")
-            p.add_argument("--observed", help="evidence atoms TSV")
-            p.add_argument("--train", help="training target atoms TSV")
+        option(p, "threads", help="accepted for compatibility; has no effect")
+        option(p, "seed")
+        option(p, "schema", help="predicate schema file")
+        option(p, "observed", help="evidence atoms TSV")
+        option(p, "train", help="training target atoms TSV")
 
     g = sub.add_parser("generate", help="mine candidate clauses from training data")
     common(g)
     g.add_argument("--out", required=True, help="output clause file")
-    g.add_argument("--max-depth", type=int, dest="max_depth")
-    g.add_argument("--min-coverage", type=int, dest="min_coverage")
-    g.add_argument("--top-k", type=int, dest="top_k")
-    g.add_argument("--threshold", type=float)
-    g.add_argument("--include-inverses", action=argparse.BooleanOptionalAction, dest="include_inverses")
-    g.add_argument("--add-negative-priors", action=argparse.BooleanOptionalAction, dest="add_negative_priors")
-    g.add_argument("--traverse-target-edges", action=argparse.BooleanOptionalAction, dest="traverse_target_edges")
+    for f in fields(GenerationConfig):
+        option(g, f.name)
 
     l = sub.add_parser("learn", help="learn clause weights and structure")
     common(l)
     l.add_argument("--clauses", required=True, help="candidate clause file")
     l.add_argument("--out", required=True, help="output model file")
     l.add_argument("--trace", help="per-iteration trace TSV")
-    l.add_argument("--score-report", dest="score_report", help="final-model score diagnostic TSV")
-    l.add_argument("--dump-groundings", dest="dump_groundings", help="ground-clause debug TSV")
-    l.add_argument("--method", choices=("gls", "ppll"))
-    l.add_argument("--iters", type=int, help="iteration budget (ppll: root-finding steps, "
-                   "default 150; gls: clause additions, default 15)")
-    l.add_argument("--inner-iters", type=int, dest="inner_iters", help="gls only: gradient steps per refit")
-    l.add_argument("--step-size", type=float, dest="step_size", help="gls only: base gradient step")
-    l.add_argument("--tolerance", type=float, help="ppll: bound on each clause's projected "
-                   "derivative; gls: relative score gain a round or refit step must make")
-    l.add_argument("--w-max", type=float, dest="w_max")
-    l.add_argument("--l2-sigma", type=float, dest="l2_sigma")
-    l.add_argument("--p", type=int, choices=(1, 2))
-    l.add_argument("--init-weight", type=float, dest="init_weight",
-                   help="gls only: weight a new clause starts at")
-    l.add_argument("--zero-tol", type=float, dest="zero_tol",
-                   help="ppll only: clauses at or below this weight are dropped")
-    l.add_argument("--neg-ratio", type=float, dest="neg_ratio",
-                   help="subsample negative train targets to this ratio of positives (0 = keep all)")
+    l.add_argument("--score-report", help="final-model score diagnostic TSV")
+    l.add_argument("--dump-groundings", help="ground-clause debug TSV")
+    option(l, "method", choices=("gls", "ppll"))
+    option(l, "iters", help="iteration budget (ppll: root-finding steps, default "
+           f"{LearnConfig.max_iters}; gls: clause additions, default {LearnConfig.gls_outer_iters})")
+    option(l, "inner_iters", help="gls only: gradient steps per refit")
+    option(l, "step_size", help="gls only: base gradient step")
+    option(l, "tolerance", help="ppll: bound on each clause's projected derivative; "
+           "gls: relative score gain a round or refit step must make")
+    option(l, "w_max")
+    option(l, "l2_sigma")
+    option(l, "p", choices=(1, 2))
+    option(l, "init_weight", help="gls only: weight a new clause starts at")
+    option(l, "zero_tol", help="ppll only: clauses at or below this weight are dropped")
+    option(l, "neg_ratio", help="subsample negative train targets to this ratio of positives "
+           "(0 = keep all)")
 
     i = sub.add_parser("infer", help="MAP-predict test target atoms")
     common(i)
-    i.add_argument("--test", help="test target atoms TSV (values ignored)")
+    option(i, "test", help="test target atoms TSV (values ignored)")
     i.add_argument("--model", required=True, help="model file")
     i.add_argument("--out", required=True, help="predictions TSV")
-    i.add_argument("--p", type=int, choices=(1, 2))
-    i.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                   help="exclude observed target atoms from clause bodies")
+    option(i, "p", choices=(1, 2))
+    option(i, "strict", help="exclude observed target atoms from clause bodies")
 
     e = sub.add_parser("eval", help="AUC of predictions against labels")
     e.add_argument("--predictions", required=True)
     e.add_argument("--labels", required=True, help="labeled atoms TSV")
     e.add_argument("--out", required=True, help="metrics TSV")
-
-    b = sub.add_parser("bench", help="runtime of both learners vs candidate count")
-    common(b)
-    b.add_argument("--clauses", required=True, help="candidate pool clause file")
-    b.add_argument("--counts", required=True, help="comma-separated clause counts")
-    b.add_argument("--out", required=True, help="runtime CSV")
-    b.add_argument("--iters", type=int)
-    b.add_argument("--inner-iters", type=int, dest="inner_iters")
-    b.add_argument("--neg-ratio", type=float, dest="neg_ratio")
 
     s = sub.add_parser("synth", help="write a built-in synthetic dataset")
     s.add_argument("--fixture", required=True, choices=sorted(FIXTURES))
@@ -413,9 +357,6 @@ def main(argv: list[str] | None = None) -> int:
             cmd_learn(cfg, args.clauses, args.out, args.trace, args.score_report, args.dump_groundings)
         elif args.command == "infer":
             cmd_infer(cfg, args.model, args.out)
-        elif args.command == "bench":
-            counts = [int(part) for part in args.counts.split(",") if part.strip()]
-            cmd_bench(cfg, args.clauses, counts, args.out)
         return 0
     except HlslError as exc:
         message = str(exc).replace("\n", " ")

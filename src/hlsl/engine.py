@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .clauses import spans
 from .grounding import Grounding
 
 BETA_FLAT = 1e-12  # below this slope a segment integrates as a constant
@@ -210,22 +211,19 @@ class Workspace:
         self.group_seg_start = (np.cumsum(self.seg_count) - self.seg_count).astype(np.int64)
         self.seg_lo = np.zeros(total)
         self.seg_hi = np.ones(total)
-        if len(rg):
-            root_start = np.cumsum(n_roots) - n_roots
-            rank = np.arange(len(rg)) - np.repeat(root_start, n_roots)
-            base = self.group_seg_start[rg] + rank
-            self.seg_lo[base + 1] = rr
-            self.seg_hi[base] = rr
+        # the roots are sorted by group, so their slots are the groups' first
+        # n_roots segments in order; root k splits segments k and k + 1
+        _, base = spans(self.group_seg_start, self.group_seg_start + n_roots)
+        self.seg_lo[base + 1] = rr
+        self.seg_hi[base] = rr
         self.seg_len = self.seg_hi - self.seg_lo
         self.seg_mid = 0.5 * (self.seg_lo + self.seg_hi)
 
     def _build_combos(self) -> None:
         per_pair = self.seg_count[self.pair_group]
-        M = int(per_pair.sum())
-        self.combo_pair = np.repeat(np.arange(self.n_pairs, dtype=np.int64), per_pair)
+        first = self.group_seg_start[self.pair_group]
+        self.combo_pair, self.combo_seg = spans(first, first + per_pair)
         self.pair_combo_start = (np.cumsum(per_pair) - per_pair).astype(np.int64)
-        within = np.arange(M, dtype=np.int64) - np.repeat(self.pair_combo_start, per_pair)
-        self.combo_seg = self.group_seg_start[self.pair_group[self.combo_pair]] + within
         a = self.pair_a[self.combo_pair]
         b = self.pair_b[self.combo_pair]
         self.combo_active = a + b * self.seg_mid[self.combo_seg] > 0.0

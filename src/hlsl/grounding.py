@@ -17,7 +17,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .clauses import PathClause, StepGraph
+from .clauses import PathClause, StepGraph, spans
 from .data import AtomDatabase, rounds_to_one
 
 
@@ -132,12 +132,6 @@ class Grounding:
     def n_clauses(self) -> int:
         return len(self.clauses)
 
-    def by_clause(self, clause_index: int) -> np.ndarray:
-        """Ground ids of one clause; grounds are stored clause-contiguous."""
-        lo = int(np.searchsorted(self.g_clause, clause_index, "left"))
-        hi = int(np.searchsorted(self.g_clause, clause_index, "right"))
-        return np.arange(lo, hi, dtype=np.int64)
-
     def inner_values(self, values: np.ndarray) -> np.ndarray:
         """Affine expression of every ground clause under an assignment."""
         inner = self.g_const0.copy()
@@ -167,19 +161,12 @@ class Grounding:
         Pure array slicing; ground clauses keep their per-clause order, so
         the result equals regrounding the sublist from scratch.
         """
-        pick = [self.by_clause(i) for i in indices]
-        gids = np.concatenate(pick) if pick else np.zeros(0, dtype=np.int64)
-        new_clause = np.repeat(
-            np.arange(len(indices), dtype=np.int64),
-            [len(block) for block in pick] if pick else [],
-        )
-        counts = self.term_count[gids]
-        # flatten the per-ground term ranges of the selected ground clauses
-        offsets = np.repeat(self.term_start[gids], counts)
-        within = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        rows = offsets + within
+        # ground clauses are stored clause-contiguous, their terms ground-contiguous
+        at = np.asarray(indices, dtype=np.int64)
+        lo, hi = (np.searchsorted(self.g_clause, at, side) for side in ("left", "right"))
+        new_clause, gids = spans(lo, hi)
+        counts, start = self.term_count[gids], self.term_start[gids]
+        _, rows = spans(start, start + counts)
         return Grounding(
             [self.clauses[i] for i in indices],
             self.db,

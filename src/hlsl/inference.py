@@ -123,8 +123,7 @@ def map_infer(
         )
 
     values[variables] = y + 0.0  # + 0.0 turns a clipped -0.0 into +0.0
-    phi = np.maximum(grounding.inner_values(values), 0.0)
-    objective = float((weights[grounding.g_clause] * (phi if p == 1 else phi * phi)).sum())
+    objective = float((weights[grounding.g_clause] * grounding.penalties(values, p)).sum())
     return MapSolution(
         values={i: float(values[i]) for i in free},
         objective=objective,

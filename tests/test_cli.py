@@ -1,10 +1,13 @@
 """End-to-end CLI: pipeline runs, determinism, config handling, error codes."""
 import filecmp
 import os
+from dataclasses import replace
 
 import pytest
 
-from hlsl.cli import main
+from hlsl.clauses import GenerationConfig
+from hlsl.cli import _OPTIONS, RunConfig, _build_parser, _resolve, main
+from hlsl.learning import LearnConfig
 from hlsl.synth import example_fixture, recovery_fixture, write_fixture
 
 
@@ -165,32 +168,6 @@ def test_config_file_and_flag_precedence(example_dir, tmp_path):
     out2 = tmp_path / "c2.tsv"
     assert run("generate", "--config", cfg, "--out", out2, "--min-coverage", 1) == 0
     assert len(out2.read_text().splitlines()) == 3
-
-
-def test_bench_writes_csv(recovery_dir, tmp_path):
-    out = tmp_path / "bench.csv"
-    code = run(
-        "bench", "--schema", recovery_dir / "schema.tsv",
-        "--observed", recovery_dir / "observed.tsv", "--train", recovery_dir / "train.tsv",
-        "--clauses", recovery_dir / "candidates.tsv", "--counts", "1,3", "--out", out,
-        "--iters", 3, "--inner-iters", 5,
-    )
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "method,n,seconds"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [(r[0], r[1]) for r in rows] == [("gls", "1"), ("ppll", "1"), ("gls", "3"), ("ppll", "3")]
-    assert all(float(r[2]) > 0 for r in rows)
-
-
-def test_bench_pool_too_small(recovery_dir, tmp_path, capsys):
-    code = run(
-        "bench", "--schema", recovery_dir / "schema.tsv",
-        "--observed", recovery_dir / "observed.tsv", "--train", recovery_dir / "train.tsv",
-        "--clauses", recovery_dir / "candidates.tsv", "--counts", "500", "--out", tmp_path / "b.csv",
-    )
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error:NoCandidates:")
 
 
 def test_learn_ppll_single_clause_matches_learn_weights(recovery_dir, tmp_path):
@@ -473,3 +450,105 @@ def test_commands_build_the_adjacency_once(recovery_dir, tmp_path, monkeypatch):
         "--iters", 2, "--out", tmp_path / "m.tsv",
     ) == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_learn_rejects_non_finite_neg_ratio(tmp_path, capsys, value, via):
+    # the inputs do not exist: the check comes before any of them is read
+    cfg = tmp_path / "learn.cfg"
+    cfg.write_text(f"neg_ratio = {value}\n" if via == "config" else "")
+    flags = ("--neg-ratio", value) if via == "flag" else ()
+    model = tmp_path / "model.tsv"
+    code = run(
+        "learn", "--schema", tmp_path / "schema.tsv", "--observed", tmp_path / "observed.tsv",
+        "--train", tmp_path / "train.tsv", "--clauses", tmp_path / "candidates.tsv",
+        "--config", cfg, *flags, "--out", model,
+    )
+    assert code == 1
+    assert single_error(capsys) == "error:ValueError:neg_ratio must be finite"
+    assert not model.exists()
+
+
+# -- the option table: every default and type comes from the configs --------
+
+
+GENERATE = ("generate", "--out", "c.tsv")
+LEARN = ("learn", "--clauses", "c.tsv", "--out", "m.tsv")
+INFER = ("infer", "--model", "m.tsv", "--out", "p.tsv")
+
+# one value per option other than its default: the command line both ways
+# share, the flag and the same value as a config entry
+SAMPLES = {
+    "threads": (GENERATE, ("--threads", "3"), "threads = 3"),
+    "seed": (GENERATE, ("--seed", "7"), "seed = 7"),
+    "schema": (GENERATE, ("--schema", "s.tsv"), "schema = s.tsv"),
+    "observed": (GENERATE, ("--observed", "o.tsv"), "observed = o.tsv"),
+    "train": (GENERATE, ("--train", "t.tsv"), "train = t.tsv"),
+    "test": (INFER, ("--test", "t.tsv"), "test = t.tsv"),
+    "strict": (INFER, ("--strict",), "strict = true"),
+    "max_depth": (GENERATE, ("--max-depth", "2"), "max_depth = 2"),
+    "min_coverage": (GENERATE, ("--min-coverage", "3"), "min_coverage = 3"),
+    "top_k": (GENERATE, ("--top-k", "7"), "top_k = 7"),
+    "threshold": (GENERATE, ("--threshold", "0.25"), "threshold = 0.25"),
+    "include_inverses": (GENERATE, ("--no-include-inverses",), "include_inverses = false"),
+    "add_negative_priors": (GENERATE, ("--no-add-negative-priors",), "add_negative_priors = no"),
+    "traverse_target_edges": (GENERATE, ("--no-traverse-target-edges",), "traverse_target_edges = 0"),
+    "method": (LEARN, ("--method", "gls"), "method = gls"),
+    "neg_ratio": (LEARN, ("--neg-ratio", "0.5"), "neg_ratio = 0.5"),
+    "iters": (LEARN, ("--iters", "3"), "iters = 3"),
+    "inner_iters": ((*LEARN, "--method", "gls"), ("--inner-iters", "4"), "inner_iters = 4"),
+    "step_size": ((*LEARN, "--method", "gls"), ("--step-size", "0.5"), "step_size = 0.5"),
+    "init_weight": ((*LEARN, "--method", "gls"), ("--init-weight", "0.5"), "init_weight = 0.5"),
+    "tolerance": (LEARN, ("--tolerance", "0.01"), "tolerance = 0.01"),
+    "w_max": (LEARN, ("--w-max", "9"), "w_max = 9"),
+    "l2_sigma": (LEARN, ("--l2-sigma", "0"), "l2_sigma = 0"),
+    "p": (LEARN, ("--p", "2"), "p = 2"),
+    "zero_tol": (LEARN, ("--zero-tol", "0.01"), "zero_tol = 0.01"),
+}
+
+
+def resolve(*argv) -> RunConfig:
+    return _resolve(_build_parser().parse_args([str(a) for a in argv]))
+
+
+@pytest.mark.parametrize("command", [GENERATE, INFER, LEARN, (*LEARN, "--method", "gls")])
+def test_resolve_without_options_gives_the_config_defaults(command):
+    cfg = resolve(*command)
+    assert cfg == RunConfig(method=cfg.method)
+    assert cfg.generation == GenerationConfig()
+    assert cfg.learning == LearnConfig()
+
+
+@pytest.mark.parametrize("key", sorted(_OPTIONS))
+def test_config_entry_resolves_like_its_flag(tmp_path, key):
+    command, flag, entry = SAMPLES[key]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    by_flag = resolve(*command, *flag)
+    # repr tells an int from an equal float
+    assert repr(resolve(*command, "--config", cfg)) == repr(by_flag)
+    if key != "threads":  # nothing reads it
+        assert by_flag != resolve(*command)
+
+
+@pytest.mark.parametrize("method, field", [("ppll", "max_iters"), ("gls", "gls_outer_iters")])
+def test_config_iters_sets_the_budget_of_the_method(tmp_path, method, field):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("iters = 3\n")
+    learning = resolve(*LEARN, "--method", method, "--config", cfg).learning
+    assert learning == replace(LearnConfig(), **{field: 3})
+
+
+@pytest.mark.parametrize("command", ["generate", "learn", "infer", "eval", "synth"])
+def test_every_subcommand_prints_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: hlsl {command}")
+
+
+def test_bench_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--counts", "1", "--out", str(tmp_path / "bench.csv")])
+    assert exc.value.code == 2
