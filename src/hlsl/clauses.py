@@ -9,7 +9,7 @@ and capped at a fixed pool size; a body-less negative prior clause per
 target predicate is appended last.
 
 Mining runs as one chain join over a sparse step graph for all target atoms
-at once (`StepGraph`, `chain_coverage`); `bfs_paths` is the per-target
+at once (`data.StepGraph`, `chain_coverage`); `bfs_paths` is the per-target
 reference enumeration of the same paths.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .data import AtomDatabase, GroundAtom, PredicateSymbol
+from .data import AtomDatabase, GroundAtom, PredicateSymbol, StepGraph
 from .errors import MalformedLine, NoCandidates, UnknownPredicate
 
 # One step of a ground relational path: predicate name, whether the edge was
@@ -108,7 +108,7 @@ def bfs_paths(
 ) -> set[RelationalPath]:
     """Enumerate ground paths from target_atom.arg1 to target_atom.arg2.
 
-    Paths follow adjacency edges (atoms that round to 1), never revisit a
+    Paths follow edges (atoms that round to 1), never revisit a
     constant, and have 1..max_depth steps. Backward edges are taken when
     `include_inverses`. The single-step path consisting of the target atom
     itself is excluded. `generate_candidates` counts the same paths with
@@ -196,85 +196,6 @@ def negative_prior(pred: PredicateSymbol | str, coverage: int = 0) -> PathClause
 ROW_BUDGET = 1 << 16
 
 
-def spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Enumerate the ranges [lo[i], hi[i]) as (i, position) pairs, range by
-    range in order: the flat form of a ragged selection."""
-    counts = hi - lo
-    owner = np.repeat(np.arange(len(lo)), counts)
-    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return owner, first + np.arange(len(owner))
-
-
-class StepGraph:
-    """The adjacency index as one sparse step graph.
-
-    Every atom p(a, b) in the adjacency index, and every atom of `extra`,
-    is a forward step a -> b with label 2k, where k is p's predicate id,
-    and, when inverses are walked, a backward step b -> a with label 2k + 1.
-    Steps of target predicates are left out unless `traverse_target_edges`.
-    Steps are held in CSR form sorted by (src, label): `indptr[n]:indptr[n +
-    1]` are the steps leaving node n, `dst[s]` is where step s leads and
-    `atom[s]` the atom it walks.
-    """
-
-    def __init__(
-        self,
-        db: AtomDatabase,
-        include_inverses: bool = True,
-        traverse_target_edges: bool = True,
-        extra: np.ndarray | Sequence[int] = (),
-    ):
-        extra = np.asarray(extra, dtype=np.int64)
-        forward = np.concatenate([db.out_atom, extra])
-        backward = np.concatenate([db.in_atom, extra]) if include_inverses else extra[:0]
-        atom = np.concatenate([forward, backward])
-        src = np.concatenate([db.arg1[forward], db.arg2[backward]])
-        dst = np.concatenate([db.arg2[forward], db.arg1[backward]])
-        label = 2 * db.pred[atom] + (np.arange(len(atom)) >= len(forward))
-        if not traverse_target_edges:
-            walked = ~db.is_target_pred[db.pred[atom]]
-            atom, src, dst, label = atom[walked], src[walked], dst[walked], label[walked]
-        self.n_nodes = len(db.constants)
-        self.n_labels = 2 * len(db.predicates)
-        # both index directions are already sorted by (src, label), so this
-        # stable sort merges them (and places the few extra steps)
-        slot = src * self.n_labels + label
-        order = np.argsort(slot, kind="stable")
-        self.slot = slot[order]
-        self.dst = dst[order]
-        self.label = label[order]
-        self.atom = atom[order]
-        self.indptr = np.searchsorted(self.slot, np.arange(self.n_nodes + 1) * self.n_labels)
-        # the steps again, sorted by (src, dst), for goal lookups
-        pair = src[order] * self.n_nodes + self.dst
-        self.by_pair = np.argsort(pair)
-        self.pair = pair[self.by_pair]
-
-    def degree(self, nodes: np.ndarray) -> np.ndarray:
-        return self.indptr[nodes + 1] - self.indptr[nodes]
-
-    def expand(self, nodes: np.ndarray, label: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Every step leaving each node (only those labelled `label` if
-        given), as (position in `nodes`, step) pairs."""
-        if label is None:
-            return spans(self.indptr[nodes], self.indptr[nodes + 1])
-        key = nodes * self.n_labels + label
-        return spans(np.searchsorted(self.slot, key, "left"), np.searchsorted(self.slot, key, "right"))
-
-    def lookup(
-        self, nodes: np.ndarray, goals: np.ndarray, label: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Every step from nodes[i] to goals[i] (only those labelled `label`
-        if given), as (i, step) pairs."""
-        key = nodes * self.n_nodes + goals
-        i, at = spans(np.searchsorted(self.pair, key, "left"), np.searchsorted(self.pair, key, "right"))
-        s = self.by_pair[at]
-        if label is None:
-            return i, s
-        keep = self.label[s] == label
-        return i[keep], s[keep]
-
-
 def chain_coverage(db: AtomDatabase, config: GenerationConfig) -> dict[tuple[str, tuple[tuple[str, bool], ...]], int]:
     """Coverage of every chain body that connects some target atom.
 
@@ -294,8 +215,7 @@ def chain_coverage(db: AtomDatabase, config: GenerationConfig) -> dict[tuple[str
     names = db.pred_names
     depth = config.max_depth
     graph = StepGraph(db, config.include_inverses, config.traverse_target_edges)
-    targets = np.asarray(db.targets, dtype=np.int64)
-    start, goal, head = db.arg1[targets], db.arg2[targets], db.pred[targets]
+    start, goal, head = db.arg1[db.targets], db.arg2[db.targets], db.pred[db.targets]
 
     # every (head, labels...) key seen, and its coverage over finished chunks
     keys = np.zeros((0, depth + 1), dtype=np.int64)

@@ -1,10 +1,11 @@
-"""Relational ground-atom data: schema files, TSV ingestion, adjacency index.
+"""Relational ground-atom data: schema files, TSV ingestion, the step graph.
 
 Atoms are binary-predicate facts with soft values in [0, 1]. Atoms of target
 predicates are the random variables of the model; everything else is
-evidence. The database stores atoms as columns and keeps one edge index, in
-CSR form, over the atoms whose value rounds to 1; the clause miner and the
-grounder both walk it.
+evidence. The database stores atoms as columns and, after `build_adjacency`,
+the indices of the atoms whose value rounds to 1 (its edges). The clause
+miner and the grounder both walk those atoms as a `StepGraph`, one array of
+steps sorted by a single (source, label, destination) key.
 """
 from __future__ import annotations
 
@@ -54,14 +55,16 @@ def round_value(v: float, threshold: float = DEFAULT_ROUND_THRESHOLD) -> int:
 
 
 class AtomDatabase:
-    """Columnar store of ground atoms split into target and evidence atoms.
+    """Columnar store of ground atoms.
 
     Atom i is `pred[i](arg1[i], arg2[i])` with value `values[i]`, where
     `pred` holds predicate ids (`pred_ids`) and the arguments constant ids.
     Constants are interned to dense ids in order of first appearance (arg1
-    before arg2); string names are kept for serialization. `atoms[i]` builds
-    a `GroundAtom` when it is read. After `build_adjacency` the database is
-    treated as immutable.
+    before arg2); string names are kept for serialization. `targets` holds
+    the indices of the target-predicate atoms in ascending order, and
+    `atoms[i]` builds a `GroundAtom` when it is read. `build_adjacency` sets
+    `edges`, the indices of the atoms that round to 1; after it the
+    database is treated as immutable.
     """
 
     def __init__(self, schema: Iterable[PredicateSymbol]):
@@ -85,21 +88,18 @@ class AtomDatabase:
         self.arg1 = np.zeros(0, dtype=np.int64)
         self.arg2 = np.zeros(0, dtype=np.int64)
         self.values = np.zeros(0, dtype=np.float64)
-        self.targets: list[int] = []
-        self.evidence: list[int] = []
+        self.targets = np.zeros(0, dtype=np.int64)
         self.atoms = _AtomView(self)
         # atom indices sorted by the key (arg1 * P + pred, arg2), and the two
         # key columns in that order: duplicate checks and `find_atom` use them
         self._key_order = np.zeros(0, dtype=np.int64)
         self._sorted_hi = np.zeros(0, dtype=np.int64)
         self._sorted_lo = np.zeros(0, dtype=np.int64)
-        # adjacency (see `build_adjacency`)
-        self.out_ptr = np.zeros(1, dtype=np.int64)
-        self.out_atom = np.zeros(0, dtype=np.int64)
-        self.in_ptr = np.zeros(1, dtype=np.int64)
-        self.in_atom = np.zeros(0, dtype=np.int64)
-        # rounding threshold the adjacency was built with
+        # the atoms that round to 1, and the threshold they were rounded at
+        # (see `build_adjacency`)
+        self.edges = np.zeros(0, dtype=np.int64)
         self.round_threshold: float = DEFAULT_ROUND_THRESHOLD
+        self._edge_graph: StepGraph | None = None  # `outgoing`/`incoming`, built on first access
 
     # -- construction -----------------------------------------------------
 
@@ -167,9 +167,7 @@ class AtomDatabase:
         self.arg1 = np.concatenate([self.arg1, arg1[:stop]])
         self.arg2 = np.concatenate([self.arg2, arg2[:stop]])
         self.values = np.concatenate([self.values, value[:stop]])
-        is_target = self.is_target_pred[pred[:stop]]
-        self.targets.extend((old + np.flatnonzero(is_target)).tolist())
-        self.evidence.extend((old + np.flatnonzero(~is_target)).tolist())
+        self.targets = np.concatenate([self.targets, old + np.flatnonzero(self.is_target_pred[pred[:stop]])])
 
         if stop < n:
             atom = f"{preds[stop]}({args1[stop]},{args2[stop]})"
@@ -221,13 +219,13 @@ class AtomDatabase:
     def outgoing(self) -> Mapping[int, list[tuple[str, int, int]]]:
         """Constant id -> its outgoing edges as (predicate name, arg2, atom
         index), sorted; constants without edges are absent."""
-        return _EdgeView(self, self.out_ptr, self.out_atom, self.arg2)
+        return _EdgeView(self, backward=False)
 
     @property
     def incoming(self) -> Mapping[int, list[tuple[str, int, int]]]:
         """Constant id -> its incoming edges as (predicate name, arg1, atom
         index), sorted."""
-        return _EdgeView(self, self.in_ptr, self.in_atom, self.arg1)
+        return _EdgeView(self, backward=True)
 
 
 class _AtomView(Sequence):
@@ -254,51 +252,135 @@ class _AtomView(Sequence):
 
 
 class _EdgeView(Mapping):
-    """One direction of the adjacency index as a read-only mapping from a
-    constant id to its edge list."""
+    """One direction of the edges as a read-only mapping from a constant id
+    to its edge list. It reads the forward (or backward) steps of a
+    `StepGraph` of the edges, built on first access and kept until
+    `build_adjacency` runs again; those steps leave each constant sorted by
+    (predicate id, neighbour), and predicate ids follow name order."""
 
-    def __init__(self, db: AtomDatabase, ptr: np.ndarray, atoms: np.ndarray, nbr: np.ndarray):
-        self._db, self._ptr, self._atoms, self._nbr = db, ptr, atoms, nbr
+    def __init__(self, db: AtomDatabase, backward: bool):
+        if db._edge_graph is None:
+            db._edge_graph = StepGraph(db)
+        self._graph, self._names, self._backward = db._edge_graph, db.pred_names, backward
 
     def __getitem__(self, node: int) -> list[tuple[str, int, int]]:
-        if not 0 <= node < len(self._ptr) - 1 or self._ptr[node] == self._ptr[node + 1]:
+        g, names = self._graph, self._names
+        if not 0 <= node < g.n_nodes:
             raise KeyError(node)
-        atoms = self._atoms[self._ptr[node]:self._ptr[node + 1]]
-        names = self._db.pred_names
-        return [
-            (names[p], n, a)
-            for p, n, a in zip(self._db.pred[atoms].tolist(), self._nbr[atoms].tolist(), atoms.tolist())
+        steps = slice(g.indptr[node], g.indptr[node + 1])
+        edges = [
+            (names[k // 2], n, a)
+            for k, n, a in zip(g.label[steps].tolist(), g.dst[steps].tolist(), g.atom[steps].tolist())
+            if k % 2 == self._backward
         ]
+        if not edges:
+            raise KeyError(node)
+        return edges
 
     def __iter__(self) -> Iterator[int]:
-        return iter(np.flatnonzero(np.diff(self._ptr)).tolist())
+        g = self._graph  # a step leaves node key // (n_labels * n_nodes)
+        return iter(np.unique(g.key[g.label % 2 == self._backward] // (g.n_labels * g.n_nodes)).tolist())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(np.diff(self._ptr)))
+        return sum(1 for _ in self)
 
 
 def build_adjacency(db: AtomDatabase, threshold: float = DEFAULT_ROUND_THRESHOLD) -> AtomDatabase:
-    """Build the edge index over the atoms that round to 1.
+    """Find the edges: the atoms whose value rounds to 1 at `threshold`.
 
-    Every such atom p(a, b) is one outgoing edge at a and one incoming edge
-    at b. Each direction is a CSR array pair: `out_atom[out_ptr[c]:out_ptr[c
-    + 1]]` are the atoms leaving constant c, sorted by (predicate name,
-    arg2); `in_ptr`/`in_atom` hold the atoms entering c, sorted by
-    (predicate name, arg1).
+    Sets `db.edges` to their indices in ascending order and
+    `db.round_threshold` to `threshold`; mining and grounding walk the
+    edges as a `StepGraph`. Refuses more constants than that graph's 64-bit
+    step keys hold.
     """
     n, n_preds = len(db.constants), len(db.predicates)
     if n * n * 2 * n_preds >= 2**63:
         raise ValueError(f"{n} constants are too many for 64-bit edge keys")
-    edges = np.flatnonzero(rounds_to_one(db.values, threshold))
-
-    def csr(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        atoms = edges[np.argsort((src[edges] * n_preds + db.pred[edges]) * n + dst[edges])]
-        return np.searchsorted(src[atoms], np.arange(n + 1)), atoms
-
-    db.out_ptr, db.out_atom = csr(db.arg1, db.arg2)
-    db.in_ptr, db.in_atom = csr(db.arg2, db.arg1)
+    db.edges = np.flatnonzero(rounds_to_one(db.values, threshold))
     db.round_threshold = threshold
+    db._edge_graph = None
     return db
+
+
+def spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerate the ranges [lo[i], hi[i]) as (i, position) pairs, range by
+    range in order: the flat form of a ragged selection."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return owner, first + np.arange(len(owner))
+
+
+class StepGraph:
+    """Atoms as the steps of a labelled graph over the constants.
+
+    Every atom p(a, b) of `atoms` (by default the edges, `db.edges`) is a
+    forward step a -> b with label 2k, where k is p's predicate id, and,
+    when inverses are walked, a backward step b -> a with label 2k + 1.
+    Steps of target predicates are left out unless `traverse_target_edges`.
+    Steps are sorted by `key` = (src * n_labels + label) * n_nodes + dst,
+    which is unique when `atoms` repeats no atom: `indptr[n]:indptr[n + 1]`
+    are the steps leaving node n, `dst[s]` is where step s leads, `label[s]`
+    its label and `atom[s]` the atom it walks.
+    """
+
+    def __init__(
+        self,
+        db: AtomDatabase,
+        include_inverses: bool = True,
+        traverse_target_edges: bool = True,
+        atoms: np.ndarray | Sequence[int] | None = None,
+    ):
+        atom = db.edges if atoms is None else np.asarray(atoms, dtype=np.int64)
+        if not traverse_target_edges:
+            atom = atom[~db.is_target_pred[db.pred[atom]]]
+        directions = [False, True] if include_inverses else [False]
+        backward = np.repeat(directions, len(atom))
+        atom = np.tile(atom, len(directions))
+        src = np.where(backward, db.arg2[atom], db.arg1[atom])
+        dst = np.where(backward, db.arg1[atom], db.arg2[atom])
+        label = 2 * db.pred[atom] + backward
+        self.n_nodes = len(db.constants)
+        self.n_labels = 2 * len(db.predicates)
+        key = (src * self.n_labels + label) * self.n_nodes + dst
+        order = np.argsort(key)
+        self.key = key[order]
+        self.dst = dst[order]
+        self.label = label[order]
+        self.atom = atom[order]
+        src = src[order]
+        self.indptr = np.searchsorted(src, np.arange(self.n_nodes + 1))
+        # the steps again, sorted by (src, dst), for unlabelled goal lookups
+        pair = src * self.n_nodes + self.dst
+        self.by_pair = np.argsort(pair)
+        self.pair = pair[self.by_pair]
+
+    def degree(self, nodes: np.ndarray) -> np.ndarray:
+        return self.indptr[nodes + 1] - self.indptr[nodes]
+
+    def expand(self, nodes: np.ndarray, label: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Every step leaving each node (only those labelled `label` if
+        given), as (position in `nodes`, step) pairs."""
+        if label is None:
+            return spans(self.indptr[nodes], self.indptr[nodes + 1])
+        first = (nodes * self.n_labels + label) * self.n_nodes
+        return spans(np.searchsorted(self.key, first), np.searchsorted(self.key, first + self.n_nodes))
+
+    def lookup(
+        self, nodes: np.ndarray, goals: np.ndarray, label: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every step from nodes[i] to goals[i] (only the one labelled
+        `label` if given), as (i, step) pairs."""
+        if label is None:
+            key = nodes * self.n_nodes + goals
+            i, at = spans(np.searchsorted(self.pair, key, "left"), np.searchsorted(self.pair, key, "right"))
+            return i, self.by_pair[at]
+        key = (nodes * self.n_labels + label) * self.n_nodes + goals
+        s = np.searchsorted(self.key, key)
+        hit = s < len(self.key)
+        hit[hit] = self.key[s[hit]] == key[hit]
+        i = np.flatnonzero(hit)
+        return i, s[i]
 
 
 # -- flat-file formats ----------------------------------------------------
@@ -403,8 +485,8 @@ def load_database(
 ) -> AtomDatabase:
     """Convenience loader: schema file plus one or more atom TSV files.
 
-    `extra_rows` are added after the files and before the adjacency index
-    is built, so the index is built once.
+    `extra_rows` are added after the files and before `build_adjacency`,
+    so the edges are found once.
     """
     with open(schema_path, encoding="utf-8") as fh:
         schema = parse_schema(fh)

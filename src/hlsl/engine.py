@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clauses import spans
+from .data import spans
 from .grounding import Grounding
 
 BETA_FLAT = 1e-12  # below this slope a segment integrates as a constant

@@ -17,8 +17,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .clauses import PathClause, StepGraph, spans
-from .data import AtomDatabase, rounds_to_one
+from .clauses import PathClause
+from .data import AtomDatabase, StepGraph, rounds_to_one, spans
 
 
 def ground_clause(
@@ -32,7 +32,7 @@ def ground_clause(
     `Grounding`.
 
     A substitution grounds when every body atom is stored and either rounds
-    to 1 (at the threshold the adjacency index was built with) or is free,
+    to 1 (at the threshold `build_adjacency` rounded at) or is free,
     and the head is a stored target atom. Variables are substituted
     independently, so distinct variables may bind the same constant. Mining
     differs on purpose: it counts only simple paths, yet the clauses it
@@ -49,8 +49,7 @@ def ground_clause(
     argument. Groundings come out sorted by their atom indices, body atoms
     in literal order, then the head.
     """
-    targets = np.asarray(db.targets, dtype=np.int64)
-    heads = targets[db.pred[targets] == db.pred_ids[clause.head.predicate]]
+    heads = db.targets[db.pred[db.targets] == db.pred_ids[clause.head.predicate]]
     atoms = heads[:, None]
     if clause.body:
         if graph is None:
@@ -87,11 +86,12 @@ def ground_clause(
 
 
 def walk_graph(db: AtomDatabase, free_atoms: frozenset[int] | set[int] | None = None) -> StepGraph:
-    """The step graph grounding walks: the adjacency index plus, as extra
-    steps, the free atoms that round to 0, since those may take any value
-    at inference time. Forward and backward steps of every predicate."""
+    """The step graph grounding walks: the edges plus the free atoms that
+    round to 0, since those may take any value at inference time. Forward
+    and backward steps of every predicate."""
     free = np.unique(np.fromiter(free_atoms or (), dtype=np.int64))
-    return StepGraph(db, extra=free[~rounds_to_one(db.values[free], db.round_threshold)])
+    free = free[~rounds_to_one(db.values[free], db.round_threshold)]
+    return StepGraph(db, atoms=np.concatenate([db.edges, free]))
 
 
 class Grounding:

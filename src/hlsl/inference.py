@@ -157,15 +157,11 @@ def auc_roc(scores: Mapping, labels: Mapping) -> RocResult:
         raise DegenerateLabels(f"n_pos={n_pos}, n_neg={n_neg}")
     order = np.argsort(s, kind="mergesort")
     s_sorted, y_sorted = s[order], y[order]
-    # average ranks over tied score groups (1-based)
-    ranks = np.empty(len(s), dtype=np.float64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        ranks[i : j + 1] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # average ranks over tied score groups (1-based): a group spans the
+    # sorted positions i..j
+    i = np.searchsorted(s_sorted, s_sorted, "left")
+    j = np.searchsorted(s_sorted, s_sorted, "right") - 1
+    ranks = 0.5 * (i + j) + 1.0
     pos_rank_sum = float(ranks[y_sorted == 1].sum())
     auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return RocResult(auc=float(auc), n_pos=n_pos, n_neg=n_neg)

@@ -3,11 +3,14 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_chain_db
 
 from hlsl.data import (
     AtomDatabase,
     PredicateSymbol,
+    StepGraph,
     build_adjacency,
     parse_schema,
     parse_tsv,
@@ -90,8 +93,10 @@ def test_schema_parsing():
 
 
 def test_targets_evidence_partition(citation_db):
-    assert set(citation_db.targets) | set(citation_db.evidence) == {0, 1, 2}
-    assert set(citation_db.targets) & set(citation_db.evidence) == set()
+    mask = citation_db.target_mask()
+    assert citation_db.targets.dtype == np.int64
+    assert citation_db.targets.tolist() == np.flatnonzero(mask).tolist() == [1, 2]
+    assert np.flatnonzero(~mask).tolist() == [0]
     assert [citation_db.atoms[i].predicate.name for i in citation_db.targets] == ["Mentions", "Mentions"]
 
 
@@ -126,6 +131,75 @@ def test_edge_count_matches_rounded_atoms():
     n_out = sum(len(v) for v in db.outgoing.values())
     n_in = sum(len(v) for v in db.incoming.values())
     assert n_out == n_in == n_rounded
+
+
+def scanned_steps(db, atoms, inverses, target_edges):
+    """(src, label, dst, atom) of every step, from a scan of the atom
+    columns, sorted by (src, label, dst)."""
+    steps = []
+    for a in atoms:
+        p, x, y = int(db.pred[a]), int(db.arg1[a]), int(db.arg2[a])
+        if target_edges or not db.is_target_pred[p]:
+            steps.append((x, 2 * p, y, int(a)))
+            if inverses:
+                steps.append((y, 2 * p + 1, x, int(a)))
+    return sorted(steps)
+
+
+def scanned_edges(db, threshold, backward):
+    """`db.outgoing` (or `db.incoming`) built from the columns."""
+    edges = {}
+    for a in range(len(db.atoms)):
+        if db.values[a] >= threshold:
+            x, y = int(db.arg1[a]), int(db.arg2[a])
+            src, nbr = (y, x) if backward else (x, y)
+            edges.setdefault(src, []).append((db.pred_names[db.pred[a]], nbr, a))
+    return {src: sorted(out) for src, out in sorted(edges.items())}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.booleans(),
+    st.lists(st.booleans(), max_size=60),
+    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 7)), max_size=20),
+)
+def test_step_graph_matches_a_column_scan(seed, inverses, target_edges, free_flags, queries):
+    db = random_chain_db(seed, n_a=5, n_b=4, n_c=4)
+    free = [a for a, f in zip(np.flatnonzero(db.values < 0.5).tolist(), free_flags) if f]
+    atoms = np.concatenate([db.edges, np.asarray(free, dtype=np.int64)])
+    graph = StepGraph(db, inverses, target_edges, atoms)
+    steps = scanned_steps(db, atoms.tolist(), inverses, target_edges)
+    n = graph.n_nodes
+    src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    got = list(zip(src.tolist(), graph.label.tolist(), graph.dst.tolist(), graph.atom.tolist()))
+    assert got == steps
+    assert np.all(np.diff(graph.key) > 0)
+    assert graph.key.tolist() == [(x * graph.n_labels + k) * n + y for x, k, y, _ in steps]
+
+    nodes = np.array([q[0] % n for q in queries], dtype=np.int64)
+    goals = np.array([q[1] % n for q in queries], dtype=np.int64)
+    for label in [None, *sorted({q[2] % graph.n_labels for q in queries})]:
+        def wanted(i, step):
+            return step[0] == nodes[i] and label in (None, step[1])
+
+        i, s = graph.expand(nodes, label)
+        assert list(zip(i.tolist(), (got[k] for k in s))) == [
+            (i, step) for i in range(len(nodes)) for step in steps if wanted(i, step)
+        ]
+        i, s = graph.lookup(nodes, goals, label)
+        found = list(zip(i.tolist(), (got[k] for k in s)))
+        expected = [(i, step) for i in range(len(nodes)) for step in steps if wanted(i, step) and step[2] == goals[i]]
+        assert (found if label is not None else sorted(found)) == expected
+
+    for threshold in (0.5, 0.9):  # a rebuild resets the views
+        build_adjacency(db, threshold)
+        assert dict(db.outgoing) == scanned_edges(db, threshold, False)
+        assert dict(db.incoming) == scanned_edges(db, threshold, True)
+        assert list(db.outgoing) == list(scanned_edges(db, threshold, False))
+        assert list(db.incoming) == list(scanned_edges(db, threshold, True))
+        assert len(db.outgoing) == len(scanned_edges(db, threshold, False))
 
 
 @given(st.lists(
@@ -193,7 +267,7 @@ def test_bulk_rows_match_one_at_a_time(rows):
     got = [(a.predicate.name, db.const_name(a.arg1), db.const_name(a.arg2), a.value) for a in db.atoms]
     assert got == stored
     assert db.constants[: len(constants)] == constants
-    assert db.targets == [i for i, row in enumerate(stored) if row[0] == "Mentions"]
+    assert db.targets.tolist() == [i for i, row in enumerate(stored) if row[0] == "Mentions"]
     for i, (pred, arg1, arg2, _) in enumerate(stored):
         assert db.find_atom(pred, db.intern(arg1), db.intern(arg2)) == i
 
