@@ -121,13 +121,14 @@ def bfs_paths(
     if start == goal:
         return found  # simple paths cannot return to the root
 
+    outgoing, incoming = db.outgoing, db.incoming if include_inverses else {}
+
     def expand(node: int) -> list[PathStep]:
         steps: list[PathStep] = []
-        for pred, nbr, _ in db.outgoing.get(node, ()):  # forward edges
+        for pred, nbr, _ in outgoing.get(node, ()):  # forward edges
             steps.append((pred, False, node, nbr))
-        if include_inverses:
-            for pred, nbr, _ in db.incoming.get(node, ()):  # backward edges
-                steps.append((pred, True, node, nbr))
+        for pred, nbr, _ in incoming.get(node, ()):  # backward edges
+            steps.append((pred, True, node, nbr))
         if not traverse_target_edges:
             steps = [s for s in steps if not db.predicates[s[0]].is_target]
         return steps

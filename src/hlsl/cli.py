@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -79,7 +78,7 @@ _OPTIONS: dict[str, object] = {
 
 # learner options that only one method reads; `learn` rejects them, from a
 # flag or a config entry, when the other method runs
-_METHOD_ONLY = {"step_size": "gls", "init_weight": "gls", "inner_iters": "gls", "zero_tol": "ppll"}
+_METHOD_ONLY = {"inner_iters": "gls"}
 
 
 def _learn_field(key: str, method: str) -> str:
@@ -246,8 +245,7 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
             )
 
 
-def cmd_eval(predictions_path: str, labels_path: str, out_path: str, threshold: float = 0.5) -> None:
-    started = time.perf_counter()
+def cmd_eval(predictions_path: str, labels_path: str, out_path: str) -> None:
     scores: dict[tuple[str, str, str], float] = {}
     for line_no, pred, arg1, arg2, score in read_atom_file(predictions_path, default=None):
         if score is None:
@@ -261,12 +259,11 @@ def cmd_eval(predictions_path: str, labels_path: str, out_path: str, threshold: 
     for _, pred, arg1, arg2, value in read_atom_file(labels_path):
         if (pred, arg1, arg2) in labels:
             raise DuplicateAtom(f"{pred}({arg1},{arg2})")
-        labels[(pred, arg1, arg2)] = round_value(value, threshold)
+        labels[(pred, arg1, arg2)] = round_value(value)
     result = auc_roc(scores, labels)
-    runtime = time.perf_counter() - started
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("auc\tn_pos\tn_neg\truntime_s\n")
-        fh.write(f"{result.auc:.12g}\t{result.n_pos}\t{result.n_neg}\t{runtime:.6f}\n")
+        fh.write("auc\tn_pos\tn_neg\n")
+        fh.write(f"{result.auc:.12g}\t{result.n_pos}\t{result.n_neg}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -307,14 +304,11 @@ def _build_parser() -> argparse.ArgumentParser:
     option(l, "iters", help="iteration budget (ppll: root-finding steps, default "
            f"{LearnConfig.max_iters}; gls: clause additions, default {LearnConfig.gls_outer_iters})")
     option(l, "inner_iters", help="gls only: gradient steps per refit")
-    option(l, "step_size", help="gls only: base gradient step")
     option(l, "tolerance", help="ppll: bound on each clause's projected derivative; "
            "gls: relative score gain a round or refit step must make")
     option(l, "w_max")
     option(l, "l2_sigma")
     option(l, "p", choices=(1, 2))
-    option(l, "init_weight", help="gls only: weight a new clause starts at")
-    option(l, "zero_tol", help="ppll only: clauses at or below this weight are dropped")
     option(l, "neg_ratio", help="subsample negative train targets to this ratio of positives "
            "(0 = keep all)")
 

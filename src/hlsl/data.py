@@ -5,11 +5,12 @@ predicates are the random variables of the model; everything else is
 evidence. The database stores atoms as columns and, after `build_adjacency`,
 the indices of the atoms whose value rounds to 1 (its edges). The clause
 miner and the grounder both walk those atoms as a `StepGraph`, one array of
-steps sorted by a single (source, label, destination) key.
+steps sorted by a single (source, label, destination) key; the step graph
+is the only index of the edges that is kept.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import IO, Iterable, Iterator
@@ -64,7 +65,8 @@ class AtomDatabase:
     the indices of the target-predicate atoms in ascending order, and
     `atoms[i]` builds a `GroundAtom` when it is read. `build_adjacency` sets
     `edges`, the indices of the atoms that round to 1; after it the
-    database is treated as immutable.
+    database is treated as immutable. `outgoing` / `incoming` group the
+    edges by constant into a new dict on every read; nothing is cached.
     """
 
     def __init__(self, schema: Iterable[PredicateSymbol]):
@@ -99,7 +101,6 @@ class AtomDatabase:
         # (see `build_adjacency`)
         self.edges = np.zeros(0, dtype=np.int64)
         self.round_threshold: float = DEFAULT_ROUND_THRESHOLD
-        self._edge_graph: StepGraph | None = None  # `outgoing`/`incoming`, built on first access
 
     # -- construction -----------------------------------------------------
 
@@ -216,16 +217,30 @@ class AtomDatabase:
         }
 
     @property
-    def outgoing(self) -> Mapping[int, list[tuple[str, int, int]]]:
+    def outgoing(self) -> dict[int, list[tuple[str, int, int]]]:
         """Constant id -> its outgoing edges as (predicate name, arg2, atom
-        index), sorted; constants without edges are absent."""
-        return _EdgeView(self, backward=False)
+        index); see `_edge_lists`."""
+        return self._edge_lists(self.arg1, self.arg2)
 
     @property
-    def incoming(self) -> Mapping[int, list[tuple[str, int, int]]]:
+    def incoming(self) -> dict[int, list[tuple[str, int, int]]]:
         """Constant id -> its incoming edges as (predicate name, arg1, atom
-        index), sorted."""
-        return _EdgeView(self, backward=True)
+        index); see `_edge_lists`."""
+        return self._edge_lists(self.arg2, self.arg1)
+
+    def _edge_lists(self, src: np.ndarray, nbr: np.ndarray) -> dict[int, list[tuple[str, int, int]]]:
+        """The edges grouped by their `src` constant, built from the columns
+        on every call: keys ascend, each list is sorted by (predicate id,
+        neighbour) and predicate ids follow name order. Constants without
+        edges are absent."""
+        atom = self.edges
+        src, pred, nbr = src[atom], self.pred[atom], nbr[atom]
+        order = np.lexsort((nbr, pred, src))
+        edges: dict[int, list[tuple[str, int, int]]] = {}
+        rows = zip(src[order].tolist(), pred[order].tolist(), nbr[order].tolist(), atom[order].tolist())
+        for x, k, y, a in rows:
+            edges.setdefault(x, []).append((self.pred_names[k], y, a))
+        return edges
 
 
 class _AtomView(Sequence):
@@ -251,40 +266,6 @@ class _AtomView(Sequence):
         return list(self) == list(other)
 
 
-class _EdgeView(Mapping):
-    """One direction of the edges as a read-only mapping from a constant id
-    to its edge list. It reads the forward (or backward) steps of a
-    `StepGraph` of the edges, built on first access and kept until
-    `build_adjacency` runs again; those steps leave each constant sorted by
-    (predicate id, neighbour), and predicate ids follow name order."""
-
-    def __init__(self, db: AtomDatabase, backward: bool):
-        if db._edge_graph is None:
-            db._edge_graph = StepGraph(db)
-        self._graph, self._names, self._backward = db._edge_graph, db.pred_names, backward
-
-    def __getitem__(self, node: int) -> list[tuple[str, int, int]]:
-        g, names = self._graph, self._names
-        if not 0 <= node < g.n_nodes:
-            raise KeyError(node)
-        steps = slice(g.indptr[node], g.indptr[node + 1])
-        edges = [
-            (names[k // 2], n, a)
-            for k, n, a in zip(g.label[steps].tolist(), g.dst[steps].tolist(), g.atom[steps].tolist())
-            if k % 2 == self._backward
-        ]
-        if not edges:
-            raise KeyError(node)
-        return edges
-
-    def __iter__(self) -> Iterator[int]:
-        g = self._graph  # a step leaves node key // (n_labels * n_nodes)
-        return iter(np.unique(g.key[g.label % 2 == self._backward] // (g.n_labels * g.n_nodes)).tolist())
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
 def build_adjacency(db: AtomDatabase, threshold: float = DEFAULT_ROUND_THRESHOLD) -> AtomDatabase:
     """Find the edges: the atoms whose value rounds to 1 at `threshold`.
 
@@ -298,7 +279,6 @@ def build_adjacency(db: AtomDatabase, threshold: float = DEFAULT_ROUND_THRESHOLD
         raise ValueError(f"{n} constants are too many for 64-bit edge keys")
     db.edges = np.flatnonzero(rounds_to_one(db.values, threshold))
     db.round_threshold = threshold
-    db._edge_graph = None
     return db
 
 

@@ -63,40 +63,35 @@ class LearnConfig:
     """Optimizer knobs. `l2_sigma` is the Gaussian prior variance (0 turns
     the prior off) and `w_max` the weight cap, for both learners.
 
-    - ppll: `max_iters` caps the root-finding steps, `tolerance` bounds each
-      clause's projected derivative (the KKT residual) and clauses at or
-      below `zero_tol` are dropped. Starting weights play no part.
+    - ppll: `max_iters` caps the root-finding steps and `tolerance` bounds
+      each clause's projected derivative (the KKT residual). Starting
+      weights play no part.
     - pll fits and gls: `max_iters` caps the gradient steps of one
       weight-learning run, which starts at the given weights (a new gls
-      clause at `init_weight`) with base step `step_size` and stops once a
-      step gains less than `tolerance` relative to the objective. The
-      greedy learner takes `gls_outer_iters` clause additions with
-      `gls_inner_iters` gradient steps per refit, and stops early once a
-      round gains less than `tolerance` relative to the score.
+      clause at 0) and stops once a step gains less than `tolerance`
+      relative to the objective. The greedy learner takes
+      `gls_outer_iters` clause additions with `gls_inner_iters` gradient
+      steps per refit, and stops early once a round gains less than
+      `tolerance` relative to the score.
     """
 
-    step_size: float = 1.0
     tolerance: float = 1e-4
     max_iters: int = 150
     w_max: float = 100.0
     l2_sigma: float = 100.0
     p: int = 1
-    init_weight: float = 0.0
-    zero_tol: float = 1e-6
     gls_outer_iters: int = 15
     gls_inner_iters: int = 50
 
     def __post_init__(self):
-        for name in ("step_size", "tolerance", "w_max", "l2_sigma", "init_weight", "zero_tol"):
+        for name in ("tolerance", "w_max", "l2_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
         if self.w_max <= 0.0:
             raise ValueError("w_max must be positive")
         if self.p not in (1, 2):
             raise ValueError("p must be 1 or 2")
-        for name in ("tolerance", "l2_sigma", "init_weight", "zero_tol"):
+        for name in ("tolerance", "l2_sigma"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
         for name in ("max_iters", "gls_outer_iters", "gls_inner_iters"):
@@ -140,14 +135,14 @@ def _ascend(
     """Projected gradient ascent on the joint objective; returns (weights,
     final pure objective).
 
-    The base step is step_size / #occurrences per clause so the update scale
-    tracks the gradient's; each step halves until the objective does not
+    The base step is 1 / #occurrences per clause so the update scale tracks
+    the gradient's; each step halves until the objective does not
     fall, and the run stops when an accepted step gains less than the
     relative tolerance.
     """
     penalty = config.l2_sigma > 0.0
     w = np.clip(np.asarray(w0, dtype=np.float64), 0.0, config.w_max)
-    steps = config.step_size / np.maximum(ws.pairs_per_clause, 1)
+    steps = 1.0 / np.maximum(ws.pairs_per_clause, 1)
 
     def total(wv: np.ndarray) -> float:
         value = ws.total(wv)
@@ -291,14 +286,15 @@ def ppll_structure_learn(
 ) -> WeightedModel:
     """Structure learning as one weight-learning run: fit every candidate's
     weight under the piecewise objective, then keep the clauses whose weight
-    ended above `zero_tol`."""
+    is not 0. The root find puts a clause whose derivative at 0 is not
+    positive at exactly 0."""
     if not candidates:
         raise NoCandidates("ppll_structure_learn needs at least one candidate")
     grounding = ground_clauses(candidates, db)
     observed = db.value_vector()
     unfit = WeightedModel(list(candidates), np.zeros(len(candidates)))
     model = learn_weights(unfit, grounding, observed, "ppll", config, trace)
-    keep = model.weights > config.zero_tol
+    keep = model.weights > 0.0
     return WeightedModel(
         [c for c, k in zip(model.clauses, keep) if k], model.weights[keep]
     )
@@ -314,7 +310,7 @@ def gls_structure_learn(
 
     Starting from the empty model (score 0), each outer round refits weights
     for every tentative one-clause extension - already-chosen clauses warm
-    start at their learned weights, the new clause at `init_weight` - and
+    start at their learned weights, the new clause at 0 - and
     permanently adds the candidate whose fitted score is highest, first one
     winning ties. Stops after `gls_outer_iters` rounds or when the best
     score improvement falls below the relative tolerance.
@@ -338,7 +334,7 @@ def gls_structure_learn(
             ids = chosen + [cand]
             sub = pool.restrict(ids)
             ws = Workspace(sub, observed, mode="pll", p=config.p)
-            w0 = np.asarray(chosen_w + [config.init_weight])
+            w0 = np.asarray(chosen_w + [0.0])
             w, score = _ascend(ws, w0, inner)
             if score > best_score:
                 best_idx, best_score, best_w = cand, score, w

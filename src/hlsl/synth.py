@@ -36,9 +36,6 @@ class Fixture:
     test: list[str]
     candidates: list[PathClause]
 
-    def schema_map(self) -> dict[str, PredicateSymbol]:
-        return {p.name: p for p in self.schema}
-
     def train_db(self) -> AtomDatabase:
         """Evidence plus training targets, adjacency built."""
         db = AtomDatabase(self.schema)

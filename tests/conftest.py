@@ -206,7 +206,7 @@ def greedy_reference(candidates, db, config):
             ids = chosen + [cand]
             clauses = [candidates[i] for i in ids]
             grounding = ground_clauses(clauses, db)
-            start = WeightedModel(clauses, np.asarray(weights + [config.init_weight]))
+            start = WeightedModel(clauses, np.asarray(weights + [0.0]))
             fitted = learn_weights(start, grounding, observed, "pll", inner)
             score = log_pll(fitted, grounding, observed, p=config.p).total
             if best is None or score > best[0]:

@@ -94,7 +94,7 @@ def full_pipeline(d, tmp_path, tag, threads, method="ppll"):
 def test_full_pipeline_and_determinism_across_threads(recovery_dir, tmp_path):
     first = full_pipeline(recovery_dir, tmp_path, "t1", 1)
     second = full_pipeline(recovery_dir, tmp_path, "t8", 8)
-    for a, b in zip(first[:3], second[:3]):
+    for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes()
     auc = float(second[3].read_text().splitlines()[1].split("\t")[0])
     assert auc > 0.8
@@ -272,12 +272,9 @@ def test_learn_diagnostic_dumps(recovery_dir, tmp_path):
     [
         pytest.param(flags, field, id=field)
         for flags, field in [
-            (("--step-size", "nan"), "step_size"),
             (("--tolerance", "-1"), "tolerance"),
             (("--w-max", "-1"), "w_max"),
             (("--l2-sigma", "nan"), "l2_sigma"),
-            (("--init-weight", "inf"), "init_weight"),
-            (("--zero-tol", "nan"), "zero_tol"),
             (("--iters", "-3"), "max_iters"),
             (("--method", "gls", "--iters", "-3"), "gls_outer_iters"),
             (("--inner-iters", "-1"), "gls_inner_iters"),
@@ -299,12 +296,8 @@ def test_learn_rejects_bad_config_field(recovery_dir, tmp_path, capsys, flags, f
 @pytest.mark.parametrize(
     "method, flags, config, field",
     [
-        ("ppll", ("--step-size", "0.5"), "", "step_size"),
-        ("ppll", ("--init-weight", "0.5"), "", "init_weight"),
         ("ppll", ("--inner-iters", "5"), "", "inner_iters"),
-        ("ppll", (), "step_size = 0.5\n", "step_size"),
-        ("ppll", (), "init_weight = 0.5\n", "init_weight"),
-        ("gls", ("--zero-tol", "0.01"), "", "zero_tol"),
+        ("ppll", (), "inner_iters = 5\n", "inner_iters"),
     ],
 )
 def test_learn_rejects_option_of_other_method(
@@ -322,6 +315,28 @@ def test_learn_rejects_option_of_other_method(
     assert code == 1
     owner = "ppll" if method == "gls" else "gls"
     assert single_error(capsys) == f"error:ValueError:{field} applies to --method {owner} only"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("method", ["ppll", "gls"])
+@pytest.mark.parametrize("key", ["step_size", "init_weight", "zero_tol"])
+def test_learn_rejects_retired_options(recovery_dir, tmp_path, capsys, key, method):
+    # the gls step is 1 / occurrences, a new gls clause starts at 0 and ppll
+    # keeps the clauses above 0: these options no longer exist
+    model = tmp_path / "model.tsv"
+    learn = (
+        "learn", "--schema", recovery_dir / "schema.tsv",
+        "--observed", recovery_dir / "observed.tsv", "--train", recovery_dir / "train.tsv",
+        "--clauses", recovery_dir / "candidates.tsv", "--method", method, "--out", model,
+    )
+    with pytest.raises(SystemExit) as exc:
+        run(*learn, "--" + key.replace("_", "-"), "0.5")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "learn.cfg"
+    cfg.write_text(f"{key} = 0.5\n")
+    assert run(*learn, "--config", cfg) == 1
+    assert single_error(capsys) == f"error:MalformedLine:line 1: unknown option '{key}'"
     assert not model.exists()
 
 
@@ -498,13 +513,10 @@ SAMPLES = {
     "neg_ratio": (LEARN, ("--neg-ratio", "0.5"), "neg_ratio = 0.5"),
     "iters": (LEARN, ("--iters", "3"), "iters = 3"),
     "inner_iters": ((*LEARN, "--method", "gls"), ("--inner-iters", "4"), "inner_iters = 4"),
-    "step_size": ((*LEARN, "--method", "gls"), ("--step-size", "0.5"), "step_size = 0.5"),
-    "init_weight": ((*LEARN, "--method", "gls"), ("--init-weight", "0.5"), "init_weight = 0.5"),
     "tolerance": (LEARN, ("--tolerance", "0.01"), "tolerance = 0.01"),
     "w_max": (LEARN, ("--w-max", "9"), "w_max = 9"),
     "l2_sigma": (LEARN, ("--l2-sigma", "0"), "l2_sigma = 0"),
     "p": (LEARN, ("--p", "2"), "p = 2"),
-    "zero_tol": (LEARN, ("--zero-tol", "0.01"), "zero_tol = 0.01"),
 }
 
 
