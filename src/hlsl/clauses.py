@@ -353,6 +353,8 @@ def parse_clause(text: str, schema: dict[str, PredicateSymbol] | AtomDatabase) -
     Arbitrary variable names are accepted; the chain orientation of each body
     literal is inferred by walking variables from the head's first argument,
     and a literal written against the chain direction is marked inverted.
+    A malformed clause raises `MalformedLine` at line 0; the file readers
+    re-raise its detail at the clause's line.
     """
     predicates = schema.predicates if isinstance(schema, AtomDatabase) else schema
     if "->" not in text:
@@ -424,7 +426,7 @@ def read_clause_file(
         try:
             clause = parse_clause(fields[0], schema)
         except MalformedLine as exc:
-            raise MalformedLine(line_no, str(exc)) from None
+            raise MalformedLine(line_no, exc.detail) from None
         if len(fields) > 1 and fields[1].strip():
             if not fields[1].strip().isdecimal():
                 raise MalformedLine(line_no, f"bad coverage {fields[1]!r}")

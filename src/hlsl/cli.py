@@ -166,7 +166,7 @@ def _load_train_db(cfg: RunConfig) -> AtomDatabase:
     with open(cfg.schema, encoding="utf-8") as fh:
         target_names = {p.name for p in parse_schema(fh) if p.is_target}
     pos, neg, other = [], [], []
-    for row in read_atom_file(cfg.train):
+    for row in read_atom_file(cfg.train).rows():
         _, pred, _, _, value = row
         if pred not in target_names:
             other.append(row)
@@ -228,10 +228,10 @@ def cmd_learn(
 def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
     _require(cfg, "schema", "observed", "test")
     paths = [cfg.observed] + ([cfg.train] if cfg.train else [])
-    test_rows = read_atom_file(cfg.test)
-    db = load_database(cfg.schema, paths, cfg.generation.threshold, extra_rows=test_rows)
+    test = read_atom_file(cfg.test)
+    db = load_database(cfg.schema, paths, cfg.generation.threshold, extra_rows=test)
     # the test atoms are the last ones added
-    free = list(range(len(db.atoms) - len(test_rows), len(db.atoms)))
+    free = list(range(len(db.atoms) - len(test), len(db.atoms)))
     with open(model_path, encoding="utf-8") as fh:
         model = read_model(fh, db)
     grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free), strict=cfg.strict)
@@ -247,7 +247,7 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
 
 def cmd_eval(predictions_path: str, labels_path: str, out_path: str) -> None:
     scores: dict[tuple[str, str, str], float] = {}
-    for line_no, pred, arg1, arg2, score in read_atom_file(predictions_path, default=None):
+    for line_no, pred, arg1, arg2, score in read_atom_file(predictions_path, default=None).rows():
         if score is None:
             raise MalformedLine(line_no, f"{predictions_path}: expected predicate, arg1, arg2, score")
         if not math.isfinite(score):
@@ -256,7 +256,7 @@ def cmd_eval(predictions_path: str, labels_path: str, out_path: str) -> None:
             raise DuplicateAtom(f"{pred}({arg1},{arg2})")
         scores[(pred, arg1, arg2)] = score
     labels: dict[tuple[str, str, str], int] = {}
-    for _, pred, arg1, arg2, value in read_atom_file(labels_path):
+    for _, pred, arg1, arg2, value in read_atom_file(labels_path).rows():
         if (pred, arg1, arg2) in labels:
             raise DuplicateAtom(f"{pred}({arg1},{arg2})")
         labels[(pred, arg1, arg2)] = round_value(value)

@@ -7,12 +7,20 @@ the indices of the atoms whose value rounds to 1 (its edges). The clause
 miner and the grounder both walk those atoms as a `StepGraph`, one array of
 steps sorted by a single (source, label, destination) key; the step graph
 is the only index of the edges that is kept.
+
+Atom files are read whole by `read_atom_columns` into `AtomColumns`, which
+`AtomDatabase.add_columns` appends without a tuple per row. A file that a
+few whole-text checks prove plain (ASCII, no whitespace but tabs and
+newlines, one field count on every line, no empty field, every value a
+float) is split in one pass; any other file goes line by line through
+`read_atom_rows`, which owns every `MalformedLine` message.
 """
 from __future__ import annotations
 
+import io
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -117,6 +125,10 @@ class AtomDatabase:
         return self.atoms[len(self.atoms) - 1]
 
     def add_rows(self, rows: Iterable[AtomRow]) -> None:
+        """Add atom rows in bulk; see `add_columns`."""
+        self.add_columns(AtomColumns.from_rows(rows))
+
+    def add_columns(self, columns: AtomColumns) -> None:
         """Add atom rows in bulk, checked over whole arrays.
 
         The outcome equals adding the rows one at a time: the rows before
@@ -124,28 +136,24 @@ class AtomDatabase:
         when its predicate is not in the schema (`UnknownPredicate`), else
         when its value lies outside [0, 1] or is NaN (`ValueOutOfRange`),
         else when it repeats an atom already stored or earlier in the batch
-        (`DuplicateAtom`). A `MalformedLine` raised while `rows` is read
-        likewise loses to a faulty row before it.
+        (`DuplicateAtom`). The `MalformedLine` that ended the columns
+        (`columns.error`) likewise loses to a faulty row before it.
         """
-        batch: list[AtomRow] = []
-        try:
-            batch.extend(rows)
-        except MalformedLine:
-            self._append(batch)
-            raise
-        self._append(batch)
+        self._append(columns)
+        if columns.error is not None:
+            raise columns.error
 
-    def _append(self, batch: list[AtomRow]) -> None:
-        if not batch:
+    def _append(self, columns: AtomColumns) -> None:
+        n = len(columns)
+        if not n:
             return
-        _, preds, args1, args2, values = zip(*batch)
-        n = len(batch)
+        preds, args1, args2, value = columns.pred, columns.arg1, columns.arg2, columns.values
         pred = np.fromiter(map(self.pred_ids.get, preds, repeat(-1)), dtype=np.int64, count=n)
-        value = np.array(values, dtype=np.float64)
         faulty = np.flatnonzero((pred < 0) | ~((value >= 0.0) & (value <= 1.0)))
         valid = int(faulty[0]) if len(faulty) else n  # rows[:valid] have known ids and values
 
-        names = list(chain.from_iterable(zip(args1[:valid], args2[:valid])))
+        names = [""] * (2 * valid)  # arg1 before arg2, row by row
+        names[0::2], names[1::2] = args1[:valid], args2[:valid]
         ids = self._const_ids
         new = [name for name in dict.fromkeys(names) if name not in ids]
         ids.update(zip(new, range(len(self.constants), len(self.constants) + len(new))))
@@ -157,7 +165,10 @@ class AtomDatabase:
         hi = np.concatenate([self._sorted_hi, arg1 * len(self.predicates) + pred[:valid]])
         lo = np.concatenate([self._sorted_lo, arg2])
         order = np.concatenate([self._key_order, np.arange(old, old + valid)])
-        by_key = np.lexsort((lo, hi))  # stable: a repeat sorts after its original
+        # stable, so a repeat sorts after its original; lo < C, so the sort
+        # is by (hi, lo), and hi * C + lo < P * C**2 fits in 64 bits for any
+        # C that fits in memory
+        by_key = np.argsort(hi * len(self.constants) + lo, kind="stable")
         order, hi, lo = order[by_key], hi[by_key], lo[by_key]
         repeats = order[1:][(hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1])]
         stop = int(repeats.min()) - old if len(repeats) else valid
@@ -176,7 +187,7 @@ class AtomDatabase:
                 raise DuplicateAtom(atom)
             if pred[stop] < 0:
                 raise UnknownPredicate(preds[stop])
-            raise ValueOutOfRange(f"{atom} = {values[stop]}")
+            raise ValueOutOfRange(f"{atom} = {float(value[stop])}")
 
     # -- lookups ----------------------------------------------------------
 
@@ -401,6 +412,10 @@ def read_atom_rows(
     a fourth field must parse as a number; anything else raises
     `MalformedLine` naming `source` and the line. A missing value column
     reads as `default`. Value ranges are the caller's to check.
+
+    This is the per-line reader: `read_atom_columns` sends it every file
+    its whole-text checks cannot prove plain, so its messages are the only
+    `MalformedLine`s an atom file gives.
     """
     where = f"{source}: " if source else ""
     for line_no, raw in enumerate(stream, start=1):
@@ -423,10 +438,110 @@ def read_atom_rows(
         yield line_no, pred, arg1, arg2, value
 
 
-def read_atom_file(path: str, default: float | None = 1.0) -> list[AtomRow]:
-    """All rows of one atom file, through `read_atom_rows`."""
-    with open(path, encoding="utf-8") as fh:
-        return list(read_atom_rows(fh, path, default))
+@dataclass
+class AtomColumns:
+    """Atom rows as columns: row i is `pred[i](arg1[i], arg2[i])` with value
+    `values[i]`, read from line `line_no[i]`. A line without a value column
+    reads as the reader's default; where that default is None, `has_value[i]`
+    is False and `values[i]` NaN. `error` is the `MalformedLine` that ended
+    the rows early, if any."""
+
+    line_no: np.ndarray
+    pred: Sequence[str]
+    arg1: Sequence[str]
+    arg2: Sequence[str]
+    values: np.ndarray
+    has_value: np.ndarray
+    error: MalformedLine | None = None
+
+    def __len__(self) -> int:
+        return len(self.pred)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[AtomRow]) -> AtomColumns:
+        """The columns of `rows`, up to the first `MalformedLine` that
+        reading them raises, which is kept as `error`."""
+        batch: list[AtomRow] = []
+        error = None
+        try:
+            batch.extend(rows)
+        except MalformedLine as exc:
+            error = exc
+        line_no, pred, arg1, arg2, value = zip(*batch) if batch else ((),) * 5
+        return cls(
+            np.array(line_no, dtype=np.int64), pred, arg1, arg2,
+            np.array(value, dtype=np.float64), np.array([v is not None for v in value], dtype=bool), error,
+        )
+
+    def rows(self) -> Iterator[AtomRow]:
+        """The rows as `read_atom_rows` yields them."""
+        values = [v if has else None for v, has in zip(self.values.tolist(), self.has_value.tolist())]
+        return zip(self.line_no.tolist(), self.pred, self.arg1, self.arg2, values)
+
+
+# the ASCII whitespace that `str.strip` or universal newlines act on, but
+# for tab and newline: a file holding any of it is not split whole
+_UNPLAIN = [b"\x0b", b"\x0c", b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b" "]
+
+
+def _split_plain(data: bytes, default: float | None) -> AtomColumns | None:
+    """The columns of an atom file's bytes in one pass, or None unless the
+    text is plain: ASCII without `_UNPLAIN` bytes, the same number of tabs
+    (2 or 3) on every non-empty line, no empty field and every value a
+    float. Plain text reads exactly as `read_atom_rows` reads it,
+    error-free."""
+    if not data.isascii() or any(byte in data for byte in _UNPLAIN):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.append(np.flatnonzero(buf == 0x0A), len(buf))
+    filled = np.diff(ends, prepend=-1) > 1  # line i spans (ends[i - 1], ends[i])
+    tabs = np.diff(np.searchsorted(np.flatnonzero(buf == 0x09), ends), prepend=0)[filled]
+    width = int(tabs[0]) + 1 if len(tabs) else 3
+    if width not in (3, 4) or np.any(tabs != width - 1):
+        return None
+    # with whitespace limited to tabs and newlines, an empty field is what
+    # makes `split` come up short
+    fields = data.decode("ascii").split()
+    if len(fields) != len(tabs) * width:
+        return None
+    if width == 4:
+        try:
+            values = np.array(list(map(float, fields[3::4])), dtype=np.float64)
+        except ValueError:
+            return None
+    else:
+        values = np.full(len(tabs), np.nan if default is None else default, dtype=np.float64)
+    return AtomColumns(
+        np.flatnonzero(filled) + 1, fields[0::width], fields[1::width], fields[2::width],
+        values, np.full(len(tabs), width == 4 or default is not None),
+    )
+
+
+def read_atom_columns(path: str, default: float | None = 1.0) -> AtomColumns:
+    """One atom file, read whole, as columns.
+
+    Plain text (see `_split_plain`) is split in one pass. Any other file is
+    decoded as UTF-8, so an undecodable byte is reported at its offset in
+    the file, and read line by line through `read_atom_rows`, with lines
+    split as iterating over the opened file splits them; a malformed line
+    then ends the columns and is kept as their `error`.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    columns = _split_plain(data, default)
+    if columns is None:
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+        columns = AtomColumns.from_rows(read_atom_rows(lines, path, default))
+    return columns
+
+
+def read_atom_file(path: str, default: float | None = 1.0) -> AtomColumns:
+    """All rows of one atom file (`read_atom_columns`); a malformed line
+    raises."""
+    columns = read_atom_columns(path, default)
+    if columns.error is not None:
+        raise columns.error
+    return columns
 
 
 def parse_tsv(stream: IO[str] | Iterable[str], schema: Iterable[PredicateSymbol]) -> AtomDatabase:
@@ -461,18 +576,20 @@ def load_database(
     schema_path: str,
     atom_paths: Iterable[str],
     threshold: float = DEFAULT_ROUND_THRESHOLD,
-    extra_rows: Iterable[AtomRow] = (),
+    extra_rows: AtomColumns | Iterable[AtomRow] = (),
 ) -> AtomDatabase:
     """Convenience loader: schema file plus one or more atom TSV files.
 
-    `extra_rows` are added after the files and before `build_adjacency`,
-    so the edges are found once.
+    Each file is read by `read_atom_columns`. `extra_rows` are added after
+    the files and before `build_adjacency`, so the edges are found once.
     """
     with open(schema_path, encoding="utf-8") as fh:
         schema = parse_schema(fh)
     db = AtomDatabase(schema)
     for path in atom_paths:
-        with open(path, encoding="utf-8") as fh:
-            db.add_rows(read_atom_rows(fh, path))
-    db.add_rows(extra_rows)
+        db.add_columns(read_atom_columns(path))
+    if isinstance(extra_rows, AtomColumns):
+        db.add_columns(extra_rows)
+    else:
+        db.add_rows(extra_rows)
     return build_adjacency(db, threshold)

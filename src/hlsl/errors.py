@@ -18,6 +18,7 @@ class MalformedLine(HlslError):
 
     def __init__(self, line_no: int, detail: str = ""):
         self.line_no = line_no
+        self.detail = detail
         msg = f"line {line_no}"
         if detail:
             msg += f": {detail}"

@@ -384,7 +384,10 @@ def read_model(stream: IO[str] | Iterable[str], schema) -> WeightedModel:
             raise MalformedLine(line_no, f"non-finite clause weight {fields[0]!r}")
         if weight < 0.0:
             raise MalformedLine(line_no, "negative clause weight")
-        clauses.append(parse_clause(fields[1], schema))
+        try:
+            clauses.append(parse_clause(fields[1], schema))
+        except MalformedLine as exc:
+            raise MalformedLine(line_no, exc.detail) from None
         weights.append(weight)
     return WeightedModel(clauses, np.asarray(weights))
 

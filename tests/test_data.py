@@ -1,9 +1,11 @@
 """Relational data layer: parsing, rounding, adjacency, round trips."""
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_chain_db
 
@@ -11,9 +13,13 @@ from hlsl.data import (
     AtomDatabase,
     PredicateSymbol,
     StepGraph,
+    _split_plain,
     build_adjacency,
+    load_database,
     parse_schema,
     parse_tsv,
+    read_atom_file,
+    read_atom_rows,
     round_value,
     serialize_tsv,
 )
@@ -287,3 +293,133 @@ def test_atoms_are_built_on_access(citation_db):
         db.atoms[3]
     assert np.array_equal(db.value_vector(), [1.0, 1.0, 1.0])
     assert np.array_equal(db.target_mask(), [False, True, True])
+
+
+# -- the column reader against the per-line reader ---------------------------
+
+PLAIN_NAMES = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "Paper1"]
+PLAIN_VALUES = ["0", "1", "0.5", "0.25", "1e-1", "1.0", "-0.0", "+1"]
+ODD_NAMES = [" a", "a ", "a\xa0", "\x1ca", "", "\xe9", "б", "a b", "Nope"]
+ODD_VALUES = ["nan", "1.5", "1_0", " 1", "1 ", "inf", "1e3", "0x1", "١", "", "abc", "0\x1c"]
+ENDINGS = ["\n", "\r\n", "\r"]
+ATOM_SCHEMA = "Cites\tevidence\nSim\tevidence\nMentions\ttarget\n"
+
+
+@st.composite
+def atom_line(draw, width, odd=False):
+    """One atom line of `width` fields; with `odd`, each field may be one
+    that no plain file holds."""
+    def field(plain, others):
+        return draw(st.sampled_from(others if odd and draw(st.booleans()) else plain))
+
+    fields = [field(["Cites", "Sim", "Mentions"], ODD_NAMES)]
+    fields += [field(PLAIN_NAMES, ODD_NAMES) for _ in range(min(width, 3) - 1)]
+    fields += [field(PLAIN_VALUES, ODD_VALUES) for _ in range(width - 3)]
+    return "\t".join(fields[:width])
+
+
+@st.composite
+def atom_file(draw):
+    """(text, plain): lines of one width, each ending in a newline, into
+    which a file that is not `plain` mixes one to three kinds of oddity:
+    lines of other widths, odd fields, blank or tab-only lines, and other
+    line endings."""
+    width = draw(st.sampled_from([3, 4]))
+    lines = draw(st.lists(atom_line(width), max_size=8))
+    odd = draw(st.sets(st.sampled_from(["width", "fields", "blank", "endings"]), max_size=3))
+    for kind in sorted(odd - {"endings"}):
+        for _ in range(draw(st.integers(1, 3))):
+            if kind == "blank":
+                extra = [draw(st.sampled_from(["\t", " ", "\t\t\t", "\xa0"]))]
+            elif kind == "fields":
+                extra = [draw(atom_line(width, odd=True))]
+            else:  # one field short and one over: the tab total still fits
+                extra = [draw(atom_line(width - 1)), draw(atom_line(width + 1)), draw(atom_line(5))]
+                extra = extra[: draw(st.integers(1, 3))]
+            for line in extra:
+                lines.insert(draw(st.integers(0, len(lines))), line)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "")  # an empty line is plain
+    endings = [draw(st.sampled_from(ENDINGS)) if "endings" in odd else "\n" for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if lines and draw(st.booleans()):
+        text = text[: -len(endings[-1])]  # no final newline
+    return text, not odd
+
+
+def outcome(load):
+    """What `load()` gives: the database's columns and indices, or the
+    exception's type and message."""
+    try:
+        db = load()
+    except Exception as exc:  # the readers raise HlslError, ValueError or OSError
+        return type(exc), str(exc)
+    return (
+        db.pred.tolist(), db.arg1.tolist(), db.arg2.tolist(), db.values.view(np.int64).tolist(),
+        db.constants, db._key_order.tolist(), db.targets.tolist(), db.edges.tolist(),
+    )
+
+
+def per_line_load(schema, paths, extra):
+    """The per-line path: `read_atom_rows` over each opened file, added
+    file by file; the extra file is read first, as `infer` reads `--test`."""
+    with open(extra, encoding="utf-8") as fh:
+        rows = list(read_atom_rows(fh, extra))
+    db = AtomDatabase(parse_schema(io.StringIO(schema)))
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            db.add_rows(read_atom_rows(fh, path))
+    db.add_rows(rows)
+    return build_adjacency(db)
+
+
+def row_columns(path, default):
+    """`read_atom_rows` over the opened file, as columns, or the exception
+    it raises."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = list(read_atom_rows(fh, path, default))
+    except MalformedLine as exc:
+        return type(exc), str(exc)
+    values = np.array([float("nan") if row[4] is None else row[4] for row in rows])
+    return [row[:4] for row in rows], [row[4] is not None for row in rows], values.view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(atom_file(), min_size=2, max_size=4), st.sampled_from([1.0, None]))
+# each file below passes the one-pass split when one of its checks is left out
+@example([("Cites\ta b\t\n", False), ("", True)], 1.0)  # inner space, empty field
+@example([("Cites\ta\tb\nSim\ta\tb\t1\nCites\ta\n", False), ("", True)], 1.0)  # 3 + 4 + 2 fields
+@example([("Cites\ta\tb\r\r\nSim\ta\tb\n", False), ("", True)], 1.0)  # a bare CR ends a line
+@example([("Cites\t\x1ca\tb\n", False), ("", True)], 1.0)  # padded, and no line break
+@example([("Cites\t\tb\n", False), ("", True)], 1.0)  # an empty field
+def test_column_reader_matches_the_per_line_reader(files, default):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_readers_agree(Path(tmp), files, default)
+
+
+def check_readers_agree(d, files, default):
+    paths = []
+    for k, (text, _) in enumerate(files):
+        path = d / f"atoms{k}.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        paths.append(str(path))
+    (d / "schema.tsv").write_text(ATOM_SCHEMA)
+    *loaded, extra = paths
+
+    for path, (text, plain) in zip(paths, files):
+        if plain:  # the one-pass split takes every plain file
+            assert _split_plain(text.encode("ascii"), default) is not None
+        got = row_columns(path, default)
+        try:
+            columns = read_atom_file(path, default)
+        except MalformedLine as exc:
+            assert (type(exc), str(exc)) == got
+            continue
+        rows = list(zip(columns.line_no.tolist(), columns.pred, columns.arg1, columns.arg2))
+        assert (rows, columns.has_value.tolist(), columns.values.view(np.int64).tolist()) == got
+
+    schema = str(d / "schema.tsv")
+    for some in (loaded[:1], loaded):
+        expected = outcome(lambda: per_line_load(ATOM_SCHEMA, some, extra))
+        assert outcome(lambda: load_database(schema, some, extra_rows=read_atom_file(extra))) == expected

@@ -105,6 +105,53 @@ def test_single_fault_error_line(name, line, expected):
     assert (code, err) == (1, expected + "\n")
 
 
+def run_command(command: str, files: dict[str, str | bytes]) -> tuple[int, str]:
+    """Write `files` over the base inputs, a model and a clause file, run
+    `learn` or `infer` on them, and return (exit code, stderr) with the
+    directory shown as `{d}`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        inputs = {**BASE, "model": MODEL, "clauses": "R(V1,V2) -> T(V1,V2)\t1\n", **files}
+        for name, text in inputs.items():
+            (d / f"{name}.tsv").write_bytes(text if isinstance(text, bytes) else text.encode())
+        data = ["--schema", d / "schema.tsv", "--observed", d / "observed.tsv", "--train", d / "train.tsv"]
+        argv = {
+            "learn": ["learn", *data, "--clauses", d / "clauses.tsv", "--out", d / "out.tsv"],
+            "infer": ["infer", *data, "--test", d / "test.tsv", "--model", d / "model.tsv", "--out", d / "out.tsv"],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        return code, err.getvalue().replace(str(d), "{d}")
+
+
+# A clause the grammar rejects names its line in the file, once.
+CLAUSE_FAULTS = [
+    ("learn", "clauses", "R(V1,V2) -> T(V1,V3)\n",
+     "error:MalformedLine:line 1: head variables (V1,V3) do not span the chain"),
+    ("infer", "model", MODEL + "1\tR(V1,V2) -> T(V1,V3)\n",
+     "error:MalformedLine:line 4: head variables (V1,V3) do not span the chain"),
+]
+
+
+@pytest.mark.parametrize("command, name, text, expected", CLAUSE_FAULTS)
+def test_clause_fault_error_line(command, name, text, expected):
+    assert run_command(command, {name: text}) == (1, expected + "\n")
+
+
+def test_undecodable_atom_file_names_the_byte_offset_in_the_file():
+    # far past the first 8 KiB, the chunk a streaming read decodes at once
+    rows = "".join(f"R\tc{i}\td{i}\n" for i in range(5000))
+    prefix = (BASE["observed"] + rows).encode()
+    assert len(prefix) > 40_000
+    code, err = run_command("infer", {"observed": prefix + b"\xffR\tx\ty\n"})
+    assert (code, err) == (
+        1,
+        f"error:UnicodeDecodeError:'utf-8' codec can't decode byte 0xff in position {len(prefix)}: "
+        "invalid start byte\n",
+    )
+
+
 FIELDS = ["T", "R", "S", "X", "", " ", "a", "b", "c", "1", "0", "0.5", "nan", "inf", "-inf", "1.5", "-0.1", "abc"]
 ROLES = ["target", "evidence", "other", ""]
 
