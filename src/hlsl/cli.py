@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .clauses import GenerationConfig, generate_candidates, read_clause_file, write_clause_file
-from .data import AtomDatabase, load_database, parse_schema, read_atom_file, round_value
+from .data import AtomDatabase, load_database, parse_schema, read_atom_file, read_text, round_value
 from .data import build_adjacency  # noqa: F401  (a patch point of perfbench/tracer.py)
 from .errors import DuplicateAtom, HlslError, MalformedLine, NoCandidates
 from .grounding import ground_clauses
@@ -90,18 +90,17 @@ def _learn_field(key: str, method: str) -> str:
 
 def _parse_config_file(path: str) -> dict[str, object]:
     out: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise MalformedLine(line_no, f"expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _OPTIONS:
-                raise MalformedLine(line_no, f"unknown option {key!r}")
-            out[key] = value
+    for line_no, raw in enumerate(read_text(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise MalformedLine(line_no, f"expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in _OPTIONS:
+            raise MalformedLine(line_no, f"unknown option {key!r}")
+        out[key] = value
     return out
 
 
@@ -163,8 +162,7 @@ def _load_train_db(cfg: RunConfig) -> AtomDatabase:
     if cfg.neg_ratio <= 0.0:
         return load_database(cfg.schema, [cfg.observed, cfg.train], threshold)
     # subsample negative training targets to neg_ratio * positives
-    with open(cfg.schema, encoding="utf-8") as fh:
-        target_names = {p.name for p in parse_schema(fh) if p.is_target}
+    target_names = {p.name for p in parse_schema(read_text(cfg.schema)) if p.is_target}
     pos, neg, other = [], [], []
     for row in read_atom_file(cfg.train).rows():
         _, pred, _, _, value = row
@@ -196,8 +194,7 @@ def cmd_learn(
     groundings_path: str | None = None,
 ) -> None:
     db = _load_train_db(cfg)
-    with open(clauses_path, encoding="utf-8") as fh:
-        candidates = read_clause_file(fh, db)
+    candidates = read_clause_file(read_text(clauses_path), db)
     if not candidates:
         raise NoCandidates(f"no clauses in {clauses_path}")
     trace: list = []
@@ -232,8 +229,7 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
     db = load_database(cfg.schema, paths, cfg.generation.threshold, extra_rows=test)
     # the test atoms are the last ones added
     free = list(range(len(db.atoms) - len(test), len(db.atoms)))
-    with open(model_path, encoding="utf-8") as fh:
-        model = read_model(fh, db)
+    model = read_model(read_text(model_path), db)
     grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free), strict=cfg.strict)
     solution = map_infer(model, db, free_atoms=free, grounding=grounding, p=cfg.learning.p)
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import IO, Iterable, Iterator
 
@@ -339,12 +340,24 @@ class StepGraph:
         self.dst = dst[order]
         self.label = label[order]
         self.atom = atom[order]
-        src = src[order]
-        self.indptr = np.searchsorted(src, np.arange(self.n_nodes + 1))
-        # the steps again, sorted by (src, dst), for unlabelled goal lookups
-        pair = src * self.n_nodes + self.dst
-        self.by_pair = np.argsort(pair)
-        self.pair = pair[self.by_pair]
+        self.indptr = np.searchsorted(src[order], np.arange(self.n_nodes + 1))
+
+    # the steps again, sorted by (src, dst), for unlabelled goal lookups; only
+    # mining makes those, so grounding never pays for the sort
+
+    def _pair_keys(self) -> np.ndarray:
+        src = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
+        return src * self.n_nodes + self.dst
+
+    @cached_property
+    def by_pair(self) -> np.ndarray:
+        """The steps in (src, dst) order."""
+        return np.argsort(self._pair_keys())
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        """The (src, dst) key of the steps in `by_pair` order."""
+        return self._pair_keys()[self.by_pair]
 
     def degree(self, nodes: np.ndarray) -> np.ndarray:
         return self.indptr[nodes + 1] - self.indptr[nodes]
@@ -530,9 +543,22 @@ def read_atom_columns(path: str, default: float | None = 1.0) -> AtomColumns:
         data = fh.read()
     columns = _split_plain(data, default)
     if columns is None:
-        lines = io.StringIO(data.decode("utf-8"), newline=None)
-        columns = AtomColumns.from_rows(read_atom_rows(lines, path, default))
+        columns = AtomColumns.from_rows(read_atom_rows(_decoded(data), path, default))
     return columns
+
+
+def _decoded(data: bytes) -> io.StringIO:
+    """UTF-8 `data` decoded at once, so an undecodable byte is reported at
+    its offset in the file; its lines split as iterating over an opened
+    text file splits them."""
+    return io.StringIO(data.decode("utf-8"), newline=None)
+
+
+def read_text(path: str) -> io.StringIO:
+    """A whole text file, decoded at once (see `_decoded`). Every reader of
+    a schema, clause, model or config file takes its lines from here."""
+    with open(path, "rb") as fh:
+        return _decoded(fh.read())
 
 
 def read_atom_file(path: str, default: float | None = 1.0) -> AtomColumns:
@@ -583,9 +609,7 @@ def load_database(
     Each file is read by `read_atom_columns`. `extra_rows` are added after
     the files and before `build_adjacency`, so the edges are found once.
     """
-    with open(schema_path, encoding="utf-8") as fh:
-        schema = parse_schema(fh)
-    db = AtomDatabase(schema)
+    db = AtomDatabase(parse_schema(read_text(schema_path)))
     for path in atom_paths:
         db.add_columns(read_atom_columns(path))
     if isinstance(extra_rows, AtomColumns):

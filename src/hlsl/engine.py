@@ -9,9 +9,12 @@ re-accumulates per-segment affine coefficients. This module builds that
 static structure once and evaluates partition functions, observed energies
 and expectation gradients as flat array passes.
 
-Grouping decides the objective: grouping by variable gives the
-pseudolikelihood factors; grouping by (clause, variable) gives the piecewise
-factorization whose per-clause terms decouple.
+Grouping decides the objective. Every clause belongs to a block and hinges
+are grouped by (block, variable): with one block this gives the
+pseudolikelihood factors; with a block per clause it gives the piecewise
+factorization whose per-clause terms decouple; with a block per model it
+gives the pseudolikelihood of several independent models over one set of
+arrays, so their fits can step together.
 
 All accumulations run in log space with per-group max subtraction, and all
 reductions follow a fixed array order, so repeated runs give bit-identical
@@ -139,8 +142,11 @@ def group_logsumexp(values: np.ndarray, starts: np.ndarray, group_ids: np.ndarra
 class Workspace:
     """Static integration structure for one grounding + observed assignment.
 
-    mode='pll' groups hinges by variable; mode='ppll' groups them by
-    (clause, variable). All arrays are flat and index-aligned:
+    `clause_block` maps every clause to its block (nonnegative ids) and
+    hinges are grouped by (block, variable). By default `mode` picks the
+    map: 'pll' puts every clause in block 0, 'ppll' each clause in a block
+    of its own. Groups are sorted by (block, variable), so each block's
+    groups are one contiguous run. All arrays are flat and index-aligned:
 
       pairs  - one entry per (ground clause, variable) occurrence, as
                `Grounding.pairs` gives them for the target atoms, holding
@@ -152,16 +158,27 @@ class Workspace:
                activity flag (whether the hinge is positive on the segment).
     """
 
-    def __init__(self, grounding: Grounding, values: np.ndarray, mode: str = "pll", p: int = 1):
+    def __init__(
+        self,
+        grounding: Grounding,
+        values: np.ndarray,
+        mode: str = "pll",
+        p: int = 1,
+        clause_block: np.ndarray | None = None,
+    ):
         if mode not in ("pll", "ppll"):
             raise ValueError(f"unknown mode {mode!r}")
         if p not in (1, 2):
             raise ValueError("p must be 1 or 2")
-        self.mode = mode
         self.p = p
         self.n_clauses = grounding.n_clauses
         db = grounding.db
-        n_atoms = len(db.atoms)
+        n_atoms = np.int64(len(db.atoms))
+        if clause_block is None:
+            clause_block = np.arange(self.n_clauses) if mode == "ppll" else np.zeros(self.n_clauses)
+        self.clause_block = np.asarray(clause_block, dtype=np.int64)
+        self.n_blocks = int(self.clause_block.max(initial=0)) + 1
+        self.per_clause = np.array_equal(self.clause_block, np.arange(self.n_clauses))
 
         inner_obs = grounding.inner_values(values)
         obs_phi = np.maximum(inner_obs, 0.0) ** p
@@ -172,18 +189,13 @@ class Workspace:
         self.pair_obs_phi = obs_phi[self.pair_ground]
         self.n_pairs = len(self.pair_ground)
 
-        if mode == "pll":
-            gkey = self.pair_atom
-        else:
-            gkey = self.pair_clause * np.int64(n_atoms) + self.pair_atom
+        gkey = self.clause_block[self.pair_clause] * n_atoms + self.pair_atom
         guniq, self.pair_group = np.unique(gkey, return_inverse=True)
         self.n_groups = len(guniq)
-        if mode == "pll":
-            self.group_atom = guniq.astype(np.int64)
-            self.group_clause = None
-        else:
-            self.group_atom = (guniq % n_atoms).astype(np.int64)
-            self.group_clause = (guniq // n_atoms).astype(np.int64)
+        self.group_atom = guniq % n_atoms
+        self.group_block = guniq // n_atoms
+        # block k's groups are [block_start[k], block_start[k + 1])
+        self.block_start = np.searchsorted(self.group_block, np.arange(self.n_blocks + 1))
 
         self.pairs_per_clause = np.bincount(self.pair_clause, minlength=self.n_clauses).astype(np.int64)
         self._build_segments()
@@ -283,18 +295,26 @@ class Workspace:
     def total(self, w: np.ndarray) -> float:
         return float(self.group_terms(w).sum())
 
+    def block_totals(self, w: np.ndarray) -> np.ndarray:
+        """The objective per block: the sum of the block's groups' terms,
+        summed over its run of groups as `total` sums them all, so a block's
+        value equals `total` of a workspace built for that block alone."""
+        terms = self.group_terms(w)
+        bounds = self.block_start.tolist()
+        return np.array([terms[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+
     def per_clause_totals(self, w: np.ndarray) -> np.ndarray:
-        """Per-clause objective terms; meaningful in ppll mode where groups
-        belong to a single clause."""
+        """Per-clause objective terms; needs a block per clause (ppll
+        grouping), where every group belongs to a single clause."""
         return self._clause_terms(w, self.log_partitions(w))
 
     def _clause_terms(self, w: np.ndarray, logz: np.ndarray) -> np.ndarray:
-        if self.mode != "ppll":
+        if not self.per_clause:
             raise ValueError("per-clause totals require ppll grouping")
         if self.n_groups == 0:
             return np.zeros(self.n_clauses)
         terms = -logz - self.observed_energies(w)
-        return np.bincount(self.group_clause, weights=terms, minlength=self.n_clauses)
+        return np.bincount(self.group_block, weights=terms, minlength=self.n_clauses)
 
     def _expected(self, coeffs: tuple[np.ndarray, ...], logz: np.ndarray) -> np.ndarray:
         """`expected_penalties` from the segment coefficients and log Z."""

@@ -5,15 +5,17 @@ regularizes separable data; the hard cap keeps the box well-posed either
 way. The two objectives are fit differently:
 
 - pseudolikelihood (`pll`): projected gradient ascent with backtracking
-  step halving, so the objective trace is non-decreasing;
+  step halving, so the objective trace is non-decreasing; the ascent runs
+  any number of independent models at once, one workspace block each;
 - its piecewise factorization (`ppll`): every clause's term is concave in
   its own weight alone, so the fit is one bracketing root find per clause
   on that term's derivative, all clauses stepping together.
 
 The greedy structure learner repeatedly adds whichever candidate clause most
-improves the pseudolikelihood after refitting weights. The piecewise learner
-fits all candidate weights once and drops the clauses whose weight stayed at
-zero.
+improves the pseudolikelihood after refitting weights; a round refits every
+extension of the current model in one lockstep ascent. The piecewise
+learner fits all candidate weights once and drops the clauses whose weight
+stayed at zero.
 """
 from __future__ import annotations
 
@@ -131,55 +133,72 @@ def _ascend(
     w0: np.ndarray,
     config: LearnConfig,
     trace: list[TraceRow] | None = None,
-) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent on the joint objective; returns (weights,
-    final pure objective).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient ascent on every block's objective at once;
+    returns (weights, each block's final pure objective). Each block's
+    clauses must be one contiguous run.
 
     The base step is 1 / #occurrences per clause so the update scale tracks
-    the gradient's; each step halves until the objective does not
-    fall, and the run stops when an accepted step gains less than the
-    relative tolerance.
+    the gradient's. The blocks step in lockstep, one engine gradient per
+    step for all of them. Within a step each block halves its step scale
+    until its own objective does not fall (the blocks still halving share
+    one scale, as all start at 1), and each block stops on its own once an
+    accepted step gains less than the relative tolerance. Every sum keeps
+    the element order of a workspace built for one block alone, so each
+    block's weights are bit for bit those of its own ascent. Trace rows
+    hold the summed objective and the largest gradient of the blocks still
+    running.
     """
-    penalty = config.l2_sigma > 0.0
+    sigma = config.l2_sigma
+    block = ws.clause_block
+    # block k's clauses are [first[k], first[k + 1])
+    first = np.searchsorted(block, np.arange(ws.n_blocks + 1)).tolist()
     w = np.clip(np.asarray(w0, dtype=np.float64), 0.0, config.w_max)
     steps = 1.0 / np.maximum(ws.pairs_per_clause, 1)
 
-    def total(wv: np.ndarray) -> float:
-        value = ws.total(wv)
-        if penalty:
-            value -= float(wv @ wv) / (2.0 * config.l2_sigma)
+    def objective(wv: np.ndarray) -> np.ndarray:
+        value = ws.block_totals(wv)
+        if sigma > 0.0:
+            sq = np.array([wv[a:b] @ wv[a:b] for a, b in zip(first[:-1], first[1:])])
+            value -= sq / (2.0 * sigma)
+        _check_finite(value)
         return value
 
     started = time.perf_counter()
-    obj = total(w)
-    _check_finite(obj)
+    obj = objective(w)
+    running = np.ones(ws.n_blocks, dtype=bool)
     for it in range(1, config.max_iters + 1):
+        if not running.any():
+            break
         grad = ws.gradient(w)
-        if penalty:
-            grad = grad - w / config.l2_sigma
-        _check_finite(grad)
+        if sigma > 0.0:
+            grad = grad - w / sigma
+        live = running[block]
+        _check_finite(grad[live])
 
+        # the blocks still halving all reached the same step scale t
         t = 1.0
         new_w, new_obj = w, obj
+        pending = running.copy()
         for _ in range(MAX_HALVINGS):
-            cand = np.clip(w + t * steps * grad, 0.0, config.w_max)
-            cand_obj = total(cand)
-            _check_finite(cand_obj)
-            if cand_obj >= obj:
-                new_w, new_obj = cand, cand_obj
+            cand = np.where(pending[block], np.clip(w + t * steps * grad, 0.0, config.w_max), w)
+            cand_obj = objective(cand)
+            up = pending & (cand_obj >= obj)
+            new_w = np.where(up[block], cand, new_w)
+            new_obj = np.where(up, cand_obj, new_obj)
+            pending &= ~up
+            if not pending.any():
                 break
             t *= 0.5
-        w = new_w
 
         improvement = new_obj - obj
-        obj = new_obj
+        w, obj = new_w, new_obj
         if trace is not None:
             ms = (time.perf_counter() - started) * 1000.0
-            gmax = float(np.abs(grad).max()) if len(grad) else 0.0
-            trace.append((it, obj, gmax, ms))
-        if improvement < config.tolerance * max(1.0, abs(obj)):
-            break
-    return w, ws.total(w)
+            gmax = float(np.abs(grad[live]).max()) if live.any() else 0.0
+            trace.append((it, float(obj.sum()), gmax, ms))
+        running &= improvement >= config.tolerance * np.maximum(1.0, np.abs(obj))
+    return w, ws.block_totals(w)
 
 
 def _clause_roots(
@@ -266,8 +285,8 @@ def learn_weights(
     trace: list[TraceRow] | None = None,
 ) -> WeightedModel:
     """Fit the model's weights on `objective`: projected gradient ascent
-    from the model's weights for `pll`, a root find per clause for `ppll`
-    (which reads no starting weights)."""
+    from the model's weights for `pll` (`_ascend` on one block), a root
+    find per clause for `ppll` (which reads no starting weights)."""
     if not model.clauses:
         raise NoCandidates("cannot learn weights of an empty model")
     ws = Workspace(grounding, observed, mode=objective, p=config.p)
@@ -300,6 +319,36 @@ def ppll_structure_learn(
     )
 
 
+def _refit_extensions(
+    pool: Grounding,
+    observed: np.ndarray,
+    chosen: list[int],
+    chosen_w: np.ndarray,
+    remaining: list[int],
+    config: LearnConfig,
+    residuals: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Refit every extension `chosen + [c]`, c in `remaining`, as one block
+    each of one workspace, in one lockstep `_ascend` from `chosen_w` and 0.
+
+    Returns each extension's weights (one row each), its pll score and,
+    when `residuals`, its largest projected gradient |clip(w + g, 0, w_max)
+    - w| at those weights, prior included, from one gradient for all.
+    """
+    width = len(chosen) + 1
+    sub = pool.restrict([i for cand in remaining for i in chosen + [cand]])
+    ws = Workspace(sub, observed, p=config.p, clause_block=np.repeat(np.arange(len(remaining)), width))
+    inner = replace(config, max_iters=config.gls_inner_iters)
+    w, scores = _ascend(ws, np.tile(np.append(chosen_w, 0.0), len(remaining)), inner)
+    residual = None
+    if residuals:
+        grad = ws.gradient(w)
+        if config.l2_sigma > 0.0:
+            grad = grad - w / config.l2_sigma
+        residual = np.abs(np.clip(w + grad, 0.0, config.w_max) - w).reshape(-1, width).max(axis=1)
+    return w.reshape(-1, width), scores, residual
+
+
 def gls_structure_learn(
     candidates: Sequence[PathClause],
     db: AtomDatabase,
@@ -313,41 +362,40 @@ def gls_structure_learn(
     start at their learned weights, the new clause at 0 - and
     permanently adds the candidate whose fitted score is highest, first one
     winning ties. Stops after `gls_outer_iters` rounds or when the best
-    score improvement falls below the relative tolerance.
+    score improvement falls below the relative tolerance. A round's refits
+    are independent, so they run as one lockstep ascent
+    (`_refit_extensions`).
+
+    A trace row's `max_grad` is the chosen refit's largest projected
+    gradient at its returned weights: how far from a stationary point the
+    inner step budget left it.
     """
     if not candidates:
         raise NoCandidates("gls_structure_learn needs at least one candidate")
     pool = ground_clauses(candidates, db)
     observed = db.value_vector()
-    inner = replace(config, max_iters=config.gls_inner_iters)
 
     chosen: list[int] = []
-    chosen_w: list[float] = []
+    chosen_w = np.zeros(0)
     current = 0.0
     remaining = list(range(len(candidates)))
     started = time.perf_counter()
     for outer in range(1, config.gls_outer_iters + 1):
-        best_idx = -1
-        best_score = -np.inf
-        best_w: np.ndarray | None = None
-        for cand in remaining:
-            ids = chosen + [cand]
-            sub = pool.restrict(ids)
-            ws = Workspace(sub, observed, mode="pll", p=config.p)
-            w0 = np.asarray(chosen_w + [0.0])
-            w, score = _ascend(ws, w0, inner)
-            if score > best_score:
-                best_idx, best_score, best_w = cand, score, w
-        if best_idx < 0 or best_score - current < config.tolerance * max(1.0, abs(current)):
+        if not remaining:
             break
-        chosen.append(best_idx)
-        chosen_w = [float(v) for v in best_w]
-        current = best_score
-        remaining.remove(best_idx)
+        w, scores, residual = _refit_extensions(
+            pool, observed, chosen, chosen_w, remaining, config, trace is not None
+        )
+        best = int(np.argmax(scores))  # the first of the highest
+        if scores[best] - current < config.tolerance * max(1.0, abs(current)):
+            break
+        chosen.append(remaining.pop(best))
+        chosen_w = w[best]
+        current = float(scores[best])
         if trace is not None:
             ms = (time.perf_counter() - started) * 1000.0
-            trace.append((outer, current, 0.0, ms))
-    return WeightedModel([candidates[i] for i in chosen], np.asarray(chosen_w))
+            trace.append((outer, current, float(residual[best]), ms))
+    return WeightedModel([candidates[i] for i in chosen], chosen_w)
 
 
 # -- model and trace files --------------------------------------------------

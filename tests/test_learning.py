@@ -1,5 +1,6 @@
 """Learning: gradients, projected ascent, both structure learners, model IO."""
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,6 +262,50 @@ def test_gls_matches_reference_greedy():
     ref_ids, ref_w, _ = greedy_reference(cands, db, cfg)
     assert [c.id for c in engine.clauses] == [cands[i].id for i in ref_ids]
     assert np.allclose(engine.weights, ref_w, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 6),
+    p=st.sampled_from([1, 2]),
+    l2_sigma=st.sampled_from([0.0, 100.0]),
+    inner=st.integers(1, 7),
+    duplicate=st.booleans(),
+)
+def test_gls_equals_the_reference_greedy_exactly(seed, n, p, l2_sigma, inner, duplicate):
+    # small inner budgets stop the refits of one round at different steps
+    from conftest import greedy_reference
+
+    db = random_chain_db(seed)
+    cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))[:n]
+    if duplicate:
+        # an equal copy ties with the first clause; the first must win
+        cands.append(parse_clause(format_clause(cands[0]), db))
+    cfg = LearnConfig(p=p, l2_sigma=l2_sigma, gls_inner_iters=inner, gls_outer_iters=4)
+    model = gls_structure_learn(cands, db, cfg)
+    ref_ids, ref_w, _ = greedy_reference(cands, db, cfg)
+    assert [next(i for i, c in enumerate(cands) if c is m) for m in model.clauses] == ref_ids
+    assert np.array_equal(model.weights, ref_w)
+
+
+def test_gls_trace_holds_the_chosen_refits_projected_gradient():
+    db = random_chain_db(47)
+    cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))[:6]
+    obs = db.value_vector()
+    residuals = []
+    for cfg in (LearnConfig(gls_outer_iters=3, gls_inner_iters=3), LearnConfig(gls_outer_iters=3, l2_sigma=0.0, p=2)):
+        trace = []
+        model = gls_structure_learn(cands, db, cfg, trace)
+        assert [row[0] for row in trace] == list(range(1, len(model) + 1))
+        for r, row in enumerate(trace, start=1):
+            # the first r rounds of a longer search are a search of r rounds
+            fit = gls_structure_learn(cands, db, replace(cfg, gls_outer_iters=r))
+            grad = objective_gradient(fit, ground_clauses(fit.clauses, db), obs, "pll", cfg.l2_sigma, cfg.p)
+            residual = np.abs(np.clip(fit.weights + grad, 0.0, cfg.w_max) - fit.weights).max()
+            assert row[2] == pytest.approx(residual, rel=1e-9, abs=1e-12)
+            residuals.append(residual)
+    assert max(residuals) > 1e-6
 
 
 def test_gls_first_pick_is_best_single_clause():

@@ -107,14 +107,16 @@ def test_single_fault_error_line(name, line, expected):
 
 def run_command(command: str, files: dict[str, str | bytes]) -> tuple[int, str]:
     """Write `files` over the base inputs, a model and a clause file, run
-    `learn` or `infer` on them, and return (exit code, stderr) with the
-    directory shown as `{d}`."""
+    `learn` or `infer` on them (with `--config` when `files` has a config),
+    and return (exit code, stderr) with the directory shown as `{d}`."""
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         inputs = {**BASE, "model": MODEL, "clauses": "R(V1,V2) -> T(V1,V2)\t1\n", **files}
         for name, text in inputs.items():
             (d / f"{name}.tsv").write_bytes(text if isinstance(text, bytes) else text.encode())
         data = ["--schema", d / "schema.tsv", "--observed", d / "observed.tsv", "--train", d / "train.tsv"]
+        if "config" in files:
+            data += ["--config", d / "config.tsv"]
         argv = {
             "learn": ["learn", *data, "--clauses", d / "clauses.tsv", "--out", d / "out.tsv"],
             "infer": ["infer", *data, "--test", d / "test.tsv", "--model", d / "model.tsv", "--out", d / "out.tsv"],
@@ -145,6 +147,28 @@ def test_undecodable_atom_file_names_the_byte_offset_in_the_file():
     prefix = (BASE["observed"] + rows).encode()
     assert len(prefix) > 40_000
     code, err = run_command("infer", {"observed": prefix + b"\xffR\tx\ty\n"})
+    assert (code, err) == (
+        1,
+        f"error:UnicodeDecodeError:'utf-8' codec can't decode byte 0xff in position {len(prefix)}: "
+        "invalid start byte\n",
+    )
+
+
+# Valid text past the first 8 KiB, the chunk a streaming read decodes at once.
+PADDED = {
+    "schema": ("learn", BASE["schema"] + "".join(f"P{i}\tevidence\n" for i in range(2000))),
+    "clauses": ("learn", "# pool\n" * 4000 + "R(V1,V2) -> T(V1,V2)\t1\n"),
+    "model": ("infer", MODEL + "1\tR(V1,V2) -> T(V1,V2)\n" * 1500),
+    "config": ("learn", "# options\n" * 4000 + "l2_sigma = 10\n"),
+}
+
+
+@pytest.mark.parametrize("name", PADDED)
+def test_undecodable_text_file_names_the_byte_offset_in_the_file(name):
+    command, text = PADDED[name]
+    prefix = text.encode()
+    assert len(prefix) > 3 * 8192
+    code, err = run_command(command, {name: prefix + b"\xff\n"})
     assert (code, err) == (
         1,
         f"error:UnicodeDecodeError:'utf-8' codec can't decode byte 0xff in position {len(prefix)}: "

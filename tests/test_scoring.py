@@ -271,7 +271,7 @@ def assert_engine_matches_quadrature(grounding, obs, w, mode, p, tol):
     e = ws.expected_penalties(w)
     for g in range(ws.n_groups):
         atom = int(ws.group_atom[g])
-        clause_ids = None if mode == "pll" else {int(ws.group_clause[g])}
+        clause_ids = None if mode == "pll" else {int(ws.group_block[g])}
         hinges = folded_hinges(grounding, atom, w, obs, clause_ids)
         assert float(lz[g]) == pytest.approx(quad_log_partition(hinges, p), abs=tol)
         for k in np.flatnonzero(ws.pair_group == g):
