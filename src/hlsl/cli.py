@@ -24,7 +24,7 @@ import numpy as np
 from .clauses import GenerationConfig, generate_candidates, read_clause_file, write_clause_file
 from .data import AtomDatabase, load_database, parse_schema, read_atom_file, read_text, round_value
 from .data import build_adjacency  # noqa: F401  (a patch point of perfbench/tracer.py)
-from .errors import DuplicateAtom, HlslError, MalformedLine, NoCandidates
+from .errors import DuplicateAtom, HlslError, MalformedLine, MissingPrediction, NoCandidates, NotATarget
 from .grounding import ground_clauses
 from .inference import auc_roc, map_infer
 from .learning import (
@@ -229,6 +229,9 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
     db = load_database(cfg.schema, paths, cfg.generation.threshold, extra_rows=test)
     # the test atoms are the last ones added
     free = list(range(len(db.atoms) - len(test), len(db.atoms)))
+    stray = [db.atom_str(free[i]) for i in np.flatnonzero(~db.target_mask()[free])]
+    if stray:
+        raise NotATarget(f"{cfg.test}: atoms not of a target predicate: {len(stray)}, the first {stray[0]}")
     model = read_model(read_text(model_path), db)
     grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free), strict=cfg.strict)
     solution = map_infer(model, db, free_atoms=free, grounding=grounding, p=cfg.learning.p)
@@ -256,6 +259,10 @@ def cmd_eval(predictions_path: str, labels_path: str, out_path: str) -> None:
         if (pred, arg1, arg2) in labels:
             raise DuplicateAtom(f"{pred}({arg1},{arg2})")
         labels[(pred, arg1, arg2)] = round_value(value)
+    missing = [f"{pred}({arg1},{arg2})" for pred, arg1, arg2 in labels if (pred, arg1, arg2) not in scores]
+    if missing:
+        raise MissingPrediction(f"{predictions_path}: labelled atoms without a prediction: {len(missing)}, "
+                                f"the first {missing[0]}")
     result = auc_roc(scores, labels)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("auc\tn_pos\tn_neg\n")

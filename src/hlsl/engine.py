@@ -10,11 +10,12 @@ static structure once and evaluates partition functions, observed energies
 and expectation gradients as flat array passes.
 
 Grouping decides the objective. Every clause belongs to a block and hinges
-are grouped by (block, variable): with one block this gives the
-pseudolikelihood factors; with a block per clause it gives the piecewise
-factorization whose per-clause terms decouple; with a block per model it
-gives the pseudolikelihood of several independent models over one set of
-arrays, so their fits can step together.
+are grouped by (block, variable); a block's objective is the sum of its
+groups' terms -log Z - energy(observed), and `Workspace.total` returns
+every block's at once. With one block this is the pseudolikelihood; with a
+block per clause it is the piecewise factorization, whose per-clause terms
+decouple; with a block per model it is the pseudolikelihood of several
+independent models over one set of arrays, so their fits can step together.
 
 All accumulations run in log space with per-group max subtraction, and all
 reductions follow a fixed array order, so repeated runs give bit-identical
@@ -146,7 +147,8 @@ class Workspace:
     hinges are grouped by (block, variable). By default `mode` picks the
     map: 'pll' puts every clause in block 0, 'ppll' each clause in a block
     of its own. Groups are sorted by (block, variable), so each block's
-    groups are one contiguous run. All arrays are flat and index-aligned:
+    groups are one contiguous run, and `total` gives one objective per
+    block, summed in that order. All arrays are flat and index-aligned:
 
       pairs  - one entry per (ground clause, variable) occurrence, as
                `Grounding.pairs` gives them for the target atoms, holding
@@ -177,8 +179,7 @@ class Workspace:
         if clause_block is None:
             clause_block = np.arange(self.n_clauses) if mode == "ppll" else np.zeros(self.n_clauses)
         self.clause_block = np.asarray(clause_block, dtype=np.int64)
-        self.n_blocks = int(self.clause_block.max(initial=0)) + 1
-        self.per_clause = np.array_equal(self.clause_block, np.arange(self.n_clauses))
+        self.n_blocks = int(self.clause_block.max(initial=-1)) + 1
 
         inner_obs = grounding.inner_values(values)
         obs_phi = np.maximum(inner_obs, 0.0) ** p
@@ -194,8 +195,6 @@ class Workspace:
         self.n_groups = len(guniq)
         self.group_atom = guniq % n_atoms
         self.group_block = guniq // n_atoms
-        # block k's groups are [block_start[k], block_start[k + 1])
-        self.block_start = np.searchsorted(self.group_block, np.arange(self.n_blocks + 1))
 
         self.pairs_per_clause = np.bincount(self.pair_clause, minlength=self.n_clauses).astype(np.int64)
         self._build_segments()
@@ -286,35 +285,17 @@ class Workspace:
             self.pair_group, weights=w[self.pair_clause] * self.pair_obs_phi, minlength=self.n_groups
         )
 
-    def group_terms(self, w: np.ndarray) -> np.ndarray:
-        """-log Z - energy(observed) per group; zero-variable groups absent."""
-        if self.n_groups == 0:
-            return np.zeros(0)
-        return -self.log_partitions(w) - self.observed_energies(w)
+    def total(self, w: np.ndarray) -> np.ndarray:
+        """The objective of every block: the sum of its groups' terms -log Z
+        - energy(observed), added in group order, so a block's value equals
+        `total` of a workspace built for that block alone."""
+        return self._block_sums(w, self.log_partitions(w))
 
-    def total(self, w: np.ndarray) -> float:
-        return float(self.group_terms(w).sum())
+    per_clause_totals = total  # the same method (a patch point of perfbench/tracer.py)
 
-    def block_totals(self, w: np.ndarray) -> np.ndarray:
-        """The objective per block: the sum of the block's groups' terms,
-        summed over its run of groups as `total` sums them all, so a block's
-        value equals `total` of a workspace built for that block alone."""
-        terms = self.group_terms(w)
-        bounds = self.block_start.tolist()
-        return np.array([terms[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
-
-    def per_clause_totals(self, w: np.ndarray) -> np.ndarray:
-        """Per-clause objective terms; needs a block per clause (ppll
-        grouping), where every group belongs to a single clause."""
-        return self._clause_terms(w, self.log_partitions(w))
-
-    def _clause_terms(self, w: np.ndarray, logz: np.ndarray) -> np.ndarray:
-        if not self.per_clause:
-            raise ValueError("per-clause totals require ppll grouping")
-        if self.n_groups == 0:
-            return np.zeros(self.n_clauses)
+    def _block_sums(self, w: np.ndarray, logz: np.ndarray) -> np.ndarray:
         terms = -logz - self.observed_energies(w)
-        return np.bincount(self.group_block, weights=terms, minlength=self.n_clauses)
+        return np.bincount(self.group_block, weights=terms, minlength=self.n_blocks)
 
     def _expected(self, coeffs: tuple[np.ndarray, ...], logz: np.ndarray) -> np.ndarray:
         """`expected_penalties` from the segment coefficients and log Z."""
@@ -342,8 +323,8 @@ class Workspace:
         """Ascent gradient of the grouped objective: per clause, the summed
         expected-minus-observed penalties of its hinge occurrences.
 
-        With `with_terms` (ppll grouping only) it returns (gradient,
-        per-clause terms), the terms read off the same partition functions.
+        With `with_terms` it returns (gradient, `total`), the totals read
+        off the same partition functions.
         """
         grad = np.zeros(self.n_clauses)
         logz = np.zeros(0)
@@ -356,7 +337,7 @@ class Workspace:
             )
         if not with_terms:
             return grad
-        return grad, self._clause_terms(w, logz)
+        return grad, self._block_sums(w, logz)
 
     def per_variable(self, w: np.ndarray) -> dict[int, tuple[float, float]]:
         """Per-variable (log Z, observed energy), aggregated over groups."""

@@ -49,5 +49,13 @@ class NonFiniteObjective(HlslError):
     """The learning objective became NaN or infinite."""
 
 
+class NotATarget(HlslError):
+    """An atom to predict is not of a target predicate."""
+
+
+class MissingPrediction(HlslError):
+    """A labelled atom has no prediction to score."""
+
+
 class DegenerateLabels(HlslError):
     """AUC is undefined: one of the label classes is empty."""

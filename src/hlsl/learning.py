@@ -112,15 +112,31 @@ def objective_gradient(
     """Ascent gradient of the log objective with respect to the weights.
 
     Per clause: the expected-minus-observed hinge penalties summed over the
-    clause's (variable, grounding) occurrences, minus w/sigma^2 when the
+    clause's (variable, grounding) occurrences, minus w/l2_sigma when the
     Gaussian prior is active. Expectations use the full conditional profile
     for `pll` and the single-clause profile for `ppll`.
     """
     ws = Workspace(grounding, observed, mode=objective, p=p)
-    grad = ws.gradient(model.weights)
-    if l2_sigma > 0.0:
-        grad = grad - model.weights / l2_sigma
-    return grad
+    return _prior_gradient(ws.gradient(model.weights), model.weights, l2_sigma)
+
+
+def _prior_gradient(grad: np.ndarray, w: np.ndarray, sigma: float) -> np.ndarray:
+    """An engine gradient at weights `w` plus that of the Gaussian prior of
+    variance `sigma` (none at 0), -w/sigma per clause."""
+    return grad - w / sigma if sigma > 0.0 else grad
+
+
+def _prior_totals(totals: np.ndarray, ws: Workspace, w: np.ndarray, sigma: float) -> np.ndarray:
+    """`ws`'s block totals at weights `w` plus the prior's log density,
+    -w^2/(2 sigma) summed over each block's clauses in clause order."""
+    if sigma <= 0.0:
+        return totals
+    return totals - np.bincount(ws.clause_block, weights=w * w, minlength=ws.n_blocks) / (2.0 * sigma)
+
+
+def _residual(w: np.ndarray, grad: np.ndarray, w_max: float) -> np.ndarray:
+    """The projected gradient per clause, 0 where `w` is stationary on [0, w_max]."""
+    return np.abs(np.clip(w + grad, 0.0, w_max) - w)
 
 
 def _check_finite(value: float | np.ndarray) -> None:
@@ -134,9 +150,9 @@ def _ascend(
     config: LearnConfig,
     trace: list[TraceRow] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient ascent on every block's objective at once;
-    returns (weights, each block's final pure objective). Each block's
-    clauses must be one contiguous run.
+    """Projected gradient ascent on every block's objective (`ws.total`
+    plus the prior) at once; returns (weights, each block's final `total`,
+    without the prior).
 
     The base step is 1 / #occurrences per clause so the update scale tracks
     the gradient's. The blocks step in lockstep, one engine gradient per
@@ -151,16 +167,11 @@ def _ascend(
     """
     sigma = config.l2_sigma
     block = ws.clause_block
-    # block k's clauses are [first[k], first[k + 1])
-    first = np.searchsorted(block, np.arange(ws.n_blocks + 1)).tolist()
     w = np.clip(np.asarray(w0, dtype=np.float64), 0.0, config.w_max)
     steps = 1.0 / np.maximum(ws.pairs_per_clause, 1)
 
     def objective(wv: np.ndarray) -> np.ndarray:
-        value = ws.block_totals(wv)
-        if sigma > 0.0:
-            sq = np.array([wv[a:b] @ wv[a:b] for a, b in zip(first[:-1], first[1:])])
-            value -= sq / (2.0 * sigma)
+        value = _prior_totals(ws.total(wv), ws, wv, sigma)
         _check_finite(value)
         return value
 
@@ -170,9 +181,7 @@ def _ascend(
     for it in range(1, config.max_iters + 1):
         if not running.any():
             break
-        grad = ws.gradient(w)
-        if sigma > 0.0:
-            grad = grad - w / sigma
+        grad = _prior_gradient(ws.gradient(w), w, sigma)
         live = running[block]
         _check_finite(grad[live])
 
@@ -198,7 +207,7 @@ def _ascend(
             gmax = float(np.abs(grad[live]).max()) if live.any() else 0.0
             trace.append((it, float(obj.sum()), gmax, ms))
         running &= improvement >= config.tolerance * np.maximum(1.0, np.abs(obj))
-    return w, ws.block_totals(w)
+    return w, ws.total(w)
 
 
 def _clause_roots(
@@ -208,7 +217,9 @@ def _clause_roots(
 ) -> np.ndarray:
     """Maximize every clause's piecewise term on [0, w_max] at once.
 
-    Each term is concave in its own weight, so its derivative
+    `ws` has a block per clause, so its per-block `total` (read off each
+    gradient call's partition functions) holds every clause's term, and
+    each term is concave in its own weight, so its derivative
     f(w) = gradient - w/l2_sigma is non-increasing. A clause takes w = 0
     when f(0) <= 0 and w = w_max when f(w_max) >= 0. Every other clause has
     its root bracketed in (0, w_max), found by Illinois regula falsi with a
@@ -225,11 +236,10 @@ def _clause_roots(
 
     def derivative(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         grad, terms = ws.gradient(w, with_terms=True)
-        if sigma > 0.0:
-            grad, terms = grad - w / sigma, terms - w * w / (2.0 * sigma)
+        grad, terms = _prior_gradient(grad, w, sigma), _prior_totals(terms, ws, w, sigma)
         _check_finite(grad)
         _check_finite(terms)
-        return grad, terms, np.abs(np.clip(w + grad, 0.0, w_max) - w)
+        return grad, terms, _residual(w, grad, w_max)
 
     started = time.perf_counter()
     n = ws.n_clauses
@@ -342,10 +352,8 @@ def _refit_extensions(
     w, scores = _ascend(ws, np.tile(np.append(chosen_w, 0.0), len(remaining)), inner)
     residual = None
     if residuals:
-        grad = ws.gradient(w)
-        if config.l2_sigma > 0.0:
-            grad = grad - w / config.l2_sigma
-        residual = np.abs(np.clip(w + grad, 0.0, config.w_max) - w).reshape(-1, width).max(axis=1)
+        grad = _prior_gradient(ws.gradient(w), w, config.l2_sigma)
+        residual = _residual(w, grad, config.w_max).reshape(-1, width).max(axis=1)
     return w.reshape(-1, width), scores, residual
 
 

@@ -1,10 +1,10 @@
 """Model scores over a grounding: log pseudolikelihood and its piecewise
 factorization.
 
-Both scores are read off `engine.Workspace`, which integrates every
-variable's conditional profile: the log pseudolikelihood groups hinges by
-variable, the piecewise pseudolikelihood by (clause, variable), so its
-total splits exactly into per-clause terms.
+Both scores are `engine.Workspace.total`, which integrates every
+variable's conditional profile: the log pseudolikelihood is its one block,
+the piecewise pseudolikelihood groups hinges by (clause, variable), a block
+per clause, so its total splits exactly into per-clause terms.
 """
 from __future__ import annotations
 
@@ -28,11 +28,11 @@ class ScoreReport:
 
 def log_pll(model, grounding: Grounding, observed: np.ndarray, p: int = 1) -> ScoreReport:
     """Log pseudolikelihood: sum over variables of -log Z_i minus the
-    variable's observed conditional energy. Variables untouched by any
-    ground clause contribute zero."""
+    variable's observed conditional energy, the workspace's one block (none
+    without clauses). Variables untouched by any ground clause contribute zero."""
     ws = Workspace(grounding, observed, mode="pll", p=p)
     w = np.asarray(model.weights, dtype=np.float64)
-    return ScoreReport(total=ws.total(w), per_variable=ws.per_variable(w))
+    return ScoreReport(total=float(ws.total(w).sum()), per_variable=ws.per_variable(w))
 
 
 def log_ppll(model, grounding: Grounding, observed: np.ndarray, p: int = 1) -> ScoreReport:
@@ -41,14 +41,8 @@ def log_ppll(model, grounding: Grounding, observed: np.ndarray, p: int = 1) -> S
     pseudolikelihoods reported in `per_clause`."""
     ws = Workspace(grounding, observed, mode="ppll", p=p)
     w = np.asarray(model.weights, dtype=np.float64)
-    per_clause_arr = ws.per_clause_totals(w)
-    per_var = ws.per_variable(w)
-    per_clause = {c: float(v) for c, v in enumerate(per_clause_arr)}
-    return ScoreReport(
-        total=float(per_clause_arr.sum()),
-        per_variable=per_var,
-        per_clause=per_clause,
-    )
+    totals = ws.total(w)
+    return ScoreReport(float(totals.sum()), ws.per_variable(w), dict(enumerate(totals.tolist())))
 
 
 def write_score_tsv(report: ScoreReport, grounding: Grounding, stream) -> None:

@@ -420,6 +420,32 @@ def test_eval_rejects_malformed_rows(tmp_path, capsys, predictions, labels):
     assert single_error(capsys).startswith("error:MalformedLine:line 1:")
 
 
+def test_eval_rejects_labels_without_prediction(tmp_path, capsys):
+    (tmp_path / "p.tsv").write_text("T\ta\tb\t0.9\nT\tc\td\t0.1\nT\tx\ty\t0.5\n")
+    (tmp_path / "l.tsv").write_text("T\ta\tb\t1\nT\tb\tc\t0\nT\tc\td\t0\nT\td\te\t1\n")
+    code = run("eval", "--predictions", tmp_path / "p.tsv", "--labels", tmp_path / "l.tsv", "--out", tmp_path / "m.tsv")
+    assert code == 1
+    assert single_error(capsys) == (
+        f"error:MissingPrediction:{tmp_path / 'p.tsv'}: labelled atoms without a prediction: 2, the first T(b,c)"
+    )
+    assert not (tmp_path / "m.tsv").exists()
+
+
+def test_infer_rejects_test_atom_of_evidence_predicate(recovery_dir, tmp_path, capsys):
+    test = tmp_path / "test.tsv"
+    test.write_text((recovery_dir / "test.tsv").read_text() + "Link\ta00\tc19\n")
+    code = run(
+        "infer", "--schema", recovery_dir / "schema.tsv", "--observed", recovery_dir / "observed.tsv",
+        "--train", recovery_dir / "train.tsv", "--test", test,
+        "--model", recovery_dir / "candidates.tsv", "--out", tmp_path / "preds.tsv",
+    )
+    assert code == 1
+    assert single_error(capsys) == (
+        f"error:NotATarget:{test}: atoms not of a target predicate: 1, the first Link(a00,c19)"
+    )
+    assert not (tmp_path / "preds.tsv").exists()
+
+
 @pytest.mark.parametrize("coverage", ["abc", "-3", "1.5"])
 def test_learn_rejects_bad_clause_coverage(recovery_dir, tmp_path, capsys, coverage):
     clauses = tmp_path / "clauses.tsv"

@@ -214,6 +214,14 @@ def test_all_zero_weights_score_zero():
     assert log_ppll(model, grounding, obs).total == pytest.approx(0.0, abs=1e-12)
 
 
+def test_empty_model_scores_zero_with_no_clause_terms():
+    db = random_chain_db(4)
+    model, grounding = WeightedModel([], np.zeros(0)), ground_clauses([], db)
+    assert log_pll(model, grounding, db.value_vector()).total == 0.0
+    report = log_ppll(model, grounding, db.value_vector())
+    assert report.total == 0.0 and report.per_clause == {}
+
+
 def test_single_clause_ppll_equals_pll():
     db = random_chain_db(5)
     cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
@@ -261,6 +269,30 @@ def test_single_clause_concavity_in_weight():
             ws.per_clause_totals(w + delta),
         )
         assert np.all(mid >= (lo + hi) / 2 - 1e-9)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_block_totals_equal_each_blocks_own_workspace(p, seed):
+    """Under any contiguous clause -> block map, each entry of `total` is bit
+    for bit the one-block `total` of a workspace over that block's clauses
+    alone, and `gradient(with_terms=True)` returns the same totals."""
+    db = random_chain_db(40 + seed)
+    cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
+    grounding = ground_clauses(cands, db)
+    obs = db.value_vector()
+    rng = np.random.default_rng(seed)
+    n = len(cands)
+    block = np.concatenate([[0], np.cumsum(rng.random(n - 1) < 0.3)])
+    w = rng.uniform(0.0, 3.0, n)
+    ws = Workspace(grounding, obs, p=p, clause_block=block)
+    totals = ws.total(w)
+    assert len(totals) == block[-1] + 1 > 1
+    for k in range(len(totals)):
+        own = np.flatnonzero(block == k)
+        solo = Workspace(grounding.restrict(own.tolist()), obs, p=p).total(w[own])
+        assert len(solo) == 1 and totals[k] == solo[0]
+    assert np.array_equal(ws.gradient(w, with_terms=True)[1], totals)
 
 
 def assert_engine_matches_quadrature(grounding, obs, w, mode, p, tol):
