@@ -36,7 +36,7 @@ from .learning import WeightedModel
 
 RHO = 1.0  # ADMM penalty parameter
 ABS_TOL = 1e-7  # absolute residual tolerance, scaled by the square root of the copy count
-REL_TOL = 1e-6  # relative residual tolerance
+REL_TOL = 1e-7  # relative residual tolerance; 1e-6 stopped a slow coupled MAP 1e-5 above its optimum
 MAX_ITERS = 10_000
 
 
