@@ -368,6 +368,8 @@ def parse_clause(text: str, schema: dict[str, PredicateSymbol] | AtomDatabase) -
         raise UnknownPredicate(head_pred)
     if not predicates[head_pred].is_target:
         raise MalformedLine(0, f"head predicate {head_pred!r} is not a target")
+    if hv1 == hv2:
+        raise MalformedLine(0, f"head variables ({hv1},{hv2}) do not span the chain")
 
     raw_body = []
     if body_text.strip():

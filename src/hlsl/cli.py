@@ -59,8 +59,8 @@ class RunConfig:
 
 
 # the learner's iteration budgets go by their option names: `iters` is the
-# ppll root-finding cap or the gls clause additions, `inner_iters` the gls
-# gradient steps per refit
+# ppll Newton step cap or the gls clause additions, `inner_iters` the gls
+# Newton step cap per refit
 _ITERS = {"max_iters": "iters", "gls_outer_iters": "iters", "gls_inner_iters": "inner_iters"}
 
 _RUN_KEYS = {f.name for f in fields(RunConfig)} - {"generation", "learning"}
@@ -304,11 +304,12 @@ def _build_parser() -> argparse.ArgumentParser:
     l.add_argument("--score-report", help="final-model score diagnostic TSV")
     l.add_argument("--dump-groundings", help="ground-clause debug TSV")
     option(l, "method", choices=("gls", "ppll"))
-    option(l, "iters", help="iteration budget (ppll: root-finding steps, default "
+    option(l, "iters", help="iteration budget (ppll: Newton steps, default "
            f"{LearnConfig.max_iters}; gls: clause additions, default {LearnConfig.gls_outer_iters})")
-    option(l, "inner_iters", help="gls only: gradient steps per refit")
-    option(l, "tolerance", help="ppll: bound on each clause's projected derivative; "
-           "gls: relative score gain a round or refit step must make")
+    option(l, "inner_iters", help="gls only: Newton steps per refit, default "
+           f"{LearnConfig.gls_inner_iters}")
+    option(l, "tolerance", help="bound on each clause's projected gradient that ends a weight "
+           "fit; gls also stops once a round gains less than this share of the score")
     option(l, "w_max")
     option(l, "l2_sigma")
     option(l, "p", choices=(1, 2))

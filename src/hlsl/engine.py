@@ -196,7 +196,6 @@ class Workspace:
         self.group_atom = guniq % n_atoms
         self.group_block = guniq // n_atoms
 
-        self.pairs_per_clause = np.bincount(self.pair_clause, minlength=self.n_clauses).astype(np.int64)
         self._build_segments()
         self._build_combos()
 

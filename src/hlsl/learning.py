@@ -2,20 +2,18 @@
 
 Weights live in [0, w_max]. An optional Gaussian prior on the weights
 regularizes separable data; the hard cap keeps the box well-posed either
-way. The two objectives are fit differently:
+way. Every fit is one solver, projected Newton steps on any number of
+independent blocks at once (`_newton`):
 
-- pseudolikelihood (`pll`): projected gradient ascent with backtracking
-  step halving, so the objective trace is non-decreasing; the ascent runs
-  any number of independent models at once, one workspace block each;
+- pseudolikelihood (`pll`): one block of all the model's clauses;
 - its piecewise factorization (`ppll`): every clause's term is concave in
-  its own weight alone, so the fit is one bracketing root find per clause
-  on that term's derivative, all clauses stepping together.
+  its own weight alone, so every clause is a block of one weight.
 
 The greedy structure learner repeatedly adds whichever candidate clause most
 improves the pseudolikelihood after refitting weights; a round refits every
-extension of the current model in one lockstep ascent. The piecewise
-learner fits all candidate weights once and drops the clauses whose weight
-stayed at zero.
+extension of the current model as a block each, in one lockstep fit. The
+piecewise learner fits all candidate weights once and drops the clauses
+whose weight stayed at zero.
 """
 from __future__ import annotations
 
@@ -33,10 +31,10 @@ from .errors import MalformedLine, NoCandidates, NonFiniteObjective
 from .grounding import Grounding, ground_clauses
 
 MODEL_HEADER = "# hlsl-model v1"
-MAX_HALVINGS = 60
 
-# One trace row per iteration: (iteration, objective, max |gradient| - for
-# ppll the largest projected derivative -, cumulative wall-clock ms).
+# One trace row per iteration: (iteration, objective, largest projected
+# gradient, cumulative wall-clock ms); a weight fit's iteration is a Newton
+# step, a gls iteration a clause addition.
 TraceRow = tuple[int, float, float, float]
 
 
@@ -65,16 +63,13 @@ class LearnConfig:
     """Optimizer knobs. `l2_sigma` is the Gaussian prior variance (0 turns
     the prior off) and `w_max` the weight cap, for both learners.
 
-    - ppll: `max_iters` caps the root-finding steps and `tolerance` bounds
-      each clause's projected derivative (the KKT residual). Starting
-      weights play no part.
-    - pll fits and gls: `max_iters` caps the gradient steps of one
-      weight-learning run, which starts at the given weights (a new gls
-      clause at 0) and stops once a step gains less than `tolerance`
-      relative to the objective. The greedy learner takes
-      `gls_outer_iters` clause additions with `gls_inner_iters` gradient
-      steps per refit, and stops early once a round gains less than
-      `tolerance` relative to the score.
+    Every weight fit takes projected Newton steps from the given weights (a
+    new gls clause at 0) and stops once every clause's projected gradient
+    |clip(w + g, 0, w_max) - w| (the KKT residual) is at most `tolerance`,
+    or after `max_iters` steps. The greedy learner takes `gls_outer_iters`
+    clause additions with at most `gls_inner_iters` steps per refit, and
+    stops early once a round gains less than `tolerance` relative to the
+    score.
     """
 
     tolerance: float = 1e-4
@@ -134,9 +129,10 @@ def _prior_totals(totals: np.ndarray, ws: Workspace, w: np.ndarray, sigma: float
     return totals - np.bincount(ws.clause_block, weights=w * w, minlength=ws.n_blocks) / (2.0 * sigma)
 
 
-def _residual(w: np.ndarray, grad: np.ndarray, w_max: float) -> np.ndarray:
-    """The projected gradient per clause, 0 where `w` is stationary on [0, w_max]."""
-    return np.abs(np.clip(w + grad, 0.0, w_max) - w)
+def _residual(w: np.ndarray, grad: np.ndarray, w_max: float, k: int) -> np.ndarray:
+    """The largest projected gradient |clip(w + g, 0, w_max) - w| of every
+    run of k clauses, 0 where `w` is stationary on [0, w_max]."""
+    return np.abs(np.clip(w + grad, 0.0, w_max) - w).reshape(-1, k).max(axis=1)
 
 
 def _check_finite(value: float | np.ndarray) -> None:
@@ -144,146 +140,87 @@ def _check_finite(value: float | np.ndarray) -> None:
         raise NonFiniteObjective(f"objective value {value!r}")
 
 
-def _ascend(
+def _newton(
     ws: Workspace,
     w0: np.ndarray,
     config: LearnConfig,
     trace: list[TraceRow] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient ascent on every block's objective (`ws.total`
-    plus the prior) at once; returns (weights, each block's final `total`,
-    without the prior).
+    """Projected Newton ascent (Bertsekas 1982) on every block's objective
+    (`ws.total` plus the prior) at once, from `w0`; returns (weights, each
+    block's largest projected residual |clip(w + g, 0, w_max) - w|).
 
-    The base step is 1 / #occurrences per clause so the update scale tracks
-    the gradient's. The blocks step in lockstep, one engine gradient per
-    step for all of them. Within a step each block halves its step scale
-    until its own objective does not fall (the blocks still halving share
-    one scale, as all start at 1), and each block stops on its own once an
-    accepted step gains less than the relative tolerance. Every sum keeps
-    the element order of a workspace built for one block alone, so each
-    block's weights are bit for bit those of its own ascent. Trace rows
-    hold the summed objective and the largest gradient of the blocks still
-    running.
+    The blocks are contiguous runs of one width k. A step reads the exact
+    gradient and every block's Hessian by forward differences: k more
+    gradient calls, call j moving clause j of every block. A clause at a
+    bound whose gradient points out of the box is held and moves along its
+    gradient; the free clauses solve their block's symmetrized system, with
+    a ridge of 1e-12 of the block's largest curvature so that a clause
+    without any stays solvable. Each block backtracks along the projection
+    arc, halving its step from 1, until its objective passes the Armijo
+    test less the objective's rounding error. A block stops once its
+    residual is at most `tolerance`, once an accepted step leaves its
+    weights unchanged, or after `max_iters` steps. Every sum keeps the
+    element order of a workspace built for one block alone, so each block's
+    weights are bit for bit those of its own run. Trace rows, one per step,
+    hold the summed objective and the largest residual.
     """
-    sigma = config.l2_sigma
-    block = ws.clause_block
-    w = np.clip(np.asarray(w0, dtype=np.float64), 0.0, config.w_max)
-    steps = 1.0 / np.maximum(ws.pairs_per_clause, 1)
+    sigma, w_max = config.l2_sigma, config.w_max
+    block, k = ws.clause_block, ws.n_clauses // ws.n_blocks
 
-    def objective(wv: np.ndarray) -> np.ndarray:
-        value = _prior_totals(ws.total(wv), ws, wv, sigma)
-        _check_finite(value)
-        return value
+    def evaluate(wv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        grad, totals = ws.gradient(wv, with_terms=True)
+        grad, totals = _prior_gradient(grad, wv, sigma), _prior_totals(totals, ws, wv, sigma)
+        _check_finite(grad)
+        _check_finite(totals)
+        return grad, totals
 
     started = time.perf_counter()
-    obj = objective(w)
-    running = np.ones(ws.n_blocks, dtype=bool)
+    w = np.clip(np.asarray(w0, dtype=np.float64), 0.0, w_max)
+    grad, obj = evaluate(w)
+    res = _residual(w, grad, w_max, k)
+    running = res > config.tolerance
     for it in range(1, config.max_iters + 1):
         if not running.any():
             break
-        grad = _prior_gradient(ws.gradient(w), w, sigma)
-        live = running[block]
-        _check_finite(grad[live])
+        W, G = w.reshape(-1, k), grad.reshape(-1, k)
+        curv = np.empty((ws.n_blocks, k, k))  # minus the Hessian, column j from clause j
+        for j in range(k):
+            wp = W.copy()
+            wp[:, j] += 1e-6 * np.maximum(1.0, np.abs(W[:, j]))
+            gp = _prior_gradient(ws.gradient(wp.ravel()), wp.ravel(), sigma)
+            curv[:, :, j] = (G - gp.reshape(-1, k)) / (wp[:, j] - W[:, j])[:, None]
+        free = ~(((W <= 0.0) & (G <= 0.0)) | ((W >= w_max) & (G >= 0.0)))
+        curv = np.where(free[:, :, None] & free[:, None, :], 0.5 * (curv + curv.transpose(0, 2, 1)), 0.0)
+        top = curv.diagonal(axis1=1, axis2=2).max(axis=1)
+        ridge = 1e-12 * np.where(top > 0.0, top, 1.0)
+        curv += np.where(free, ridge[:, None], 1.0)[:, :, None] * np.eye(k)
+        d = G.copy()
+        d[running] = np.linalg.solve(curv[running], G[running, :, None])[..., 0]
+        d = np.where(free, d, G).ravel()
 
-        # the blocks still halving all reached the same step scale t
         t = 1.0
-        new_w, new_obj = w, obj
+        new_w, new_grad, new_obj = w, grad, obj
         pending = running.copy()
-        for _ in range(MAX_HALVINGS):
-            cand = np.where(pending[block], np.clip(w + t * steps * grad, 0.0, config.w_max), w)
-            cand_obj = objective(cand)
-            up = pending & (cand_obj >= obj)
-            new_w = np.where(up[block], cand, new_w)
-            new_obj = np.where(up, cand_obj, new_obj)
-            pending &= ~up
-            if not pending.any():
-                break
+        while pending.any():
+            cand = np.where(pending[block], np.clip(w + t * d, 0.0, w_max), w)
+            cand_grad, cand_obj = evaluate(cand)
+            gain = (grad * (cand - w)).reshape(-1, k).sum(axis=1)
+            ok = pending & (cand_obj >= obj + 1e-4 * gain - 1e-13 * np.maximum(1.0, np.abs(obj)))
+            new_w = np.where(ok[block], cand, new_w)
+            new_grad = np.where(ok[block], cand_grad, new_grad)
+            new_obj = np.where(ok, cand_obj, new_obj)
+            pending &= ~ok
             t *= 0.5
 
-        improvement = new_obj - obj
-        w, obj = new_w, new_obj
+        still = (new_w == w).reshape(-1, k).all(axis=1)
+        w, grad, obj = new_w, new_grad, new_obj
+        res = _residual(w, grad, w_max, k)
+        running &= (res > config.tolerance) & ~still
         if trace is not None:
             ms = (time.perf_counter() - started) * 1000.0
-            gmax = float(np.abs(grad[live]).max()) if live.any() else 0.0
-            trace.append((it, float(obj.sum()), gmax, ms))
-        running &= improvement >= config.tolerance * np.maximum(1.0, np.abs(obj))
-    return w, ws.total(w)
-
-
-def _clause_roots(
-    ws: Workspace,
-    config: LearnConfig,
-    trace: list[TraceRow] | None = None,
-) -> np.ndarray:
-    """Maximize every clause's piecewise term on [0, w_max] at once.
-
-    `ws` has a block per clause, so its per-block `total` (read off each
-    gradient call's partition functions) holds every clause's term, and
-    each term is concave in its own weight, so its derivative
-    f(w) = gradient - w/l2_sigma is non-increasing. A clause takes w = 0
-    when f(0) <= 0 and w = w_max when f(w_max) >= 0. Every other clause has
-    its root bracketed in (0, w_max), found by Illinois regula falsi with a
-    bisection fallback; the updates are elementwise, so each clause's
-    iterates depend only on its own derivative, and one step is one
-    gradient call for all clauses. A clause is done once its projected
-    derivative |clip(w + f, 0, w_max) - w| is at most `tolerance` or its
-    bracket is down to adjacent floats; an unfinished one holds the bracket
-    end with the smaller projected derivative. Trace rows, one per step,
-    hold the sum of each clause's best term so far and the largest
-    projected derivative of the current weights.
-    """
-    sigma, w_max = config.l2_sigma, config.w_max
-
-    def derivative(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        grad, terms = ws.gradient(w, with_terms=True)
-        grad, terms = _prior_gradient(grad, w, sigma), _prior_totals(terms, ws, w, sigma)
-        _check_finite(grad)
-        _check_finite(terms)
-        return grad, terms, _residual(w, grad, w_max)
-
-    started = time.perf_counter()
-    n = ws.n_clauses
-    lo, hi = np.zeros(n), np.full(n, w_max)
-    g_lo, best, r_lo = derivative(lo)
-    g_hi, t_hi, r_hi = derivative(hi)
-    best = np.maximum(best, t_hi)
-    active = (g_lo > 0.0) & (g_hi < 0.0)
-    w = np.where(active, np.where(r_hi < r_lo, hi, lo), np.where(g_lo <= 0.0, 0.0, w_max))
-    res = np.where(active, np.minimum(r_lo, r_hi), 0.0)
-
-    moved = np.zeros(n)  # +1: lo moved last step, -1: hi did
-    last_width, slow = np.full(n, np.inf), np.zeros(n, dtype=bool)
-    for it in range(1, config.max_iters + 1):
-        if not active.any():
-            break
-        width = hi - lo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = hi - g_hi * width / (g_hi - g_lo)
-        x = np.where(slow | ~((lo < x) & (x < hi)), 0.5 * (lo + hi), x)
-        x = np.where(active, x, w)
-        f_x, t_x, r_x = derivative(x)
-        best = np.maximum(best, t_x)
-
-        up, down = active & (f_x > 0.0), active & (f_x <= 0.0)
-        # Illinois: the secant halves the derivative of an end kept twice
-        g_hi = np.where(up & (moved > 0), 0.5 * g_hi, g_hi)
-        g_lo = np.where(down & (moved < 0), 0.5 * g_lo, g_lo)
-        lo, g_lo, r_lo = np.where(up, x, lo), np.where(up, f_x, g_lo), np.where(up, r_x, r_lo)
-        hi, g_hi, r_hi = np.where(down, x, hi), np.where(down, f_x, g_hi), np.where(down, r_x, r_hi)
-        moved = np.where(up, 1.0, np.where(down, -1.0, moved))
-
-        done = r_x <= config.tolerance
-        w = np.where(active, np.where(done, x, np.where(r_hi < r_lo, hi, lo)), w)
-        res = np.where(active, np.where(done, r_x, np.minimum(r_lo, r_hi)), res)
-        mid = 0.5 * (lo + hi)
-        active &= ~done & (lo < mid) & (mid < hi)
-        # bisect where two steps did not halve the bracket
-        slow = hi - lo > 0.5 * last_width
-        last_width = width
-        if trace is not None:
-            ms = (time.perf_counter() - started) * 1000.0
-            trace.append((it, float(best.sum()), float(res.max()) if n else 0.0, ms))
-    return w
+            trace.append((it, float(obj.sum()), float(res.max()), ms))
+    return w, res
 
 
 def learn_weights(
@@ -294,16 +231,13 @@ def learn_weights(
     config: LearnConfig = LearnConfig(),
     trace: list[TraceRow] | None = None,
 ) -> WeightedModel:
-    """Fit the model's weights on `objective`: projected gradient ascent
-    from the model's weights for `pll` (`_ascend` on one block), a root
-    find per clause for `ppll` (which reads no starting weights)."""
+    """Fit the model's weights on `objective` by projected Newton steps
+    from the model's weights (`_newton`): on one block for `pll`, on a
+    block per clause for `ppll`, where every block is a single weight."""
     if not model.clauses:
         raise NoCandidates("cannot learn weights of an empty model")
     ws = Workspace(grounding, observed, mode=objective, p=config.p)
-    if objective == "ppll":
-        w = _clause_roots(ws, config, trace)
-    else:
-        w, _ = _ascend(ws, model.weights, config, trace)
+    w, _ = _newton(ws, model.weights, config, trace)
     return WeightedModel(model.clauses, w)
 
 
@@ -315,8 +249,8 @@ def ppll_structure_learn(
 ) -> WeightedModel:
     """Structure learning as one weight-learning run: fit every candidate's
     weight under the piecewise objective, then keep the clauses whose weight
-    is not 0. The root find puts a clause whose derivative at 0 is not
-    positive at exactly 0."""
+    is not 0. A clause whose derivative at 0 is not positive is held at
+    exactly 0."""
     if not candidates:
         raise NoCandidates("ppll_structure_learn needs at least one candidate")
     grounding = ground_clauses(candidates, db)
@@ -336,25 +270,20 @@ def _refit_extensions(
     chosen_w: np.ndarray,
     remaining: list[int],
     config: LearnConfig,
-    residuals: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Refit every extension `chosen + [c]`, c in `remaining`, as one block
-    each of one workspace, in one lockstep `_ascend` from `chosen_w` and 0.
+    each of one workspace, in one lockstep `_newton` from `chosen_w` and 0
+    with `gls_inner_iters` steps.
 
-    Returns each extension's weights (one row each), its pll score and,
-    when `residuals`, its largest projected gradient |clip(w + g, 0, w_max)
-    - w| at those weights, prior included, from one gradient for all.
+    Returns each extension's weights (one row each), its pll score and its
+    largest projected residual, prior included, at those weights.
     """
     width = len(chosen) + 1
     sub = pool.restrict([i for cand in remaining for i in chosen + [cand]])
     ws = Workspace(sub, observed, p=config.p, clause_block=np.repeat(np.arange(len(remaining)), width))
     inner = replace(config, max_iters=config.gls_inner_iters)
-    w, scores = _ascend(ws, np.tile(np.append(chosen_w, 0.0), len(remaining)), inner)
-    residual = None
-    if residuals:
-        grad = _prior_gradient(ws.gradient(w), w, config.l2_sigma)
-        residual = _residual(w, grad, config.w_max).reshape(-1, width).max(axis=1)
-    return w.reshape(-1, width), scores, residual
+    w, residual = _newton(ws, np.tile(np.append(chosen_w, 0.0), len(remaining)), inner)
+    return w.reshape(-1, width), ws.total(w), residual
 
 
 def gls_structure_learn(
@@ -371,12 +300,12 @@ def gls_structure_learn(
     permanently adds the candidate whose fitted score is highest, first one
     winning ties. Stops after `gls_outer_iters` rounds or when the best
     score improvement falls below the relative tolerance. A round's refits
-    are independent, so they run as one lockstep ascent
+    are independent, so they run as one lockstep fit of Newton steps
     (`_refit_extensions`).
 
     A trace row's `max_grad` is the chosen refit's largest projected
-    gradient at its returned weights: how far from a stationary point the
-    inner step budget left it.
+    gradient at its returned weights: at most `tolerance` unless the refit
+    spent its `gls_inner_iters` steps.
     """
     if not candidates:
         raise NoCandidates("gls_structure_learn needs at least one candidate")
@@ -391,9 +320,7 @@ def gls_structure_learn(
     for outer in range(1, config.gls_outer_iters + 1):
         if not remaining:
             break
-        w, scores, residual = _refit_extensions(
-            pool, observed, chosen, chosen_w, remaining, config, trace is not None
-        )
+        w, scores, residual = _refit_extensions(pool, observed, chosen, chosen_w, remaining, config)
         best = int(np.argmax(scores))  # the first of the highest
         if scores[best] - current < config.tolerance * max(1.0, abs(current)):
             break

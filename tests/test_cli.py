@@ -459,6 +459,24 @@ def test_learn_rejects_bad_clause_coverage(recovery_dir, tmp_path, capsys, cover
     assert not (tmp_path / "model.tsv").exists()
 
 
+@pytest.mark.parametrize("head", ["!T(A,A)", "T(X,X)"])
+def test_body_less_clause_with_a_repeated_head_variable_is_rejected(recovery_dir, tmp_path, capsys, head):
+    # read as `-> T(A,B)`, it would weigh every T atom, not only reflexive ones
+    data = ["--schema", recovery_dir / "schema.tsv", "--observed", recovery_dir / "observed.tsv",
+            "--train", recovery_dir / "train.tsv"]
+    error = f"error:MalformedLine:line 2: head variables ({head[-4]},{head[-2]}) do not span the chain"
+    clauses = tmp_path / "clauses.tsv"
+    clauses.write_text(f"Link(V1,V2) -> T(V1,V2)\t5\n-> {head}\t5\n")
+    assert run("learn", *data, "--clauses", clauses, "--out", tmp_path / "model.tsv") == 1
+    assert single_error(capsys) == error
+    model = tmp_path / "model.tsv"
+    model.write_text(f"# hlsl-model v1\n1\t-> {head}\n")
+    code = run("infer", *data, "--test", recovery_dir / "test.tsv", "--model", model, "--out", tmp_path / "preds.tsv")
+    assert code == 1
+    assert single_error(capsys) == error
+    assert not (tmp_path / "preds.tsv").exists()
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf"])
 def test_infer_rejects_non_finite_weight(recovery_dir, tmp_path, capsys, weight):
     model = tmp_path / "model.tsv"

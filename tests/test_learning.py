@@ -1,4 +1,4 @@
-"""Learning: gradients, projected ascent, both structure learners, model IO."""
+"""Learning: gradients, projected Newton fits, both structure learners, model IO."""
 import io
 from dataclasses import replace
 
@@ -16,6 +16,7 @@ from hlsl.grounding import ground_clauses
 from hlsl.learning import (
     LearnConfig,
     WeightedModel,
+    _refit_extensions,
     gls_structure_learn,
     learn_weights,
     objective_gradient,
@@ -98,42 +99,57 @@ def test_gradient_includes_gaussian_prior_term():
 
 
 def test_learn_weights_stationary_start_stays():
+    # observed 0.5 is the uniform conditional's mean, so the gradient at w = 0
+    # is 0: the clause is held at its lower bound with residual 0, and the
+    # fit takes no step
     db = single_target_db(0.5)
     prior = negative_prior("T")
     grounding = ground_clauses([prior], db)
+    trace = []
     model = learn_weights(
         WeightedModel([prior], np.zeros(1)), grounding, db.value_vector(), "pll",
-        LearnConfig(l2_sigma=0.0),
+        LearnConfig(l2_sigma=0.0), trace,
     )
     assert model.weights[0] == 0.0
+    assert trace == []
 
 
 def test_learn_weights_separable_hits_cap():
-    # observed 0 with no prior: the optimum is at infinity, the cap binds;
-    # unit steps of about 1/w reach w = 20 in about 200 steps
+    # observed 0 with no prior: the optimum is at infinity, the cap binds.
+    # The objective grows like log w, so a Newton step about doubles w:
+    # 0 -> 6.x -> 12.x -> clipped at 20, where the gradient still points up,
+    # so the clause is held there with residual 0
     db = single_target_db(0.0)
     prior = negative_prior("T")
     grounding = ground_clauses([prior], db)
     cfg = LearnConfig(tolerance=1e-12, max_iters=600, l2_sigma=0.0, w_max=20.0)
-    model = learn_weights(WeightedModel([prior], np.zeros(1)), grounding, db.value_vector(), "pll", cfg)
+    trace = []
+    model = learn_weights(WeightedModel([prior], np.zeros(1)), grounding, db.value_vector(), "pll", cfg, trace)
     assert model.weights[0] == 20.0
+    assert len(trace) == 3 and trace[-1][2] == 0.0
 
 
 def test_learn_weights_monotone_trace_and_projection():
+    # at tolerance 0 the last steps gain less than the objective's rounding
+    # error; the Armijo test allows 1e-13 of max(1, |objective|) for it, so
+    # on objectives below 10 in size the trace never falls by 1e-12
     db = random_chain_db(17)
     cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
     grounding = ground_clauses(cands, db)
     obs = db.value_vector()
+    cfg = LearnConfig(max_iters=60, tolerance=0.0)
     for objective in ("pll", "ppll"):
         trace = []
         model = learn_weights(
-            WeightedModel(list(cands), np.zeros(len(cands))), grounding, obs, objective,
-            LearnConfig(max_iters=60), trace,
+            WeightedModel(list(cands), np.zeros(len(cands))), grounding, obs, objective, cfg, trace,
         )
         objectives = [row[1] for row in trace]
+        assert max(abs(o) for o in objectives) < 10.0
         assert all(b >= a - 1e-12 for a, b in zip(objectives, objectives[1:]))
         assert model.weights.min() >= 0.0
         assert model.weights.max() <= 100.0
+        grad = objective_gradient(model, grounding, obs, objective, cfg.l2_sigma)
+        assert trace[-1][2] == np.abs(np.clip(model.weights + grad, 0.0, cfg.w_max) - model.weights).max()
 
 
 def test_joint_ppll_equals_independent_runs():
@@ -306,6 +322,70 @@ def test_gls_trace_holds_the_chosen_refits_projected_gradient():
             assert row[2] == pytest.approx(residual, rel=1e-9, abs=1e-12)
             residuals.append(residual)
     assert max(residuals) > 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    p=st.sampled_from([1, 2]),
+    l2_sigma=st.sampled_from([0.0, 100.0]),
+    inner=st.integers(1, 4),
+)
+def test_every_gls_refit_converges_or_spends_its_step_cap(seed, p, l2_sigma, inner):
+    # replays gls's rounds: every refit of a round ends with a residual of at
+    # most `tolerance`, or took all `inner` steps (as its own run shows) and
+    # reports the residual its weights have
+    db = random_chain_db(seed)
+    cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))[:5]
+    cfg = LearnConfig(p=p, l2_sigma=l2_sigma, gls_inner_iters=inner, gls_outer_iters=3)
+    pool, obs = ground_clauses(cands, db), db.value_vector()
+    trace = []
+    model = gls_structure_learn(cands, db, cfg, trace)
+    chosen, chosen_w, remaining = [], np.zeros(0), list(range(len(cands)))
+    for row in trace + [None]:
+        if not remaining or len(chosen) == cfg.gls_outer_iters:
+            break
+        w, scores, residual = _refit_extensions(pool, obs, chosen, chosen_w, remaining, cfg)
+        for b, cand in enumerate(remaining):
+            if residual[b] <= cfg.tolerance:
+                continue
+            fit = WeightedModel([cands[i] for i in chosen + [cand]], w[b])
+            grounding = ground_clauses(fit.clauses, db)
+            steps = []
+            learn_weights(
+                WeightedModel(fit.clauses, np.append(chosen_w, 0.0)), grounding, obs, "pll",
+                replace(cfg, max_iters=inner), steps,
+            )
+            assert len(steps) == inner
+            grad = objective_gradient(fit, grounding, obs, "pll", l2_sigma, p)
+            assert residual[b] == np.abs(np.clip(fit.weights + grad, 0.0, cfg.w_max) - fit.weights).max()
+        if row is None:
+            break
+        best = int(np.argmax(scores))
+        assert row[2] == residual[best]
+        chosen.append(remaining.pop(best))
+        chosen_w = w[best]
+    assert [cands[i] for i in chosen] == model.clauses
+
+
+def test_learners_survive_a_clause_without_curvature():
+    # with no prior, a clause without groundings has gradient and curvature
+    # 0: away from its bounds it is a free clause whose Newton system only
+    # the ridge keeps solvable
+    db = random_chain_db(53)
+    cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))[:4]
+    vacuous = parse_clause("P(V1,V2) & P(V2,V3) -> T(V1,V3)", db)  # P leaves only a* atoms
+    clauses = cands + [vacuous]
+    grounding = ground_clauses(clauses, db)
+    assert len(grounding.restrict([len(cands)])) == 0
+    cfg = LearnConfig(l2_sigma=0.0)
+    start = np.append(np.ones(len(cands)), 0.7)
+    fit = learn_weights(WeightedModel(clauses, start), grounding, db.value_vector(), "pll", cfg)
+    assert np.isfinite(fit.weights).all() and fit.weights[-1] == 0.7
+    for learner in (gls_structure_learn, ppll_structure_learn):
+        model = learner(clauses, db, cfg)
+        assert np.isfinite(model.weights).all() and len(model) > 0
+        assert all(c is not vacuous for c in model.clauses)
 
 
 def test_gls_first_pick_is_best_single_clause():
