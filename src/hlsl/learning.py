@@ -66,7 +66,8 @@ class LearnConfig:
     Every weight fit takes projected Newton steps from the given weights (a
     new gls clause at 0) and stops once every clause's projected gradient
     |clip(w + g, 0, w_max) - w| (the KKT residual) is at most `tolerance`,
-    or after `max_iters` steps. The greedy learner takes `gls_outer_iters`
+    once a step gains no more than the objective's rounding error, or after
+    `max_iters` steps. The greedy learner takes `gls_outer_iters`
     clause additions with at most `gls_inner_iters` steps per refit, and
     stops early once a round gains less than `tolerance` relative to the
     score.
@@ -121,6 +122,12 @@ def _prior_gradient(grad: np.ndarray, w: np.ndarray, sigma: float) -> np.ndarray
     return grad - w / sigma if sigma > 0.0 else grad
 
 
+def _prior_curvature(curv: np.ndarray, sigma: float) -> np.ndarray:
+    """Minus the Hessian of every block, (blocks, k, k), plus that of the
+    Gaussian prior of variance `sigma` (none at 0), I / sigma per block."""
+    return curv + np.eye(curv.shape[-1]) / sigma if sigma > 0.0 else curv
+
+
 def _prior_totals(totals: np.ndarray, ws: Workspace, w: np.ndarray, sigma: float) -> np.ndarray:
     """`ws`'s block totals at weights `w` plus the prior's log density,
     -w^2/(2 sigma) summed over each block's clauses in clause order."""
@@ -150,71 +157,73 @@ def _newton(
     (`ws.total` plus the prior) at once, from `w0`; returns (weights, each
     block's largest projected residual |clip(w + g, 0, w_max) - w|).
 
-    The blocks are contiguous runs of one width k. A step reads the exact
-    gradient and every block's Hessian by forward differences: k more
-    gradient calls, call j moving clause j of every block. A clause at a
-    bound whose gradient points out of the box is held and moves along its
-    gradient; the free clauses solve their block's symmetrized system, with
-    a ridge of 1e-12 of the block's largest curvature so that a clause
-    without any stays solvable. Each block backtracks along the projection
-    arc, halving its step from 1, until its objective passes the Armijo
-    test less the objective's rounding error. A block stops once its
-    residual is at most `tolerance`, once an accepted step leaves its
-    weights unchanged, or after `max_iters` steps. Every sum keeps the
-    element order of a workspace built for one block alone, so each block's
-    weights are bit for bit those of its own run. Trace rows, one per step,
-    hold the summed objective and the largest residual.
+    The blocks are contiguous runs of one width k. Every evaluated point
+    costs one engine pass, which returns the gradient, the block totals and
+    minus every block's exact Hessian (`Workspace.gradient`); the prior adds
+    I / l2_sigma to the latter. A clause at a bound whose gradient points
+    out of the box is held and moves along its gradient; the free clauses
+    solve their block's symmetrized system, with a ridge of 1e-12 of the
+    block's largest curvature so that a clause without any stays solvable.
+    Each block backtracks along the projection arc, halving its step from
+    1, until its objective passes the Armijo test less the objective's
+    rounding error, 1e-13 of max(1, |objective|). A block stops once its
+    residual is at most `tolerance`, once an accepted step gains no more
+    than that rounding error (as one that leaves its weights unchanged
+    does; at `tolerance` 0 the steps at the optimum move the weights back
+    and forth by an ulp, and only this stop ends them), or after
+    `max_iters` steps. Every sum keeps the element order of a workspace
+    built for one block alone, so each block's weights are bit for bit
+    those of its own run. Trace rows, one per step, hold the summed
+    objective and the largest residual.
     """
     sigma, w_max = config.l2_sigma, config.w_max
     block, k = ws.clause_block, ws.n_clauses // ws.n_blocks
 
-    def evaluate(wv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        grad, totals = ws.gradient(wv, with_terms=True)
+    def evaluate(wv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        grad, totals, curv = ws.gradient(wv, with_terms=True, with_curvature=True)
         grad, totals = _prior_gradient(grad, wv, sigma), _prior_totals(totals, ws, wv, sigma)
         _check_finite(grad)
         _check_finite(totals)
-        return grad, totals
+        return grad, totals, _prior_curvature(curv, sigma)
+
+    def rounding(obj: np.ndarray) -> np.ndarray:
+        return 1e-13 * np.maximum(1.0, np.abs(obj))
 
     started = time.perf_counter()
     w = np.clip(np.asarray(w0, dtype=np.float64), 0.0, w_max)
-    grad, obj = evaluate(w)
+    grad, obj, curv = evaluate(w)
     res = _residual(w, grad, w_max, k)
     running = res > config.tolerance
     for it in range(1, config.max_iters + 1):
         if not running.any():
             break
         W, G = w.reshape(-1, k), grad.reshape(-1, k)
-        curv = np.empty((ws.n_blocks, k, k))  # minus the Hessian, column j from clause j
-        for j in range(k):
-            wp = W.copy()
-            wp[:, j] += 1e-6 * np.maximum(1.0, np.abs(W[:, j]))
-            gp = _prior_gradient(ws.gradient(wp.ravel()), wp.ravel(), sigma)
-            curv[:, :, j] = (G - gp.reshape(-1, k)) / (wp[:, j] - W[:, j])[:, None]
         free = ~(((W <= 0.0) & (G <= 0.0)) | ((W >= w_max) & (G >= 0.0)))
-        curv = np.where(free[:, :, None] & free[:, None, :], 0.5 * (curv + curv.transpose(0, 2, 1)), 0.0)
-        top = curv.diagonal(axis1=1, axis2=2).max(axis=1)
+        system = np.where(free[:, :, None] & free[:, None, :], 0.5 * (curv + curv.transpose(0, 2, 1)), 0.0)
+        top = system.diagonal(axis1=1, axis2=2).max(axis=1)
         ridge = 1e-12 * np.where(top > 0.0, top, 1.0)
-        curv += np.where(free, ridge[:, None], 1.0)[:, :, None] * np.eye(k)
+        system += np.where(free, ridge[:, None], 1.0)[:, :, None] * np.eye(k)
         d = G.copy()
-        d[running] = np.linalg.solve(curv[running], G[running, :, None])[..., 0]
+        d[running] = np.linalg.solve(system[running], G[running, :, None])[..., 0]
         d = np.where(free, d, G).ravel()
 
         t = 1.0
-        new_w, new_grad, new_obj = w, grad, obj
+        new_w, new_grad, new_obj, new_curv = w, grad, obj, curv
         pending = running.copy()
         while pending.any():
             cand = np.where(pending[block], np.clip(w + t * d, 0.0, w_max), w)
-            cand_grad, cand_obj = evaluate(cand)
+            cand_grad, cand_obj, cand_curv = evaluate(cand)
             gain = (grad * (cand - w)).reshape(-1, k).sum(axis=1)
-            ok = pending & (cand_obj >= obj + 1e-4 * gain - 1e-13 * np.maximum(1.0, np.abs(obj)))
+            ok = pending & (cand_obj >= obj + 1e-4 * gain - rounding(obj))
             new_w = np.where(ok[block], cand, new_w)
             new_grad = np.where(ok[block], cand_grad, new_grad)
             new_obj = np.where(ok, cand_obj, new_obj)
+            new_curv = np.where(ok[:, None, None], cand_curv, new_curv)
             pending &= ~ok
             t *= 0.5
 
-        still = (new_w == w).reshape(-1, k).all(axis=1)
-        w, grad, obj = new_w, new_grad, new_obj
+        still = new_obj - obj <= rounding(obj)
+        w, grad, obj, curv = new_w, new_grad, new_obj, new_curv
         res = _residual(w, grad, w_max, k)
         running &= (res > config.tolerance) & ~still
         if trace is not None:

@@ -11,6 +11,7 @@ from conftest import random_chain_db
 
 from hlsl.clauses import GenerationConfig, format_clause, generate_candidates, negative_prior, parse_clause
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency
+from hlsl.engine import Workspace
 from hlsl.errors import MalformedLine, NoCandidates
 from hlsl.grounding import ground_clauses
 from hlsl.learning import (
@@ -132,24 +133,28 @@ def test_learn_weights_separable_hits_cap():
 def test_learn_weights_monotone_trace_and_projection():
     # at tolerance 0 the last steps gain less than the objective's rounding
     # error; the Armijo test allows 1e-13 of max(1, |objective|) for it, so
-    # on objectives below 10 in size the trace never falls by 1e-12
-    db = random_chain_db(17)
-    cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
-    grounding = ground_clauses(cands, db)
-    obs = db.value_vector()
+    # on objectives below 10 in size the trace never falls by 1e-12, and the
+    # first step that gains no more than that ends the fit before its cap
     cfg = LearnConfig(max_iters=60, tolerance=0.0)
-    for objective in ("pll", "ppll"):
-        trace = []
-        model = learn_weights(
-            WeightedModel(list(cands), np.zeros(len(cands))), grounding, obs, objective, cfg, trace,
-        )
-        objectives = [row[1] for row in trace]
-        assert max(abs(o) for o in objectives) < 10.0
-        assert all(b >= a - 1e-12 for a, b in zip(objectives, objectives[1:]))
-        assert model.weights.min() >= 0.0
-        assert model.weights.max() <= 100.0
-        grad = objective_gradient(model, grounding, obs, objective, cfg.l2_sigma)
-        assert trace[-1][2] == np.abs(np.clip(model.weights + grad, 0.0, cfg.w_max) - model.weights).max()
+    for seed in (3, 5, 17):
+        db = random_chain_db(seed)
+        cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
+        grounding = ground_clauses(cands, db)
+        obs = db.value_vector()
+        for objective in ("pll", "ppll"):
+            trace = []
+            model = learn_weights(
+                WeightedModel(list(cands), np.zeros(len(cands))), grounding, obs, objective, cfg, trace,
+            )
+            objectives = [row[1] for row in trace]
+            assert len(trace) < cfg.max_iters
+            assert max(abs(o) for o in objectives) < 10.0
+            assert all(b >= a - 1e-12 for a, b in zip(objectives, objectives[1:]))
+            assert model.weights.min() >= 0.0
+            assert model.weights.max() <= 100.0
+            grad = objective_gradient(model, grounding, obs, objective, cfg.l2_sigma)
+            residual = np.abs(np.clip(model.weights + grad, 0.0, cfg.w_max) - model.weights).max()
+            assert trace[-1][2] == residual
 
 
 def test_joint_ppll_equals_independent_runs():
@@ -218,6 +223,55 @@ def test_ppll_trace_ends_with_the_stop_residual():
         assert len(trace) <= budget and trace[-1][0] == len(trace)
         assert trace[-1][2] == pytest.approx(residual, rel=1e-9, abs=1e-12)
         assert (residual <= cfg.tolerance) == converged
+
+
+def test_every_evaluated_point_costs_one_engine_pass(monkeypatch):
+    # a fit's engine passes are its evaluated points, the start and each
+    # line-search trial, each pass returning gradient, totals and curvature;
+    # no pass is spent per clause. Every step of these fits takes its full
+    # Newton step, so each step costs exactly one pass.
+    calls = []
+    gradient = Workspace.gradient
+
+    def counted(self, w, **kwargs):
+        calls.append(kwargs)
+        return gradient(self, w, **kwargs)
+
+    monkeypatch.setattr(Workspace, "gradient", counted)
+
+    class Steps(list):
+        """A trace that keeps, per step, the passes made so far."""
+
+        def append(self, row):
+            super().append(len(calls))
+
+    db = random_chain_db(5)
+    cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
+    pool, obs = ground_clauses(cands, db), db.value_vector()
+    cfg = LearnConfig(gls_inner_iters=50)
+    assert len(cands) >= 5
+
+    steps = Steps()
+    learn_weights(WeightedModel(list(cands), np.zeros(len(cands))), pool, obs, "pll", cfg, steps)
+    assert len(steps) >= 2 and list(steps) == list(range(2, len(steps) + 2))
+    assert all(kwargs == {"with_terms": True, "with_curvature": True} for kwargs in calls)
+
+    # one gls round: a block per extension of [clause 0], in lockstep for as
+    # many steps as its slowest block takes alone
+    calls.clear()
+    remaining = list(range(1, len(cands)))
+    _refit_extensions(pool, obs, [0], np.array([1.0]), remaining, cfg)
+    round_passes = len(calls)
+    longest = 0
+    for cand in remaining:
+        calls.clear()
+        steps = Steps()
+        inner = replace(cfg, max_iters=cfg.gls_inner_iters)
+        start = WeightedModel([cands[0], cands[cand]], np.array([1.0, 0.0]))
+        learn_weights(start, pool.restrict([0, cand]), obs, "pll", inner, steps)
+        assert list(steps) == list(range(2, len(steps) + 2))
+        longest = max(longest, len(steps))
+    assert round_passes == 1 + longest
 
 
 def test_ppll_structure_learn_prunes_vacuous():

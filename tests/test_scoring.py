@@ -8,7 +8,7 @@ from conftest import hinge_workspace, random_chain_db
 
 from hlsl.clauses import GenerationConfig, generate_candidates, negative_prior, parse_clause
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency
-from hlsl.engine import Workspace
+from hlsl.engine import _J2_SERIES_CUT, Workspace, exp_moment2
 from hlsl.grounding import ground_clauses
 from hlsl.learning import WeightedModel
 from hlsl.scoring import log_pll, log_ppll
@@ -153,6 +153,25 @@ def test_integrals_against_quadrature_randomized():
         assert log_z(hinges) == pytest.approx(quad_log_partition(hinges), abs=1e-9)
         hinge = (float(rng.uniform(-1.5, 1.5)), float(rng.choice([-1.0, 1.0])))
         assert expected(hinges, hinge) == pytest.approx(quad_expected(hinges, hinge), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [0.0, 1e-12, 1e-6, 0.3, _J2_SERIES_CUT * (1 - 1e-9), _J2_SERIES_CUT, _J2_SERIES_CUT * (1 + 1e-9),
+     2.0, 10.0, 100.0, 1e3, 1e4],
+)
+def test_exp_moment2_against_quadrature(v):
+    # both sides of the series cut, and steep profiles whose mass sits in
+    # the first 1/v of the interval
+    want, _ = quad(lambda s: s * s * np.exp(-v * s), 0.0, 1.0, points=[min(1.0, 10.0 / max(v, 1.0))],
+                   limit=200, epsabs=0.0, epsrel=1e-13)
+    assert exp_moment2(np.array([v]))[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_exp_moment2_finite_at_the_ends():
+    out = exp_moment2(np.array([0.0, 1e150, 1e300, np.finfo(np.float64).max]))
+    assert np.isfinite(out).all()
+    assert out[0] == pytest.approx(1.0 / 3.0, rel=1e-15) and (out[1:] >= 0.0).all()
 
 
 def test_integrals_extreme_weights_stay_finite():
@@ -357,3 +376,62 @@ def test_scores_deterministic_across_runs():
     a = log_pll(model, grounding, obs).total
     b = log_pll(model, grounding, obs).total
     assert a == b
+
+
+def central_curvature(ws, w, h=1e-5):
+    """Minus every block's Hessian, (blocks, width, width), by central
+    differences of `Workspace.gradient`."""
+    fd = np.zeros((ws.n_blocks, ws.width, ws.width))
+    for c in range(ws.n_clauses):
+        step = h * max(1.0, abs(w[c]))
+        up, down = w.copy(), w.copy()
+        up[c] += step
+        down[c] -= step
+        column = -(ws.gradient(up) - ws.gradient(down)) / (2.0 * step)
+        own = ws.clause_block == ws.clause_block[c]
+        fd[ws.clause_block[c], ws.clause_slot[own], ws.clause_slot[c]] = column[own]
+    return fd
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("seed", range(3))
+def test_curvature_matches_central_differences(p, seed):
+    """`gradient(with_curvature=True)` against central differences of the
+    gradient under the pll, ppll and lockstep (a block per gls extension)
+    maps, on soft evidence whose groups hold several segments, with one
+    steep clause and one clause that grounds nowhere; a lockstep block's
+    matrix is bit for bit that of a workspace over its clauses alone."""
+    db = random_chain_db(60 + seed)
+    cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
+    vacuous = parse_clause("P(V1,V2) & P(V2,V3) -> T(V1,V3)", db)  # P leaves only a* atoms
+    clauses = cands + [vacuous]
+    n = len(clauses)
+    pool, obs = ground_clauses(clauses, db), db.value_vector()
+    assert len(pool.restrict([n - 1])) == 0
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 3.0, n)
+    w[0] = 60.0
+    extensions = [[0, c] for c in range(1, n)]
+    lockstep = [i for ext in extensions for i in ext]
+    maps = [
+        (pool, np.zeros(n, dtype=np.int64), w),
+        (pool, np.arange(n), w),
+        (pool.restrict(lockstep), np.repeat(np.arange(len(extensions)), 2), w[lockstep]),
+    ]
+    for grounding, block, wv in maps:
+        ws = Workspace(grounding, obs, p=p, clause_block=block)
+        assert (ws.seg_count > 1).any()
+        if p == 1:
+            _alpha, beta = ws._segment_coeffs(wv)
+            assert (np.abs(beta) * ws.seg_len).max() > 20.0  # a steep segment
+        grad, totals, curv = ws.gradient(wv, with_terms=True, with_curvature=True)
+        assert np.array_equal(grad, ws.gradient(wv)) and np.array_equal(totals, ws.total(wv))
+        np.testing.assert_allclose(curv, central_curvature(ws, wv), rtol=1e-7, atol=1e-7)
+        # the clause that grounds nowhere has no curvature with any clause
+        assert not curv[ws.clause_block[-1], ws.clause_slot[-1]].any()
+        assert not curv[ws.clause_block[-1], :, ws.clause_slot[-1]].any()
+    ws = Workspace(maps[2][0], obs, p=p, clause_block=maps[2][1])
+    curv = ws.gradient(maps[2][2], with_curvature=True)[1]
+    for b, ext in enumerate(extensions):
+        solo = Workspace(pool.restrict(ext), obs, p=p)
+        assert np.array_equal(solo.gradient(w[ext], with_curvature=True)[1][0], curv[b])
