@@ -78,9 +78,11 @@ def exp_moment2(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     out = np.empty_like(v)
     small = v <= _J2_SERIES_CUT
-    head, series = v[small], 0.0
-    for coef in _J2_SERIES[::-1]:  # Horner
-        series = series * head + coef
+    head = v[small]
+    series = np.full_like(head, _J2_SERIES[-1])
+    for coef in _J2_SERIES[-2::-1]:  # Horner, in place
+        series *= head
+        series += coef
     out[small] = series
     big = v[~small]
     # exp(-v) underflows to 0 long before v reaches 800, so the capped tail is
