@@ -279,8 +279,8 @@ class Workspace:
         self._seg_poly = np.stack(
             [np.bincount(cell, weights=t, minlength=k * S).reshape(k, S) for t in terms], axis=2
         )
-        seg_block = self.group_block[self.seg_group]
-        self._block_seg_bounds = np.searchsorted(seg_block, np.arange(self.n_blocks + 1))
+        self._seg_block = self.group_block[self.seg_group]
+        self._block_seg_bounds = np.searchsorted(self._seg_block, np.arange(self.n_blocks + 1))
 
     # -- weight-dependent evaluations ---------------------------------------
 
@@ -417,7 +417,8 @@ class Workspace:
         centred by the group's expected penalty. With q the segment's share
         of its group's mass and M its central moments E[z^(r+c)], a block's
         matrix is the sum over its run of segments of q_s G_s M_s G_s^T:
-        one product G U^T with U_s = q_s G_s M_s."""
+        one product G U^T with U_s = q_s G_s M_s, or, when every block holds
+        one clause (ppll, a first gls round), one sum per block."""
         k, n = self.width, self.p + 1
         curv = np.zeros((self.n_blocks, k, k))
         if self.n_pairs == 0:
@@ -443,6 +444,10 @@ class Workspace:
             for r in range(n):
                 for c in range(n):
                     U[..., r] += q * mom[:, r + c] * G[..., c]
+        if k == 1:  # the products are numbers; a loop over blocks would cost more
+            per_seg = (G[0] * U[0]).sum(axis=1)
+            curv[:, 0, 0] = np.bincount(self._seg_block, weights=per_seg, minlength=self.n_blocks)
+            return curv
         # the terms of a segment are adjacent, so a block's run is one
         # (width, n * run) slice and its matrix one product
         G, U = G.reshape(k, -1), U.reshape(k, -1)
