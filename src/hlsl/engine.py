@@ -2,17 +2,22 @@
 
 Pseudolikelihood objectives reduce to one-dimensional integrals of
 exp(-energy) over [0, 1], where the energy seen by a single variable is a
-nonnegative weighted sum of hinges w * max(a + b*y, 0). The hinge roots
+nonnegative weighted sum of hinges w * max(a + b*y, 0)**p. The hinge roots
 -a/b do not depend on the weights, so for a fixed grounding and observed
-assignment the segment structure is static and every weight update only
-re-accumulates per-segment affine coefficients. This module builds that
-static structure once and evaluates partition functions, observed energies
-and expectation gradients as flat array passes. The same pass can return
-the exact curvature: minus the Hessian of a group's term is the covariance
-of its clauses' penalties under the conditional density, and on each
-segment every penalty is a polynomial in y, so the covariance needs only
-the segment's mass and central moments (closed forms for p=1, the
-Gauss-Legendre nodes for p=2).
+assignment the segment structure is static: on each segment every hinge is
+either off or the polynomial (a + b*y)**p, and every weight update only
+re-accumulates per-segment polynomial coefficients.
+
+One profile pass integrates each segment once, for its log mass, its mean
+and its central moments (closed forms for p=1, Gauss-Legendre nodes for
+p=2), and everything else is read off those numbers. log Z of a group is
+the log-sum-exp of its segments' masses. With q the share of a segment in
+its group's mass, a hinge's expected penalty is the q-weighted sum of its
+segment means, each a polynomial in the segment's moments; the gradient is
+these minus the observed penalties. The exact curvature follows the same
+way: minus the Hessian of a group's term is the covariance of its clauses'
+penalties under the conditional density, the q-weighted sum over segments
+of the penalty polynomials' second moments.
 
 Grouping decides the objective. Every clause belongs to a block and hinges
 are grouped by (block, variable); a block's objective is the sum of its
@@ -22,9 +27,10 @@ block per clause it is the piecewise factorization, whose per-clause terms
 decouple; with a block per model it is the pseudolikelihood of several
 independent models over one set of arrays, so their fits can step together.
 
-All accumulations run in log space with per-group max subtraction, and all
-reductions follow a fixed array order, so repeated runs give bit-identical
-results.
+Segment masses stay in log space, factored at each segment's peak and
+summed with per-group max subtraction, so arbitrarily large energies stay
+finite; all reductions follow a fixed array order, so repeated runs give
+bit-identical results.
 """
 from __future__ import annotations
 
@@ -36,12 +42,9 @@ import numpy as np
 from .data import spans
 from .grounding import Grounding
 
-BETA_FLAT = 1e-12  # below this slope a segment integrates as a constant
-_J1_SERIES_CUT = 1e-6
-_J2_SERIES_CUT = 1.0
-# (-1)^n / (n! (n + 3)) for n = 0..18: the terms of exp_moment2's series, the
-# last below 1e-17 at the cut
-_J2_SERIES = np.array([(-1.0) ** n / (math.factorial(n) * (n + 3)) for n in range(19)])
+# (-1)^n / (n! (n + r + 1)) for r = 0..2 and n = 0..18: the series of
+# exp_moments' J_r, whose last term is below 1e-17 at v = 1
+_SERIES = np.array([[(-1.0) ** n / (math.factorial(n) * (n + r + 1)) for n in range(19)] for r in range(3)])
 
 
 @lru_cache(maxsize=4)
@@ -51,87 +54,32 @@ def gauss_legendre_01(n: int = 32) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def exp_moment0(v: np.ndarray) -> np.ndarray:
-    """integral_0^1 exp(-v s) ds, stable for v >= 0."""
+def exp_moments(v: np.ndarray, r_max: int = 2) -> np.ndarray:
+    """J_r(v) = integral_0^1 s**r exp(-v s) ds for r = 0..r_max (r_max <= 2),
+    stable for v >= 0, as an (r_max + 1, len(v)) array.
+
+    The closed forms cancel for small v, so up to v = 1 the alternating
+    series sum_n (-v)^n / (n! (n + r + 1)) gives each J_r. Above it
+    J_0 = -expm1(-v) / v and, by parts, J_r = (r J_(r-1) - exp(-v)) / v,
+    which amplifies the error of J_(r-1) by at most r / v < 2."""
     v = np.asarray(v, dtype=np.float64)
-    small = v <= BETA_FLAT
-    safe = np.where(small, 1.0, v)
-    return np.where(small, 1.0 - v / 2.0, -np.expm1(-safe) / safe)
-
-
-def exp_moment1(v: np.ndarray) -> np.ndarray:
-    """integral_0^1 s exp(-v s) ds, stable for v >= 0."""
-    v = np.asarray(v, dtype=np.float64)
-    small = v <= _J1_SERIES_CUT
-    safe = np.where(small, 1.0, v)
-    series = 0.5 - v / 3.0 + v * v / 8.0
-    exact = (-np.expm1(-safe) - safe * np.exp(-safe)) / (safe * safe)
-    return np.where(small, series, exact)
-
-
-def exp_moment2(v: np.ndarray) -> np.ndarray:
-    """integral_0^1 s**2 exp(-v s) ds, stable for v >= 0.
-
-    The closed form (2 - exp(-v) (v**2 + 2v + 2)) / v**3 cancels for small
-    v, so up to v = 1 the alternating series sum_n (-v)^n / (n! (n + 3))
-    replaces it."""
-    v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    small = v <= _J2_SERIES_CUT
+    out = np.empty((r_max + 1, len(v)))
+    small = v <= 1.0
     head = v[small]
-    series = np.full_like(head, _J2_SERIES[-1])
-    for coef in _J2_SERIES[-2::-1]:  # Horner, in place
+    coefs = _SERIES[: r_max + 1]
+    series = np.repeat(coefs[:, -1:], len(head), axis=1)
+    for n in range(coefs.shape[1] - 2, -1, -1):  # Horner, in place
         series *= head
-        series += coef
-    out[small] = series
+        series += coefs[:, n : n + 1]
+    out[:, small] = series
     big = v[~small]
-    # exp(-v) underflows to 0 long before v reaches 800, so the capped tail is
-    # exact and (v**2 + 2v + 2) cannot meet it as inf * 0
-    capped = np.minimum(big, 800.0)
-    tail = np.exp(-capped) * ((capped + 2.0) * capped + 2.0)
-    out[~small] = (2.0 - tail) / big / big / big
+    tail = np.exp(-big)
+    j = -np.expm1(-big) / big
+    out[0, ~small] = j
+    for r in range(1, r_max + 1):
+        j = (r * j - tail) / big
+        out[r, ~small] = j
     return out
-
-
-def segment_log_partition(
-    alpha: np.ndarray, beta: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """log integral_lo^hi exp(-(alpha + beta*y)) dy per segment.
-
-    The exponential is factored at the segment end where it peaks, so the
-    result stays finite for arbitrarily large energies.
-    """
-    length = hi - lo
-    anchor = np.where(beta >= 0.0, lo, hi)
-    peak = -(alpha + beta * anchor)
-    u = np.abs(beta) * length
-    flat = np.abs(beta) <= BETA_FLAT
-    safe_u = np.where(flat, 1.0, u)
-    ratio = np.where(flat, 1.0, -np.expm1(-safe_u) / safe_u)
-    return peak + np.log(length * ratio)
-
-
-def _gauss_legendre_log_mass(
-    lo: np.ndarray,
-    length: np.ndarray,
-    c0: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    hinge: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """log integral_lo^(lo+length) h(y) exp(-(c0 + c1*y + c2*y**2)) dy per row
-    by Gauss-Legendre quadrature, factored at the nodes' peak; h is 1, or
-    max(a + b*y, 0)**2 for `hinge` = (a, b)."""
-    nodes, weights = gauss_legendre_01()
-    y = lo[:, None] + length[:, None] * nodes[None, :]
-    f = c0[:, None] + c1[:, None] * y + c2[:, None] * y * y
-    peak = f.min(axis=1)
-    mass = np.exp(peak[:, None] - f)
-    if hinge is not None:
-        a, b = hinge
-        mass = np.maximum(a[:, None] + b[:, None] * y, 0.0) ** 2 * mass
-    with np.errstate(divide="ignore"):
-        return -peak + np.log(length * np.einsum("sn,n->s", mass, weights))
 
 
 def group_logsumexp(values: np.ndarray, starts: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:
@@ -168,10 +116,14 @@ class Workspace:
       combos - the (pair, segment) incidences, pair-major, with a static
                activity flag (whether the hinge is positive on the segment).
 
-    For the curvature every clause has a slot, its rank within its block
-    (`clause_slot`, below `width`, the widest block's size), and
-    `_seg_poly` (width, S, p + 1) holds per slot and segment the summed
-    active hinges of the slot's clause as a polynomial in y.
+    Every weight-dependent method runs one profile pass (`_profile`): the
+    combos accumulate each segment's energy polynomial, each segment is
+    integrated once, and log Z, the pairs' expected penalties (one sum over
+    combos), the gradient and the curvature are read off the segments'
+    masses and moments. For the curvature every clause has a slot, its rank
+    within its block (`clause_slot`, below `width`, the widest block's
+    size), and `_seg_poly` (width, S, p + 1) holds per slot and segment the
+    summed active hinges of the slot's clause as a polynomial in y.
     """
 
     def __init__(
@@ -248,20 +200,15 @@ class Workspace:
         per_pair = self.seg_count[self.pair_group]
         first = self.group_seg_start[self.pair_group]
         self.combo_pair, self.combo_seg = spans(first, first + per_pair)
-        self.pair_combo_start = (np.cumsum(per_pair) - per_pair).astype(np.int64)
         a = self.pair_a[self.combo_pair]
         b = self.pair_b[self.combo_pair]
         self.combo_active = a + b * self.seg_mid[self.combo_seg] > 0.0
-        # weight-independent gathers, made once: the owning clause, the
+        # weight-independent gathers, made once: the owning clause and the
         # hinge coefficients masked to zero on inactive combos (so these add
-        # nothing to the coefficients and have a moment of exactly 0), and
-        # the segment lengths (and for p=2 starts) the moment integrals read
+        # nothing to the coefficients and have an expectation of exactly 0)
         self._combo_clause = self.pair_clause[self.combo_pair]
         self._combo_a = np.where(self.combo_active, a, 0.0)
         self._combo_b = np.where(self.combo_active, b, 0.0)
-        self._combo_len = self.seg_len[self.combo_seg]
-        if self.p == 2:
-            self._combo_lo = self.seg_lo[self.combo_seg]
 
     def _build_hinge_polynomials(self) -> None:
         # slots follow clause order within a block; a slot's polynomial is
@@ -299,17 +246,58 @@ class Workspace:
         c2 = np.bincount(self.combo_seg, weights=cw * b * b, minlength=S)
         return c0, c1, c2
 
-    def _segment_log_partitions(self, coeffs: tuple[np.ndarray, ...]) -> np.ndarray:
+    def _profile(self, coeffs: tuple[np.ndarray, ...], r_max: int) -> tuple[np.ndarray, ...]:
+        """Every segment's log mass (the log integral of exp(-energy) over
+        it), the mean of y under its own density, and the central moments
+        E[(y - mean)^r], r = 0..r_max, as an (S, r_max + 1) array.
+
+        For p=1 the density is exponential: with t in [0, 1] measured from
+        the end where it peaks, it is exp(-v t) / J_0(v) at v = |beta| *
+        length, so the mass is the peak times length * J_0(v), E[t^r] =
+        J_r(v) / J_0(v) (`exp_moments`), the mean is that end moved by
+        length * E[t] and the variance is length^2 * Var[t]. For p=2 they
+        are Gauss-Legendre sums, factored at the nodes' peak."""
+        S = len(self.seg_lo)
+        length = self.seg_len
+        mom = np.zeros((S, r_max + 1))
+        mom[:, 0] = 1.0
         if self.p == 1:
-            return segment_log_partition(*coeffs, self.seg_lo, self.seg_hi)
-        return _gauss_legendre_log_mass(self.seg_lo, self.seg_len, *coeffs)
+            alpha, beta = coeffs
+            pos = beta >= 0.0
+            anchor, sign = np.where(pos, self.seg_lo, self.seg_hi), np.where(pos, 1.0, -1.0)
+            j = exp_moments(np.abs(beta) * length, max(r_max, 1))
+            e1 = j[1] / j[0]
+            mean = anchor + sign * length * e1
+            if r_max >= 2:
+                mom[:, 2] = length * length * np.maximum(j[2] / j[0] - e1 * e1, 0.0)
+            return -(alpha + beta * anchor) + np.log(length * j[0]), mean, mom
+        c0, c1, c2 = coeffs
+        nodes, weights = gauss_legendre_01()
+        y = np.multiply.outer(length, nodes)
+        y += self.seg_lo[:, None]
+        mass = c2[:, None] * y  # the energy, then the weighted density, in place
+        mass += c1[:, None]
+        mass *= y
+        mass += c0[:, None]
+        peak = mass.min(axis=1)
+        np.subtract(peak[:, None], mass, out=mass)
+        np.exp(mass, out=mass)
+        mass *= weights
+        total = mass.sum(axis=1)
+        mass /= total[:, None]
+        mean = np.einsum("sn,sn->s", mass, y)
+        z, zr = y - mean[:, None], 1.0
+        for r in range(1, r_max + 1):  # z**r by products: pow is ~40x slower
+            zr = zr * z
+            mom[:, r] = np.einsum("sn,sn->s", mass, zr)
+        return -peak + np.log(length * total), mean, mom
 
     def _log_partitions(self, seg_logz: np.ndarray) -> np.ndarray:
         return group_logsumexp(seg_logz, self.group_seg_start, self.seg_group, self.n_groups)
 
     def log_partitions(self, w: np.ndarray) -> np.ndarray:
         """log Z per group."""
-        return self._log_partitions(self._segment_log_partitions(self._segment_coeffs(w)))
+        return self._log_partitions(self._profile(self._segment_coeffs(w), 0)[0])
 
     def observed_energies(self, w: np.ndarray) -> np.ndarray:
         """Energy of the observed assignment per group."""
@@ -329,85 +317,35 @@ class Workspace:
         terms = -logz - self.observed_energies(w)
         return np.bincount(self.group_block, weights=terms, minlength=self.n_blocks)
 
-    def _peaks(self, beta: np.ndarray) -> tuple[np.ndarray, ...]:
-        """For p=1, per segment: the end where exp(-energy) peaks, the
-        direction (+1 or -1) from it into the segment, v = |beta| * length,
-        and J0(v), J1(v), with which t in [0, 1] measured from that end has
-        the density exp(-v t) / J0(v)."""
-        pos = beta >= 0.0
-        v = np.abs(beta) * self.seg_len
-        anchor, sign = np.where(pos, self.seg_lo, self.seg_hi), np.where(pos, 1.0, -1.0)
-        return anchor, sign, v, exp_moment0(v), exp_moment1(v)
+    def _pass(self, w: np.ndarray, r_max: int) -> tuple[np.ndarray, ...]:
+        """One profile pass at weights `w`: log Z per group, each segment's
+        share q of its group's mass, its mean and its central moments up to
+        `r_max`."""
+        seg_logz, mean, mom = self._profile(self._segment_coeffs(w), r_max)
+        logz = self._log_partitions(seg_logz)
+        return logz, np.exp(seg_logz - logz[self.seg_group]), mean, mom
 
-    def _expected(
-        self, coeffs: tuple[np.ndarray, ...], logz: np.ndarray, peaks: tuple | None
-    ) -> np.ndarray:
-        """`expected_penalties` from the segment coefficients, log Z and, for
-        p=1, `_peaks`."""
+    def _expected(self, q: np.ndarray, mean: np.ndarray, mom: np.ndarray) -> np.ndarray:
+        """`expected_penalties` from the segments' mass shares and moments.
+
+        On a segment where it is active a hinge is h(y) = a + b*y >= 0, so
+        its mean there is h(mean) for p=1 and h(mean)^2 + 2 h(mean) b E[z] +
+        b^2 E[z^2] for p=2, z = y - mean; a pair's expectation sums these
+        weighted by q over its group's segments."""
         cs = self.combo_seg
-        a, b = self._combo_a, self._combo_b
-        if self.p == 1:
-            # log integral over the segment of (a + b*y) exp(-(alpha + beta*y));
-            # a + b*y >= 0 on active combos, and the tiny negative brackets
-            # that cancellation can produce are clamped to zero, giving -inf
-            alpha, beta = coeffs
-            anchor, sign, _v, j0, j1 = peaks
-            length = self._combo_len
-            bracket = (a + b * anchor[cs]) * j0[cs] + sign[cs] * b * length * j1[cs]
-            bracket = np.maximum(bracket, 0.0)
-            with np.errstate(divide="ignore"):
-                logj = (-(alpha + beta * anchor))[cs] + np.log(length * bracket)
-        else:
-            c0, c1, c2 = coeffs
-            logj = _gauss_legendre_log_mass(
-                self._combo_lo, self._combo_len, c0[cs], c1[cs], c2[cs], hinge=(a, b)
-            )
-        lognum = group_logsumexp(logj, self.pair_combo_start, self.combo_pair, self.n_pairs)
-        return np.exp(lognum - logz[self.pair_group])
+        b = self._combo_b
+        h = np.maximum(self._combo_a + b * mean[cs], 0.0)
+        if self.p == 2:
+            h = h * h + 2.0 * h * b * mom[cs, 1] + b * b * mom[cs, 2]
+        expected = np.bincount(self.combo_pair, weights=q[cs] * h, minlength=self.n_pairs)
+        return expected.astype(float, copy=False)  # bincount over no combos gives int64
 
     def expected_penalties(self, w: np.ndarray) -> np.ndarray:
         """E[hinge penalty] per pair under its group's conditional density."""
-        if self.n_pairs == 0:
-            return np.zeros(0)
-        coeffs = self._segment_coeffs(w)
-        peaks = self._peaks(coeffs[1]) if self.p == 1 else None
-        return self._expected(coeffs, self._log_partitions(self._segment_log_partitions(coeffs)), peaks)
+        _logz, q, mean, mom = self._pass(w, self.p)
+        return self._expected(q, mean, mom)
 
-    def _segment_moments(
-        self, coeffs: tuple[np.ndarray, ...], peaks: tuple | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Every segment's mean of y under its own density and the central
-        moments E[(y - mean)^r], r = 0..2p, as an (S, 2p + 1) array.
-
-        For p=1 the density is exponential: with t in [0, 1] measured from
-        the peak end, E[t^r] = J_r(v) / J_0(v) at v = |beta| * length, so the
-        mean is that end moved by length * E[t] and the variance is
-        length^2 * Var[t]. For p=2 they are the Gauss-Legendre sums of the
-        log partition."""
-        S = len(self.seg_lo)
-        mom = np.zeros((S, 2 * self.p + 1))
-        mom[:, 0] = 1.0
-        if self.p == 1:
-            anchor, sign, v, j0, j1 = peaks
-            e1, e2 = j1 / j0, exp_moment2(v) / j0
-            mean = anchor + sign * self.seg_len * e1
-            mom[:, 2] = self.seg_len * self.seg_len * np.maximum(e2 - e1 * e1, 0.0)
-            return mean, mom
-        c0, c1, c2 = coeffs
-        nodes, weights = gauss_legendre_01()
-        y = self.seg_lo[:, None] + self.seg_len[:, None] * nodes[None, :]
-        f = c0[:, None] + c1[:, None] * y + c2[:, None] * y * y
-        mass = weights * np.exp(f.min(axis=1)[:, None] - f)
-        mass /= mass.sum(axis=1)[:, None]
-        mean = np.einsum("sn,sn->s", mass, y)
-        z = y - mean[:, None]
-        for r in range(1, 5):
-            mom[:, r] = np.einsum("sn,sn->s", mass, z**r)
-        return mean, mom
-
-    def _curvature(
-        self, coeffs: tuple[np.ndarray, ...], peaks: tuple | None, seg_logz: np.ndarray, logz: np.ndarray
-    ) -> np.ndarray:
+    def _curvature(self, q: np.ndarray, mean: np.ndarray, mom: np.ndarray) -> np.ndarray:
         """Minus the Hessian of every block's objective, (n_blocks, width,
         width) with clauses at their slots: per group, the covariance of its
         clauses' penalties under the group's density, summed over groups.
@@ -423,10 +361,7 @@ class Workspace:
         curv = np.zeros((self.n_blocks, k, k))
         if self.n_pairs == 0:
             return curv
-        q = np.exp(seg_logz - logz[self.seg_group])
-        mean, mom = self._segment_moments(coeffs, peaks)
-        poly = self._seg_poly
-        G = poly.copy()
+        G = self._seg_poly.copy()
         for row in G:  # one slot at a time, so no temporary is width * S
             if self.p == 1:
                 row[:, 0] += mean * row[:, 1]
@@ -463,27 +398,17 @@ class Workspace:
 
         `with_terms` adds `total`, the block totals read off the same
         partition functions, and `with_curvature` minus each block's Hessian
-        (`_curvature`), read off the same segment coefficients: it returns
+        (`_curvature`), read off the same profile pass: it returns
         (gradient, total, curvature), or the requested ones in that order.
         """
-        grad = np.zeros(self.n_clauses)
-        seg_logz, logz = np.zeros(0), np.zeros(0)
-        coeffs: tuple[np.ndarray, ...] = ()
-        peaks = None
-        if self.n_pairs:
-            coeffs = self._segment_coeffs(w)
-            seg_logz = self._segment_log_partitions(coeffs)
-            logz = self._log_partitions(seg_logz)
-            peaks = self._peaks(coeffs[1]) if self.p == 1 else None
-            expected = self._expected(coeffs, logz, peaks)
-            grad = np.bincount(
-                self.pair_clause, weights=expected - self.pair_obs_phi, minlength=self.n_clauses
-            )
-        out = [grad]
+        logz, q, mean, mom = self._pass(w, 2 * self.p if with_curvature else self.p)
+        expected = self._expected(q, mean, mom)
+        grad = np.bincount(self.pair_clause, weights=expected - self.pair_obs_phi, minlength=self.n_clauses)
+        out = [grad.astype(float, copy=False)]  # as in `_expected`
         if with_terms:
             out.append(self._block_sums(w, logz))
         if with_curvature:
-            out.append(self._curvature(coeffs, peaks, seg_logz, logz))
+            out.append(self._curvature(q, mean, mom))
         return out[0] if len(out) == 1 else tuple(out)
 
     def per_variable(self, w: np.ndarray) -> dict[int, tuple[float, float]]:

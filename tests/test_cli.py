@@ -72,7 +72,7 @@ def test_generate_deterministic_reruns(example_dir, tmp_path):
     assert filecmp.cmp(tmp_path / "a.tsv", tmp_path / "b.tsv", shallow=False)
 
 
-def full_pipeline(d, tmp_path, tag, threads, method="ppll"):
+def full_pipeline(d, tmp_path, tag, threads, method="ppll", p=1):
     clauses = tmp_path / f"clauses_{tag}.tsv"
     model = tmp_path / f"model_{tag}.tsv"
     trace = tmp_path / f"trace_{tag}.tsv"
@@ -83,17 +83,20 @@ def full_pipeline(d, tmp_path, tag, threads, method="ppll"):
         "--train", d / "train.tsv", "--threads", threads,
     )
     assert run("generate", *base, "--out", clauses, "--max-depth", 2, "--min-coverage", 3) == 0
-    assert run("learn", *base, "--clauses", clauses, "--method", method, "--out", model, "--trace", trace) == 0
     assert run(
-        "infer", *base, "--test", d / "test.tsv", "--model", model, "--out", preds,
+        "learn", *base, "--clauses", clauses, "--method", method, "--out", model, "--trace", trace, "--p", p,
+    ) == 0
+    assert run(
+        "infer", *base, "--test", d / "test.tsv", "--model", model, "--out", preds, "--p", p,
     ) == 0
     assert run("eval", "--predictions", preds, "--labels", d / "test.tsv", "--out", metrics) == 0
     return clauses, model, preds, metrics
 
 
-def test_full_pipeline_and_determinism_across_threads(recovery_dir, tmp_path):
-    first = full_pipeline(recovery_dir, tmp_path, "t1", 1)
-    second = full_pipeline(recovery_dir, tmp_path, "t8", 8)
+@pytest.mark.parametrize("p", [1, 2])
+def test_full_pipeline_and_determinism_across_threads(recovery_dir, tmp_path, p):
+    first = full_pipeline(recovery_dir, tmp_path, "t1", 1, p=p)
+    second = full_pipeline(recovery_dir, tmp_path, "t8", 8, p=p)
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes()
     auc = float(second[3].read_text().splitlines()[1].split("\t")[0])

@@ -8,7 +8,7 @@ from conftest import hinge_workspace, random_chain_db
 
 from hlsl.clauses import GenerationConfig, generate_candidates, negative_prior, parse_clause
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency
-from hlsl.engine import _J2_SERIES_CUT, Workspace, exp_moment2
+from hlsl.engine import Workspace, exp_moments
 from hlsl.grounding import ground_clauses
 from hlsl.learning import WeightedModel
 from hlsl.scoring import log_pll, log_ppll
@@ -157,31 +157,37 @@ def test_integrals_against_quadrature_randomized():
 
 @pytest.mark.parametrize(
     "v",
-    [0.0, 1e-12, 1e-6, 0.3, _J2_SERIES_CUT * (1 - 1e-9), _J2_SERIES_CUT, _J2_SERIES_CUT * (1 + 1e-9),
-     2.0, 10.0, 100.0, 1e3, 1e4],
+    [0.0, 1e-12, 1e-6, 1.1e-6, 3e-6, 1e-5, 0.3, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0, 10.0, 100.0, 1e3, 1e4],
 )
 def test_exp_moment2_against_quadrature(v):
-    # both sides of the series cut, and steep profiles whose mass sits in
-    # the first 1/v of the interval
-    want, _ = quad(lambda s: s * s * np.exp(-v * s), 0.0, 1.0, points=[min(1.0, 10.0 / max(v, 1.0))],
-                   limit=200, epsabs=0.0, epsrel=1e-13)
-    assert exp_moment2(np.array([v]))[0] == pytest.approx(want, rel=1e-12)
+    # every J_r of the family up to r = 2, on both sides of the series cut
+    # at v = 1, at the small v where a closed form cancels, and on steep
+    # profiles whose mass sits in the first 1/v of the interval
+    got = exp_moments(np.array([v]))
+    for r in range(3):
+        want, _ = quad(lambda s: s**r * np.exp(-v * s), 0.0, 1.0, points=[min(1.0, 10.0 / max(v, 1.0))],
+                       limit=200, epsabs=0.0, epsrel=1e-13)
+        assert got[r, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_exp_moment2_finite_at_the_ends():
-    out = exp_moment2(np.array([0.0, 1e150, 1e300, np.finfo(np.float64).max]))
-    assert np.isfinite(out).all()
-    assert out[0] == pytest.approx(1.0 / 3.0, rel=1e-15) and (out[1:] >= 0.0).all()
+    out = exp_moments(np.array([0.0, 1e150, 1e300, np.finfo(np.float64).max]))
+    assert np.isfinite(out).all() and (out[:, 1:] >= 0.0).all()
+    assert out[:, 0] == pytest.approx([1.0, 1.0 / 2.0, 1.0 / 3.0], rel=1e-15)
 
 
 def test_integrals_extreme_weights_stay_finite():
     # energies large enough to underflow exp(-f) outside log space:
-    # f = 900 on [0, 0.5], 800 + 200y on [0.5, 1]
-    hinges = [(900.0, 1.0, 0.0), (200.0, -0.5, 1.0)]
-    lz = log_z(hinges)
-    assert np.isfinite(lz) and lz == pytest.approx(-900.0 + np.log(0.5 + (1 - np.exp(-100)) / 200), abs=1e-9)
-    e = expected(hinges, (0.5, 1.0))
-    assert np.isfinite(e) and 0.0 <= e <= 1.5
+    # f = 900 on [0, 0.5], 900 + 200 (y - 0.5)^p on [0.5, 1]; quadrature
+    # resolves the profile without its constant 900
+    steep = (200.0, -0.5, 1.0)
+    for p in (1, 2):
+        hinges = [(900.0, 1.0, 0.0), steep]
+        lz = log_z(hinges, p)
+        assert np.isfinite(lz) and lz == pytest.approx(quad_log_partition([steep], p) - 900.0, abs=1e-9)
+        e = expected(hinges, (0.5, 1.0), p)
+        assert np.isfinite(e) and e == pytest.approx(quad_expected([steep], (0.5, 1.0), p), abs=1e-9)
+    assert log_z(hinges) == pytest.approx(-900.0 + np.log(0.5 + (1 - np.exp(-100)) / 200), abs=1e-9)
 
 
 def test_quadratic_profile_partition_and_expectation():
@@ -295,7 +301,8 @@ def test_single_clause_concavity_in_weight():
 def test_block_totals_equal_each_blocks_own_workspace(p, seed):
     """Under any contiguous clause -> block map, each entry of `total` is bit
     for bit the one-block `total` of a workspace over that block's clauses
-    alone, and `gradient(with_terms=True)` returns the same totals."""
+    alone, each block's slice of `gradient` is bit for bit that workspace's
+    gradient, and `gradient(with_terms=True)` returns the same totals."""
     db = random_chain_db(40 + seed)
     cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
     grounding = ground_clauses(cands, db)
@@ -305,12 +312,13 @@ def test_block_totals_equal_each_blocks_own_workspace(p, seed):
     block = np.concatenate([[0], np.cumsum(rng.random(n - 1) < 0.3)])
     w = rng.uniform(0.0, 3.0, n)
     ws = Workspace(grounding, obs, p=p, clause_block=block)
-    totals = ws.total(w)
+    totals, grad = ws.total(w), ws.gradient(w)
     assert len(totals) == block[-1] + 1 > 1
     for k in range(len(totals)):
         own = np.flatnonzero(block == k)
-        solo = Workspace(grounding.restrict(own.tolist()), obs, p=p).total(w[own])
-        assert len(solo) == 1 and totals[k] == solo[0]
+        solo = Workspace(grounding.restrict(own.tolist()), obs, p=p)
+        assert np.array_equal(solo.total(w[own]), totals[k : k + 1])
+        assert np.array_equal(solo.gradient(w[own]), grad[own])
     assert np.array_equal(ws.gradient(w, with_terms=True)[1], totals)
 
 
