@@ -181,8 +181,8 @@ def test_integrals_extreme_weights_stay_finite():
     # f = 900 on [0, 0.5], 900 + 200 (y - 0.5)^p on [0.5, 1]; quadrature
     # resolves the profile without its constant 900
     steep = (200.0, -0.5, 1.0)
+    hinges = [(900.0, 1.0, 0.0), steep]
     for p in (1, 2):
-        hinges = [(900.0, 1.0, 0.0), steep]
         lz = log_z(hinges, p)
         assert np.isfinite(lz) and lz == pytest.approx(quad_log_partition([steep], p) - 900.0, abs=1e-9)
         e = expected(hinges, (0.5, 1.0), p)
