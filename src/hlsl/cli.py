@@ -173,7 +173,8 @@ def _load_train_db(cfg: RunConfig) -> AtomDatabase:
         else:
             neg.append(row)
     rng = np.random.default_rng(cfg.seed)
-    keep_n = min(len(neg), int(round(cfg.neg_ratio * len(pos))))
+    wanted = cfg.neg_ratio * len(pos)  # inf for a huge ratio, which no int holds
+    keep_n = len(neg) if wanted >= len(neg) else int(round(wanted))
     kept = [neg[i] for i in sorted(rng.choice(len(neg), keep_n, replace=False))] if keep_n else []
     return load_database(cfg.schema, [cfg.observed], threshold, extra_rows=other + pos + kept)
 

@@ -75,7 +75,9 @@ class AtomDatabase:
     `atoms[i]` builds a `GroundAtom` when it is read. `build_adjacency` sets
     `edges`, the indices of the atoms that round to 1; after it the
     database is treated as immutable. `outgoing` / `incoming` group the
-    edges by constant into a new dict on every read; nothing is cached.
+    edges by constant into a new dict on every read; nothing is cached. The
+    columns are the store's only copy of the atoms, with no index beside
+    them: `find_atom` is a masked lookup over them.
     """
 
     def __init__(self, schema: Iterable[PredicateSymbol]):
@@ -101,25 +103,12 @@ class AtomDatabase:
         self.values = np.zeros(0, dtype=np.float64)
         self.targets = np.zeros(0, dtype=np.int64)
         self.atoms = _AtomView(self)
-        # atom indices sorted by the key (arg1 * P + pred, arg2), and the two
-        # key columns in that order: duplicate checks and `find_atom` use them
-        self._key_order = np.zeros(0, dtype=np.int64)
-        self._sorted_hi = np.zeros(0, dtype=np.int64)
-        self._sorted_lo = np.zeros(0, dtype=np.int64)
         # the atoms that round to 1, and the threshold they were rounded at
         # (see `build_adjacency`)
         self.edges = np.zeros(0, dtype=np.int64)
         self.round_threshold: float = DEFAULT_ROUND_THRESHOLD
 
     # -- construction -----------------------------------------------------
-
-    def intern(self, name: str) -> int:
-        cid = self._const_ids.get(name)
-        if cid is None:
-            cid = len(self.constants)
-            self._const_ids[name] = cid
-            self.constants.append(name)
-        return cid
 
     def add_atom(self, pred_name: str, arg1: str, arg2: str, value: float = 1.0) -> GroundAtom:
         self.add_rows([(0, pred_name, arg1, arg2, value)])
@@ -163,22 +152,20 @@ class AtomDatabase:
         arg1, arg2 = flat[0::2], flat[1::2]
 
         old = len(self.values)
-        hi = np.concatenate([self._sorted_hi, arg1 * len(self.predicates) + pred[:valid]])
-        lo = np.concatenate([self._sorted_lo, arg2])
-        order = np.concatenate([self._key_order, np.arange(old, old + valid)])
-        # stable, so a repeat sorts after its original; lo < C, so the sort
-        # is by (hi, lo), and hi * C + lo < P * C**2 fits in 64 bits for any
-        # C that fits in memory
-        by_key = np.argsort(hi * len(self.constants) + lo, kind="stable")
-        order, hi, lo = order[by_key], hi[by_key], lo[by_key]
-        repeats = order[1:][(hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1])]
-        stop = int(repeats.min()) - old if len(repeats) else valid
-
-        keep = order < old + stop
-        self._key_order, self._sorted_hi, self._sorted_lo = order[keep], hi[keep], lo[keep]
-        self.pred = np.concatenate([self.pred, pred[:stop]])
-        self.arg1 = np.concatenate([self.arg1, arg1[:stop]])
-        self.arg2 = np.concatenate([self.arg2, arg2[:stop]])
+        self.pred = np.concatenate([self.pred, pred[:valid]])
+        self.arg1 = np.concatenate([self.arg1, arg1])
+        self.arg2 = np.concatenate([self.arg2, arg2])
+        # the key orders by (arg1, pred, arg2) and stays below C * P * C,
+        # which fits in 64 bits for any C that fits in memory; a plain sort
+        # tells whether any atom repeats, and only then a stable argsort,
+        # which puts each repeat after its original, finds the first one
+        key = (self.arg1 * len(self.predicates) + self.pred) * len(self.constants) + self.arg2
+        stop, ranked = valid, np.sort(key)
+        if (ranked[1:] == ranked[:-1]).any():
+            order = np.argsort(key, kind="stable")
+            stop = int(order[1:][key[order[1:]] == key[order[:-1]]].min()) - old
+        end = old + stop
+        self.pred, self.arg1, self.arg2 = self.pred[:end], self.arg1[:end], self.arg2[:end]
         self.values = np.concatenate([self.values, value[:stop]])
         self.targets = np.concatenate([self.targets, old + np.flatnonzero(self.is_target_pred[pred[:stop]])])
 
@@ -197,14 +184,9 @@ class AtomDatabase:
 
     def find_atom(self, pred_name: str, arg1: int, arg2: int) -> int | None:
         """Atom index for (predicate, const id, const id), or None."""
-        k = self.pred_ids.get(pred_name)
-        if k is None:
-            return None
-        hi = arg1 * len(self.predicates) + k
-        start = int(np.searchsorted(self._sorted_hi, hi, "left"))
-        stop = int(np.searchsorted(self._sorted_hi, hi, "right"))
-        j = start + int(np.searchsorted(self._sorted_lo[start:stop], arg2))
-        return int(self._key_order[j]) if j < stop and self._sorted_lo[j] == arg2 else None
+        k = self.pred_ids.get(pred_name, -1)
+        hit = np.flatnonzero((self.pred == k) & (self.arg1 == arg1) & (self.arg2 == arg2))
+        return int(hit[0]) if len(hit) else None
 
     def target_predicates(self) -> list[PredicateSymbol]:
         return [p for p in self.predicates.values() if p.is_target]
@@ -219,14 +201,6 @@ class AtomDatabase:
     def atom_str(self, index: int) -> str:
         name = self.pred_names[self.pred[index]]
         return f"{name}({self.const_name(self.arg1[index])},{self.const_name(self.arg2[index])})"
-
-    def atom_set(self) -> set[tuple[str, str, str, float]]:
-        """Order-insensitive view used by round-trip checks."""
-        names, consts = self.pred_names, self.constants
-        return {
-            (names[p], consts[a], consts[b], v)
-            for p, a, b, v in zip(self.pred.tolist(), self.arg1.tolist(), self.arg2.tolist(), self.values.tolist())
-        }
 
     @property
     def outgoing(self) -> dict[int, list[tuple[str, int, int]]]:

@@ -5,7 +5,8 @@ exp(-energy) over [0, 1], where the energy seen by a single variable is a
 nonnegative weighted sum of hinges w * max(a + b*y, 0)**p. The hinge roots
 -a/b do not depend on the weights, so for a fixed grounding and observed
 assignment the segment structure is static: on each segment every hinge is
-either off or the polynomial (a + b*y)**p, and every weight update only
+either off or the polynomial (a + b*y)**p. Only the (hinge, segment)
+incidences where it is on are kept, and every weight update only
 re-accumulates per-segment polynomial coefficients.
 
 One profile pass integrates each segment once, for its log mass, its mean
@@ -113,8 +114,8 @@ class Workspace:
                its observed value, the owning clause, and the penalty of the
                whole ground clause at the observed assignment;
       segs   - the [0,1] tiling of each group at the pairs' hinge roots;
-      combos - the (pair, segment) incidences, pair-major, with a static
-               activity flag (whether the hinge is positive on the segment).
+      combos - the (pair, segment) incidences where the hinge is on
+               (positive at the segment's midpoint), pair-major.
 
     Every weight-dependent method runs one profile pass (`_profile`): the
     combos accumulate each segment's energy polynomial, each segment is
@@ -199,32 +200,28 @@ class Workspace:
     def _build_combos(self) -> None:
         per_pair = self.seg_count[self.pair_group]
         first = self.group_seg_start[self.pair_group]
-        self.combo_pair, self.combo_seg = spans(first, first + per_pair)
-        a = self.pair_a[self.combo_pair]
-        b = self.pair_b[self.combo_pair]
-        self.combo_active = a + b * self.seg_mid[self.combo_seg] > 0.0
-        # weight-independent gathers, made once: the owning clause and the
-        # hinge coefficients masked to zero on inactive combos (so these add
-        # nothing to the coefficients and have an expectation of exactly 0)
+        pair, seg = spans(first, first + per_pair)
+        on = self.pair_a[pair] + self.pair_b[pair] * self.seg_mid[seg] > 0.0
+        self.combo_pair, self.combo_seg = pair[on], seg[on]
+        # weight-independent gathers, made once: the owning clause, (a, b),
+        # and the hinge's polynomial in y, (a, b) or (a^2, 2ab, b^2) for p=2
         self._combo_clause = self.pair_clause[self.combo_pair]
-        self._combo_a = np.where(self.combo_active, a, 0.0)
-        self._combo_b = np.where(self.combo_active, b, 0.0)
+        a = self._combo_a = self.pair_a[self.combo_pair]
+        b = self._combo_b = self.pair_b[self.combo_pair]
+        self._combo_poly = (a, b) if self.p == 1 else (a * a, 2.0 * a * b, b * b)
 
     def _build_hinge_polynomials(self) -> None:
-        # slots follow clause order within a block; a slot's polynomial is
-        # (a, b) for p=1 and (a^2, 2ab, b^2) for p=2, summed over its
-        # clause's active combos on the segment
+        # slots follow clause order within a block; a slot's polynomial sums
+        # its clause's combo polynomials on the segment
         order = np.argsort(self.clause_block, kind="stable")
         sizes = np.bincount(self.clause_block, minlength=self.n_blocks)
         self.width = int(sizes.max(initial=0))
         self.clause_slot = np.empty(self.n_clauses, dtype=np.int64)
         self.clause_slot[order] = np.arange(self.n_clauses) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        a, b = self._combo_a, self._combo_b
-        terms = (a, b) if self.p == 1 else (a * a, 2.0 * a * b, b * b)
         S, k = len(self.seg_lo), self.width
         cell = self.clause_slot[self._combo_clause] * S + self.combo_seg
         self._seg_poly = np.stack(
-            [np.bincount(cell, weights=t, minlength=k * S).reshape(k, S) for t in terms], axis=2
+            [np.bincount(cell, weights=t, minlength=k * S).reshape(k, S) for t in self._combo_poly], axis=2
         )
         self._seg_block = self.group_block[self.seg_group]
         self._block_seg_bounds = np.searchsorted(self._seg_block, np.arange(self.n_blocks + 1))
@@ -235,16 +232,8 @@ class Workspace:
         """Per-segment coefficients of the summed active hinges: (alpha, beta)
         of alpha + beta*y for p=1, (c0, c1, c2) of c0 + c1*y + c2*y**2 for p=2."""
         cw = w[self._combo_clause]
-        a, b = self._combo_a, self._combo_b
         S = len(self.seg_lo)
-        if self.p == 1:
-            alpha = np.bincount(self.combo_seg, weights=cw * a, minlength=S)
-            beta = np.bincount(self.combo_seg, weights=cw * b, minlength=S)
-            return alpha, beta
-        c0 = np.bincount(self.combo_seg, weights=cw * a * a, minlength=S)
-        c1 = np.bincount(self.combo_seg, weights=cw * 2.0 * a * b, minlength=S)
-        c2 = np.bincount(self.combo_seg, weights=cw * b * b, minlength=S)
-        return c0, c1, c2
+        return tuple(np.bincount(self.combo_seg, weights=cw * t, minlength=S) for t in self._combo_poly)
 
     def _profile(self, coeffs: tuple[np.ndarray, ...], r_max: int) -> tuple[np.ndarray, ...]:
         """Every segment's log mass (the log integral of exp(-energy) over

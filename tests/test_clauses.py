@@ -398,7 +398,7 @@ def high_degree_db(seed=0, n=12, p_edge=0.45):
                     db.add_atom(pred, f"c{a}", f"c{b}")
     for k in range(8):
         a, b = rng.choice(n, 2, replace=False)
-        if db.find_atom("T", db.intern(f"c{a}"), db.intern(f"c{b}")) is None:
+        if db.find_atom("T", db.constants.index(f"c{a}"), db.constants.index(f"c{b}")) is None:
             db.add_atom("T", f"c{a}", f"c{b}", float(k % 2))
     return build_adjacency(db)
 

@@ -370,6 +370,21 @@ def test_neg_ratio_subsampling(recovery_dir, tmp_path):
     assert model.read_text().startswith("# hlsl-model v1")
 
 
+def test_neg_ratio_beyond_every_negative_keeps_them_all(recovery_dir, tmp_path):
+    # 1e308 * 84 positives overflows to inf; like 1e6 it keeps all 169 negatives
+    models = []
+    for ratio in ("1e308", "1e6"):
+        models.append(tmp_path / f"model-{ratio}.tsv")
+        code = run(
+            "learn", "--schema", recovery_dir / "schema.tsv",
+            "--observed", recovery_dir / "observed.tsv", "--train", recovery_dir / "train.tsv",
+            "--clauses", recovery_dir / "candidates.tsv", "--method", "ppll",
+            "--neg-ratio", ratio, "--out", models[-1],
+        )
+        assert code == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
+
+
 # -- the shared atom-row reader behind every command ------------------------
 
 

@@ -401,6 +401,20 @@ def central_curvature(ws, w, h=1e-5):
     return fd
 
 
+def assert_combos_are_the_incidences_where_hinges_are_on(ws):
+    """Every combo's hinge is positive at its segment's midpoint, and each
+    pair's combos are exactly the segments of its group where it is."""
+    mid = ws.seg_mid[ws.combo_seg]
+    assert (ws.pair_a[ws.combo_pair] + ws.pair_b[ws.combo_pair] * mid > 0.0).all()
+    want = []
+    for i in range(ws.n_pairs):
+        first = ws.group_seg_start[ws.pair_group[i]]
+        for s in range(first, first + ws.seg_count[ws.pair_group[i]]):
+            if ws.pair_a[i] + ws.pair_b[i] * ws.seg_mid[s] > 0.0:
+                want.append((i, s))
+    assert list(zip(ws.combo_pair.tolist(), ws.combo_seg.tolist())) == want
+
+
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("seed", range(3))
 def test_curvature_matches_central_differences(p, seed):
@@ -408,7 +422,8 @@ def test_curvature_matches_central_differences(p, seed):
     gradient under the pll, ppll and lockstep (a block per gls extension)
     maps, on soft evidence whose groups hold several segments, with one
     steep clause and one clause that grounds nowhere; a lockstep block's
-    matrix is bit for bit that of a workspace over its clauses alone."""
+    matrix is bit for bit that of a workspace over its clauses alone. The
+    combos are only the incidences where a hinge is on."""
     db = random_chain_db(60 + seed)
     cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
     vacuous = parse_clause("P(V1,V2) & P(V2,V3) -> T(V1,V3)", db)  # P leaves only a* atoms
@@ -429,6 +444,7 @@ def test_curvature_matches_central_differences(p, seed):
     for grounding, block, wv in maps:
         ws = Workspace(grounding, obs, p=p, clause_block=block)
         assert (ws.seg_count > 1).any()
+        assert_combos_are_the_incidences_where_hinges_are_on(ws)
         if p == 1:
             _alpha, beta = ws._segment_coeffs(wv)
             assert (np.abs(beta) * ws.seg_len).max() > 20.0  # a steep segment
