@@ -13,6 +13,7 @@ from hlsl.clauses import (
     GenerationConfig,
     Literal,
     PathClause,
+    RowKeys,
     StepGraph,
     bfs_paths,
     chain_coverage,
@@ -21,6 +22,7 @@ from hlsl.clauses import (
     negative_prior,
     parse_clause,
     read_clause_file,
+    unique_rows,
     variablize,
     write_clause_file,
 )
@@ -360,11 +362,16 @@ def test_generate_matches_dfs_oracle(db, depth, inverses, target_edges, min_cove
         max_depth=depth, min_coverage=min_coverage, top_k=top_k,
         include_inverses=inverses, traverse_target_edges=target_edges,
     )
-    assert chain_coverage(db, cfg) == reference_coverage(db, cfg)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hlsl.clauses, "ROW_BUDGET", 2)
-        assert chain_coverage(db, cfg) == reference_coverage(db, cfg)
-    assert clause_lines(generate_candidates(db, cfg)) == clause_lines(reference_candidates(db, cfg))
+    coverage, lines = reference_coverage(db, cfg), clause_lines(reference_candidates(db, cfg))
+    for budget, packed in [(None, True), (2, True), (None, False), (2, False)]:
+        with pytest.MonkeyPatch.context() as mp:
+            if budget:
+                mp.setattr(hlsl.clauses, "ROW_BUDGET", budget)
+            if not packed:  # every key stays a row, sorted by lexsort
+                mp.setattr(hlsl.clauses, "KEY_SPAN", 0)
+                assert not RowKeys([0], [2]).packed
+            assert chain_coverage(db, cfg) == coverage
+            assert clause_lines(generate_candidates(db, cfg)) == lines
 
 
 def test_target_atom_own_step_is_dropped_but_parallel_atoms_count():
@@ -386,6 +393,91 @@ def test_target_atom_own_step_is_dropped_but_parallel_atoms_count():
         ("U", (("T", False),)): 1,
     }
     assert chain_coverage(db, cfg) == reference_coverage(db, cfg)
+
+
+def test_coverage_ties_across_the_cut_rank_as_the_oracle(monkeypatch):
+    # T and Z over the same six pairs; evidence bodies cover 3, 3, 3, 2, 2
+    # and 1 of them, forward, inverted and two steps long; T is a one-step
+    # path for all six Z atoms, and Z (an edge on three pairs) for three T
+    db = AtomDatabase([PredicateSymbol(p) for p in "PQRSUWV"] + [
+        PredicateSymbol("T", is_target=True), PredicateSymbol("Z", is_target=True),
+    ])
+    for i in range(6):
+        db.add_atom("T", f"a{i}", f"b{i}")
+        db.add_atom("Z", f"a{i}", f"b{i}", float(i < 3))
+    for i in range(3):
+        db.add_atom("P", f"a{i}", f"b{i}")
+        db.add_atom("Q", f"b{i}", f"a{i}")
+        db.add_atom("R", f"a{i}", f"c{i}")
+        db.add_atom("S", f"c{i}", f"b{i}")
+    for i in range(2):
+        db.add_atom("U", f"a{i}", f"b{i}")
+        db.add_atom("W", f"b{i}", f"a{i}")
+    db.add_atom("V", "a0", "b0")
+    build_adjacency(db)
+    decoded = []
+    chain_bodies = hlsl.clauses._chain_bodies
+
+    def recording(db, body_keys, keys):
+        decoded.append(len(keys))
+        return chain_bodies(db, body_keys, keys)
+
+    monkeypatch.setattr(hlsl.clauses, "_chain_bodies", recording)
+    ranked = sorted(reference_coverage(db, GenerationConfig(max_depth=2)).values(), reverse=True)
+    assert ranked == [6] + [3] * 7 + [2] * 4 + [1] * 2
+    for packed in (True, False):
+        if not packed:
+            monkeypatch.setattr(hlsl.clauses, "KEY_SPAN", 0)
+        for min_coverage in (1, 2, 3, 4):
+            for top_k in range(1, 2 * len(ranked) + 3):
+                cfg = GenerationConfig(max_depth=2, min_coverage=min_coverage, top_k=top_k)
+                decoded.clear()
+                got = clause_lines(generate_candidates(db, cfg))
+                assert got == clause_lines(reference_candidates(db, cfg)), (packed, min_coverage, top_k)
+                # only the bodies tied with or above the last one kept are named
+                kept = [c for c in ranked if c >= min_coverage]
+                cut = kept[min(len(kept), (top_k + 1) // 2) - 1] if kept else min_coverage
+                assert decoded == [sum(c >= cut for c in kept)]
+
+
+def rows_case(name):
+    """(rows, low, radix) of a named dedup case, repeats included."""
+    rng = np.random.default_rng(7)
+    if name == "padded":  # head, two labels padded with -1, target row
+        lengths = rng.integers(1, 3, 300)
+        labels = np.where(np.arange(2) < lengths[:, None], rng.integers(0, 6, (300, 2)), -1)
+        rows = np.column_stack([rng.integers(0, 3, 300), labels, rng.integers(0, 5, 300)])
+        return rows, [0, -1, -1, 0], [3, 7, 7, 5]
+    if name == "no rows":
+        return np.zeros((0, 4), dtype=np.int64), [0, -1, -1, 0], [3, 7, 7, 5]
+    if name == "no targets":
+        return np.zeros((0, 3), dtype=np.int64), [0, -1, 0], [3, 7, 0]
+    # 2**63 distinct keys (the largest is 2**63 - 1), or 2**63 + 1 of them
+    radix = [2**31, 2**32] if name == "2**63" else [27, 19, 43, 5419, 77158673929]
+    low = [0, -1] + [0] * (len(radix) - 2)
+    top = np.array(low) + np.array(radix) - 1
+    rows = np.vstack([rng.integers(low, top, (40, len(radix)), endpoint=True), top, top, low])
+    return rows[rng.permutation(len(rows))], low, radix
+
+
+@pytest.mark.parametrize("name", ["padded", "no rows", "no targets", "2**63", "above 2**63"])
+@pytest.mark.parametrize("packed", [True, False])
+def test_row_dedup_matches_numpy_unique(name, packed):
+    rows, low, radix = rows_case(name)
+    assert RowKeys(low, radix).packed == (name != "above 2**63")
+    if packed and name == "above 2**63":
+        packed = None  # too wide to pack: the codec keeps rows
+    codec = RowKeys(low, radix, packed)
+    keys = codec.pack(rows.T)
+    assert keys.ndim == (1 if codec.packed else 2)
+    want, want_counts = np.unique(rows, axis=0, return_counts=True)
+    got, counts = unique_rows(keys, np.ones(len(rows), dtype=np.int64))
+    assert codec.unpack(got).tolist() == want.tolist() and codec.unpack(got).shape == want.shape
+    assert counts.tolist() == want_counts.tolist()
+    assert np.array_equal(unique_rows(keys), got)
+    # dropping the last column keeps the key order: sorted keys stay sorted
+    prefix = codec.prefix()
+    assert prefix.unpack(codec.drop_last(got)).tolist() == want[:, :-1].tolist()
 
 
 def high_degree_db(seed=0, n=12, p_edge=0.45):
