@@ -258,7 +258,7 @@ def unique_rows(keys: np.ndarray, weights: np.ndarray | None = None):
     """
     if keys.ndim == 1 and weights is None:
         keys = np.sort(keys)
-    else:
+    else:  # a stable sort merges already sorted runs (the running set, a chunk) in one pass
         order = np.argsort(keys, kind="stable") if keys.ndim == 1 else np.lexsort(keys.T[::-1])
         keys = keys[order]
     new = keys[1:] != keys[:-1]
