@@ -229,6 +229,7 @@ class RowKeys:
         return keys
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """The rows `keys` stand for."""
         if not self.packed:
             return keys
         rows = np.empty((len(keys), len(self.radix)), dtype=np.int64)
