@@ -36,7 +36,6 @@ class PredicateSymbol:
     """A binary predicate; target predicates mark the variables to predict."""
 
     name: str
-    arity: int = 2
     is_target: bool = False
 
 
@@ -83,8 +82,6 @@ class AtomDatabase:
     def __init__(self, schema: Iterable[PredicateSymbol]):
         self.predicates: dict[str, PredicateSymbol] = {}
         for pred in schema:
-            if pred.arity != 2:
-                raise ValueError(f"predicate {pred.name!r} has arity {pred.arity}, only 2 supported")
             if pred.name in self.predicates:
                 raise ValueError(f"duplicate predicate {pred.name!r} in schema")
             self.predicates[pred.name] = pred
@@ -381,7 +378,7 @@ def parse_schema(stream: IO[str] | Iterable[str]) -> list[PredicateSymbol]:
         if name in seen:
             raise MalformedLine(line_no, f"duplicate predicate {name!r}")
         seen.add(name)
-        preds.append(PredicateSymbol(name, 2, role == "target"))
+        preds.append(PredicateSymbol(name, is_target=role == "target"))
     return preds
 
 

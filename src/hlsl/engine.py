@@ -36,7 +36,6 @@ bit-identical results.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,11 +47,9 @@ from .grounding import Grounding
 _SERIES = np.array([[(-1.0) ** n / (math.factorial(n) * (n + r + 1)) for n in range(19)] for r in range(3)])
 
 
-@lru_cache(maxsize=4)
-def gauss_legendre_01(n: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights rescaled to [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+# 32 Gauss-Legendre nodes and weights, rescaled from [-1, 1] to [0, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
 
 
 def exp_moments(v: np.ndarray, r_max: int = 2) -> np.ndarray:
@@ -261,8 +258,7 @@ class Workspace:
                 mom[:, 2] = length * length * np.maximum(j[2] / j[0] - e1 * e1, 0.0)
             return -(alpha + beta * anchor) + np.log(length * j[0]), mean, mom
         c0, c1, c2 = coeffs
-        nodes, weights = gauss_legendre_01()
-        y = np.multiply.outer(length, nodes)
+        y = np.multiply.outer(length, _GL_NODES)
         y += self.seg_lo[:, None]
         mass = c2[:, None] * y  # the energy, then the weighted density, in place
         mass += c1[:, None]
@@ -271,7 +267,7 @@ class Workspace:
         peak = mass.min(axis=1)
         np.subtract(peak[:, None], mass, out=mass)
         np.exp(mass, out=mass)
-        mass *= weights
+        mass *= _GL_WEIGHTS
         total = mass.sum(axis=1)
         mass /= total[:, None]
         mean = np.einsum("sn,sn->s", mass, y)

@@ -16,6 +16,11 @@ of its atom's value. One iteration
   clipped to [0, 1] (the consensus step);
 - adds each copy's disagreement with its variable to its scaled dual.
 
+ADMM runs with penalty 1 on the weights divided by their mean over the live
+hinges: that keeps the minimizer, where a fixed penalty suits only weights
+near its own size (Boyd et al. 2011, section 3.4.1). The reported objective
+uses the model's own weights.
+
 It stops once the primal residual (copies against variables) and the dual
 residual (the last change of the variables) pass the absolute and relative
 tests of Boyd et al. (2011, section 3.3.1), or at the iteration cap; the
@@ -34,7 +39,6 @@ from .errors import DegenerateLabels
 from .grounding import Grounding, ground_clauses
 from .learning import WeightedModel
 
-RHO = 1.0  # ADMM penalty parameter
 ABS_TOL = 1e-7  # absolute residual tolerance, scaled by the square root of the copy count
 REL_TOL = 1e-7  # relative residual tolerance; 1e-6 stopped a slow coupled MAP 1e-5 above its optimum
 MAX_ITERS = 10_000
@@ -67,14 +71,13 @@ def map_infer(
     grounding: Grounding | None = None,
     p: int = 1,
     max_iters: int = MAX_ITERS,
-    tol: float = ABS_TOL,
 ) -> MapSolution:
     """Minimize the model's total weighted penalty over the free variables.
 
     `free_atoms` defaults to all target atoms; their stored values are
     ignored and ADMM starts them at 0. Other atoms stay fixed at their
-    stored values. `tol` is the absolute residual tolerance; iterations stop
-    once both residuals pass their tests or after `max_iters`.
+    stored values, and only hinges on free atoms set the weights' scale.
+    Iterations stop once both residuals pass their tests or after `max_iters`.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
@@ -95,13 +98,15 @@ def map_infer(
     a = coef[live]
     const = grounding.inner_values(values)[grounds]  # each hinge's expression at y = 0
     w = weights[grounding.g_clause[grounds]]
+    if len(w) and w.mean() > 0.0:
+        w = w / w.mean()  # same minimizer, at the penalty's scale
     norm2 = np.bincount(g, weights=a * a, minlength=len(grounds))
-    # the prox step along a is min(max(s, 0), w |a|^2 / rho) / |a|^2 for p = 1
-    # and max(s, 0) * 2w / (rho + 2w |a|^2) for p = 2, s the hinge at the point
-    cap = w / RHO * norm2 if p == 1 else np.inf
-    scale = 1.0 / norm2 if p == 1 else 2.0 * w / (RHO + 2.0 * w * norm2)
+    # the prox step along a is min(max(s, 0), w |a|^2) / |a|^2 for p = 1 and
+    # max(s, 0) * 2w / (1 + 2w |a|^2) for p = 2, s the hinge at the point
+    cap = w * norm2 if p == 1 else np.inf
+    scale = 1.0 / norm2 if p == 1 else 2.0 * w / (1.0 + 2.0 * w * norm2)
     copies = np.bincount(v, minlength=len(variables))
-    eps_abs = float(np.sqrt(len(a))) * tol
+    eps_abs = float(np.sqrt(len(a))) * ABS_TOL
 
     y, y_rows, u = np.zeros(len(variables)), np.zeros(len(a)), np.zeros(len(a))
     iterations, primal, dual, converged = 0, 0.0, 0.0, False
@@ -115,11 +120,11 @@ def map_infer(
         new_rows = y[v]
         r = x - new_rows
         u += r
-        primal, dual = _norm(r), RHO * _norm(new_rows - y_rows)
+        primal, dual = _norm(r), _norm(new_rows - y_rows)
         y_rows = new_rows
         converged = bool(
             primal <= eps_abs + REL_TOL * max(_norm(x), _norm(y_rows))
-            and dual <= eps_abs + REL_TOL * RHO * _norm(u)
+            and dual <= eps_abs + REL_TOL * _norm(u)
         )
 
     values[variables] = y + 0.0  # + 0.0 turns a clipped -0.0 into +0.0

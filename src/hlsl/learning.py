@@ -284,8 +284,9 @@ def _refit_extensions(
     each of one workspace, in one lockstep `_newton` from `chosen_w` and 0
     with `gls_inner_iters` steps.
 
-    Returns each extension's weights (one row each), its pll score and its
-    largest projected residual, prior included, at those weights.
+    Returns each extension's weights (one row each), its pll score
+    (`ws.total`, without the prior) and its largest projected residual
+    (with the prior's gradient) at those weights.
     """
     width = len(chosen) + 1
     sub = pool.restrict([i for cand in remaining for i in chosen + [cand]])

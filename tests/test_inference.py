@@ -11,6 +11,7 @@ from hlsl.errors import DegenerateLabels
 from hlsl.grounding import ground_clauses
 from hlsl.inference import auc_roc, map_infer
 from hlsl.learning import WeightedModel
+from hlsl.synth import recovery_fixture
 
 
 def test_map_prior_only():
@@ -226,6 +227,37 @@ def test_map_zero_norm_hinges(p):
             sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
         assert sol.converged and all(np.isfinite(list(sol.values.values())))
         assert within_oracle(sol, map_oracle(model, grounding, db, free, p))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_map_converges_at_small_weights(p):
+    # Coassoc(V1,V2) -> T(V1,V2) has the optimum y = 1 on every held-out pair
+    # its rule covers, whatever the weight; the second clause grounds on no
+    # free atom, so its weight 1 must not set ADMM's scale
+    db, free, _ = recovery_fixture(0).eval_db()
+    clauses = [parse_clause(t, db) for t in ("Coassoc(V1,V2) -> T(V1,V2)", "Link(V1,V2) -> T(V2,V1)")]
+    grounding = ground_clauses(clauses, db, free_atoms=frozenset(free))
+    assert set(grounding.g_clause) == {0}
+    iterations = []
+    for w in (1.0, 1e-2, 1e-4, 1e-6):
+        sol = map_infer(WeightedModel(clauses, np.array([w, 1.0])), db, free_atoms=free, grounding=grounding, p=p)
+        iterations.append(sol.iterations)
+        assert sol.converged and max(sol.values.values()) == pytest.approx(1.0, abs=1e-6), w
+    assert iterations == iterations[:1] * 4, iterations
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_map_invariant_to_weight_scale(p):
+    # scaling every weight by c scales the objective by c and keeps its argmin
+    for seed in range(40):
+        db, model, grounding, free = random_map_instance(seed)
+        base = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+        for c in (1e-6, 1e-3, 1e3):
+            scaled = WeightedModel(model.clauses, model.weights * c)
+            sol = map_infer(scaled, db, free_atoms=free, grounding=grounding, p=p)
+            assert (sol.iterations, sol.converged) == (base.iterations, base.converged), (seed, c)
+            assert all(abs(sol.values[i] - base.values[i]) <= 1e-9 for i in free), (seed, c)
+            assert sol.objective == pytest.approx(c * base.objective, rel=1e-8, abs=0.0), (seed, c)
 
 
 def test_auc_examples():
