@@ -19,7 +19,6 @@ from .clauses import (
 )
 from .data import (
     AtomDatabase,
-    GroundAtom,
     PredicateSymbol,
     build_adjacency,
     load_database,

@@ -21,7 +21,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .data import AtomDatabase, GroundAtom, PredicateSymbol, StepGraph
+from .data import AtomDatabase, PredicateSymbol, StepGraph
 from .errors import MalformedLine, NoCandidates, UnknownPredicate
 
 # One step of a ground relational path: predicate name, whether the edge was
@@ -102,12 +102,13 @@ class GenerationConfig:
 
 def bfs_paths(
     db: AtomDatabase,
-    target_atom: GroundAtom,
+    target: int,
     max_depth: int,
     include_inverses: bool = True,
     traverse_target_edges: bool = True,
 ) -> set[RelationalPath]:
-    """Enumerate ground paths from target_atom.arg1 to target_atom.arg2.
+    """Enumerate ground paths from the first to the second constant of the
+    atom with index `target`, which must be of a target predicate.
 
     Paths follow edges (atoms that round to 1), never revisit a
     constant, and have 1..max_depth steps. Backward edges are taken when
@@ -115,9 +116,9 @@ def bfs_paths(
     itself is excluded. `generate_candidates` counts the same paths with
     `chain_coverage`; this per-target enumeration is its reference.
     """
-    if not target_atom.predicate.is_target:
+    if not db.is_target_pred[db.pred[target]]:
         raise ValueError("bfs_paths roots at a target atom")
-    start, goal = target_atom.arg1, target_atom.arg2
+    start, goal = int(db.arg1[target]), int(db.arg2[target])
     found: set[RelationalPath] = set()
     if start == goal:
         return found  # simple paths cannot return to the root
@@ -141,7 +142,7 @@ def bfs_paths(
     stack: list[tuple[int, tuple[PathStep, ...], frozenset[int]]] = [
         (start, (), frozenset((start,)))
     ]
-    self_step = (target_atom.predicate.name, False, start, goal)
+    self_step = (db.pred_names[db.pred[target]], False, start, goal)
     while stack:
         node, path, visited = stack.pop()
         for step in expand(node):
@@ -170,17 +171,17 @@ def _chain_clause(
     return PathClause(body, Literal(head, 1, len(steps) + 1, negated=negate_head), coverage)
 
 
-def variablize(path: RelationalPath, target: GroundAtom, negate_head: bool = False) -> PathClause:
+def variablize(path: RelationalPath, head: str, negate_head: bool = False) -> PathClause:
     """Turn a ground path into a first-order chain clause.
 
     Constants are replaced position-wise by variables 1..s+1; an inverted
     step emits the original predicate with its variables swapped. The head
-    is the target predicate over the chain endpoints.
+    is the target predicate named `head` over the chain endpoints.
     """
     if not path:
         raise ValueError("cannot variablize an empty path")
     steps = [(pred, inverted) for pred, inverted, _src, _dst in path]
-    return _chain_clause(steps, target.predicate.name, negate_head)
+    return _chain_clause(steps, head, negate_head)
 
 
 def negative_prior(pred: PredicateSymbol | str, coverage: int = 0) -> PathClause:
@@ -524,13 +525,16 @@ def read_clause_file(
     stream: IO[str] | Iterable[str], schema: dict[str, PredicateSymbol] | AtomDatabase
 ) -> list[PathClause]:
     """Read clauses written by `write_clause_file`; the coverage column is
-    optional and restored when present, and must be a non-negative integer."""
+    optional and restored when present, and must be a non-negative integer.
+    A line with more than those two fields is malformed."""
     clauses = []
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
+        if len(fields) > 2:
+            raise MalformedLine(line_no, "expected 'clause[<TAB>coverage]'")
         try:
             clause = parse_clause(fields[0], schema)
         except MalformedLine as exc:

@@ -54,8 +54,8 @@ class RunConfig:
     learning: LearnConfig = LearnConfig()
 
     def __post_init__(self):
-        if not math.isfinite(self.neg_ratio):
-            raise ValueError("neg_ratio must be finite")
+        if not 0.0 <= self.neg_ratio < math.inf:
+            raise ValueError("neg_ratio must be finite and non-negative")
 
 
 # the learner's iteration budgets go by their option names: `iters` is the
@@ -236,13 +236,10 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
     model = read_model(read_text(model_path), db)
     grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free), strict=cfg.strict)
     solution = map_infer(model, db, free_atoms=free, grounding=grounding, p=cfg.learning.p)
+    names, consts, score = db.pred_names, db.constants, solution.values
+    rows = zip(db.pred[free].tolist(), db.arg1[free].tolist(), db.arg2[free].tolist(), free)
     with open(out_path, "w", encoding="utf-8") as fh:
-        for i in free:
-            a = db.atoms[i]
-            fh.write(
-                f"{a.predicate.name}\t{db.const_name(a.arg1)}\t{db.const_name(a.arg2)}"
-                f"\t{solution.values[i]:.12g}\n"
-            )
+        fh.writelines(f"{names[p]}\t{consts[a]}\t{consts[b]}\t{score[i]:.12g}\n" for p, a, b, i in rows)
 
 
 def cmd_eval(predictions_path: str, labels_path: str, out_path: str) -> None:

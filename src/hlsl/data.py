@@ -2,11 +2,12 @@
 
 Atoms are binary-predicate facts with soft values in [0, 1]. Atoms of target
 predicates are the random variables of the model; everything else is
-evidence. The database stores atoms as columns and, after `build_adjacency`,
-the indices of the atoms whose value rounds to 1 (its edges). The clause
-miner and the grounder both walk those atoms as a `StepGraph`, one array of
-steps sorted by a single (source, label, destination) key; the step graph
-is the only index of the edges that is kept.
+evidence. The database stores atoms as columns, so that an atom is its row
+index, and, after `build_adjacency`, the indices of the atoms whose value
+rounds to 1 (its edges). The clause miner and the grounder both walk those
+atoms as a `StepGraph`, one array of steps sorted by a single (source,
+label, destination) key; the step graph is the only index of the edges that
+is kept.
 
 Atom files are read whole by `read_atom_columns` into `AtomColumns`, which
 `AtomDatabase.add_columns` appends without a tuple per row. A file that a
@@ -39,15 +40,6 @@ class PredicateSymbol:
     is_target: bool = False
 
 
-@dataclass(frozen=True)
-class GroundAtom:
-    predicate: PredicateSymbol
-    arg1: int  # interned constant id
-    arg2: int
-    value: float
-    index: int  # position in AtomDatabase.atoms
-
-
 def rounds_to_one(values, threshold: float = DEFAULT_ROUND_THRESHOLD):
     """Whether soft values (a scalar or an array) round to 1: the threshold
     itself rounds up. The one place the rounding rule lives."""
@@ -66,17 +58,17 @@ def round_value(v: float, threshold: float = DEFAULT_ROUND_THRESHOLD) -> int:
 class AtomDatabase:
     """Columnar store of ground atoms.
 
-    Atom i is `pred[i](arg1[i], arg2[i])` with value `values[i]`, where
-    `pred` holds predicate ids (`pred_ids`) and the arguments constant ids.
+    An atom is its row index: atom i is `pred[i](arg1[i], arg2[i])` with
+    value `values[i]`, where `pred` holds predicate ids (`pred_ids`) and the
+    arguments constant ids, and `atoms` is the range of the indices.
     Constants are interned to dense ids in order of first appearance (arg1
     before arg2); string names are kept for serialization. `targets` holds
-    the indices of the target-predicate atoms in ascending order, and
-    `atoms[i]` builds a `GroundAtom` when it is read. `build_adjacency` sets
-    `edges`, the indices of the atoms that round to 1; after it the
-    database is treated as immutable. `outgoing` / `incoming` group the
-    edges by constant into a new dict on every read; nothing is cached. The
-    columns are the store's only copy of the atoms, with no index beside
-    them: `find_atom` is a masked lookup over them.
+    the indices of the target-predicate atoms in ascending order.
+    `build_adjacency` sets `edges`, the indices of the atoms that round to
+    1; after it the database is treated as immutable. `outgoing` /
+    `incoming` group the edges by constant into a new dict on every read;
+    nothing is cached. The columns are the store's only copy of the atoms,
+    with no index beside them: `find_atom` is a masked lookup over them.
     """
 
     def __init__(self, schema: Iterable[PredicateSymbol]):
@@ -89,8 +81,7 @@ class AtomDatabase:
         # edges by predicate id sorts them by name
         self.pred_names: list[str] = sorted(self.predicates)
         self.pred_ids: dict[str, int] = {name: k for k, name in enumerate(self.pred_names)}
-        self._symbols = [self.predicates[name] for name in self.pred_names]
-        self.is_target_pred = np.array([p.is_target for p in self._symbols], dtype=bool)
+        self.is_target_pred = np.array([self.predicates[n].is_target for n in self.pred_names], dtype=bool)
 
         self.constants: list[str] = []
         self._const_ids: dict[str, int] = {}
@@ -99,7 +90,6 @@ class AtomDatabase:
         self.arg2 = np.zeros(0, dtype=np.int64)
         self.values = np.zeros(0, dtype=np.float64)
         self.targets = np.zeros(0, dtype=np.int64)
-        self.atoms = _AtomView(self)
         # the atoms that round to 1, and the threshold they were rounded at
         # (see `build_adjacency`)
         self.edges = np.zeros(0, dtype=np.int64)
@@ -107,9 +97,10 @@ class AtomDatabase:
 
     # -- construction -----------------------------------------------------
 
-    def add_atom(self, pred_name: str, arg1: str, arg2: str, value: float = 1.0) -> GroundAtom:
+    def add_atom(self, pred_name: str, arg1: str, arg2: str, value: float = 1.0) -> int:
+        """Add one atom row and return its index."""
         self.add_rows([(0, pred_name, arg1, arg2, value)])
-        return self.atoms[len(self.atoms) - 1]
+        return len(self.values) - 1
 
     def add_rows(self, rows: Iterable[AtomRow]) -> None:
         """Add atom rows in bulk; see `add_columns`."""
@@ -176,8 +167,10 @@ class AtomDatabase:
 
     # -- lookups ----------------------------------------------------------
 
-    def const_name(self, cid: int) -> str:
-        return self.constants[cid]
+    @property
+    def atoms(self) -> range:
+        """The atom indices, `range(len(values))`: an atom is its row."""
+        return range(len(self.values))
 
     def find_atom(self, pred_name: str, arg1: int, arg2: int) -> int | None:
         """Atom index for (predicate, const id, const id), or None."""
@@ -196,8 +189,8 @@ class AtomDatabase:
         return self.is_target_pred[self.pred]
 
     def atom_str(self, index: int) -> str:
-        name = self.pred_names[self.pred[index]]
-        return f"{name}({self.const_name(self.arg1[index])},{self.const_name(self.arg2[index])})"
+        name, consts = self.pred_names[self.pred[index]], self.constants
+        return f"{name}({consts[self.arg1[index]]},{consts[self.arg2[index]]})"
 
     @property
     def outgoing(self) -> dict[int, list[tuple[str, int, int]]]:
@@ -224,29 +217,6 @@ class AtomDatabase:
         for x, k, y, a in rows:
             edges.setdefault(x, []).append((self.pred_names[k], y, a))
         return edges
-
-
-class _AtomView(Sequence):
-    """`db.atoms`: a read-only sequence of `GroundAtom`s built on access."""
-
-    def __init__(self, db: AtomDatabase):
-        self._db = db
-
-    def __len__(self) -> int:
-        return len(self._db.values)
-
-    def __getitem__(self, i: int) -> GroundAtom:
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(f"atom index {i} out of range")
-        i = int(i) % n
-        db = self._db
-        return GroundAtom(db._symbols[db.pred[i]], int(db.arg1[i]), int(db.arg2[i]), float(db.values[i]), i)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 def build_adjacency(db: AtomDatabase, threshold: float = DEFAULT_ROUND_THRESHOLD) -> AtomDatabase:

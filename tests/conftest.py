@@ -76,16 +76,16 @@ def random_map_instance(seed: int, n_free: int | None = None):
             touched = [k, k + 1]
         terms = []
         for v in touched:
-            terms.append((free[v].index, int(rng.choice([-1, 1]))))
+            terms.append((free[v], int(rng.choice([-1, 1]))))
         for e in rng.choice(4, int(rng.integers(0, 3)), replace=False):
-            terms.append((evid[int(e)].index, int(rng.choice([-1, 1]))))
+            terms.append((evid[int(e)], int(rng.choice([-1, 1]))))
         grounds.append((int(rng.integers(0, n_clauses)), tuple(terms)))
     grounds.sort(key=lambda g: g[0])
     carriers = [negative_prior("T") for _ in range(n_clauses)]
     weights = np.round(rng.uniform(0.2, 2.0, n_clauses), 3)
     model = WeightedModel(carriers, weights)
     grounding = grounding_of(carriers, grounds, db)
-    return db, model, grounding, [a.index for a in free]
+    return db, model, grounding, free
 
 
 def grounding_of(clauses, grounds, db):
@@ -224,13 +224,14 @@ def brute_force_simple_paths(db, start, goal, max_depth, include_inverses=True, 
     """Independent path enumerator: recursive walk over the raw atom list."""
     edges = []
     for atom in db.atoms:
-        if atom.value < 0.5:
+        if db.values[atom] < 0.5:
             continue
-        if not traverse_target_edges and atom.predicate.is_target:
+        if not traverse_target_edges and db.is_target_pred[db.pred[atom]]:
             continue
-        edges.append((atom.predicate.name, False, atom.arg1, atom.arg2))
+        name, arg1, arg2 = db.pred_names[db.pred[atom]], int(db.arg1[atom]), int(db.arg2[atom])
+        edges.append((name, False, arg1, arg2))
         if include_inverses:
-            edges.append((atom.predicate.name, True, atom.arg2, atom.arg1))
+            edges.append((name, True, arg2, arg1))
     found = set()
 
     def walk(node, path, visited):
@@ -249,9 +250,9 @@ def brute_force_simple_paths(db, start, goal, max_depth, include_inverses=True, 
     return found
 
 
-def drop_target_self_step(paths, atom):
+def drop_target_self_step(paths, db, atom):
     """Remove the one-step path that is the target atom itself."""
-    return {p for p in paths if p != ((atom.predicate.name, False, atom.arg1, atom.arg2),)}
+    return {p for p in paths if p != ((db.pred_names[db.pred[atom]], False, db.arg1[atom], db.arg2[atom]),)}
 
 
 def dfs_ground_clause(clause, db, free_atoms=None, strict=False):
@@ -261,17 +262,18 @@ def dfs_ground_clause(clause, db, free_atoms=None, strict=False):
     free = set(free_atoms or ())
     out_by, in_by = {}, {}
     for atom in db.atoms:
-        if atom.index in free or round_value(atom.value, db.round_threshold) == 1:
-            out_by.setdefault((atom.arg1, atom.predicate.name), []).append((atom.arg2, atom.index))
-            in_by.setdefault((atom.arg2, atom.predicate.name), []).append((atom.arg1, atom.index))
+        if atom in free or round_value(db.values[atom], db.round_threshold) == 1:
+            name, arg1, arg2 = db.pred_names[db.pred[atom]], int(db.arg1[atom]), int(db.arg2[atom])
+            out_by.setdefault((arg1, name), []).append((arg2, atom))
+            in_by.setdefault((arg2, name), []).append((arg1, atom))
     targets = set(db.targets)
     head_sign = -1 if clause.head.negated else 1
-    heads = [db.atoms[i] for i in db.targets if db.atoms[i].predicate.name == clause.head.predicate]
+    heads = [int(i) for i in db.targets if db.pred_names[db.pred[i]] == clause.head.predicate]
     if clause.is_prior:
-        return [((head.index, head_sign),) for head in heads]
+        return [((head, head_sign),) for head in heads]
     grounds = []
     for head in heads:
-        stack = [(0, head.arg1, ())]
+        stack = [(0, int(db.arg1[head]), ())]
         while stack:
             pos, node, bound = stack.pop()
             lit = clause.body[pos]
@@ -279,8 +281,8 @@ def dfs_ground_clause(clause, db, free_atoms=None, strict=False):
                 body = bound + (atom,)
                 if pos + 1 < len(clause.body):
                     stack.append((pos + 1, nbr, body))
-                elif nbr == head.arg2 and not (strict and any(b in targets and b not in free for b in body)):
-                    grounds.append(tuple((b, -1) for b in body) + ((head.index, head_sign),))
+                elif nbr == db.arg2[head] and not (strict and any(b in targets and b not in free for b in body)):
+                    grounds.append(tuple((b, -1) for b in body) + ((head, head_sign),))
     return sorted(grounds)
 
 

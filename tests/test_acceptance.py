@@ -234,8 +234,8 @@ def test_c07_synthetic_recovery():
         sol = map_infer(model, edb, free_atoms=free, grounding=grounding)
         scores = {}
         for i in free:
-            a = edb.atoms[i]
-            scores[(a.predicate.name, edb.const_name(a.arg1), edb.const_name(a.arg2))] = sol.values[i]
+            names = edb.pred_names[edb.pred[i]], edb.constants[edb.arg1[i]], edb.constants[edb.arg2[i]]
+            scores[names] = sol.values[i]
         aucs[name] = auc_roc(scores, labels).auc
     elapsed = time.perf_counter() - started
     ok = (

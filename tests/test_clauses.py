@@ -32,8 +32,7 @@ from hlsl.grounding import ground_clause
 
 
 def target_atom(db, name, a, b):
-    idx = db.find_atom(name, db._const_ids[a], db._const_ids[b])
-    return db.atoms[idx]
+    return db.find_atom(name, db._const_ids[a], db._const_ids[b])
 
 
 def test_bfs_example_path(citation_db):
@@ -77,11 +76,11 @@ def test_bfs_matches_brute_force(seed, include_inverses):
     from conftest import drop_target_self_step
 
     db = random_chain_db(seed)
-    for idx in db.targets[:6]:
-        atom = db.atoms[idx]
+    for atom in db.targets[:6]:
         got = bfs_paths(db, atom, 3, include_inverses=include_inverses)
         want = drop_target_self_step(
-            brute_force_simple_paths(db, atom.arg1, atom.arg2, 3, include_inverses=include_inverses),
+            brute_force_simple_paths(db, db.arg1[atom], db.arg2[atom], 3, include_inverses=include_inverses),
+            db,
             atom,
         )
         assert got == want
@@ -94,19 +93,18 @@ def test_bfs_symmetric_atom_is_not_the_self_step():
     db.add_atom("T", "a", "b")
     db.add_atom("T", "b", "a")
     build_adjacency(db)
-    atom = db.atoms[0]
-    paths = bfs_paths(db, atom, 1, include_inverses=True)
-    assert paths == {(("T", True, atom.arg1, atom.arg2),)}
-    clause = variablize(next(iter(paths)), atom)
+    paths = bfs_paths(db, 0, 1, include_inverses=True)
+    assert paths == {(("T", True, db.arg1[0], db.arg2[0]),)}
+    clause = variablize(next(iter(paths)), "T")
     assert format_clause(clause) == "T(V2,V1) -> T(V1,V2)"
 
 
 def test_variablize_example(citation_db):
     atom = target_atom(citation_db, "Mentions", "Paper1", "Gene")
     (path,) = bfs_paths(citation_db, atom, 2, include_inverses=False)
-    clause = variablize(path, atom)
+    clause = variablize(path, "Mentions")
     assert format_clause(clause) == "Cites(V1,V2) & Mentions(V2,V3) -> Mentions(V1,V3)"
-    negated = variablize(path, atom, negate_head=True)
+    negated = variablize(path, "Mentions", negate_head=True)
     assert format_clause(negated) == "Cites(V1,V2) & Mentions(V2,V3) -> !Mentions(V1,V3)"
 
 
@@ -117,7 +115,7 @@ def test_variablize_single_step():
     build_adjacency(db)
     atom = target_atom(db, "T", "a", "b")
     (path,) = bfs_paths(db, atom, 1)
-    clause = variablize(path, atom)
+    clause = variablize(path, "T")
     assert format_clause(clause) == "P(V1,V2) -> T(V1,V2)"
 
 
@@ -132,7 +130,7 @@ def test_variablize_inverted_step_regrounds():
     atom = target_atom(db, "T", "a", "c")
     paths = bfs_paths(db, atom, 2, include_inverses=True)
     assert len(paths) == 1
-    clause = variablize(next(iter(paths)), atom)
+    clause = variablize(next(iter(paths)), "T")
     assert format_clause(clause) == "P(V1,V2) & Q(V3,V2) -> T(V1,V3)"
     assert clause.body[1].inverted
     (terms,) = ground_terms(ground_clause(clause, db))
@@ -279,11 +277,11 @@ def reference_coverage(db, cfg):
     a time."""
     covered = {}
     for i in db.targets:
-        atom = db.atoms[i]
-        paths = bfs_paths(db, atom, cfg.max_depth, cfg.include_inverses, cfg.traverse_target_edges)
+        head = db.pred_names[db.pred[i]]
+        paths = bfs_paths(db, i, cfg.max_depth, cfg.include_inverses, cfg.traverse_target_edges)
         for path in paths:
             steps = tuple((pred, inverted) for pred, inverted, _, _ in path)
-            covered.setdefault((atom.predicate.name, steps), set()).add(i)
+            covered.setdefault((head, steps), set()).add(i)
     return {key: len(atoms) for key, atoms in covered.items()}
 
 
@@ -292,10 +290,10 @@ def reference_candidates(db, cfg):
     the same coverage filter, twins, ranking, cut and priors."""
     unique, covered = {}, {}
     for i in db.targets:
-        atom = db.atoms[i]
-        for path in bfs_paths(db, atom, cfg.max_depth, cfg.include_inverses, cfg.traverse_target_edges):
-            clause = variablize(path, atom)
-            key = (clause.body, atom.predicate.name)
+        head = db.pred_names[db.pred[i]]
+        for path in bfs_paths(db, i, cfg.max_depth, cfg.include_inverses, cfg.traverse_target_edges):
+            clause = variablize(path, head)
+            key = (clause.body, head)
             unique.setdefault(key, clause)
             covered.setdefault(key, set()).add(i)
     out = []
@@ -313,7 +311,7 @@ def reference_candidates(db, cfg):
     out = sorted(out, key=sort_key)[: cfg.top_k]
     if cfg.add_negative_priors:
         for pred in db.target_predicates():
-            n = sum(1 for i in db.targets if db.atoms[i].predicate.name == pred.name)
+            n = sum(1 for i in db.targets if db.pred_names[db.pred[i]] == pred.name)
             out.append(PathClause((), Literal(pred.name, 1, 2, negated=True), coverage=n))
     return out
 

@@ -231,6 +231,25 @@ def test_infer_eval_perfect_signal_auc_one(tmp_path):
     assert float(metrics.read_text().splitlines()[1].split("\t")[0]) == 1.0
 
 
+def test_infer_lists_the_test_atoms_in_file_order(tmp_path):
+    # one prediction per test atom, in the test file's order and with its
+    # names as written, also where the constants occur in no other file
+    d = tmp_path / "order"
+    d.mkdir()
+    (d / "schema.tsv").write_text("Sig\tevidence\nT\ttarget\n")
+    (d / "observed.tsv").write_text("Sig\ta\tb\nSig\tc\td\n")
+    (d / "train.tsv").write_text("T\ta\tb\t1.0\n")
+    test = ["T\tc\td\t0", "T\tzz\tyy\t1", "T\tb\ta\t0", "T\ta\td\t1", "T\tZoë\tünseen\t0"]
+    (d / "test.tsv").write_text("\n".join(test) + "\n", encoding="utf-8")
+    (d / "model.tsv").write_text("# hlsl-model v1\n2\tSig(V1,V2) -> T(V1,V2)\n1\t-> !T(A,B)\n")
+    preds = tmp_path / "preds.tsv"
+    base = ("--schema", d / "schema.tsv", "--observed", d / "observed.tsv", "--train", d / "train.tsv")
+    assert run("infer", *base, "--test", d / "test.tsv", "--model", d / "model.tsv", "--out", preds) == 0
+    rows = [line.split("\t") for line in preds.read_text(encoding="utf-8").splitlines()]
+    assert [row[:3] for row in rows] == [line.split("\t")[:3] for line in test]
+    assert all(0.0 <= float(row[3]) <= 1.0 for row in rows)
+
+
 def test_infer_prints_no_negative_zero(tmp_path):
     # a coupled model whose MAP puts most held-out atoms at 0: each must print
     # as "0", never "-0"
@@ -529,9 +548,9 @@ def test_commands_build_the_adjacency_once(recovery_dir, tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
 @pytest.mark.parametrize("via", ["flag", "config"])
-def test_learn_rejects_non_finite_neg_ratio(tmp_path, capsys, value, via):
+def test_learn_rejects_non_finite_or_negative_neg_ratio(tmp_path, capsys, value, via):
     # the inputs do not exist: the check comes before any of them is read
     cfg = tmp_path / "learn.cfg"
     cfg.write_text(f"neg_ratio = {value}\n" if via == "config" else "")
@@ -543,7 +562,7 @@ def test_learn_rejects_non_finite_neg_ratio(tmp_path, capsys, value, via):
         "--config", cfg, *flags, "--out", model,
     )
     assert code == 1
-    assert single_error(capsys) == "error:ValueError:neg_ratio must be finite"
+    assert single_error(capsys) == "error:ValueError:neg_ratio must be finite and non-negative"
     assert not model.exists()
 
 

@@ -37,21 +37,20 @@ SCHEMA = [PredicateSymbol("Cites"), PredicateSymbol("Sim"), PredicateSymbol("Men
 def test_parse_basic_line():
     db = parse_tsv(io.StringIO("Cites\tPaper1\tPaper2\n"), SCHEMA)
     assert len(db.atoms) == 1
-    atom = db.atoms[0]
-    assert atom.predicate.name == "Cites"
-    assert db.const_name(atom.arg1) == "Paper1"
-    assert db.const_name(atom.arg2) == "Paper2"
-    assert atom.value == 1.0
+    assert db.pred_names[db.pred[0]] == "Cites"
+    assert db.constants[db.arg1[0]] == "Paper1"
+    assert db.constants[db.arg2[0]] == "Paper2"
+    assert db.values[0] == 1.0
 
 
 def test_parse_empty_stream():
     db = parse_tsv(io.StringIO(""), SCHEMA)
-    assert db.atoms == []
+    assert list(db.atoms) == []
 
 
 def test_parse_explicit_value():
     db = parse_tsv(io.StringIO("Sim\ta\tb\t0.7\n"), SCHEMA)
-    assert db.atoms[0].value == 0.7
+    assert db.values[0] == 0.7
 
 
 def test_parse_errors():
@@ -104,13 +103,13 @@ def test_targets_evidence_partition(citation_db):
     assert citation_db.targets.dtype == np.int64
     assert citation_db.targets.tolist() == np.flatnonzero(mask).tolist() == [1, 2]
     assert np.flatnonzero(~mask).tolist() == [0]
-    assert [citation_db.atoms[i].predicate.name for i in citation_db.targets] == ["Mentions", "Mentions"]
+    assert [citation_db.pred_names[citation_db.pred[i]] for i in citation_db.targets] == ["Mentions", "Mentions"]
 
 
 def test_adjacency_example(citation_db):
     db = citation_db
     p1 = db._const_ids["Paper1"]
-    out = {(pred, db.const_name(nbr)) for pred, nbr, _ in db.outgoing[p1]}
+    out = {(pred, db.constants[nbr]) for pred, nbr, _ in db.outgoing[p1]}
     assert out == {("Cites", "Paper2"), ("Mentions", "Gene")}
 
 
@@ -125,7 +124,7 @@ def test_adjacency_incoming_symmetry():
     db = AtomDatabase(SCHEMA)
     atom = db.add_atom("Cites", "a", "b", 1.0)
     build_adjacency(db)
-    assert db.incoming[atom.arg2] == [("Cites", atom.arg1, atom.index)]
+    assert db.incoming[db.arg2[atom]] == [("Cites", db.arg1[atom], atom)]
 
 
 def test_edge_count_matches_rounded_atoms():
@@ -134,7 +133,7 @@ def test_edge_count_matches_rounded_atoms():
     for i in range(60):
         db.add_atom("Sim", f"x{i}", f"y{rng.integers(0, 20)}", float(rng.uniform(0, 1)))
     build_adjacency(db, 0.5)
-    n_rounded = sum(1 for a in db.atoms if round_value(a.value) == 1)
+    n_rounded = sum(1 for a in db.atoms if round_value(db.values[a]) == 1)
     n_out = sum(len(v) for v in db.outgoing.values())
     n_in = sum(len(v) for v in db.incoming.values())
     assert n_out == n_in == n_rounded
@@ -281,7 +280,8 @@ def test_bulk_rows_match_one_at_a_time(rows, cut):
         with pytest.raises(error[0]) as err:
             load()
         assert str(err.value) == error[1]
-    got = [(a.predicate.name, db.const_name(a.arg1), db.const_name(a.arg2), a.value) for a in db.atoms]
+    names, consts = db.pred_names, db.constants
+    got = [(names[db.pred[a]], consts[db.arg1[a]], consts[db.arg2[a]], db.values[a]) for a in db.atoms]
     assert got == stored
     assert db.constants[: len(constants)] == constants
     assert db.targets.tolist() == [i for i, row in enumerate(stored) if row[0] == "Mentions"]
@@ -300,14 +300,13 @@ def test_malformed_line_loses_to_an_earlier_fault():
         parse_tsv(io.StringIO("Cites\ta\tb\nCites\tonly_one_field\nCites\ta\tb\n"), SCHEMA)
 
 
-def test_atoms_are_built_on_access(citation_db):
+def test_atoms_are_row_indices(citation_db):
     db = citation_db
-    assert len(db.atoms) == 3 and db.atoms[-1] == db.atoms[2]
-    assert db.atoms[2].index == 2 and db.atom_str(2) == "Mentions(Paper1,Gene)"
-    with pytest.raises(IndexError):
-        db.atoms[3]
+    assert db.atoms == range(3) and db.atom_str(2) == "Mentions(Paper1,Gene)"
     assert np.array_equal(db.value_vector(), [1.0, 1.0, 1.0])
     assert np.array_equal(db.target_mask(), [False, True, True])
+    fresh = AtomDatabase(SCHEMA)
+    assert [fresh.add_atom("Sim", "a", b, 0.25) for b in "xyz"] == [0, 1, 2] == list(fresh.atoms)
 
 
 # -- the column reader against the per-line reader ---------------------------

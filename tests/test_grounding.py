@@ -22,7 +22,7 @@ def herbrand_groundings(clause, db, threshold=0.5):
         ok = True
         for lit in clause.body:
             idx = db.find_atom(lit.predicate, combo[lit.var1 - 1], combo[lit.var2 - 1])
-            if idx is None or round_value(db.atoms[idx].value, threshold) != 1:
+            if idx is None or round_value(db.values[idx], threshold) != 1:
                 ok = False
                 break
             atoms.append(idx)
@@ -180,7 +180,7 @@ def test_lazy_grounding_only_frees_targets():
     targets = set(db.targets)
     for terms in ground_terms(grounding):
         for atom, _ in terms[:-1]:
-            assert atom in targets or round_value(db.atoms[atom].value) == 1
+            assert atom in targets or round_value(db.values[atom]) == 1
 
 
 def test_restrict_matches_fresh_grounding():

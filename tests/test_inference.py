@@ -184,7 +184,7 @@ def test_map_stop_record(p):
     db = AtomDatabase([PredicateSymbol("R"), PredicateSymbol("T", is_target=True)])
     for a, b, v in [("x1", "x2", 1.0), ("x2", "x3", 0.5), ("x0", "x5", 0.5), ("x3", "x5", 0.751), ("x5", "x4", 0.501)]:
         db.add_atom("R", a, b, v)
-    free = [db.add_atom("T", "x0", f"x{k}", 0.0).index for k in range(1, 6)]
+    free = [db.add_atom("T", "x0", f"x{k}", 0.0) for k in range(1, 6)]
     for a, b in [("x0", "x6"), ("x1", "x0"), ("x1", "x2"), ("x1", "x3"), ("x2", "x0"), ("x2", "x3")]:
         db.add_atom("T", a, b, 0.0)
     build_adjacency(db)

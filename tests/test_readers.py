@@ -127,10 +127,12 @@ def run_command(command: str, files: dict[str, str | bytes]) -> tuple[int, str]:
         return code, err.getvalue().replace(str(d), "{d}")
 
 
-# A clause the grammar rejects names its line in the file, once.
+# A clause line the reader rejects names its line in the file, once.
 CLAUSE_FAULTS = [
     ("learn", "clauses", "R(V1,V2) -> T(V1,V3)\n",
      "error:MalformedLine:line 1: head variables (V1,V3) do not span the chain"),
+    ("learn", "clauses", "R(V1,V2) -> T(V1,V2)\t5\tjunk\n",
+     "error:MalformedLine:line 1: expected 'clause[<TAB>coverage]'"),
     ("infer", "model", MODEL + "1\tR(V1,V2) -> T(V1,V3)\n",
      "error:MalformedLine:line 4: head variables (V1,V3) do not span the chain"),
 ]
