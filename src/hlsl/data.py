@@ -235,6 +235,24 @@ def build_adjacency(db: AtomDatabase, threshold: float = DEFAULT_ROUND_THRESHOLD
     return db
 
 
+def _probe(
+    table: np.ndarray, lo: np.ndarray, hi: np.ndarray | None = None, hi_side: str = "left"
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """`np.searchsorted(table, lo)`, and of `hi` (searched on `hi_side`)
+    when given, as the probes' positions in their own order. The probes
+    are searched in ascending order of `lo`, which `hi` must share: sorted
+    probes walk the table forward, where probes in arbitrary order miss
+    cache on every search."""
+    order = np.argsort(lo)
+    first = np.empty(len(lo), dtype=np.intp)
+    first[order] = np.searchsorted(table, lo[order])
+    if hi is None:
+        return first
+    last = np.empty_like(first)
+    last[order] = np.searchsorted(table, hi[order], hi_side)
+    return first, last
+
+
 def spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Enumerate the ranges [lo[i], hi[i]) as (i, position) pairs, range by
     range in order: the flat form of a ragged selection."""
@@ -309,7 +327,7 @@ class StepGraph:
         if label is None:
             return spans(self.indptr[nodes], self.indptr[nodes + 1])
         first = (nodes * self.n_labels + label) * self.n_nodes
-        return spans(np.searchsorted(self.key, first), np.searchsorted(self.key, first + self.n_nodes))
+        return spans(*_probe(self.key, first, first + self.n_nodes))
 
     def lookup(
         self, nodes: np.ndarray, goals: np.ndarray, label: int | None = None
@@ -318,10 +336,10 @@ class StepGraph:
         `label` if given), as (i, step) pairs."""
         if label is None:
             key = nodes * self.n_nodes + goals
-            i, at = spans(np.searchsorted(self.pair, key, "left"), np.searchsorted(self.pair, key, "right"))
+            i, at = spans(*_probe(self.pair, key, key, "right"))
             return i, self.by_pair[at]
         key = (nodes * self.n_labels + label) * self.n_nodes + goals
-        s = np.searchsorted(self.key, key)
+        s = _probe(self.key, key)
         hit = s < len(self.key)
         hit[hit] = self.key[s[hit]] == key[hit]
         i = np.flatnonzero(hit)

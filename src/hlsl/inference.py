@@ -44,10 +44,11 @@ REL_TOL = 1e-7  # relative residual tolerance; 1e-6 stopped a slow coupled MAP 1
 MAX_ITERS = 10_000
 
 
-def _norm(z: np.ndarray) -> float:
+def _norm(z: np.ndarray, work: np.ndarray) -> float:
+    """The 2-norm of `z`, squaring it into `work` (which may be `z`)."""
     # numpy's own sum, not a BLAS dot: a threaded dot could change with the
     # thread count, and with it the stopping iteration
-    return float(np.sqrt((z * z).sum()))
+    return float(np.sqrt(np.multiply(z, z, out=work).sum()))
 
 
 @dataclass(frozen=True)
@@ -106,25 +107,36 @@ def map_infer(
     cap = w * norm2 if p == 1 else np.inf
     scale = 1.0 / norm2 if p == 1 else 2.0 * w / (1.0 + 2.0 * w * norm2)
     copies = np.bincount(v, minlength=len(variables))
-    eps_abs = float(np.sqrt(len(a))) * ABS_TOL
+    n = len(a)
+    eps_abs = float(np.sqrt(n)) * ABS_TOL
+    # y_rows lies in [0, 1]^n and x = r + y_rows, so max(|x|, |y_rows|) is at
+    # most sqrt(n) + primal: a primal residual that fails the relative test
+    # against the looser bound + primal fails the real test too, and the
+    # other norms need not be computed
+    bound = 2.0 * float(np.sqrt(n)) + 1.0
 
-    y, y_rows, u = np.zeros(len(variables)), np.zeros(len(a)), np.zeros(len(a))
+    y, y_rows, u = np.zeros(len(variables)), np.zeros(n), np.zeros(n)
+    x, r, rows, work = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     iterations, primal, dual, converged = 0, 0.0, 0.0, False
     while iterations < max_iters and not converged:
         iterations += 1
-        local = y_rows - u  # each copy's prox centre
-        s = const + np.bincount(g, weights=a * local, minlength=len(grounds))
+        np.subtract(y_rows, u, out=x)  # each copy's prox centre
+        s = const + np.bincount(g, weights=np.multiply(a, x, out=work), minlength=len(grounds))
         step = np.minimum(np.maximum(s, 0.0), cap) * scale
-        x = local - step[g] * a
-        y = np.clip(np.bincount(v, weights=x + u, minlength=len(variables)) / copies, 0.0, 1.0)
-        new_rows = y[v]
-        r = x - new_rows
+        x -= np.multiply(np.take(step, g, out=work), a, out=work)
+        y = np.clip(np.bincount(v, weights=np.add(x, u, out=work), minlength=len(variables)) / copies, 0.0, 1.0)
+        np.take(y, v, out=rows)
+        np.subtract(x, rows, out=r)
         u += r
-        primal, dual = _norm(r), _norm(new_rows - y_rows)
-        y_rows = new_rows
+        primal = _norm(r, work)
+        can_pass = primal <= eps_abs + REL_TOL * (bound + primal)
+        if can_pass or iterations == max_iters:  # the cap's stop record keeps the dual residual
+            dual = _norm(np.subtract(rows, y_rows, out=work), work)
+        y_rows, rows = rows, y_rows
         converged = bool(
-            primal <= eps_abs + REL_TOL * max(_norm(x), _norm(y_rows))
-            and dual <= eps_abs + REL_TOL * _norm(u)
+            can_pass
+            and primal <= eps_abs + REL_TOL * max(_norm(x, work), _norm(y_rows, work))
+            and dual <= eps_abs + REL_TOL * _norm(u, work)
         )
 
     values[variables] = y + 0.0  # + 0.0 turns a clipped -0.0 into +0.0

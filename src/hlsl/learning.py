@@ -125,7 +125,11 @@ def _prior_gradient(grad: np.ndarray, w: np.ndarray, sigma: float) -> np.ndarray
 def _prior_curvature(curv: np.ndarray, sigma: float) -> np.ndarray:
     """Minus the Hessian of every block, (blocks, k, k), plus that of the
     Gaussian prior of variance `sigma` (none at 0), I / sigma per block."""
-    return curv + np.eye(curv.shape[-1]) / sigma if sigma > 0.0 else curv
+    if sigma <= 0.0:
+        return curv
+    # a sigma below 1/DBL_MAX makes 1/sigma inf, which holds every weight at 0
+    with np.errstate(over="ignore"):
+        return curv + np.eye(curv.shape[-1]) / sigma
 
 
 def _prior_totals(totals: np.ndarray, ws: Workspace, w: np.ndarray, sigma: float) -> np.ndarray:

@@ -353,3 +353,61 @@ def map_oracle(model, grounding, db, free, p):
     """The oracle's MAP objective at p = 1 or 2."""
     oracle = lp_map_oracle if p == 1 else lbfgs_map_oracle
     return oracle(model, grounding, db, list(free))
+
+
+def admm_oracle(model, db, free, grounding, p, max_iters):
+    """`map_infer`'s consensus ADMM as a plain loop: every residual norm
+    computed on every iteration, fresh arrays for every row vector. The
+    solver must return exactly this `MapSolution`."""
+    from hlsl.inference import ABS_TOL, REL_TOL, MapSolution
+
+    def norm(z):
+        return float(np.sqrt((z * z).sum()))
+
+    values = db.value_vector()
+    values[free] = 0.0
+    weights = np.asarray(model.weights, dtype=np.float64)
+    ground, atom, coef = grounding.pairs(np.isin(np.arange(len(values)), free))
+    live = coef != 0.0
+    grounds, g = np.unique(ground[live], return_inverse=True)
+    variables, v = np.unique(atom[live], return_inverse=True)
+    a = coef[live]
+    const = grounding.inner_values(values)[grounds]
+    w = weights[grounding.g_clause[grounds]]
+    if len(w) and w.mean() > 0.0:
+        w = w / w.mean()
+    norm2 = np.bincount(g, weights=a * a, minlength=len(grounds))
+    cap = w * norm2 if p == 1 else np.inf
+    scale = 1.0 / norm2 if p == 1 else 2.0 * w / (1.0 + 2.0 * w * norm2)
+    copies = np.bincount(v, minlength=len(variables))
+    eps_abs = float(np.sqrt(len(a))) * ABS_TOL
+
+    y, y_rows, u = np.zeros(len(variables)), np.zeros(len(a)), np.zeros(len(a))
+    iterations, primal, dual, converged = 0, 0.0, 0.0, False
+    while iterations < max_iters and not converged:
+        iterations += 1
+        local = y_rows - u
+        s = const + np.bincount(g, weights=a * local, minlength=len(grounds))
+        step = np.minimum(np.maximum(s, 0.0), cap) * scale
+        x = local - step[g] * a
+        y = np.clip(np.bincount(v, weights=x + u, minlength=len(variables)) / copies, 0.0, 1.0)
+        new_rows = y[v]
+        r = x - new_rows
+        u += r
+        primal, dual = norm(r), norm(new_rows - y_rows)
+        y_rows = new_rows
+        converged = bool(
+            primal <= eps_abs + REL_TOL * max(norm(x), norm(y_rows))
+            and dual <= eps_abs + REL_TOL * norm(u)
+        )
+
+    values[variables] = y + 0.0
+    objective = float((weights[grounding.g_clause] * grounding.penalties(values, p)).sum())
+    return MapSolution(
+        values={i: float(values[i]) for i in free},
+        objective=objective,
+        iterations=iterations,
+        primal_residual=primal,
+        dual_residual=dual,
+        converged=converged,
+    )

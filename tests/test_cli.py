@@ -1,6 +1,7 @@
 """End-to-end CLI: pipeline runs, determinism, config handling, error codes."""
 import filecmp
 import os
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -313,6 +314,24 @@ def test_learn_rejects_bad_config_field(recovery_dir, tmp_path, capsys, flags, f
     assert code == 1
     assert single_error(capsys).startswith(f"error:ValueError:{field} must be")
     assert not model.exists()
+
+
+@pytest.mark.parametrize("method", ["ppll", "gls"])
+def test_learn_tiny_l2_sigma_keeps_no_clause_quietly(recovery_dir, tmp_path, capsys, method):
+    # 1 / 1e-320 overflows to inf: the prior holds every weight at 0, and
+    # numpy must not warn about it on stderr
+    model = tmp_path / "model.tsv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(
+            "learn", "--schema", recovery_dir / "schema.tsv",
+            "--observed", recovery_dir / "observed.tsv", "--train", recovery_dir / "train.tsv",
+            "--clauses", recovery_dir / "candidates.tsv", "--method", method, "--out", model,
+            "--l2-sigma", "1e-320",
+        )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert model.read_text().splitlines() == ["# hlsl-model v1"]
 
 
 @pytest.mark.parametrize(

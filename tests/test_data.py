@@ -14,6 +14,7 @@ from hlsl.data import (
     AtomDatabase,
     PredicateSymbol,
     StepGraph,
+    _probe,
     _split_plain,
     build_adjacency,
     load_database,
@@ -206,6 +207,47 @@ def test_step_graph_matches_a_column_scan(seed, inverses, target_edges, free_fla
         assert list(db.outgoing) == list(scanned_edges(db, threshold, False))
         assert list(db.incoming) == list(scanned_edges(db, threshold, True))
         assert len(db.outgoing) == len(scanned_edges(db, threshold, False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 4)), unique=True, max_size=25),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=30),
+)
+def test_step_graph_probes_match_a_brute_force_scan(cells, inverses, probes):
+    # c0 -> c1 is joined by every predicate; c5 and c6, interned last, appear
+    # only in an atom that rounds to 0, so they have no steps and every key
+    # from them lies past the last step. Probes come unsorted, repeated or
+    # not at all.
+    db = AtomDatabase([PredicateSymbol("P"), PredicateSymbol("Q"), PredicateSymbol("R")])
+    for k, x, y in dict.fromkeys([(0, 0, 1), (1, 0, 1), (2, 0, 1), *cells]):
+        db.add_atom("PQR"[k], f"c{x}", f"c{y}")
+    db.add_atom("P", "c5", "c6", 0.0)
+    graph = StepGraph(build_adjacency(db), include_inverses=inverses)
+    steps = scanned_steps(db, db.edges.tolist(), inverses, True)
+    n = graph.n_nodes
+    nodes = np.array([x % n for x, _ in probes], dtype=np.int64)
+    goals = np.array([y % n for _, y in probes], dtype=np.int64)
+    for label in [None, *range(graph.n_labels)]:
+        def scan(goal_too):
+            return [
+                (i, step) for i, (x, y) in enumerate(zip(nodes.tolist(), goals.tolist())) for step in steps
+                if step[0] == x and label in (None, step[1]) and (not goal_too or step[2] == y)
+            ]
+
+        i, s = graph.expand(nodes, label)
+        assert list(zip(i.tolist(), (steps[k] for k in s.tolist()))) == scan(False)
+        i, s = graph.lookup(nodes, goals, label)
+        found = list(zip(i.tolist(), (steps[k] for k in s.tolist())))
+        # an unlabelled lookup lists a probe's steps in no fixed label order
+        assert (found if label is not None else sorted(found)) == scan(True)
+    # raw keys from 0 to past the largest key any step can have
+    keys = np.array([x * n * graph.n_labels * n // 6 + y for x, y in probes], dtype=np.int64)
+    assert _probe(graph.key, keys).tolist() == np.searchsorted(graph.key, keys).tolist()
+    lo, hi = _probe(graph.pair, keys % (n * n), keys % (n * n), "right")
+    assert lo.tolist() == np.searchsorted(graph.pair, keys % (n * n)).tolist()
+    assert hi.tolist() == np.searchsorted(graph.pair, keys % (n * n), "right").tolist()
 
 
 @given(st.lists(

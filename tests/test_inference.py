@@ -3,13 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import grounding_of, map_oracle, random_chain_db, random_map_instance
+from conftest import admm_oracle, grounding_of, map_oracle, random_chain_db, random_map_instance
 
 from hlsl.clauses import GenerationConfig, generate_candidates, negative_prior, parse_clause
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency
 from hlsl.errors import DegenerateLabels
 from hlsl.grounding import ground_clauses
-from hlsl.inference import auc_roc, map_infer
+from hlsl.inference import MAX_ITERS, auc_roc, map_infer
 from hlsl.learning import WeightedModel
 from hlsl.synth import recovery_fixture
 
@@ -176,6 +176,31 @@ def test_map_reaches_oracle_on_coupled_chain_databases(instance):
     )
     sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
     assert sol.converged and within_oracle(sol, map_oracle(model, grounding, db, free, p))
+
+
+# iteration caps that stop ADMM before, and at, its own stopping test
+CAPS = (1, 2, 7, MAX_ITERS)
+
+
+def assert_admm_oracle(model, db, free, grounding):
+    for p in (1, 2):
+        for cap in CAPS:
+            got = map_infer(model, db, free_atoms=free, grounding=grounding, p=p, max_iters=cap)
+            # repr tells -0.0 from 0.0, so every field must match bit for bit
+            assert repr(got) == repr(admm_oracle(model, db, free, grounding, p, cap)), (p, cap)
+
+
+def test_map_equals_admm_oracle_on_random_instances():
+    for seed in range(60):
+        db, model, grounding, free = random_map_instance(seed)
+        assert_admm_oracle(model, db, free, grounding)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupled_instances())
+def test_map_equals_admm_oracle_on_coupled_chain_databases(instance):
+    db, model, free, _ = instance
+    assert_admm_oracle(model, db, free, ground_clauses(model.clauses, db, free_atoms=frozenset(free)))
 
 
 @pytest.mark.parametrize("p", [1, 2])
