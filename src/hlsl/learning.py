@@ -18,7 +18,6 @@ whose weight stayed at zero.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
@@ -33,9 +32,9 @@ from .grounding import Grounding, ground_clauses
 MODEL_HEADER = "# hlsl-model v1"
 
 # One trace row per iteration: (iteration, objective, largest projected
-# gradient, cumulative wall-clock ms); a weight fit's iteration is a Newton
-# step, a gls iteration a clause addition.
-TraceRow = tuple[int, float, float, float]
+# gradient); a weight fit's iteration is a Newton step, a gls iteration a
+# clause addition.
+TraceRow = tuple[int, float, float]
 
 
 @dataclass
@@ -112,32 +111,8 @@ def objective_gradient(
     Gaussian prior is active. Expectations use the full conditional profile
     for `pll` and the single-clause profile for `ppll`.
     """
-    ws = Workspace(grounding, observed, mode=objective, p=p)
-    return _prior_gradient(ws.gradient(model.weights), model.weights, l2_sigma)
-
-
-def _prior_gradient(grad: np.ndarray, w: np.ndarray, sigma: float) -> np.ndarray:
-    """An engine gradient at weights `w` plus that of the Gaussian prior of
-    variance `sigma` (none at 0), -w/sigma per clause."""
-    return grad - w / sigma if sigma > 0.0 else grad
-
-
-def _prior_curvature(curv: np.ndarray, sigma: float) -> np.ndarray:
-    """Minus the Hessian of every block, (blocks, k, k), plus that of the
-    Gaussian prior of variance `sigma` (none at 0), I / sigma per block."""
-    if sigma <= 0.0:
-        return curv
-    # a sigma below 1/DBL_MAX makes 1/sigma inf, which holds every weight at 0
-    with np.errstate(over="ignore"):
-        return curv + np.eye(curv.shape[-1]) / sigma
-
-
-def _prior_totals(totals: np.ndarray, ws: Workspace, w: np.ndarray, sigma: float) -> np.ndarray:
-    """`ws`'s block totals at weights `w` plus the prior's log density,
-    -w^2/(2 sigma) summed over each block's clauses in clause order."""
-    if sigma <= 0.0:
-        return totals
-    return totals - np.bincount(ws.clause_block, weights=w * w, minlength=ws.n_blocks) / (2.0 * sigma)
+    grad = Workspace(grounding, observed, mode=objective, p=p).gradient(model.weights)
+    return grad - model.weights / l2_sigma if l2_sigma > 0.0 else grad
 
 
 def _residual(w: np.ndarray, grad: np.ndarray, w_max: float, k: int) -> np.ndarray:
@@ -156,46 +131,54 @@ def _newton(
     w0: np.ndarray,
     config: LearnConfig,
     trace: list[TraceRow] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected Newton ascent (Bertsekas 1982) on every block's objective
     (`ws.total` plus the prior) at once, from `w0`; returns (weights, each
-    block's largest projected residual |clip(w + g, 0, w_max) - w|).
+    block's `ws.total` at them, each block's largest projected residual
+    |clip(w + g, 0, w_max) - w|).
 
     The blocks are contiguous runs of one width k. Every evaluated point
     costs one engine pass, which returns the gradient, the block totals and
-    minus every block's exact Hessian (`Workspace.gradient`); the prior adds
-    I / l2_sigma to the latter. A clause at a bound whose gradient points
-    out of the box is held and moves along its gradient; the free clauses
-    solve their block's symmetrized system, with a ridge of 1e-12 of the
-    block's largest curvature so that a clause without any stays solvable.
-    Each block backtracks along the projection arc, halving its step from
-    1, until its objective passes the Armijo test less the objective's
-    rounding error, 1e-13 of max(1, |objective|). A block stops once its
-    residual is at most `tolerance`, once an accepted step gains no more
-    than that rounding error (as one that leaves its weights unchanged
+    minus every block's exact Hessian (`Workspace.gradient`); the Gaussian
+    prior of variance `l2_sigma` (none at 0) adds -w/l2_sigma, each block's
+    -|w|^2/(2 l2_sigma) and I / l2_sigma to these, and the totals returned
+    are those of the accepting pass. A clause at a bound whose gradient
+    points out of the box is held and moves along its gradient; the free
+    clauses solve their block's symmetrized system, with a ridge of 1e-12 of
+    the block's largest curvature so that a clause without any stays
+    solvable. Each block backtracks along the projection arc, halving its
+    step from 1, until its objective passes the Armijo test less the
+    objective's rounding error, 1e-13 of max(1, |objective|). A block stops
+    once its residual is at most `tolerance`, once an accepted step gains no
+    more than that rounding error (as one that leaves its weights unchanged
     does; at `tolerance` 0 the steps at the optimum move the weights back
-    and forth by an ulp, and only this stop ends them), or after
-    `max_iters` steps. Every sum keeps the element order of a workspace
-    built for one block alone, so each block's weights are bit for bit
-    those of its own run. Trace rows, one per step, hold the summed
-    objective and the largest residual.
+    and forth by an ulp, and only this stop ends them), or after `max_iters`
+    steps. Every sum keeps the element order of a workspace built for one
+    block alone, so each block's weights are bit for bit those of its own
+    run. Trace rows, one per step, hold the summed objective and the largest
+    residual.
     """
     sigma, w_max = config.l2_sigma, config.w_max
     block, k = ws.clause_block, ws.n_clauses // ws.n_blocks
 
-    def evaluate(wv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(wv: np.ndarray) -> tuple[np.ndarray, ...]:
         grad, totals, curv = ws.gradient(wv, with_terms=True, with_curvature=True)
-        grad, totals = _prior_gradient(grad, wv, sigma), _prior_totals(totals, ws, wv, sigma)
+        obj = totals
+        if sigma > 0.0:
+            grad = grad - wv / sigma
+            obj = totals - np.bincount(block, weights=wv * wv, minlength=ws.n_blocks) / (2.0 * sigma)
+            # a sigma below 1/DBL_MAX makes 1/sigma inf, which holds every weight at 0
+            with np.errstate(over="ignore"):
+                curv = curv + np.eye(k) / sigma
         _check_finite(grad)
-        _check_finite(totals)
-        return grad, totals, _prior_curvature(curv, sigma)
+        _check_finite(obj)
+        return grad, totals, obj, curv
 
     def rounding(obj: np.ndarray) -> np.ndarray:
         return 1e-13 * np.maximum(1.0, np.abs(obj))
 
-    started = time.perf_counter()
     w = np.clip(np.asarray(w0, dtype=np.float64), 0.0, w_max)
-    grad, obj, curv = evaluate(w)
+    grad, totals, obj, curv = evaluate(w)
     res = _residual(w, grad, w_max, k)
     running = res > config.tolerance
     for it in range(1, config.max_iters + 1):
@@ -212,28 +195,28 @@ def _newton(
         d = np.where(free, d, G).ravel()
 
         t = 1.0
-        new_w, new_grad, new_obj, new_curv = w, grad, obj, curv
+        new_w, new_grad, new_totals, new_obj, new_curv = w, grad, totals, obj, curv
         pending = running.copy()
         while pending.any():
             cand = np.where(pending[block], np.clip(w + t * d, 0.0, w_max), w)
-            cand_grad, cand_obj, cand_curv = evaluate(cand)
+            cand_grad, cand_totals, cand_obj, cand_curv = evaluate(cand)
             gain = (grad * (cand - w)).reshape(-1, k).sum(axis=1)
             ok = pending & (cand_obj >= obj + 1e-4 * gain - rounding(obj))
             new_w = np.where(ok[block], cand, new_w)
             new_grad = np.where(ok[block], cand_grad, new_grad)
+            new_totals = np.where(ok, cand_totals, new_totals)
             new_obj = np.where(ok, cand_obj, new_obj)
             new_curv = np.where(ok[:, None, None], cand_curv, new_curv)
             pending &= ~ok
             t *= 0.5
 
         still = new_obj - obj <= rounding(obj)
-        w, grad, obj, curv = new_w, new_grad, new_obj, new_curv
+        w, grad, totals, obj, curv = new_w, new_grad, new_totals, new_obj, new_curv
         res = _residual(w, grad, w_max, k)
         running &= (res > config.tolerance) & ~still
         if trace is not None:
-            ms = (time.perf_counter() - started) * 1000.0
-            trace.append((it, float(obj.sum()), float(res.max()), ms))
-    return w, res
+            trace.append((it, float(obj.sum()), float(res.max())))
+    return w, totals, res
 
 
 def learn_weights(
@@ -250,7 +233,7 @@ def learn_weights(
     if not model.clauses:
         raise NoCandidates("cannot learn weights of an empty model")
     ws = Workspace(grounding, observed, mode=objective, p=config.p)
-    w, _ = _newton(ws, model.weights, config, trace)
+    w, _, _ = _newton(ws, model.weights, config, trace)
     return WeightedModel(model.clauses, w)
 
 
@@ -289,15 +272,16 @@ def _refit_extensions(
     with `gls_inner_iters` steps.
 
     Returns each extension's weights (one row each), its pll score
-    (`ws.total`, without the prior) and its largest projected residual
-    (with the prior's gradient) at those weights.
+    (`ws.total`, without the prior, from the fit's own last accepted pass)
+    and its largest projected residual (with the prior's gradient) at those
+    weights.
     """
     width = len(chosen) + 1
     sub = pool.restrict([i for cand in remaining for i in chosen + [cand]])
     ws = Workspace(sub, observed, p=config.p, clause_block=np.repeat(np.arange(len(remaining)), width))
     inner = replace(config, max_iters=config.gls_inner_iters)
-    w, residual = _newton(ws, np.tile(np.append(chosen_w, 0.0), len(remaining)), inner)
-    return w.reshape(-1, width), ws.total(w), residual
+    w, scores, residual = _newton(ws, np.tile(np.append(chosen_w, 0.0), len(remaining)), inner)
+    return w.reshape(-1, width), scores, residual
 
 
 def gls_structure_learn(
@@ -330,7 +314,6 @@ def gls_structure_learn(
     chosen_w = np.zeros(0)
     current = 0.0
     remaining = list(range(len(candidates)))
-    started = time.perf_counter()
     for outer in range(1, config.gls_outer_iters + 1):
         if not remaining:
             break
@@ -342,8 +325,7 @@ def gls_structure_learn(
         chosen_w = w[best]
         current = float(scores[best])
         if trace is not None:
-            ms = (time.perf_counter() - started) * 1000.0
-            trace.append((outer, current, float(residual[best]), ms))
+            trace.append((outer, current, float(residual[best])))
     return WeightedModel([candidates[i] for i in chosen], chosen_w)
 
 
@@ -390,6 +372,6 @@ def read_model(stream: IO[str] | Iterable[str], schema) -> WeightedModel:
 
 
 def write_trace(trace: Sequence[TraceRow], stream: IO[str]) -> None:
-    stream.write("# iteration\tobjective\tmax_grad\tms\n")
-    for it, obj, gmax, ms in trace:
-        stream.write(f"{it}\t{obj:.12g}\t{gmax:.12g}\t{ms:.3f}\n")
+    stream.write("# iteration\tobjective\tmax_grad\n")
+    for it, obj, gmax in trace:
+        stream.write(f"{it}\t{obj:.12g}\t{gmax:.12g}\n")

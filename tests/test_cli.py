@@ -91,17 +91,19 @@ def full_pipeline(d, tmp_path, tag, threads, method="ppll", p=1):
         "infer", *base, "--test", d / "test.tsv", "--model", model, "--out", preds, "--p", p,
     ) == 0
     assert run("eval", "--predictions", preds, "--labels", d / "test.tsv", "--out", metrics) == 0
-    return clauses, model, preds, metrics
+    return clauses, model, trace, preds, metrics
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_full_pipeline_and_determinism_across_threads(recovery_dir, tmp_path, p):
-    first = full_pipeline(recovery_dir, tmp_path, "t1", 1, p=p)
-    second = full_pipeline(recovery_dir, tmp_path, "t8", 8, p=p)
-    for a, b in zip(first, second):
-        assert a.read_bytes() == b.read_bytes()
-    auc = float(second[3].read_text().splitlines()[1].split("\t")[0])
-    assert auc > 0.8
+    # every output, the learner's trace included, repeats byte for byte
+    for method in ("ppll", "gls"):
+        first = full_pipeline(recovery_dir, tmp_path, f"{method}_t1", 1, method, p)
+        second = full_pipeline(recovery_dir, tmp_path, f"{method}_t8", 8, method, p)
+        for a, b in zip(first, second):
+            assert a.read_bytes() == b.read_bytes()
+        auc = float(second[-1].read_text().splitlines()[1].split("\t")[0])
+        assert auc > 0.8
 
 
 def test_learn_gls_zero_iters_empty_model(recovery_dir, tmp_path):

@@ -274,6 +274,32 @@ def test_every_evaluated_point_costs_one_engine_pass(monkeypatch):
     assert round_passes == 1 + longest
 
 
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("l2_sigma", [0.0, 100.0])
+def test_refit_scores_are_the_totals_of_the_returned_weights(monkeypatch, p, l2_sigma):
+    # a round's scores come from its fit's own engine passes, with no
+    # separate `Workspace.total` pass, and equal that pass bit for bit. The
+    # seeds and starts include rounds whose last step backtracks in some
+    # blocks only, so a score taken from the wrong line-search pass shows.
+    total = Workspace.total
+    calls = []
+    monkeypatch.setattr(Workspace, "total", lambda self, w: calls.append(w) or total(self, w))
+    for seed in (8, 25):
+        db = random_chain_db(seed)
+        cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))[:6]
+        pool, obs = ground_clauses(cands, db), db.value_vector()
+        for inner in (1, 2, 4):
+            cfg = LearnConfig(p=p, l2_sigma=l2_sigma, gls_inner_iters=inner)
+            for chosen, chosen_w in (([], np.zeros(0)), ([0], np.array([20.0])), ([0, 2], np.array([0.5, 2.0]))):
+                remaining = [c for c in range(len(cands)) if c not in chosen]
+                w, scores, _ = _refit_extensions(pool, obs, chosen, chosen_w, remaining, cfg)
+                assert calls == []
+                sub = pool.restrict([i for cand in remaining for i in chosen + [cand]])
+                blocks = np.repeat(np.arange(len(remaining)), len(chosen) + 1)
+                ws = Workspace(sub, obs, p=p, clause_block=blocks)
+                assert np.array_equal(scores, total(ws, w.ravel()))
+
+
 def test_ppll_structure_learn_prunes_vacuous():
     # a clause whose body never grounds keeps weight 0 and is dropped
     db = AtomDatabase([PredicateSymbol("P"), PredicateSymbol("T", is_target=True)])
@@ -513,7 +539,7 @@ def test_model_file_errors(citation_db):
 
 def test_trace_format():
     buf = io.StringIO()
-    write_trace([(1, -3.5, 0.25, 12.0)], buf)
+    write_trace([(1, -3.5, 0.25)], buf)
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("#")
     assert lines[1].split("\t")[0] == "1"
