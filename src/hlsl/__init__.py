@@ -8,7 +8,6 @@ target atoms by convex MAP inference and evaluate with AUC.
 
 from .clauses import (
     GenerationConfig,
-    Literal,
     PathClause,
     bfs_paths,
     format_clause,

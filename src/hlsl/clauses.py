@@ -3,7 +3,10 @@
 Candidate first-order Horn clauses are mined from the data: for every target
 atom t(a, b) the simple paths of bounded length that connect a to b along
 rounded-1 atoms are variablized into chain clauses whose head is the target
-literal, and each clause is emitted together with its head-negated twin.
+predicate, and each clause is emitted together with its head-negated twin.
+A clause is its chain (`PathClause`): the head predicate and the sequence of
+(predicate, inverted) steps, which the clause text, clause equality and
+grounding all read.
 Candidates are deduplicated, filtered by how many target atoms they cover,
 and capped at a fixed pool size; a body-less negative prior clause per
 target predicate is appended last.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -30,41 +33,32 @@ PathStep = tuple[str, bool, int, int]
 RelationalPath = tuple[PathStep, ...]
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A variablized atom. Variable ids are 1-based chain positions.
-
-    An inverted literal was produced by walking an edge backwards; it is
-    materialized with the original predicate and swapped argument order, so
-    `inverted` is provenance metadata only.
-    """
-
-    predicate: str
-    var1: int
-    var2: int
-    negated: bool = False
-    inverted: bool = field(default=False, compare=False)
+# A step of a chain clause: predicate name, whether the chain walks the
+# predicate's edges backwards.
+ChainStep = tuple[str, bool]
 
 
 @dataclass(frozen=True)
 class PathClause:
-    """A chain-shaped Horn clause: body literals imply a (possibly negated)
-    target head over the chain's endpoints. Negative priors have an empty
-    body. `coverage` counts the distinct target training atoms the clause
+    """A chain-shaped Horn clause: its body steps imply a (possibly negated)
+    target head over the chain's endpoints.
+
+    Step k joins the chain variables Vk and Vk+1: it reads P(Vk,Vk+1), or
+    P(Vk+1,Vk) when inverted, and the head over n steps reads T(V1,Vn+1).
+    Negative priors have no steps and read `-> !T(A,B)`. The steps are the
+    clause: its text, its equality and its groundings all read them.
+    `coverage` counts the distinct target training atoms the clause
     connects and does not participate in clause identity.
     """
 
-    body: tuple[Literal, ...]
-    head: Literal
+    head: str
+    steps: tuple[ChainStep, ...] = ()
+    negated: bool = False
     coverage: int = field(default=0, compare=False)
 
     @property
-    def head_negated(self) -> bool:
-        return self.head.negated
-
-    @property
     def is_prior(self) -> bool:
-        return not self.body
+        return not self.steps
 
     @property
     def id(self) -> str:
@@ -159,35 +153,22 @@ def bfs_paths(
     return found
 
 
-def _chain_clause(
-    steps: Sequence[tuple[str, bool]], head: str, negate_head: bool = False, coverage: int = 0
-) -> PathClause:
-    """Chain clause over (predicate, inverted) body steps; step k joins
-    variables k and k+1, and an inverted step swaps them."""
-    body = tuple(
-        Literal(pred, pos + 1, pos, inverted=True) if inverted else Literal(pred, pos, pos + 1)
-        for pos, (pred, inverted) in enumerate(steps, start=1)
-    )
-    return PathClause(body, Literal(head, 1, len(steps) + 1, negated=negate_head), coverage)
-
-
 def variablize(path: RelationalPath, head: str, negate_head: bool = False) -> PathClause:
     """Turn a ground path into a first-order chain clause.
 
-    Constants are replaced position-wise by variables 1..s+1; an inverted
-    step emits the original predicate with its variables swapped. The head
-    is the target predicate named `head` over the chain endpoints.
+    Constants are replaced position-wise by the chain variables, so the
+    clause keeps each step's predicate and direction. The head is the
+    target predicate named `head` over the chain endpoints.
     """
     if not path:
         raise ValueError("cannot variablize an empty path")
-    steps = [(pred, inverted) for pred, inverted, _src, _dst in path]
-    return _chain_clause(steps, head, negate_head)
+    return PathClause(head, tuple((pred, inverted) for pred, inverted, _src, _dst in path), negate_head)
 
 
 def negative_prior(pred: PredicateSymbol | str, coverage: int = 0) -> PathClause:
     """Body-less clause penalizing high values of a target predicate."""
     name = pred if isinstance(pred, str) else pred.name
-    return PathClause((), Literal(name, 1, 2, negated=True), coverage)
+    return PathClause(name, negated=True, coverage=coverage)
 
 
 # -- chain joins -----------------------------------------------------------
@@ -346,7 +327,7 @@ def _mine(db: AtomDatabase, config: GenerationConfig) -> tuple[RowKeys, np.ndarr
     return body_keys, keys, counts
 
 
-def _chain_bodies(db: AtomDatabase, body_keys: RowKeys, keys: np.ndarray) -> list[tuple[str, tuple[tuple[str, bool], ...]]]:
+def _chain_bodies(db: AtomDatabase, body_keys: RowKeys, keys: np.ndarray) -> list[tuple[str, tuple[ChainStep, ...]]]:
     """(head predicate, body steps as (predicate, inverted) pairs) of each key."""
     names = db.pred_names
     return [
@@ -355,7 +336,7 @@ def _chain_bodies(db: AtomDatabase, body_keys: RowKeys, keys: np.ndarray) -> lis
     ]
 
 
-def chain_coverage(db: AtomDatabase, config: GenerationConfig) -> dict[tuple[str, tuple[tuple[str, bool], ...]], int]:
+def chain_coverage(db: AtomDatabase, config: GenerationConfig) -> dict[tuple[str, tuple[ChainStep, ...]], int]:
     """Coverage of every chain body that connects some target atom.
 
     Maps (head predicate, body steps as (predicate, inverted) pairs) to the
@@ -403,18 +384,13 @@ def generate_candidates(db: AtomDatabase, config: GenerationConfig) -> list[Path
     if np.count_nonzero(keep) > n_bodies:
         keep &= counts >= np.sort(counts[keep])[-n_bodies]
     candidates = [
-        _chain_clause(steps, head, negated, cov)
+        PathClause(head, steps, negated, cov)
         for (head, steps), cov in zip(_chain_bodies(db, body_keys, keys[keep]), counts[keep].tolist())
         for negated in (False, True)
     ]
-
-    # Coverage descending; ties by the positive-form clause text, with the
+    # Coverage descending; ties by the positive twin's text, with the
     # positive twin ahead of its negation so files read rule-then-negation.
-    def sort_key(c: PathClause):
-        positive_form = PathClause(c.body, Literal(c.head.predicate, c.head.var1, c.head.var2))
-        return (-c.coverage, format_clause(positive_form), c.head_negated)
-
-    candidates.sort(key=sort_key)
+    candidates.sort(key=lambda c: (-c.coverage, format_clause(replace(c, negated=False)), c.negated))
     candidates = candidates[: config.top_k]
 
     if config.add_negative_priors:
@@ -435,23 +411,13 @@ def generate_candidates(db: AtomDatabase, config: GenerationConfig) -> list[Path
 _LITERAL_RE = re.compile(r"^\s*(!?)\s*([A-Za-z_]\w*)\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)\s*$")
 
 
-def _var_name(clause: PathClause, v: int) -> str:
-    if clause.is_prior:
-        return "A" if v == 1 else "B"
-    return f"V{v}"
-
-
 def format_clause(clause: PathClause) -> str:
     """Render a clause in the interchange grammar; this string is also the
     clause's canonical identity."""
-    parts = []
-    for lit in clause.body:
-        parts.append(f"{lit.predicate}(V{lit.var1},V{lit.var2})")
-    body_text = " & ".join(parts)
-    head = clause.head
-    bang = "!" if head.negated else ""
-    head_text = f"{bang}{head.predicate}({_var_name(clause, head.var1)},{_var_name(clause, head.var2)})"
-    return f"{body_text} -> {head_text}" if body_text else f"-> {head_text}"
+    body = [f"{pred}(V{k + 1},V{k})" if inverted else f"{pred}(V{k},V{k + 1})"
+            for k, (pred, inverted) in enumerate(clause.steps, start=1)]
+    head = f"{'!' if clause.negated else ''}{clause.head}" + (f"(V1,V{len(body) + 1})" if body else "(A,B)")
+    return f"{' & '.join(body)} -> {head}" if body else f"-> {head}"
 
 
 def parse_clause(text: str, schema: dict[str, PredicateSymbol] | AtomDatabase) -> PathClause:
@@ -459,7 +425,7 @@ def parse_clause(text: str, schema: dict[str, PredicateSymbol] | AtomDatabase) -
 
     Arbitrary variable names are accepted; the chain orientation of each body
     literal is inferred by walking variables from the head's first argument,
-    and a literal written against the chain direction is marked inverted.
+    and a literal written against the chain direction is an inverted step.
     A malformed clause raises `MalformedLine` at line 0; the file readers
     re-raise its detail at the clause's line.
     """
@@ -492,11 +458,11 @@ def parse_clause(text: str, schema: dict[str, PredicateSymbol] | AtomDatabase) -
             raw_body.append((pred, v1, v2))
 
     if not raw_body:
-        return PathClause((), Literal(head_pred, 1, 2, negated=bool(bang)))
+        return PathClause(head_pred, negated=bool(bang))
 
     # Walk the chain from the head's first variable, assigning positions.
     seen = {hv1}
-    steps: list[tuple[str, bool]] = []
+    steps: list[ChainStep] = []
     current = hv1
     for pred, v1, v2 in raw_body:
         if v1 == current:
@@ -512,7 +478,7 @@ def parse_clause(text: str, schema: dict[str, PredicateSymbol] | AtomDatabase) -
         current = nxt
     if current != hv2:
         raise MalformedLine(0, f"head variables ({hv1},{hv2}) do not span the chain")
-    return _chain_clause(steps, head_pred, bool(bang))
+    return PathClause(head_pred, tuple(steps), bool(bang))
 
 
 def write_clause_file(clauses: Sequence[PathClause], stream: IO[str]) -> None:
@@ -542,6 +508,6 @@ def read_clause_file(
         if len(fields) > 1 and fields[1].strip():
             if not fields[1].strip().isdecimal():
                 raise MalformedLine(line_no, f"bad coverage {fields[1]!r}")
-            clause = PathClause(clause.body, clause.head, coverage=int(fields[1]))
+            clause = replace(clause, coverage=int(fields[1]))
         clauses.append(clause)
     return clauses

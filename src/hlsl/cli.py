@@ -22,7 +22,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .clauses import GenerationConfig, generate_candidates, read_clause_file, write_clause_file
-from .data import AtomDatabase, load_database, parse_schema, read_atom_file, read_text, round_value
+from .data import AtomDatabase, load_database, parse_schema, read_atom_columns, read_atom_file, read_text
+from .data import round_value, rounds_to_one
 from .data import build_adjacency  # noqa: F401  (a patch point of perfbench/tracer.py)
 from .errors import DuplicateAtom, HlslError, MalformedLine, MissingPrediction, NoCandidates, NotATarget
 from .grounding import ground_clauses
@@ -161,22 +162,20 @@ def _load_train_db(cfg: RunConfig) -> AtomDatabase:
     threshold = cfg.generation.threshold
     if cfg.neg_ratio <= 0.0:
         return load_database(cfg.schema, [cfg.observed, cfg.train], threshold)
-    # subsample negative training targets to neg_ratio * positives
-    target_names = {p.name for p in parse_schema(read_text(cfg.schema)) if p.is_target}
-    pos, neg, other = [], [], []
-    for row in read_atom_file(cfg.train).rows():
-        _, pred, _, _, value = row
-        if pred not in target_names:
-            other.append(row)
-        elif round_value(value, threshold) == 1:
-            pos.append(row)
-        else:
-            neg.append(row)
-    rng = np.random.default_rng(cfg.seed)
-    wanted = cfg.neg_ratio * len(pos)  # inf for a huge ratio, which no int holds
+    # subsample negative training targets to neg_ratio * positives, once every
+    # row has passed the checks of the load above, in file order
+    checked = AtomDatabase(parse_schema(read_text(cfg.schema)))
+    checked.add_columns(read_atom_columns(cfg.observed))
+    train = read_atom_columns(cfg.train)
+    checked.add_columns(train)
+    target = checked.target_mask()[len(checked.values) - len(train):]
+    positive = rounds_to_one(train.values, threshold)
+    neg = np.flatnonzero(target & ~positive)
+    wanted = cfg.neg_ratio * int(np.count_nonzero(target & positive))  # inf for a huge ratio
     keep_n = len(neg) if wanted >= len(neg) else int(round(wanted))
-    kept = [neg[i] for i in sorted(rng.choice(len(neg), keep_n, replace=False))] if keep_n else []
-    return load_database(cfg.schema, [cfg.observed], threshold, extra_rows=other + pos + kept)
+    kept = neg[np.sort(np.random.default_rng(cfg.seed).choice(len(neg), keep_n, replace=False))]
+    order = np.concatenate([np.flatnonzero(~target), np.flatnonzero(target & positive), kept])
+    return load_database(cfg.schema, [cfg.observed], threshold, extra_rows=train.take(order))
 
 
 def cmd_generate(cfg: RunConfig, out_path: str) -> None:

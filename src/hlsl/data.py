@@ -445,6 +445,12 @@ class AtomColumns:
             np.array(value, dtype=np.float64), np.array([v is not None for v in value], dtype=bool), error,
         )
 
+    def take(self, rows: np.ndarray) -> AtomColumns:
+        """The rows at the indices `rows`, in that order."""
+        pick = lambda column: [column[i] for i in rows.tolist()]  # noqa: E731
+        return AtomColumns(self.line_no[rows], pick(self.pred), pick(self.arg1), pick(self.arg2),
+                           self.values[rows], self.has_value[rows])
+
     def rows(self) -> Iterator[AtomRow]:
         """The rows as `read_atom_rows` yields them."""
         values = [v if has else None for v, has in zip(self.values.tolist(), self.has_value.tolist())]

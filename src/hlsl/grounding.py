@@ -43,18 +43,18 @@ def ground_clause(
     dropped (no training labels inside bodies).
 
     The body is walked as a chain join over `graph` (by default
-    `walk_graph(db, free_atoms)`) for all head atoms at once: each body
-    literal extends every partial walk by the steps of its label, and the
-    last literal is a lookup of the steps that reach the head's second
-    argument. Groundings come out sorted by their atom indices, body atoms
-    in literal order, then the head.
+    `walk_graph(db, free_atoms)`) for all head atoms at once: each of the
+    clause's (predicate, inverted) steps extends every partial walk by the
+    graph steps of its label, and the last is a lookup of the graph steps
+    that reach the head's second argument. Groundings come out sorted by
+    their atom indices, body atoms in step order, then the head.
     """
-    heads = db.targets[db.pred[db.targets] == db.pred_ids[clause.head.predicate]]
+    heads = db.targets[db.pred[db.targets] == db.pred_ids[clause.head]]
     atoms = heads[:, None]
-    if clause.body:
+    if clause.steps:
         if graph is None:
             graph = walk_graph(db, free_atoms)
-        labels = [2 * db.pred_ids[lit.predicate] + lit.inverted for lit in clause.body]
+        labels = [2 * db.pred_ids[pred] + inverted for pred, inverted in clause.steps]
         row = np.arange(len(heads))
         node = db.arg1[heads]
         body = np.zeros((len(heads), 0), dtype=np.int64)
@@ -71,9 +71,9 @@ def ground_clause(
         atoms = atoms[np.lexsort(atoms.T[::-1])]
 
     n, width = atoms.shape
-    n_minus = width - 1 + clause.head.negated
+    n_minus = width - 1 + clause.negated
     coef = np.ones(width)
-    coef[-1] = 1.0 if clause.head.negated else -1.0
+    coef[-1] = 1.0 if clause.negated else -1.0
     return Grounding(
         [clause],
         db,

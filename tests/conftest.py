@@ -267,8 +267,8 @@ def dfs_ground_clause(clause, db, free_atoms=None, strict=False):
             out_by.setdefault((arg1, name), []).append((arg2, atom))
             in_by.setdefault((arg2, name), []).append((arg1, atom))
     targets = set(db.targets)
-    head_sign = -1 if clause.head.negated else 1
-    heads = [int(i) for i in db.targets if db.pred_names[db.pred[i]] == clause.head.predicate]
+    head_sign = -1 if clause.negated else 1
+    heads = [int(i) for i in db.targets if db.pred_names[db.pred[i]] == clause.head]
     if clause.is_prior:
         return [((head, head_sign),) for head in heads]
     grounds = []
@@ -276,10 +276,10 @@ def dfs_ground_clause(clause, db, free_atoms=None, strict=False):
         stack = [(0, int(db.arg1[head]), ())]
         while stack:
             pos, node, bound = stack.pop()
-            lit = clause.body[pos]
-            for nbr, atom in (in_by if lit.inverted else out_by).get((node, lit.predicate), ()):
+            pred, inverted = clause.steps[pos]
+            for nbr, atom in (in_by if inverted else out_by).get((node, pred), ()):
                 body = bound + (atom,)
-                if pos + 1 < len(clause.body):
+                if pos + 1 < len(clause.steps):
                     stack.append((pos + 1, nbr, body))
                 elif nbr == db.arg2[head] and not (strict and any(b in targets and b not in free for b in body)):
                     grounds.append(tuple((b, -1) for b in body) + ((head, head_sign),))

@@ -11,7 +11,6 @@ from conftest import brute_force_simple_paths, ground_terms, random_chain_db
 import hlsl.clauses
 from hlsl.clauses import (
     GenerationConfig,
-    Literal,
     PathClause,
     RowKeys,
     StepGraph,
@@ -132,7 +131,7 @@ def test_variablize_inverted_step_regrounds():
     assert len(paths) == 1
     clause = variablize(next(iter(paths)), "T")
     assert format_clause(clause) == "P(V1,V2) & Q(V3,V2) -> T(V1,V3)"
-    assert clause.body[1].inverted
+    assert clause.steps[1] == ("Q", True)
     (terms,) = ground_terms(ground_clause(clause, db))
     atoms_used = {a for a, _ in terms}
     assert atoms_used == {0, 1, 2}
@@ -202,7 +201,7 @@ def test_twins_generated_before_filtering():
     bodies = {}
     for c in out:
         if not c.is_prior:
-            bodies.setdefault((c.body, c.head.predicate), set()).add(c.head_negated)
+            bodies.setdefault((c.steps, c.head), set()).add(c.negated)
     assert all(negs == {True, False} for negs in bodies.values())
 
 
@@ -210,7 +209,7 @@ def test_body_never_exceeds_max_depth():
     db = random_chain_db(7)
     for depth in (1, 2, 3):
         for c in generate_candidates(db, GenerationConfig(max_depth=depth, min_coverage=1)):
-            assert len(c.body) <= depth
+            assert len(c.steps) <= depth
 
 
 def test_no_target_edge_traversal_flag(citation_db):
@@ -237,7 +236,7 @@ def test_format_parse_round_trip(citation_db):
 
 def test_parse_clause_infers_inversion(citation_db):
     clause = parse_clause("Cites(V2,V1) & Mentions(V2,V3) -> Mentions(V1,V3)", citation_db)
-    assert clause.body[0].inverted and not clause.body[1].inverted
+    assert [inverted for _, inverted in clause.steps] == [True, False]
 
 
 def test_parse_clause_errors(citation_db):
@@ -265,7 +264,7 @@ def test_clause_file_round_trip(citation_db, tmp_path):
 
 def test_prior_shape():
     prior = negative_prior("T")
-    assert prior.is_prior and prior.head_negated
+    assert prior.is_prior and prior.negated
     assert format_clause(prior) == "-> !T(A,B)"
 
 
@@ -293,26 +292,25 @@ def reference_candidates(db, cfg):
         head = db.pred_names[db.pred[i]]
         for path in bfs_paths(db, i, cfg.max_depth, cfg.include_inverses, cfg.traverse_target_edges):
             clause = variablize(path, head)
-            key = (clause.body, head)
+            key = (clause.steps, head)
             unique.setdefault(key, clause)
             covered.setdefault(key, set()).add(i)
     out = []
     for key, clause in unique.items():
         cov = len(covered[key])
         if cov >= cfg.min_coverage:
-            out.append(PathClause(clause.body, clause.head, coverage=cov))
-            head = Literal(clause.head.predicate, clause.head.var1, clause.head.var2, negated=True)
-            out.append(PathClause(clause.body, head, coverage=cov))
+            out.append(PathClause(clause.head, clause.steps, coverage=cov))
+            out.append(PathClause(clause.head, clause.steps, negated=True, coverage=cov))
 
     def sort_key(c):
-        positive = PathClause(c.body, Literal(c.head.predicate, c.head.var1, c.head.var2))
-        return (-c.coverage, format_clause(positive), c.head_negated)
+        positive = PathClause(c.head, c.steps)
+        return (-c.coverage, format_clause(positive), c.negated)
 
     out = sorted(out, key=sort_key)[: cfg.top_k]
     if cfg.add_negative_priors:
         for pred in db.target_predicates():
             n = sum(1 for i in db.targets if db.pred_names[db.pred[i]] == pred.name)
-            out.append(PathClause((), Literal(pred.name, 1, 2, negated=True), coverage=n))
+            out.append(PathClause(pred.name, negated=True, coverage=n))
     return out
 
 

@@ -460,6 +460,36 @@ def test_neg_ratio_malformed_train_row(recovery_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "train, error",
+    [
+        # an unknown predicate before a value out of range
+        ("Foo\ta\tb\t1\nT\ta\tb\t1.5\nT\tb\ta\t0\n", "error:UnknownPredicate:Foo"),
+        # a repeated atom before a value out of range
+        ("T\ta\tb\t1\nT\ta\tb\t0\nT\tb\ta\t7\n", "error:DuplicateAtom:T(a,b)"),
+        # a repeated negative, which a draw may drop
+        ("T\ta\tb\t1\nT\tb\ta\t0\nT\tb\ta\t0\nT\tc\ta\t0\nT\ta\tc\t0\n", "error:DuplicateAtom:T(b,a)"),
+    ],
+    ids=["unknown-predicate", "duplicate", "dropped-duplicate"],
+)
+@pytest.mark.parametrize("ratio", ["0", "1", "2"])
+def test_neg_ratio_keeps_the_first_faulty_line(tmp_path, capsys, train, error, ratio):
+    # every train row is checked in file order before any negative is dropped
+    for name, text in [("schema", "R\tevidence\nT\ttarget\n"), ("observed", "R\ta\tb\n"), ("train", train),
+                       ("clauses", "R(V1,V2) -> T(V1,V2)\n")]:
+        (tmp_path / f"{name}.tsv").write_text(text)
+    model = tmp_path / "model.tsv"
+    for seed in range(6):
+        code = run(
+            "learn", "--schema", tmp_path / "schema.tsv", "--observed", tmp_path / "observed.tsv",
+            "--train", tmp_path / "train.tsv", "--clauses", tmp_path / "clauses.tsv",
+            "--neg-ratio", ratio, "--seed", seed, "--out", model,
+        )
+        assert code == 1
+        assert single_error(capsys) == error
+        assert not model.exists()
+
+
+@pytest.mark.parametrize(
     "predictions, labels",
     [
         ("T\ta\tb\n", "T\ta\tb\t1\n"),  # prediction without a score

@@ -1,5 +1,7 @@
 """Grounding: lazy instantiation, hinge penalties, the engine's incidence."""
 import itertools
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,31 +9,35 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dfs_ground_clause, ground_terms, grounding_of, random_chain_db
 
-from hlsl.clauses import GenerationConfig, generate_candidates, negative_prior, parse_clause
+from hlsl.clauses import (
+    GenerationConfig, PathClause, format_clause, generate_candidates, negative_prior, parse_clause,
+)
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency, round_value
 from hlsl.engine import Workspace
 from hlsl.grounding import ground_clause, ground_clauses
 
 
 def herbrand_groundings(clause, db, threshold=0.5):
-    """Oracle: try every constant tuple for the clause's chain variables."""
-    n_vars = len(clause.body) + 1
+    """Oracle: try every constant tuple for the variables the clause's text
+    names, so it reads the clause as written, not through its steps."""
+    body_text, head_text = format_clause(clause).split("->")
+    body = re.findall(r"(\w+)\((\w+),(\w+)\)", body_text)
+    ((head_pred, h1, h2),) = re.findall(r"(\w+)\((\w+),(\w+)\)", head_text)
+    names = sorted({v for _, v1, v2 in body for v in (v1, v2)} | {h1, h2})
+    targets = set(db.targets.tolist())
     out = []
-    for combo in itertools.product(range(len(db.constants)), repeat=n_vars):
+    for combo in itertools.product(range(len(db.constants)), repeat=len(names)):
+        bind = dict(zip(names, combo))
         atoms = []
-        ok = True
-        for lit in clause.body:
-            idx = db.find_atom(lit.predicate, combo[lit.var1 - 1], combo[lit.var2 - 1])
+        for pred, v1, v2 in body:
+            idx = db.find_atom(pred, bind[v1], bind[v2])
             if idx is None or round_value(db.values[idx], threshold) != 1:
-                ok = False
                 break
             atoms.append(idx)
-        if not ok:
-            continue
-        head = db.find_atom(clause.head.predicate, combo[0], combo[-1])
-        if head is None or head not in set(db.targets):
-            continue
-        out.append(tuple(atoms) + (head,))
+        else:
+            head = db.find_atom(head_pred, bind[h1], bind[h2])
+            if head is not None and head in targets:
+                out.append(tuple(atoms) + (head,))
     return sorted(out)
 
 
@@ -262,10 +268,9 @@ def test_threshold_value_is_an_edge_and_passes_the_gate():
 
 
 @st.composite
-def grounding_cases(draw):
-    """A small random database over a few constants (so substitutions
-    repeat constants), one random clause (inverted literals, depth 0-4,
-    negated or not), free atoms and strict mode."""
+def small_dbs(draw):
+    """A small random database over a few constants, so substitutions
+    repeat constants."""
     consts = ["c0", "c1", "c2"]
     db = AtomDatabase([
         PredicateSymbol("P"), PredicateSymbol("Q"),
@@ -277,7 +282,14 @@ def grounding_cases(draw):
     ))
     for pred, a, b in cells:
         db.add_atom(pred, a, b, draw(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0, 1.0])))
-    build_adjacency(db)
+    return build_adjacency(db)
+
+
+@st.composite
+def grounding_cases(draw):
+    """A small random database (`small_dbs`), one random clause (inverted
+    literals, depth 0-4, negated or not), free atoms and strict mode."""
+    db = draw(small_dbs())
     depth = draw(st.integers(0, 4))
     steps = draw(st.lists(st.tuples(st.sampled_from("PQTU"), st.booleans()), min_size=depth, max_size=depth))
     body = [f"{p}(V{k + 1},V{k})" if inv else f"{p}(V{k},V{k + 1})" for k, (p, inv) in enumerate(steps, 1)]
@@ -299,3 +311,40 @@ def test_ground_clause_matches_dfs_oracle(case):
     both = ground_clauses([negative_prior("T"), clause], db, free_atoms=free, strict=strict)
     assert ground_terms(both) == prior + ground_terms(got)
     assert both.g_clause.tolist() == [0] * len(prior) + [1] * len(got)
+
+
+# -- a clause is its chain: text, equality and grounding read one field -------
+
+chain_clauses = st.builds(
+    PathClause,
+    st.sampled_from("TU"),
+    st.lists(st.tuples(st.sampled_from("PQTU"), st.booleans()), min_size=1, max_size=4).map(tuple),
+    st.booleans(),
+)
+any_clauses = chain_clauses | st.builds(PathClause, st.sampled_from("TU"), negated=st.booleans())
+
+
+@st.composite
+def clause_pairs(draw):
+    """A random chain or prior, and a second clause: an independent one, a
+    copy with another coverage, or the first with one field changed."""
+    a = draw(any_clauses)
+    edits = [lambda: draw(any_clauses), lambda: replace(a, coverage=draw(st.integers(0, 9))),
+             lambda: replace(a, negated=not a.negated), lambda: replace(a, head="U" if a.head == "T" else "T")]
+    if a.steps:
+        k = draw(st.integers(0, len(a.steps) - 1))
+        flipped = a.steps[:k] + ((a.steps[k][0], not a.steps[k][1]),) + a.steps[k + 1:]
+        edits.append(lambda: replace(a, steps=flipped))
+    return a, draw(st.sampled_from(edits))()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_dbs(), clause_pairs())
+def test_a_clause_is_its_chain(db, pair):
+    a, b = pair
+    text = format_clause(a)
+    assert parse_clause(text, db) == a
+    assert (text == format_clause(b)) == (a == b and hash(a) == hash(b))
+    got = ground_terms(ground_clause(a, db))
+    assert sorted(tuple(atom for atom, _ in terms) for terms in got) == herbrand_groundings(a, db)
+    assert {terms[-1][1] for terms in got} <= {-1 if a.negated else 1}
