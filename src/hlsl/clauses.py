@@ -24,7 +24,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .data import AtomDatabase, PredicateSymbol, StepGraph
+from .data import PREDICATE_NAME, AtomDatabase, PredicateSymbol, StepGraph
 from .errors import MalformedLine, NoCandidates, UnknownPredicate
 
 # One step of a ground relational path: predicate name, whether the edge was
@@ -408,7 +408,7 @@ def generate_candidates(db: AtomDatabase, config: GenerationConfig) -> list[Path
 #   BODY1(V1,V2) & BODY2(V2,V3) -> [!]HEAD(V1,V3)
 #   -> !HEAD(A,B)                                  (negative prior)
 
-_LITERAL_RE = re.compile(r"^\s*(!?)\s*([A-Za-z_]\w*)\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)\s*$")
+_LITERAL_RE = re.compile(rf"^\s*(!?)\s*({PREDICATE_NAME})\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)\s*$")
 
 
 def format_clause(clause: PathClause) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .clauses import GenerationConfig, generate_candidates, read_clause_file, write_clause_file
-from .data import AtomDatabase, load_database, parse_schema, read_atom_columns, read_atom_file, read_text
+from .data import AtomDatabase, load_database, parse_schema, read_atom_columns, read_text
 from .data import round_value, rounds_to_one
 from .data import build_adjacency  # noqa: F401  (a patch point of perfbench/tracer.py)
 from .errors import DuplicateAtom, HlslError, MalformedLine, MissingPrediction, NoCandidates, NotATarget
@@ -225,7 +225,7 @@ def cmd_learn(
 def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
     _require(cfg, "schema", "observed", "test")
     paths = [cfg.observed] + ([cfg.train] if cfg.train else [])
-    test = read_atom_file(cfg.test)
+    test = read_atom_columns(cfg.test)
     db = load_database(cfg.schema, paths, cfg.generation.threshold, extra_rows=test)
     # the test atoms are the last ones added
     free = list(range(len(db.atoms) - len(test), len(db.atoms)))
@@ -243,7 +243,7 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
 
 def cmd_eval(predictions_path: str, labels_path: str, out_path: str) -> None:
     scores: dict[tuple[str, str, str], float] = {}
-    for line_no, pred, arg1, arg2, score in read_atom_file(predictions_path, default=None).rows():
+    for line_no, pred, arg1, arg2, score in read_atom_columns(predictions_path, default=None).rows():
         if score is None:
             raise MalformedLine(line_no, f"{predictions_path}: expected predicate, arg1, arg2, score")
         if not math.isfinite(score):
@@ -252,7 +252,7 @@ def cmd_eval(predictions_path: str, labels_path: str, out_path: str) -> None:
             raise DuplicateAtom(f"{pred}({arg1},{arg2})")
         scores[(pred, arg1, arg2)] = score
     labels: dict[tuple[str, str, str], int] = {}
-    for _, pred, arg1, arg2, value in read_atom_file(labels_path).rows():
+    for _, pred, arg1, arg2, value in read_atom_columns(labels_path).rows():
         if (pred, arg1, arg2) in labels:
             raise DuplicateAtom(f"{pred}({arg1},{arg2})")
         labels[(pred, arg1, arg2)] = round_value(value)

@@ -9,16 +9,18 @@ atoms as a `StepGraph`, one array of steps sorted by a single (source,
 label, destination) key; the step graph is the only index of the edges that
 is kept.
 
-Atom files are read whole by `read_atom_columns` into `AtomColumns`, which
-`AtomDatabase.add_columns` appends without a tuple per row. A file that a
-few whole-text checks prove plain (ASCII, no whitespace but tabs and
-newlines, one field count on every line, no empty field, every value a
-float) is split in one pass; any other file goes line by line through
-`read_atom_rows`, which owns every `MalformedLine` message.
+`AtomColumns` is the one in-memory form of atom-file rows. Atom files are
+read whole by `read_atom_columns` and appended by `AtomDatabase.add_columns`
+without a tuple per row. A file that a few whole-text checks prove plain
+(ASCII, no whitespace but tabs and newlines, one field count on every line,
+no empty field, every value a float) is split in one pass; any other file
+goes line by line through `read_atom_rows`, which owns every `MalformedLine`
+message and keeps the first as the columns' `error`, behind their rows.
 """
 from __future__ import annotations
 
 import io
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,12 +101,9 @@ class AtomDatabase:
 
     def add_atom(self, pred_name: str, arg1: str, arg2: str, value: float = 1.0) -> int:
         """Add one atom row and return its index."""
-        self.add_rows([(0, pred_name, arg1, arg2, value)])
+        self.add_columns(AtomColumns(np.zeros(1, dtype=np.int64), [pred_name], [arg1], [arg2],
+                                     np.full(1, value, dtype=np.float64), np.ones(1, dtype=bool)))
         return len(self.values) - 1
-
-    def add_rows(self, rows: Iterable[AtomRow]) -> None:
-        """Add atom rows in bulk; see `add_columns`."""
-        self.add_columns(AtomColumns.from_rows(rows))
 
     def add_columns(self, columns: AtomColumns) -> None:
         """Add atom rows in bulk, checked over whole arrays.
@@ -348,9 +347,13 @@ class StepGraph:
 
 # -- flat-file formats ----------------------------------------------------
 
+# a predicate name: the schema admits only names the clause grammar reads
+PREDICATE_NAME = r"[A-Za-z_]\w*"
+
 
 def parse_schema(stream: IO[str] | Iterable[str]) -> list[PredicateSymbol]:
-    """Read a schema file: one `name<TAB>target|evidence` entry per line."""
+    """Read a schema file: one `name<TAB>target|evidence` entry per line,
+    each name matching `PREDICATE_NAME`."""
     preds: list[PredicateSymbol] = []
     seen: set[str] = set()
     for line_no, raw in enumerate(stream, start=1):
@@ -361,6 +364,8 @@ def parse_schema(stream: IO[str] | Iterable[str]) -> list[PredicateSymbol]:
         if len(fields) != 2 or not fields[0].strip():
             raise MalformedLine(line_no, f"expected 'name<TAB>target|evidence', got {line!r}")
         name, role = fields[0].strip(), fields[1].strip()
+        if not re.fullmatch(PREDICATE_NAME, name):
+            raise MalformedLine(line_no, f"predicate name {name!r} does not match {PREDICATE_NAME}")
         if role not in ("target", "evidence"):
             raise MalformedLine(line_no, f"role must be 'target' or 'evidence', got {role!r}")
         if name in seen:
@@ -370,44 +375,51 @@ def parse_schema(stream: IO[str] | Iterable[str]) -> list[PredicateSymbol]:
     return preds
 
 
-# One validated atom line: (line number, predicate, arg1, arg2, value).
-AtomRow = tuple[int, str, str, str, float | None]
-
-
 def read_atom_rows(
     stream: IO[str] | Iterable[str], source: str = "", default: float | None = 1.0
-) -> Iterator[AtomRow]:
-    """Validate and split `predicate<TAB>arg1<TAB>arg2[<TAB>value]` lines.
+) -> AtomColumns:
+    """Validate and split `predicate<TAB>arg1<TAB>arg2[<TAB>value]` lines
+    into columns.
 
     Blank lines are skipped. Every other line must have three or four
     tab-separated fields, none of the first three empty after stripping, and
-    a fourth field must parse as a number; anything else raises
-    `MalformedLine` naming `source` and the line. A missing value column
-    reads as `default`. Value ranges are the caller's to check.
+    a fourth field must parse as a number; the first line that breaks this
+    ends the columns, and its `MalformedLine`, naming `source` and the line,
+    is kept as their `error`. A missing value column reads as `default`.
+    Value ranges are the caller's to check.
 
     This is the per-line reader: `read_atom_columns` sends it every file
     its whole-text checks cannot prove plain, so its messages are the only
     `MalformedLine`s an atom file gives.
     """
     where = f"{source}: " if source else ""
-    for line_no, raw in enumerate(stream, start=1):
-        if not raw.strip():
-            continue
-        fields = raw.rstrip("\n").split("\t")
-        if len(fields) == 4:
-            pred, arg1, arg2, text = fields
-            try:
-                value = float(text)
-            except ValueError:
-                raise MalformedLine(line_no, f"{where}bad value {text!r}") from None
-        elif len(fields) == 3:
-            (pred, arg1, arg2), value = fields, default
-        else:
-            raise MalformedLine(line_no, f"{where}expected 3 or 4 tab-separated fields, got {len(fields)}")
-        pred, arg1, arg2 = pred.strip(), arg1.strip(), arg2.strip()
-        if not (pred and arg1 and arg2):
-            raise MalformedLine(line_no, f"{where}empty field")
-        yield line_no, pred, arg1, arg2, value
+    rows: list[tuple[int, str, str, str, float | None]] = []
+    error = None
+    try:
+        for line_no, raw in enumerate(stream, start=1):
+            if not raw.strip():
+                continue
+            fields = raw.rstrip("\n").split("\t")
+            if len(fields) == 4:
+                pred, arg1, arg2, text = fields
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise MalformedLine(line_no, f"{where}bad value {text!r}") from None
+            elif len(fields) == 3:
+                (pred, arg1, arg2), value = fields, default
+            else:
+                raise MalformedLine(line_no, f"{where}expected 3 or 4 tab-separated fields, got {len(fields)}")
+            pred, arg1, arg2 = pred.strip(), arg1.strip(), arg2.strip()
+            if not (pred and arg1 and arg2):
+                raise MalformedLine(line_no, f"{where}empty field")
+            rows.append((line_no, pred, arg1, arg2, value))
+    except MalformedLine as exc:
+        error = exc
+    line_no, pred, arg1, arg2, value = zip(*rows) if rows else ((),) * 5
+    has_value = np.array([v is not None for v in value], dtype=bool)
+    return AtomColumns(np.array(line_no, dtype=np.int64), pred, arg1, arg2,
+                       np.array(value, dtype=np.float64), has_value, error)
 
 
 @dataclass
@@ -429,32 +441,20 @@ class AtomColumns:
     def __len__(self) -> int:
         return len(self.pred)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[AtomRow]) -> AtomColumns:
-        """The columns of `rows`, up to the first `MalformedLine` that
-        reading them raises, which is kept as `error`."""
-        batch: list[AtomRow] = []
-        error = None
-        try:
-            batch.extend(rows)
-        except MalformedLine as exc:
-            error = exc
-        line_no, pred, arg1, arg2, value = zip(*batch) if batch else ((),) * 5
-        return cls(
-            np.array(line_no, dtype=np.int64), pred, arg1, arg2,
-            np.array(value, dtype=np.float64), np.array([v is not None for v in value], dtype=bool), error,
-        )
-
     def take(self, rows: np.ndarray) -> AtomColumns:
         """The rows at the indices `rows`, in that order."""
         pick = lambda column: [column[i] for i in rows.tolist()]  # noqa: E731
         return AtomColumns(self.line_no[rows], pick(self.pred), pick(self.arg1), pick(self.arg2),
                            self.values[rows], self.has_value[rows])
 
-    def rows(self) -> Iterator[AtomRow]:
-        """The rows as `read_atom_rows` yields them."""
+    def rows(self) -> Iterator[tuple[int, str, str, str, float | None]]:
+        """The rows as (line number, predicate, arg1, arg2, value or None),
+        then `error`, if any, raised: a caller that checks each row reports
+        the first faulty line."""
         values = [v if has else None for v, has in zip(self.values.tolist(), self.has_value.tolist())]
-        return zip(self.line_no.tolist(), self.pred, self.arg1, self.arg2, values)
+        yield from zip(self.line_no.tolist(), self.pred, self.arg1, self.arg2, values)
+        if self.error is not None:
+            raise self.error
 
 
 # the ASCII whitespace that `str.strip` or universal newlines act on, but
@@ -508,7 +508,7 @@ def read_atom_columns(path: str, default: float | None = 1.0) -> AtomColumns:
         data = fh.read()
     columns = _split_plain(data, default)
     if columns is None:
-        columns = AtomColumns.from_rows(read_atom_rows(_decoded(data), path, default))
+        columns = read_atom_rows(_decoded(data), path, default)
     return columns
 
 
@@ -526,15 +526,6 @@ def read_text(path: str) -> io.StringIO:
         return _decoded(fh.read())
 
 
-def read_atom_file(path: str, default: float | None = 1.0) -> AtomColumns:
-    """All rows of one atom file (`read_atom_columns`); a malformed line
-    raises."""
-    columns = read_atom_columns(path, default)
-    if columns.error is not None:
-        raise columns.error
-    return columns
-
-
 def parse_tsv(stream: IO[str] | Iterable[str], schema: Iterable[PredicateSymbol]) -> AtomDatabase:
     """Read ground atoms from `predicate<TAB>arg1<TAB>arg2[<TAB>value]` lines.
 
@@ -543,7 +534,7 @@ def parse_tsv(stream: IO[str] | Iterable[str], schema: Iterable[PredicateSymbol]
     immediately.
     """
     db = AtomDatabase(schema)
-    db.add_rows(read_atom_rows(stream))
+    db.add_columns(read_atom_rows(stream))
     return db
 
 
@@ -567,18 +558,18 @@ def load_database(
     schema_path: str,
     atom_paths: Iterable[str],
     threshold: float = DEFAULT_ROUND_THRESHOLD,
-    extra_rows: AtomColumns | Iterable[AtomRow] = (),
+    extra_rows: AtomColumns | None = None,
 ) -> AtomDatabase:
     """Convenience loader: schema file plus one or more atom TSV files.
 
-    Each file is read by `read_atom_columns`. `extra_rows` are added after
-    the files and before `build_adjacency`, so the edges are found once.
+    Each file is read by `read_atom_columns` and added in order, then
+    `extra_rows`, if given, before `build_adjacency`, so the edges are found
+    once. The first faulty row of them all raises; a file's malformed line
+    (its columns' `error`) counts as the row after its last.
     """
     db = AtomDatabase(parse_schema(read_text(schema_path)))
     for path in atom_paths:
         db.add_columns(read_atom_columns(path))
-    if isinstance(extra_rows, AtomColumns):
+    if extra_rows is not None:
         db.add_columns(extra_rows)
-    else:
-        db.add_rows(extra_rows)
     return build_adjacency(db, threshold)

@@ -197,7 +197,8 @@ def test_learn_ppll_single_clause_matches_learn_weights(recovery_dir, tmp_path):
         str(recovery_dir / "schema.tsv"),
         [str(recovery_dir / "observed.tsv"), str(recovery_dir / "train.tsv")],
     )
-    cli_model = read_model(model_path.open(), db)
+    with model_path.open() as fh:
+        cli_model = read_model(fh, db)
     with clauses_path.open() as fh:
         (clause,) = read_clause_file(fh, db)
     grounding = ground_clauses([clause], db)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import random_chain_db
 
 from hlsl.data import (
+    AtomColumns,
     AtomDatabase,
     PredicateSymbol,
     StepGraph,
@@ -20,7 +21,7 @@ from hlsl.data import (
     load_database,
     parse_schema,
     parse_tsv,
-    read_atom_file,
+    read_atom_columns,
     read_atom_rows,
     round_value,
     serialize_tsv,
@@ -312,9 +313,14 @@ def test_bulk_rows_match_one_at_a_time(rows, cut):
     db = AtomDatabase(SCHEMA)
     numbered = [(k, *row) for k, row in enumerate(rows, start=1)]
 
+    def batch(part):
+        line_no, pred, arg1, arg2, value = zip(*part) if part else ((),) * 5
+        return AtomColumns(np.array(line_no, dtype=np.int64), pred, arg1, arg2,
+                           np.array(value, dtype=np.float64), np.ones(len(part), dtype=bool))
+
     def load():
-        db.add_rows(numbered[:cut])
-        db.add_rows(numbered[cut:])
+        db.add_columns(batch(numbered[:cut]))
+        db.add_columns(batch(numbered[cut:]))
 
     if error is None:
         load()
@@ -418,27 +424,27 @@ def outcome(load):
 
 def per_line_load(schema, paths, extra):
     """The per-line path: `read_atom_rows` over each opened file, added
-    file by file; the extra file is read first, as `infer` reads `--test`."""
-    with open(extra, encoding="utf-8") as fh:
-        rows = list(read_atom_rows(fh, extra))
+    file by file, the extra file last, as `infer` adds `--test`."""
     db = AtomDatabase(parse_schema(io.StringIO(schema)))
-    for path in paths:
+    for path in [*paths, extra]:
         with open(path, encoding="utf-8") as fh:
-            db.add_rows(read_atom_rows(fh, path))
-    db.add_rows(rows)
+            db.add_columns(read_atom_rows(fh, path))
     return build_adjacency(db)
 
 
+def as_lists(columns):
+    """The rows of `columns` with their line numbers, `has_value`, the bits
+    of the values, and the error's type and message (or None)."""
+    rows = list(zip(columns.line_no.tolist(), columns.pred, columns.arg1, columns.arg2))
+    error = columns.error and (type(columns.error), str(columns.error))
+    return rows, columns.has_value.tolist(), columns.values.view(np.int64).tolist(), error
+
+
 def row_columns(path, default):
-    """`read_atom_rows` over the opened file, as columns, or the exception
-    it raises."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            rows = list(read_atom_rows(fh, path, default))
-    except MalformedLine as exc:
-        return type(exc), str(exc)
-    values = np.array([float("nan") if row[4] is None else row[4] for row in rows])
-    return [row[:4] for row in rows], [row[4] is not None for row in rows], values.view(np.int64).tolist()
+    """`read_atom_rows` over the opened file, as `as_lists`; the rows stop
+    at the line in `columns.error`."""
+    with open(path, encoding="utf-8") as fh:
+        return as_lists(read_atom_rows(fh, path, default))
 
 
 @settings(max_examples=300, deadline=None)
@@ -466,16 +472,9 @@ def check_readers_agree(d, files, default):
     for path, (text, plain) in zip(paths, files):
         if plain:  # the one-pass split takes every plain file
             assert _split_plain(text.encode("ascii"), default) is not None
-        got = row_columns(path, default)
-        try:
-            columns = read_atom_file(path, default)
-        except MalformedLine as exc:
-            assert (type(exc), str(exc)) == got
-            continue
-        rows = list(zip(columns.line_no.tolist(), columns.pred, columns.arg1, columns.arg2))
-        assert (rows, columns.has_value.tolist(), columns.values.view(np.int64).tolist()) == got
+        assert as_lists(read_atom_columns(path, default)) == row_columns(path, default)
 
     schema = str(d / "schema.tsv")
     for some in (loaded[:1], loaded):
         expected = outcome(lambda: per_line_load(ATOM_SCHEMA, some, extra))
-        assert outcome(lambda: load_database(schema, some, extra_rows=read_atom_file(extra))) == expected
+        assert outcome(lambda: load_database(schema, some, extra_rows=read_atom_columns(extra))) == expected

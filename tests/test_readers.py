@@ -3,7 +3,9 @@ exactly one `error:<Code>:` line on stderr.
 
 The readers are the schema and the `--observed`, `--train`, `--test`,
 `--labels` and `--predictions` files. `infer` reads the first four and
-`eval` the last two.
+`eval` the last two. In every atom file, and across the files in the order
+a command reads them, the first faulty line wins: a malformed line is
+reported only when no row before it is faulty.
 """
 import contextlib
 import io
@@ -55,11 +57,13 @@ def run_readers(files: dict[str, str]) -> list[tuple[int, str]]:
 # One fault appended to one valid file, and the error line it gives; the
 # loader lines are those of the per-row loader the bulk loader replaced, and
 # a repeated atom in `--labels` or `--predictions` is a `DuplicateAtom` as in
-# the loaders.
+# the loaders. An append of two faults, the second a malformed line, gives
+# the first.
 SINGLE_FAULTS = [
     ('schema', 'U\n', "error:MalformedLine:line 4: expected 'name<TAB>target|evidence', got 'U'"),
     ('schema', 'U\tsometimes\n', "error:MalformedLine:line 4: role must be 'target' or 'evidence', got 'sometimes'"),
     ('schema', 'R\ttarget\n', "error:MalformedLine:line 4: duplicate predicate 'R'"),
+    ('schema', 'has-part\tevidence\n', "error:MalformedLine:line 4: predicate name 'has-part' does not match [A-Za-z_]\\w*"),
     ('observed', 'R\tx\n', 'error:MalformedLine:line 3: {d}/observed.tsv: expected 3 or 4 tab-separated fields, got 2'),
     ('observed', 'R\tx\ty\t1\t2\n', 'error:MalformedLine:line 3: {d}/observed.tsv: expected 3 or 4 tab-separated fields, got 5'),
     ('observed', 'R\t\ty\n', 'error:MalformedLine:line 3: {d}/observed.tsv: empty field'),
@@ -71,11 +75,13 @@ SINGLE_FAULTS = [
     ('observed', 'R\tx\ty\t-0.1\n', 'error:ValueOutOfRange:R(x,y) = -0.1'),
     ('observed', 'R\ta\tb\t0.5\n', 'error:DuplicateAtom:R(a,b)'),
     ('observed', 'X\tx\ty\n', 'error:UnknownPredicate:X'),
+    ('observed', 'X\tx\ty\nR\tx\n', 'error:UnknownPredicate:X'),
     ('train', 'R\ta\tb\n', 'error:DuplicateAtom:R(a,b)'),
     ('train', 'T\ta\tc\t0.5\n', 'error:DuplicateAtom:T(a,c)'),
     ('train', 'T\tx\ty\tnan\n', 'error:ValueOutOfRange:T(x,y) = nan'),
     ('train', 'T\tx\n', 'error:MalformedLine:line 3: {d}/train.tsv: expected 3 or 4 tab-separated fields, got 2'),
     ('train', 'X\tx\ty\n', 'error:UnknownPredicate:X'),
+    ('train', 'X\tx\ty\nT\tx\n', 'error:UnknownPredicate:X'),
     ('train', 'T\tx\ty\t-inf\n', 'error:ValueOutOfRange:T(x,y) = -inf'),
     ('test', 'T\ta\tc\n', 'error:DuplicateAtom:T(a,c)'),
     ('test', 'T\ta\tb\t0\n', 'error:DuplicateAtom:T(a,b)'),
@@ -83,10 +89,12 @@ SINGLE_FAULTS = [
     ('test', 'T\tx\n', 'error:MalformedLine:line 3: {d}/test.tsv: expected 3 or 4 tab-separated fields, got 2'),
     ('test', 'T\tx\ty\t1\t2\n', 'error:MalformedLine:line 3: {d}/test.tsv: expected 3 or 4 tab-separated fields, got 5'),
     ('test', 'X\tx\ty\n', 'error:UnknownPredicate:X'),
+    ('test', 'X\tx\ty\nT\tx\n', 'error:UnknownPredicate:X'),
     ('test', 'T\t \ty\n', 'error:MalformedLine:line 3: {d}/test.tsv: empty field'),
     ('labels', 'T\tx\n', 'error:MalformedLine:line 3: {d}/labels.tsv: expected 3 or 4 tab-separated fields, got 2'),
     ('labels', 'T\tx\ty\tnan\n', 'error:ValueOutOfRange:value nan outside [0, 1]'),
     ('labels', 'T\tx\ty\t2\n', 'error:ValueOutOfRange:value 2.0 outside [0, 1]'),
+    ('labels', 'T\tx\ty\t2\nT\tx\n', 'error:ValueOutOfRange:value 2.0 outside [0, 1]'),
     ('labels', 'T\tx\ty\t\n', "error:MalformedLine:line 3: {d}/labels.tsv: bad value ''"),
     ('labels', 'T\ta\tb\t0\n', 'error:DuplicateAtom:T(a,b)'),
     ('predictions', 'T\tx\ty\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: expected predicate, arg1, arg2, score'),
@@ -95,6 +103,7 @@ SINGLE_FAULTS = [
     ('predictions', 'T\tx\ty\t1\t2\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: expected 3 or 4 tab-separated fields, got 5'),
     ('predictions', 'T\t\ty\t0.5\n', 'error:MalformedLine:line 3: {d}/predictions.tsv: empty field'),
     ('predictions', 'T\tc\ta\t0.9\n', 'error:DuplicateAtom:T(c,a)'),
+    ('predictions', 'T\tc\ta\t0.9\nT\tx\n', 'error:DuplicateAtom:T(c,a)'),
 ]
 
 
@@ -103,6 +112,13 @@ def test_single_fault_error_line(name, line, expected):
     infer, evaluate = run_readers({name: BASE[name] + line})
     code, err = evaluate if name in ("labels", "predictions") else infer
     assert (code, err) == (1, expected + "\n")
+
+
+def test_first_faulty_line_wins_across_files():
+    # `infer` reads `--observed` before `--test`, so the repeat in the one
+    # wins over the malformed line in the other
+    infer, _ = run_readers({"observed": BASE["observed"] + "R\ta\tb\t0.5\n", "test": BASE["test"] + "T\tx\n"})
+    assert infer == (1, "error:DuplicateAtom:R(a,b)\n")
 
 
 def run_command(command: str, files: dict[str, str | bytes]) -> tuple[int, str]:
