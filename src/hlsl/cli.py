@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .clauses import GenerationConfig, generate_candidates, read_clause_file, write_clause_file
-from .data import AtomDatabase, load_database, parse_schema, read_atom_columns, read_text
+from .data import AtomColumns, AtomDatabase, load_database, parse_schema, read_atom_columns, read_text
 from .data import round_value, rounds_to_one
 from .data import build_adjacency  # noqa: F401  (a patch point of perfbench/tracer.py)
 from .errors import DuplicateAtom, HlslError, MalformedLine, MissingPrediction, NoCandidates, NotATarget
@@ -175,7 +175,7 @@ def _load_train_db(cfg: RunConfig) -> AtomDatabase:
     keep_n = len(neg) if wanted >= len(neg) else int(round(wanted))
     kept = neg[np.sort(np.random.default_rng(cfg.seed).choice(len(neg), keep_n, replace=False))]
     order = np.concatenate([np.flatnonzero(~target), np.flatnonzero(target & positive), kept])
-    return load_database(cfg.schema, [cfg.observed], threshold, extra_rows=train.take(order))
+    return load_database(cfg.schema, [cfg.observed], threshold, extra_rows=lambda: train.take(order))
 
 
 def cmd_generate(cfg: RunConfig, out_path: str) -> None:
@@ -225,10 +225,17 @@ def cmd_learn(
 def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
     _require(cfg, "schema", "observed", "test")
     paths = [cfg.observed] + ([cfg.train] if cfg.train else [])
-    test = read_atom_columns(cfg.test)
-    db = load_database(cfg.schema, paths, cfg.generation.threshold, extra_rows=test)
+    test: list[AtomColumns] = []
+
+    def read_test() -> AtomColumns:
+        # read in command order, after the schema and the other atom files,
+        # so that a fault of theirs wins over any of this file
+        test.append(read_atom_columns(cfg.test))
+        return test[0]
+
+    db = load_database(cfg.schema, paths, cfg.generation.threshold, extra_rows=read_test)
     # the test atoms are the last ones added
-    free = list(range(len(db.atoms) - len(test), len(db.atoms)))
+    free = list(range(len(db.atoms) - len(test[0]), len(db.atoms)))
     stray = [db.atom_str(free[i]) for i in np.flatnonzero(~db.target_mask()[free])]
     if stray:
         raise NotATarget(f"{cfg.test}: atoms not of a target predicate: {len(stray)}, the first {stray[0]}")

@@ -9,19 +9,23 @@ atoms as a `StepGraph`, one array of steps sorted by a single (source,
 label, destination) key; the step graph is the only index of the edges that
 is kept.
 
-`AtomColumns` is the one in-memory form of atom-file rows. Atom files are
-read whole by `read_atom_columns` and appended by `AtomDatabase.add_columns`
-without a tuple per row. A file that a few whole-text checks prove plain
-(ASCII, no whitespace but tabs and newlines, one field count on every line,
-no empty field, every value a float) is split in one pass; any other file
-goes line by line through `read_atom_rows`, which owns every `MalformedLine`
-message and keeps the first as the columns' `error`, behind their rows.
+`AtomColumns` is the one in-memory form of atom-file rows: integer codes
+into a per-file table of predicate names and one of constants. Atom files
+are read whole by `read_atom_columns` and appended by
+`AtomDatabase.add_columns`, which maps only the tables' names to database
+ids. A file that a few whole-array checks prove plain (ASCII, no NUL and no
+whitespace but tabs and newlines, one field count on every line, no empty
+field, every value a float) is coded from its bytes in numpy, with no
+Python string per field; any other file goes line by line through
+`read_atom_rows`, which owns every `MalformedLine` message and keeps the
+first as the columns' `error`, behind their rows.
 """
 from __future__ import annotations
 
 import io
+import operator
 import re
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -101,8 +105,8 @@ class AtomDatabase:
 
     def add_atom(self, pred_name: str, arg1: str, arg2: str, value: float = 1.0) -> int:
         """Add one atom row and return its index."""
-        self.add_columns(AtomColumns(np.zeros(1, dtype=np.int64), [pred_name], [arg1], [arg2],
-                                     np.full(1, value, dtype=np.float64), np.ones(1, dtype=bool)))
+        self.add_columns(AtomColumns.from_names(np.zeros(1, dtype=np.int64), [pred_name], [arg1], [arg2],
+                                                np.full(1, value, dtype=np.float64), np.ones(1, dtype=bool)))
         return len(self.values) - 1
 
     def add_columns(self, columns: AtomColumns) -> None:
@@ -121,22 +125,31 @@ class AtomDatabase:
             raise columns.error
 
     def _append(self, columns: AtomColumns) -> None:
+        """Add the rows before the first faulty one and raise that row's
+        error (see `add_columns`). Only the columns' name tables are mapped
+        to ids, with a loop over their names; the rows take their ids by
+        indexing. Constants are interned in the order the rows before the
+        first unknown predicate or bad value first use them, which is the
+        order of the columns' table."""
         n = len(columns)
         if not n:
             return
-        preds, args1, args2, value = columns.pred, columns.arg1, columns.arg2, columns.values
-        pred = np.fromiter(map(self.pred_ids.get, preds, repeat(-1)), dtype=np.int64, count=n)
+        value = columns.values
+        pred_ids = np.array([self.pred_ids.get(name, -1) for name in columns.pred_names], dtype=np.int64)
+        pred = pred_ids[columns.pred]
         faulty = np.flatnonzero((pred < 0) | ~((value >= 0.0) & (value <= 1.0)))
         valid = int(faulty[0]) if len(faulty) else n  # rows[:valid] have known ids and values
 
-        names = [""] * (2 * valid)  # arg1 before arg2, row by row
-        names[0::2], names[1::2] = args1[:valid], args2[:valid]
-        ids = self._const_ids
-        new = [name for name in dict.fromkeys(names) if name not in ids]
+        # the table lists the constants in order of first appearance, so
+        # rows[:valid] use exactly its first `used` names
+        codes1, codes2 = columns.arg1[:valid], columns.arg2[:valid]
+        used = max(int(codes1.max()), int(codes2.max())) + 1 if valid else 0
+        names, ids = columns.constants[:used], self._const_ids
+        new = [name for name in names if name not in ids]
         ids.update(zip(new, range(len(self.constants), len(self.constants) + len(new))))
         self.constants.extend(new)
-        flat = np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names))
-        arg1, arg2 = flat[0::2], flat[1::2]
+        code = np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=used)
+        arg1, arg2 = code[codes1], code[codes2]
 
         old = len(self.values)
         self.pred = np.concatenate([self.pred, pred[:valid]])
@@ -157,11 +170,12 @@ class AtomDatabase:
         self.targets = np.concatenate([self.targets, old + np.flatnonzero(self.is_target_pred[pred[:stop]])])
 
         if stop < n:
-            atom = f"{preds[stop]}({args1[stop]},{args2[stop]})"
+            name, consts = columns.pred_names[columns.pred[stop]], columns.constants
+            atom = f"{name}({consts[columns.arg1[stop]]},{consts[columns.arg2[stop]]})"
             if stop < valid:
                 raise DuplicateAtom(atom)
             if pred[stop] < 0:
-                raise UnknownPredicate(preds[stop])
+                raise UnknownPredicate(name)
             raise ValueOutOfRange(f"{atom} = {float(value[stop])}")
 
     # -- lookups ----------------------------------------------------------
@@ -393,113 +407,215 @@ def read_atom_rows(
     `MalformedLine`s an atom file gives.
     """
     where = f"{source}: " if source else ""
-    rows: list[tuple[int, str, str, str, float | None]] = []
+    rows: list[int | str | float | None] = []  # (line_no, pred, arg1, arg2, value) per row, flat
     error = None
     try:
+        # a blank line fails one of the checks below, so it is looked for
+        # only there; a line's final newline is whitespace to `float` and
+        # `strip` alike
         for line_no, raw in enumerate(stream, start=1):
-            if not raw.strip():
-                continue
-            fields = raw.rstrip("\n").split("\t")
+            fields = raw.split("\t")
             if len(fields) == 4:
                 pred, arg1, arg2, text = fields
                 try:
                     value = float(text)
                 except ValueError:
+                    if not raw.strip():
+                        continue
+                    text = text.rstrip("\n")
                     raise MalformedLine(line_no, f"{where}bad value {text!r}") from None
             elif len(fields) == 3:
                 (pred, arg1, arg2), value = fields, default
+            elif not raw.strip():
+                continue
             else:
                 raise MalformedLine(line_no, f"{where}expected 3 or 4 tab-separated fields, got {len(fields)}")
             pred, arg1, arg2 = pred.strip(), arg1.strip(), arg2.strip()
             if not (pred and arg1 and arg2):
+                if not raw.strip():
+                    continue
                 raise MalformedLine(line_no, f"{where}empty field")
-            rows.append((line_no, pred, arg1, arg2, value))
+            rows += (line_no, pred, arg1, arg2, value)
     except MalformedLine as exc:
         error = exc
-    line_no, pred, arg1, arg2, value = zip(*rows) if rows else ((),) * 5
-    has_value = np.array([v is not None for v in value], dtype=bool)
-    return AtomColumns(np.array(line_no, dtype=np.int64), pred, arg1, arg2,
-                       np.array(value, dtype=np.float64), has_value, error)
+    line_no, pred, arg1, arg2, value = (rows[k::5] for k in range(5))
+    has_value = np.fromiter(map(operator.is_not, value, repeat(None)), dtype=bool, count=len(value))
+    return AtomColumns.from_names(np.array(line_no, dtype=np.int64), pred, arg1, arg2,
+                                  np.array(value, dtype=np.float64), has_value, error)
 
 
 @dataclass
 class AtomColumns:
-    """Atom rows as columns: row i is `pred[i](arg1[i], arg2[i])` with value
+    """Atom rows as columns of codes into name tables: row i is
+    `pred_names[pred[i]](constants[arg1[i]], constants[arg2[i]])` with value
     `values[i]`, read from line `line_no[i]`. A line without a value column
-    reads as the reader's default; where that default is None, `has_value[i]`
-    is False and `values[i]` NaN. `error` is the `MalformedLine` that ended
-    the rows early, if any."""
+    reads as the reader's default; where that default is None,
+    `has_value[i]` is False and `values[i]` NaN. `error` is the
+    `MalformedLine` that ended the rows early, if any.
+
+    `constants` lists the argument names in order of first appearance over
+    the rows, row by row and arg1 before arg2, so that the rows up to any
+    row use a prefix of it; `AtomDatabase` interns constants in that
+    order. Every reader codes `pred_names` in the same order."""
 
     line_no: np.ndarray
-    pred: Sequence[str]
-    arg1: Sequence[str]
-    arg2: Sequence[str]
+    pred: np.ndarray
+    arg1: np.ndarray
+    arg2: np.ndarray
     values: np.ndarray
     has_value: np.ndarray
+    pred_names: list[str]
+    constants: list[str]
     error: MalformedLine | None = None
+
+    @classmethod
+    def from_names(
+        cls, line_no: np.ndarray, pred: Sequence[str], arg1: Sequence[str], arg2: Sequence[str],
+        values: np.ndarray, has_value: np.ndarray, error: MalformedLine | None = None,
+    ) -> AtomColumns:
+        """The columns of rows given by their names."""
+        args = [""] * (2 * len(arg1))
+        args[0::2], args[1::2] = arg1, arg2
+        (pred, pred_names), (args, constants) = _intern(pred), _intern(args)
+        return cls(line_no, pred, args[0::2], args[1::2], values, has_value, pred_names, constants, error)
 
     def __len__(self) -> int:
         return len(self.pred)
 
     def take(self, rows: np.ndarray) -> AtomColumns:
-        """The rows at the indices `rows`, in that order."""
-        pick = lambda column: [column[i] for i in rows.tolist()]  # noqa: E731
-        return AtomColumns(self.line_no[rows], pick(self.pred), pick(self.arg1), pick(self.arg2),
-                           self.values[rows], self.has_value[rows])
+        """The rows at the indices `rows`, in that order, with tables of
+        their own."""
+        pick = lambda codes, table: [table[k] for k in codes[rows].tolist()]  # noqa: E731
+        return AtomColumns.from_names(
+            self.line_no[rows], pick(self.pred, self.pred_names), pick(self.arg1, self.constants),
+            pick(self.arg2, self.constants), self.values[rows], self.has_value[rows],
+        )
 
     def rows(self) -> Iterator[tuple[int, str, str, str, float | None]]:
         """The rows as (line number, predicate, arg1, arg2, value or None),
         then `error`, if any, raised: a caller that checks each row reports
         the first faulty line."""
+        preds, consts = self.pred_names.__getitem__, self.constants.__getitem__
         values = [v if has else None for v, has in zip(self.values.tolist(), self.has_value.tolist())]
-        yield from zip(self.line_no.tolist(), self.pred, self.arg1, self.arg2, values)
+        yield from zip(self.line_no.tolist(), map(preds, self.pred.tolist()), map(consts, self.arg1.tolist()),
+                       map(consts, self.arg2.tolist()), values)
         if self.error is not None:
             raise self.error
 
 
-# the ASCII whitespace that `str.strip` or universal newlines act on, but
-# for tab and newline: a file holding any of it is not split whole
-_UNPLAIN = [b"\x0b", b"\x0c", b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b" "]
+def _intern(names: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """Code names in order of first appearance: (codes, table)."""
+    ids = {name: k for k, name in enumerate(dict.fromkeys(names))}
+    return np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names)), list(ids)
+
+
+def _first_codes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Code equal keys in order of first appearance: (codes, first), where
+    `first[c]` is the index of code c's first key."""
+    if not len(key):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    order = np.argsort(key)
+    ranked = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    runs = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, runs)  # of each run of equal keys
+    by_first = np.argsort(first)
+    run_code = np.empty(len(first), dtype=np.int64)
+    run_code[by_first] = np.arange(len(first))
+    codes = np.empty(len(key), dtype=np.int64)
+    codes[order] = np.repeat(run_code, np.diff(runs, append=len(key)))
+    return codes, first[by_first]
+
+
+# byte masks keeping the first r bytes of a little-endian word, by r
+_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+
+
+def _token_codes(words: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_first_codes` of the byte tokens [start[i], end[i]), read as
+    zero-padded 8-byte words through `words` (word j holds bytes j to
+    j + 7). Tokens of equal length and bytes, and only those, read as
+    equal words, because the text holds no NUL byte; a token longer than 8
+    bytes takes one word per 8, its codes refined word by word."""
+    length = end - start
+    codes = first = None
+    for k in range(max(1, -(-int(length.max(initial=0)) // 8))):
+        word = words[start + 8 * k] & _MASKS.take(np.clip(length - 8 * k, 0, 8))
+        if codes is not None:  # tell apart the tokens equal so far by this word
+            word_codes, _ = _first_codes(word)
+            word = codes * (int(word_codes.max()) + 1) + word_codes
+        codes, first = _first_codes(word)
+    return codes, first
+
+
+# bytes a file must not hold to be read whole: the ASCII whitespace that
+# `str.strip` or universal newlines act on, but for tab and newline, and NUL,
+# which a token's zero padding could not tell from its end
+_UNPLAIN = [b"\x00", b"\x0b", b"\x0c", b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b" "]
 
 
 def _split_plain(data: bytes, default: float | None) -> AtomColumns | None:
-    """The columns of an atom file's bytes in one pass, or None unless the
-    text is plain: ASCII without `_UNPLAIN` bytes, the same number of tabs
-    (2 or 3) on every non-empty line, no empty field and every value a
-    float. Plain text reads exactly as `read_atom_rows` reads it,
-    error-free."""
+    """The columns of an atom file's bytes, coded without a Python string
+    per field, or None unless the text is plain: ASCII without `_UNPLAIN`
+    bytes, the same number of tabs (2 or 3) on every non-empty line, no
+    empty field and every value a float. Plain text reads exactly as
+    `read_atom_rows` reads it, error-free.
+
+    One scan for tabs and newlines gives every field's bounds; each column's
+    tokens are coded in order of first appearance by `_token_codes`, and
+    only the distinct names and values are decoded."""
     if not data.isascii() or any(byte in data for byte in _UNPLAIN):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.append(np.flatnonzero(buf == 0x0A), len(buf))
-    filled = np.diff(ends, prepend=-1) > 1  # line i spans (ends[i - 1], ends[i])
-    tabs = np.diff(np.searchsorted(np.flatnonzero(buf == 0x09), ends), prepend=0)[filled]
-    width = int(tabs[0]) + 1 if len(tabs) else 3
-    if width not in (3, 4) or np.any(tabs != width - 1):
+    cut = np.flatnonzero((buf == 0x09) | (buf == 0x0A))
+    tab = buf[cut] == 0x09
+    # segment k spans (bounds[k], bounds[k + 1]), ended by a tab where
+    # `ends_tab[k]`, else by a newline or the end of the text
+    bounds = np.concatenate(([-1], cut, [len(buf)]))
+    ends_tab, after_tab = np.append(tab, False), np.insert(tab, 0, False)
+    filled = np.diff(bounds) > 1
+    if np.any(~filled & (ends_tab | after_tab)):  # an empty field; else an empty line
         return None
-    # with whitespace limited to tabs and newlines, an empty field is what
-    # makes `split` come up short
-    fields = data.decode("ascii").split()
-    if len(fields) != len(tabs) * width:
+    line_end = ~ends_tab[filled]
+    width = int(np.argmax(line_end)) + 1 if len(line_end) else 3
+    if width not in (3, 4) or len(line_end) % width:
         return None
+    shape = (len(line_end) // width, width)
+    if np.any(line_end.reshape(shape) != (np.arange(width) == width - 1)):
+        return None
+    line_no = np.flatnonzero(filled[~ends_tab]) + 1
+    start, end = (bounds[:-1][filled] + 1).reshape(shape), bounds[1:][filled].reshape(shape)
+
+    # zeros past the text, so that every word `_token_codes` reads lies inside
+    padded = np.zeros(len(buf) + 8 * (2 + int((end - start).max(initial=0)) // 8), dtype=np.uint8)
+    padded[: len(buf)] = buf
+    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+
+    def names(column: slice) -> tuple[np.ndarray, list[str]]:
+        first, last = start[:, column].ravel(), end[:, column].ravel()
+        codes, at = _token_codes(words, first, last)
+        return codes, [data[a:b].decode("ascii") for a, b in zip(first[at].tolist(), last[at].tolist())]
+
+    (pred, pred_names), (args, constants) = names(slice(0, 1)), names(slice(1, 3))
     if width == 4:
+        codes, table = names(slice(3, 4))
         try:
-            values = np.array(list(map(float, fields[3::4])), dtype=np.float64)
+            values = np.array(list(map(float, table)), dtype=np.float64)[codes]
         except ValueError:
             return None
     else:
-        values = np.full(len(tabs), np.nan if default is None else default, dtype=np.float64)
-    return AtomColumns(
-        np.flatnonzero(filled) + 1, fields[0::width], fields[1::width], fields[2::width],
-        values, np.full(len(tabs), width == 4 or default is not None),
-    )
+        values = np.full(shape[0], np.nan if default is None else default, dtype=np.float64)
+    return AtomColumns(line_no, pred, args[0::2], args[1::2], values,
+                       np.full(shape[0], width == 4 or default is not None), pred_names, constants)
 
 
 def read_atom_columns(path: str, default: float | None = 1.0) -> AtomColumns:
     """One atom file, read whole, as columns.
 
-    Plain text (see `_split_plain`) is split in one pass. Any other file is
-    decoded as UTF-8, so an undecodable byte is reported at its offset in
+    Plain text (see `_split_plain`) is coded from its bytes. Any other file
+    is decoded as UTF-8, so an undecodable byte is reported at its offset in
     the file, and read line by line through `read_atom_rows`, with lines
     split as iterating over the opened file splits them; a malformed line
     then ends the columns and is kept as their `error`.
@@ -558,18 +674,20 @@ def load_database(
     schema_path: str,
     atom_paths: Iterable[str],
     threshold: float = DEFAULT_ROUND_THRESHOLD,
-    extra_rows: AtomColumns | None = None,
+    extra_rows: Callable[[], AtomColumns] | None = None,
 ) -> AtomDatabase:
     """Convenience loader: schema file plus one or more atom TSV files.
 
-    Each file is read by `read_atom_columns` and added in order, then
-    `extra_rows`, if given, before `build_adjacency`, so the edges are found
-    once. The first faulty row of them all raises; a file's malformed line
+    The schema is read first, then each file by `read_atom_columns`, added
+    in order, then the rows `extra_rows()` returns, if given, before
+    `build_adjacency`, so the edges are found once. `extra_rows` is called
+    only once the files are added, so a file it reads is opened after
+    theirs. The first fault of them all raises; a file's malformed line
     (its columns' `error`) counts as the row after its last.
     """
     db = AtomDatabase(parse_schema(read_text(schema_path)))
     for path in atom_paths:
         db.add_columns(read_atom_columns(path))
     if extra_rows is not None:
-        db.add_columns(extra_rows)
+        db.add_columns(extra_rows())
     return build_adjacency(db, threshold)

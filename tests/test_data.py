@@ -315,8 +315,8 @@ def test_bulk_rows_match_one_at_a_time(rows, cut):
 
     def batch(part):
         line_no, pred, arg1, arg2, value = zip(*part) if part else ((),) * 5
-        return AtomColumns(np.array(line_no, dtype=np.int64), pred, arg1, arg2,
-                           np.array(value, dtype=np.float64), np.ones(len(part), dtype=bool))
+        return AtomColumns.from_names(np.array(line_no, dtype=np.int64), pred, arg1, arg2,
+                                      np.array(value, dtype=np.float64), np.ones(len(part), dtype=bool))
 
     def load():
         db.add_columns(batch(numbered[:cut]))
@@ -341,6 +341,25 @@ def test_bulk_rows_match_one_at_a_time(rows, cut):
             assert at == index.get((pred, arg1, arg2))
 
 
+@given(st.lists(st.tuples(st.sampled_from(["Cites", "Sim", "Mentions"]), st.sampled_from("abcd"),
+                          st.sampled_from("abcd")), unique=True, max_size=10), st.randoms())
+def test_taken_rows_add_as_the_rows_themselves(rows, rng):
+    # `take` re-codes the rows it keeps, so the database interns their
+    # constants in the order the kept rows meet them
+    def columns(part):
+        pred, arg1, arg2 = zip(*part) if part else ((),) * 3
+        return AtomColumns.from_names(np.arange(len(part)), pred, arg1, arg2, np.ones(len(part)),
+                                      np.ones(len(part), dtype=bool))
+
+    kept = rng.sample(range(len(rows)), rng.randint(0, len(rows)))
+    taken, direct = AtomDatabase(SCHEMA), AtomDatabase(SCHEMA)
+    taken.add_columns(columns(rows).take(np.array(kept, dtype=np.int64)))
+    direct.add_columns(columns([rows[k] for k in kept]))
+    for name in ("pred", "arg1", "arg2", "values", "targets"):
+        assert np.array_equal(getattr(taken, name), getattr(direct, name))
+    assert taken.constants == direct.constants
+
+
 def test_malformed_line_loses_to_an_earlier_fault():
     with pytest.raises(DuplicateAtom):
         parse_tsv(io.StringIO("Cites\ta\tb\nCites\ta\tb\nCites\tonly_one_field\n"), SCHEMA)
@@ -359,12 +378,18 @@ def test_atoms_are_row_indices(citation_db):
 
 # -- the column reader against the per-line reader ---------------------------
 
-PLAIN_NAMES = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "Paper1"]
-PLAIN_VALUES = ["0", "1", "0.5", "0.25", "1e-1", "1.0", "-0.0", "+1"]
-ODD_NAMES = [" a", "a ", "a\xa0", "\x1ca", "", "\xe9", "б", "a b", "Nope"]
+# the byte path reads a name as one 8-byte word per 8 bytes: names of 7, 8,
+# 9, 16 and 17 bytes, names sharing their first 8 or 16 bytes, and a name
+# that zero padding would confuse with `a` (a file with a NUL byte is read
+# line by line)
+LONG_NAMES = ["abcdefg", "abcdefgh", "abcdefghi", "abcdefghj", "abcdefghijklmnop", "abcdefghijklmnoq",
+              "abcdefghijklmnopq", "abcdefghijklmnopr", "a\x00"]
+PLAIN_NAMES = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "Paper1", *LONG_NAMES]
+PLAIN_VALUES = ["0", "1", "0.5", "0.25", "1e-1", "1.0", "-0.0", "+1", "0.3333333333333333", "0.3333333333333334"]
+ODD_NAMES = [" a", "a ", "a\xa0", "\x1ca", "", "\xe9", "б", "a b", "Nope", "Similarity_of_genf"]
 ODD_VALUES = ["nan", "1.5", "1_0", " 1", "1 ", "inf", "1e3", "0x1", "١", "", "abc", "0\x1c"]
 ENDINGS = ["\n", "\r\n", "\r"]
-ATOM_SCHEMA = "Cites\tevidence\nSim\tevidence\nMentions\ttarget\n"
+ATOM_SCHEMA = "Cites\tevidence\nSim\tevidence\nSimilarity_of_gene\tevidence\nMentions\ttarget\n"
 
 
 @st.composite
@@ -374,7 +399,7 @@ def atom_line(draw, width, odd=False):
     def field(plain, others):
         return draw(st.sampled_from(others if odd and draw(st.booleans()) else plain))
 
-    fields = [field(["Cites", "Sim", "Mentions"], ODD_NAMES)]
+    fields = [field(["Cites", "Sim", "Mentions", "Similarity_of_gene"], ODD_NAMES)]
     fields += [field(PLAIN_NAMES, ODD_NAMES) for _ in range(min(width, 3) - 1)]
     fields += [field(PLAIN_VALUES, ODD_VALUES) for _ in range(width - 3)]
     return "\t".join(fields[:width])
@@ -385,7 +410,7 @@ def atom_file(draw):
     """(text, plain): lines of one width, each ending in a newline, into
     which a file that is not `plain` mixes one to three kinds of oddity:
     lines of other widths, odd fields, blank or tab-only lines, and other
-    line endings."""
+    line endings. A file holding a NUL byte is not `plain` either."""
     width = draw(st.sampled_from([3, 4]))
     lines = draw(st.lists(atom_line(width), max_size=8))
     odd = draw(st.sets(st.sampled_from(["width", "fields", "blank", "endings"]), max_size=3))
@@ -406,36 +431,42 @@ def atom_file(draw):
     text = "".join(line + end for line, end in zip(lines, endings))
     if lines and draw(st.booleans()):
         text = text[: -len(endings[-1])]  # no final newline
-    return text, not odd
+    return text, not odd and "\x00" not in text
 
 
-def outcome(load):
-    """What `load()` gives: the database's columns and indices, or the
-    exception's type and message."""
-    try:
-        db = load()
-    except Exception as exc:  # the readers raise HlslError, ValueError or OSError
-        return type(exc), str(exc)
+def state(db):
+    """The database's columns, constants and indices."""
     return (
         db.pred.tolist(), db.arg1.tolist(), db.arg2.tolist(), db.values.view(np.int64).tolist(),
         db.constants, db.targets.tolist(), db.edges.tolist(),
     )
 
 
-def per_line_load(schema, paths, extra):
-    """The per-line path: `read_atom_rows` over each opened file, added
-    file by file, the extra file last, as `infer` adds `--test`."""
-    db = AtomDatabase(parse_schema(io.StringIO(schema)))
-    for path in [*paths, extra]:
-        with open(path, encoding="utf-8") as fh:
-            db.add_columns(read_atom_rows(fh, path))
-    return build_adjacency(db)
+def outcome(read, paths):
+    """The columns `read(path)` gives for each path, added in order to one
+    database: its `state` when the last is added, or when one raises, with
+    the exception's type and message (or None)."""
+    db = AtomDatabase(parse_schema(io.StringIO(ATOM_SCHEMA)))
+    try:
+        for path in paths:
+            db.add_columns(read(path))
+    except Exception as exc:  # the readers raise HlslError, ValueError or OSError
+        return state(db), (type(exc), str(exc))
+    return state(build_adjacency(db)), None
+
+
+def per_line(path):
+    """The per-line path: `read_atom_rows` over the opened file."""
+    with open(path, encoding="utf-8") as fh:
+        return read_atom_rows(fh, path)
 
 
 def as_lists(columns):
     """The rows of `columns` with their line numbers, `has_value`, the bits
     of the values, and the error's type and message (or None)."""
-    rows = list(zip(columns.line_no.tolist(), columns.pred, columns.arg1, columns.arg2))
+    preds, consts = columns.pred_names, columns.constants
+    rows = [(line_no, preds[p], consts[a], consts[b]) for line_no, p, a, b in zip(
+        columns.line_no.tolist(), columns.pred.tolist(), columns.arg1.tolist(), columns.arg2.tolist())]
     error = columns.error and (type(columns.error), str(columns.error))
     return rows, columns.has_value.tolist(), columns.values.view(np.int64).tolist(), error
 
@@ -455,6 +486,17 @@ def row_columns(path, default):
 @example([("Cites\ta\tb\r\r\nSim\ta\tb\n", False), ("", True)], 1.0)  # a bare CR ends a line
 @example([("Cites\t\x1ca\tb\n", False), ("", True)], 1.0)  # padded, and no line break
 @example([("Cites\t\tb\n", False), ("", True)], 1.0)  # an empty field
+# names of one to three words, some sharing their first 8 or 16 bytes, and
+# `a` beside `a\x00`
+@example([("Cites\tabcdefgh\tabcdefghi\nSim\tabcdefghj\tabcdefghijklmnopq\n"
+           "Similarity_of_gene\tabcdefghijklmnopr\tabcdefghijklmnop\nCites\tabcdefg\tabcdefghijklmnoq\n", True),
+          ("Cites\ta\ta\x00\nSim\ta\x00\ta\n", False), ("Cites\ta\x00\ta\x00\n", False)], 1.0)
+# a faulty row mid-file, then new constants, which are not interned
+@example([("Cites\ta\tb\nNope\tc\td\nCites\te\tf\n", True), ("Sim\tg\th\n", True)], 1.0)
+@example([("Cites\ta\tb\t1\nSim\tc\td\t1.5\nCites\te\tf\t1\n", True), ("", True)], 1.0)
+# constants repeated across files, first met in another order
+@example([("Cites\tb\ta\nSim\tc\tb\n", True), ("Sim\ta\td\nCites\tc\tb\n", True),
+          ("Mentions\td\tb\t1\nMentions\te\ta\t0\n", True)], None)
 def test_column_reader_matches_the_per_line_reader(files, default):
     with tempfile.TemporaryDirectory() as tmp:
         check_readers_agree(Path(tmp), files, default)
@@ -476,5 +518,36 @@ def check_readers_agree(d, files, default):
 
     schema = str(d / "schema.tsv")
     for some in (loaded[:1], loaded):
-        expected = outcome(lambda: per_line_load(ATOM_SCHEMA, some, extra))
-        assert outcome(lambda: load_database(schema, some, extra_rows=read_atom_columns(extra))) == expected
+        expected, error = outcome(per_line, [*some, extra])
+        assert outcome(read_atom_columns, [*some, extra]) == (expected, error)
+        try:
+            got = state(load_database(schema, some, extra_rows=lambda: read_atom_columns(extra)))
+        except Exception as exc:
+            assert (type(exc), str(exc)) == error
+        else:
+            assert (got, None) == (expected, error)
+
+
+def test_constants_after_the_first_faulty_row_are_not_interned(tmp_path):
+    path = tmp_path / "atoms.tsv"
+    path.write_text("Cites\ta\tb\nSim\tb\tc\t1.5\nCites\td\ta\n")
+    db = AtomDatabase(SCHEMA)
+    with pytest.raises(ValueOutOfRange):
+        db.add_columns(read_atom_columns(str(path)))
+    assert db.constants == ["a", "b"]
+
+
+@pytest.mark.parametrize("fixture", ["example", "recovery", "scaling"])
+def test_every_synth_atom_file_takes_the_byte_path(tmp_path, fixture):
+    # a file that fell back to the per-line reader would read the same,
+    # only slower, so the fall-back is checked for here
+    from hlsl.cli import main
+
+    assert main(["synth", "--fixture", fixture, "--out", str(tmp_path)]) == 0
+    paths = [tmp_path / f"{name}.tsv" for name in ("observed", "train", "test")]
+    paths = [str(path) for path in paths if path.exists()]
+    assert len(paths) >= 2
+    for path in paths:
+        with open(path, "rb") as fh:
+            assert _split_plain(fh.read(), 1.0) is not None, path
+        assert as_lists(read_atom_columns(path)) == row_columns(path, 1.0)

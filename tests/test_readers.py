@@ -121,15 +121,17 @@ def test_first_faulty_line_wins_across_files():
     assert infer == (1, "error:DuplicateAtom:R(a,b)\n")
 
 
-def run_command(command: str, files: dict[str, str | bytes]) -> tuple[int, str]:
-    """Write `files` over the base inputs, a model and a clause file, run
-    `learn` or `infer` on them (with `--config` when `files` has a config),
-    and return (exit code, stderr) with the directory shown as `{d}`."""
+def run_command(command: str, files: dict[str, str | bytes | None]) -> tuple[int, str]:
+    """Write `files` over the base inputs, a model and a clause file (a file
+    given as None is left unwritten), run `learn` or `infer` on them (with
+    `--config` when `files` has a config), and return (exit code, stderr)
+    with the directory shown as `{d}`."""
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         inputs = {**BASE, "model": MODEL, "clauses": "R(V1,V2) -> T(V1,V2)\t1\n", **files}
         for name, text in inputs.items():
-            (d / f"{name}.tsv").write_bytes(text if isinstance(text, bytes) else text.encode())
+            if text is not None:
+                (d / f"{name}.tsv").write_bytes(text if isinstance(text, bytes) else text.encode())
         data = ["--schema", d / "schema.tsv", "--observed", d / "observed.tsv", "--train", d / "train.tsv"]
         if "config" in files:
             data += ["--config", d / "config.tsv"]
@@ -170,6 +172,23 @@ def test_undecodable_atom_file_names_the_byte_offset_in_the_file():
         f"error:UnicodeDecodeError:'utf-8' codec can't decode byte 0xff in position {len(prefix)}: "
         "invalid start byte\n",
     )
+
+
+# An earlier file's fault and a `--test` file that cannot be decoded or
+# opened: `infer` opens and decodes its files in command order, so the
+# earlier fault wins.
+UNDECODABLE_TEST = BASE["test"].encode() + b"\xff\n"
+READ_ORDER_FAULTS = [
+    ({"schema": BASE["schema"] + "R\ttarget\n", "test": UNDECODABLE_TEST},
+     "error:MalformedLine:line 4: duplicate predicate 'R'"),
+    ({"observed": BASE["observed"] + "R\ta\tb\n", "test": UNDECODABLE_TEST}, "error:DuplicateAtom:R(a,b)"),
+    ({"schema": BASE["schema"] + "R\ttarget\n", "test": None}, "error:MalformedLine:line 4: duplicate predicate 'R'"),
+]
+
+
+@pytest.mark.parametrize("files, expected", READ_ORDER_FAULTS)
+def test_infer_reads_its_files_in_command_order(files, expected):
+    assert run_command("infer", files) == (1, expected + "\n")
 
 
 # Valid text past the first 8 KiB, the chunk a streaming read decodes at once.
