@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .clauses import GenerationConfig, generate_candidates, read_clause_file, write_clause_file
-from .data import AtomColumns, AtomDatabase, load_database, parse_schema, read_atom_columns, read_text
+from .data import AtomColumns, AtomDatabase, load_database, read_atom_columns, read_text
 from .data import round_value, rounds_to_one
 from .data import build_adjacency  # noqa: F401  (a patch point of perfbench/tracer.py)
 from .errors import DuplicateAtom, HlslError, MalformedLine, MissingPrediction, NoCandidates, NotATarget
@@ -162,20 +162,22 @@ def _load_train_db(cfg: RunConfig) -> AtomDatabase:
     threshold = cfg.generation.threshold
     if cfg.neg_ratio <= 0.0:
         return load_database(cfg.schema, [cfg.observed, cfg.train], threshold)
-    # subsample negative training targets to neg_ratio * positives, once every
-    # row has passed the checks of the load above, in file order
-    checked = AtomDatabase(parse_schema(read_text(cfg.schema)))
-    checked.add_columns(read_atom_columns(cfg.observed))
-    train = read_atom_columns(cfg.train)
-    checked.add_columns(train)
-    target = checked.target_mask()[len(checked.values) - len(train):]
-    positive = rounds_to_one(train.values, threshold)
-    neg = np.flatnonzero(target & ~positive)
-    wanted = cfg.neg_ratio * int(np.count_nonzero(target & positive))  # inf for a huge ratio
-    keep_n = len(neg) if wanted >= len(neg) else int(round(wanted))
-    kept = neg[np.sort(np.random.default_rng(cfg.seed).choice(len(neg), keep_n, replace=False))]
-    order = np.concatenate([np.flatnonzero(~target), np.flatnonzero(target & positive), kept])
-    return load_database(cfg.schema, [cfg.observed], threshold, extra_rows=lambda: train.take(order))
+
+    def kept_train(db: AtomDatabase) -> AtomColumns:
+        # subsample negative training targets to neg_ratio * positives, once
+        # every row has passed the checks of a full load, in file order
+        train = read_atom_columns(cfg.train)
+        checked = db.copy()
+        checked.add_columns(train)
+        target = checked.target_mask()[len(db.values):]
+        positive = rounds_to_one(train.values, threshold)
+        neg = np.flatnonzero(target & ~positive)
+        wanted = cfg.neg_ratio * int(np.count_nonzero(target & positive))  # inf for a huge ratio
+        keep_n = len(neg) if wanted >= len(neg) else int(round(wanted))
+        kept = neg[np.sort(np.random.default_rng(cfg.seed).choice(len(neg), keep_n, replace=False))]
+        return train.take(np.concatenate([np.flatnonzero(~target), np.flatnonzero(target & positive), kept]))
+
+    return load_database(cfg.schema, [cfg.observed], threshold, extra_rows=kept_train)
 
 
 def cmd_generate(cfg: RunConfig, out_path: str) -> None:
@@ -227,7 +229,7 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
     paths = [cfg.observed] + ([cfg.train] if cfg.train else [])
     test: list[AtomColumns] = []
 
-    def read_test() -> AtomColumns:
+    def read_test(_: AtomDatabase) -> AtomColumns:
         # read in command order, after the schema and the other atom files,
         # so that a fault of theirs wins over any of this file
         test.append(read_atom_columns(cfg.test))

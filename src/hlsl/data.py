@@ -10,8 +10,8 @@ label, destination) key; the step graph is the only index of the edges that
 is kept.
 
 `AtomColumns` is the one in-memory form of atom-file rows: integer codes
-into a per-file table of predicate names and one of constants. Atom files
-are read whole by `read_atom_columns` and appended by
+into a per-file table of predicate names and one of constants, each sorted
+by name. Atom files are read whole by `read_atom_columns` and appended by
 `AtomDatabase.add_columns`, which maps only the tables' names to database
 ids. A file that a few whole-array checks prove plain (ASCII, no NUL and no
 whitespace but tabs and newlines, one field count on every line, no empty
@@ -22,13 +22,14 @@ first as the columns' `error`, behind their rows.
 """
 from __future__ import annotations
 
+import copy
 import io
 import operator
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -67,14 +68,14 @@ class AtomDatabase:
     An atom is its row index: atom i is `pred[i](arg1[i], arg2[i])` with
     value `values[i]`, where `pred` holds predicate ids (`pred_ids`) and the
     arguments constant ids, and `atoms` is the range of the indices.
-    Constants are interned to dense ids in order of first appearance (arg1
-    before arg2); string names are kept for serialization. `targets` holds
-    the indices of the target-predicate atoms in ascending order.
-    `build_adjacency` sets `edges`, the indices of the atoms that round to
-    1; after it the database is treated as immutable. `outgoing` /
-    `incoming` group the edges by constant into a new dict on every read;
-    nothing is cached. The columns are the store's only copy of the atoms,
-    with no index beside them: `find_atom` is a masked lookup over them.
+    Constants are interned to dense ids batch by batch, each batch's new
+    ones in name order (see `_append`); string names are kept for
+    serialization. `targets` holds the indices of the target-predicate
+    atoms in ascending order. `build_adjacency` sets `edges`, the indices
+    of the atoms that round to 1; after it the database is treated as
+    immutable. `outgoing` / `incoming` group the edges by constant into a
+    new dict on every read; nothing is cached. The columns are the store's
+    only copy of the atoms, with no index beside them.
     """
 
     def __init__(self, schema: Iterable[PredicateSymbol]):
@@ -109,6 +110,13 @@ class AtomDatabase:
                                                 np.full(1, value, dtype=np.float64), np.ones(1, dtype=bool)))
         return len(self.values) - 1
 
+    def copy(self) -> AtomDatabase:
+        """A store of the same atoms to add rows to apart: adding rows replaces
+        the columns instead of changing them, so only the constants are copied."""
+        other = copy.copy(self)
+        other.constants, other._const_ids = list(self.constants), dict(self._const_ids)
+        return other
+
     def add_columns(self, columns: AtomColumns) -> None:
         """Add atom rows in bulk, checked over whole arrays.
 
@@ -128,9 +136,9 @@ class AtomDatabase:
         """Add the rows before the first faulty one and raise that row's
         error (see `add_columns`). Only the columns' name tables are mapped
         to ids, with a loop over their names; the rows take their ids by
-        indexing. Constants are interned in the order the rows before the
-        first unknown predicate or bad value first use them, which is the
-        order of the columns' table."""
+        indexing. The constants that the rows before the first unknown
+        predicate or bad value use are interned, the new ones in the order
+        of the columns' table, which is name order."""
         n = len(columns)
         if not n:
             return
@@ -140,15 +148,16 @@ class AtomDatabase:
         faulty = np.flatnonzero((pred < 0) | ~((value >= 0.0) & (value <= 1.0)))
         valid = int(faulty[0]) if len(faulty) else n  # rows[:valid] have known ids and values
 
-        # the table lists the constants in order of first appearance, so
-        # rows[:valid] use exactly its first `used` names
         codes1, codes2 = columns.arg1[:valid], columns.arg2[:valid]
-        used = max(int(codes1.max()), int(codes2.max())) + 1 if valid else 0
-        names, ids = columns.constants[:used], self._const_ids
-        new = [name for name in names if name not in ids]
-        ids.update(zip(new, range(len(self.constants), len(self.constants) + len(new))))
-        self.constants.extend(new)
-        code = np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=used)
+        table, ids = columns.constants, self._const_ids
+        code = np.fromiter(map(ids.get, table, repeat(-1)), dtype=np.int64, count=len(table))
+        new = np.zeros(len(table), dtype=bool)  # the unknown names that rows[:valid] use
+        new[codes1] = new[codes2] = True
+        new &= code < 0
+        names = list(compress(table, new.tolist()))
+        code[new] = np.arange(len(self.constants), len(self.constants) + len(names))
+        ids.update(zip(names, code[new].tolist()))
+        self.constants.extend(names)
         arg1, arg2 = code[codes1], code[codes2]
 
         old = len(self.values)
@@ -184,12 +193,6 @@ class AtomDatabase:
     def atoms(self) -> range:
         """The atom indices, `range(len(values))`: an atom is its row."""
         return range(len(self.values))
-
-    def find_atom(self, pred_name: str, arg1: int, arg2: int) -> int | None:
-        """Atom index for (predicate, const id, const id), or None."""
-        k = self.pred_ids.get(pred_name, -1)
-        hit = np.flatnonzero((self.pred == k) & (self.arg1 == arg1) & (self.arg2 == arg2))
-        return int(hit[0]) if len(hit) else None
 
     def target_predicates(self) -> list[PredicateSymbol]:
         return [p for p in self.predicates.values() if p.is_target]
@@ -453,10 +456,9 @@ class AtomColumns:
     `has_value[i]` is False and `values[i]` NaN. `error` is the
     `MalformedLine` that ended the rows early, if any.
 
-    `constants` lists the argument names in order of first appearance over
-    the rows, row by row and arg1 before arg2, so that the rows up to any
-    row use a prefix of it; `AtomDatabase` interns constants in that
-    order. Every reader codes `pred_names` in the same order."""
+    Both tables are sorted by name, which for the ASCII names of a plain
+    file is their byte order, so every reader gives the same tables for the
+    same rows. A table may hold names no row uses (see `take`)."""
 
     line_no: np.ndarray
     pred: np.ndarray
@@ -474,22 +476,17 @@ class AtomColumns:
         values: np.ndarray, has_value: np.ndarray, error: MalformedLine | None = None,
     ) -> AtomColumns:
         """The columns of rows given by their names."""
-        args = [""] * (2 * len(arg1))
-        args[0::2], args[1::2] = arg1, arg2
-        (pred, pred_names), (args, constants) = _intern(pred), _intern(args)
-        return cls(line_no, pred, args[0::2], args[1::2], values, has_value, pred_names, constants, error)
+        (pred, pred_names), (args, constants) = _intern(pred), _intern([*arg1, *arg2])
+        return cls(line_no, pred, *np.split(args, 2), values, has_value, pred_names, constants, error)
 
     def __len__(self) -> int:
         return len(self.pred)
 
     def take(self, rows: np.ndarray) -> AtomColumns:
-        """The rows at the indices `rows`, in that order, with tables of
-        their own."""
-        pick = lambda codes, table: [table[k] for k in codes[rows].tolist()]  # noqa: E731
-        return AtomColumns.from_names(
-            self.line_no[rows], pick(self.pred, self.pred_names), pick(self.arg1, self.constants),
-            pick(self.arg2, self.constants), self.values[rows], self.has_value[rows],
-        )
+        """The rows at the indices `rows`, in that order, over the same
+        tables, without `error`."""
+        return AtomColumns(self.line_no[rows], self.pred[rows], self.arg1[rows], self.arg2[rows],
+                           self.values[rows], self.has_value[rows], self.pred_names, self.constants)
 
     def rows(self) -> Iterator[tuple[int, str, str, str, float | None]]:
         """The rows as (line number, predicate, arg1, arg2, value or None),
@@ -504,29 +501,24 @@ class AtomColumns:
 
 
 def _intern(names: Sequence[str]) -> tuple[np.ndarray, list[str]]:
-    """Code names in order of first appearance: (codes, table)."""
-    ids = {name: k for k, name in enumerate(dict.fromkeys(names))}
-    return np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names)), list(ids)
+    """Code names in name order: (codes, the sorted table)."""
+    table = sorted(set(names))
+    ids = {name: k for k, name in enumerate(table)}
+    return np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names)), table
 
 
-def _first_codes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Code equal keys in order of first appearance: (codes, first), where
-    `first[c]` is the index of code c's first key."""
-    if not len(key):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+def _ranks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Code equal keys by their rank among the distinct keys: (codes, at),
+    where key `at[c]` has code c."""
     order = np.argsort(key)
     ranked = key[order]
     new = np.empty(len(key), dtype=bool)
-    new[0] = True
+    new[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    runs = np.flatnonzero(new)
-    first = np.minimum.reduceat(order, runs)  # of each run of equal keys
-    by_first = np.argsort(first)
-    run_code = np.empty(len(first), dtype=np.int64)
-    run_code[by_first] = np.arange(len(first))
+    runs = np.flatnonzero(new)  # of equal keys
     codes = np.empty(len(key), dtype=np.int64)
-    codes[order] = np.repeat(run_code, np.diff(runs, append=len(key)))
-    return codes, first[by_first]
+    codes[order] = np.repeat(np.arange(len(runs)), np.diff(runs, append=len(key)))
+    return codes, order[runs]
 
 
 # byte masks keeping the first r bytes of a little-endian word, by r
@@ -534,20 +526,23 @@ _MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
 
 def _token_codes(words: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_first_codes` of the byte tokens [start[i], end[i]), read as
-    zero-padded 8-byte words through `words` (word j holds bytes j to
-    j + 7). Tokens of equal length and bytes, and only those, read as
-    equal words, because the text holds no NUL byte; a token longer than 8
+    """`_ranks` of the byte tokens [start[i], end[i]), read as zero-padded
+    8-byte words through `words` (word j holds bytes j to j + 7), packed
+    big-endian so that they rank in byte order. Tokens of equal length and
+    bytes, and only those, read as equal words, and a token ranks before its
+    extensions, because the text holds no NUL byte; a token longer than 8
     bytes takes one word per 8, its codes refined word by word."""
     length = end - start
-    codes = first = None
+    codes = at = None
     for k in range(max(1, -(-int(length.max(initial=0)) // 8))):
-        word = words[start + 8 * k] & _MASKS.take(np.clip(length - 8 * k, 0, 8))
-        if codes is not None:  # tell apart the tokens equal so far by this word
-            word_codes, _ = _first_codes(word)
+        word = words[start + 8 * k]
+        word &= _MASKS.take(np.clip(length - 8 * k, 0, 8))
+        word.byteswap(inplace=True)
+        if codes is not None:  # order the tokens equal so far by this word
+            word_codes, _ = _ranks(word)
             word = codes * (int(word_codes.max()) + 1) + word_codes
-        codes, first = _first_codes(word)
-    return codes, first
+        codes, at = _ranks(word)
+    return codes, at
 
 
 # bytes a file must not hold to be read whole: the ASCII whitespace that
@@ -564,8 +559,8 @@ def _split_plain(data: bytes, default: float | None) -> AtomColumns | None:
     `read_atom_rows` reads it, error-free.
 
     One scan for tabs and newlines gives every field's bounds; each column's
-    tokens are coded in order of first appearance by `_token_codes`, and
-    only the distinct names and values are decoded."""
+    tokens are coded in byte order by `_token_codes`, and only the distinct
+    names and values are decoded."""
     if not data.isascii() or any(byte in data for byte in _UNPLAIN):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -587,6 +582,7 @@ def _split_plain(data: bytes, default: float | None) -> AtomColumns | None:
         return None
     line_no = np.flatnonzero(filled[~ends_tab]) + 1
     start, end = (bounds[:-1][filled] + 1).reshape(shape), bounds[1:][filled].reshape(shape)
+    del cut, bounds  # the largest arrays no longer needed, freed before the tokens are coded
 
     # zeros past the text, so that every word `_token_codes` reads lies inside
     padded = np.zeros(len(buf) + 8 * (2 + int((end - start).max(initial=0)) // 8), dtype=np.uint8)
@@ -674,20 +670,20 @@ def load_database(
     schema_path: str,
     atom_paths: Iterable[str],
     threshold: float = DEFAULT_ROUND_THRESHOLD,
-    extra_rows: Callable[[], AtomColumns] | None = None,
+    extra_rows: Callable[[AtomDatabase], AtomColumns] | None = None,
 ) -> AtomDatabase:
     """Convenience loader: schema file plus one or more atom TSV files.
 
     The schema is read first, then each file by `read_atom_columns`, added
-    in order, then the rows `extra_rows()` returns, if given, before
+    in order, then the rows `extra_rows(db)` returns, if given, before
     `build_adjacency`, so the edges are found once. `extra_rows` is called
-    only once the files are added, so a file it reads is opened after
-    theirs. The first fault of them all raises; a file's malformed line
-    (its columns' `error`) counts as the row after its last.
+    with the store once the files are added, so a file it reads is opened
+    after theirs. The first fault of them all raises; a file's malformed
+    line (its columns' `error`) counts as the row after its last.
     """
     db = AtomDatabase(parse_schema(read_text(schema_path)))
     for path in atom_paths:
         db.add_columns(read_atom_columns(path))
     if extra_rows is not None:
-        db.add_columns(extra_rows())
+        db.add_columns(extra_rows(db))
     return build_adjacency(db, threshold)

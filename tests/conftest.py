@@ -18,6 +18,14 @@ def citation_db() -> AtomDatabase:
     return build_adjacency(db)
 
 
+def find_atom(db: AtomDatabase, pred_name: str, arg1: int, arg2: int) -> int | None:
+    """Atom index for (predicate, const id, const id) in `db`, or None: a
+    masked lookup over its columns."""
+    k = db.pred_ids.get(pred_name, -1)
+    hit = np.flatnonzero((db.pred == k) & (db.arg1 == arg1) & (db.arg2 == arg2))
+    return int(hit[0]) if len(hit) else None
+
+
 def random_chain_db(seed: int, n_a: int = 10, n_b: int = 7, n_c: int = 8) -> AtomDatabase:
     """Small three-layer database with soft evidence and labeled targets."""
     rng = np.random.default_rng(seed)

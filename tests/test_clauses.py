@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_simple_paths, ground_terms, random_chain_db
+from conftest import brute_force_simple_paths, find_atom, ground_terms, random_chain_db
 
 import hlsl.clauses
 from hlsl.clauses import (
@@ -31,7 +31,7 @@ from hlsl.grounding import ground_clause
 
 
 def target_atom(db, name, a, b):
-    return db.find_atom(name, db._const_ids[a], db._const_ids[b])
+    return find_atom(db, name, db._const_ids[a], db._const_ids[b])
 
 
 def test_bfs_example_path(citation_db):
@@ -486,7 +486,7 @@ def high_degree_db(seed=0, n=12, p_edge=0.45):
                     db.add_atom(pred, f"c{a}", f"c{b}")
     for k in range(8):
         a, b = rng.choice(n, 2, replace=False)
-        if db.find_atom("T", db.constants.index(f"c{a}"), db.constants.index(f"c{b}")) is None:
+        if find_atom(db, "T", db.constants.index(f"c{a}"), db.constants.index(f"c{b}")) is None:
             db.add_atom("T", f"c{a}", f"c{b}", float(k % 2))
     return build_adjacency(db)
 

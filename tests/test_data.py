@@ -1,6 +1,7 @@
 """Relational data layer: parsing, rounding, adjacency, round trips."""
 import io
 import itertools
+import random
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_chain_db
+from conftest import find_atom, random_chain_db
 
 from hlsl.data import (
     AtomColumns,
@@ -331,21 +332,29 @@ def test_bulk_rows_match_one_at_a_time(rows, cut):
     names, consts = db.pred_names, db.constants
     got = [(names[db.pred[a]], consts[db.arg1[a]], consts[db.arg2[a]], db.values[a]) for a in db.atoms]
     assert got == stored
-    assert db.constants[: len(constants)] == constants
+    # each batch added interns the new constants of its rows before its first
+    # unknown predicate or bad value, in name order; a batch that raises is
+    # the last one added
+    interned = []
+    for part in (numbered[:cut], numbered[cut:])[: 1 if error and len(stored) < cut else 2]:
+        bad = [k for k, (_, pred, _, _, value) in enumerate(part) if pred not in names or not 0.0 <= value <= 1.0]
+        used = {arg for row in part[: bad[0] if bad else len(part)] for arg in row[2:4]}
+        interned += sorted(used - set(interned))
+    assert db.constants == interned
     assert db.targets.tolist() == [i for i, row in enumerate(stored) if row[0] == "Mentions"]
     # `find_atom` finds every stored atom and nothing else
     index = {row[:3]: i for i, row in enumerate(stored)}
     for pred in ("Cites", "Sim", "Mentions", "Nope"):
         for arg1, arg2 in itertools.product(db.constants, repeat=2):
-            at = db.find_atom(pred, db.constants.index(arg1), db.constants.index(arg2))
+            at = find_atom(db, pred, db.constants.index(arg1), db.constants.index(arg2))
             assert at == index.get((pred, arg1, arg2))
 
 
 @given(st.lists(st.tuples(st.sampled_from(["Cites", "Sim", "Mentions"]), st.sampled_from("abcd"),
                           st.sampled_from("abcd")), unique=True, max_size=10), st.randoms())
 def test_taken_rows_add_as_the_rows_themselves(rows, rng):
-    # `take` re-codes the rows it keeps, so the database interns their
-    # constants in the order the kept rows meet them
+    # `take` keeps the tables, and the database interns only the constants
+    # that the kept rows use
     def columns(part):
         pred, arg1, arg2 = zip(*part) if part else ((),) * 3
         return AtomColumns.from_names(np.arange(len(part)), pred, arg1, arg2, np.ones(len(part)),
@@ -379,11 +388,11 @@ def test_atoms_are_row_indices(citation_db):
 # -- the column reader against the per-line reader ---------------------------
 
 # the byte path reads a name as one 8-byte word per 8 bytes: names of 7, 8,
-# 9, 16 and 17 bytes, names sharing their first 8 or 16 bytes, and a name
-# that zero padding would confuse with `a` (a file with a NUL byte is read
-# line by line)
+# 9, 16 and 17 bytes, names sharing their first 8 or 16 bytes, `ab`, which
+# must sort after `a`, and a name that zero padding would confuse with `a`
+# (a file with a NUL byte is read line by line)
 LONG_NAMES = ["abcdefg", "abcdefgh", "abcdefghi", "abcdefghj", "abcdefghijklmnop", "abcdefghijklmnoq",
-              "abcdefghijklmnopq", "abcdefghijklmnopr", "a\x00"]
+              "abcdefghijklmnopq", "abcdefghijklmnopr", "ab", "a\x00"]
 PLAIN_NAMES = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "Paper1", *LONG_NAMES]
 PLAIN_VALUES = ["0", "1", "0.5", "0.25", "1e-1", "1.0", "-0.0", "+1", "0.3333333333333333", "0.3333333333333334"]
 ODD_NAMES = [" a", "a ", "a\xa0", "\x1ca", "", "\xe9", "б", "a b", "Nope", "Similarity_of_genf"]
@@ -471,6 +480,12 @@ def as_lists(columns):
     return rows, columns.has_value.tolist(), columns.values.view(np.int64).tolist(), error
 
 
+def tables(columns):
+    """The name tables of `columns` and the codes into them."""
+    return (columns.pred_names, columns.constants, columns.pred.tolist(), columns.arg1.tolist(),
+            columns.arg2.tolist())
+
+
 def row_columns(path, default):
     """`read_atom_rows` over the opened file, as `as_lists`; the rows stop
     at the line in `columns.error`."""
@@ -486,10 +501,11 @@ def row_columns(path, default):
 @example([("Cites\ta\tb\r\r\nSim\ta\tb\n", False), ("", True)], 1.0)  # a bare CR ends a line
 @example([("Cites\t\x1ca\tb\n", False), ("", True)], 1.0)  # padded, and no line break
 @example([("Cites\t\tb\n", False), ("", True)], 1.0)  # an empty field
-# names of one to three words, some sharing their first 8 or 16 bytes, and
-# `a` beside `a\x00`
+# names of one to three words, some sharing their first 8 or 16 bytes, met
+# out of byte order, and `a` beside `ab` and `a\x00`
 @example([("Cites\tabcdefgh\tabcdefghi\nSim\tabcdefghj\tabcdefghijklmnopq\n"
            "Similarity_of_gene\tabcdefghijklmnopr\tabcdefghijklmnop\nCites\tabcdefg\tabcdefghijklmnoq\n", True),
+          ("Sim\tabcdefghijklmnopq\tabcdefghijklmnop\nCites\tab\ta\nMentions\tabcdefghi\tabcdefgh\n", True),
           ("Cites\ta\ta\x00\nSim\ta\x00\ta\n", False), ("Cites\ta\x00\ta\x00\n", False)], 1.0)
 # a faulty row mid-file, then new constants, which are not interned
 @example([("Cites\ta\tb\nNope\tc\td\nCites\te\tf\n", True), ("Sim\tg\th\n", True)], 1.0)
@@ -512,8 +528,14 @@ def check_readers_agree(d, files, default):
     *loaded, extra = paths
 
     for path, (text, plain) in zip(paths, files):
-        if plain:  # the one-pass split takes every plain file
-            assert _split_plain(text.encode("ascii"), default) is not None
+        with open(path, encoding="utf-8") as fh:
+            rows = read_atom_rows(fh, path, default)
+        if plain:  # the one-pass split takes every plain file, coded as the per-line reader codes it
+            split = _split_plain(text.encode("ascii"), default)
+            assert split is not None
+            assert tables(split) == tables(rows)
+        for columns in (read_atom_columns(path, default), rows):
+            assert all(table == sorted(set(table)) for table in (columns.pred_names, columns.constants))
         assert as_lists(read_atom_columns(path, default)) == row_columns(path, default)
 
     schema = str(d / "schema.tsv")
@@ -521,11 +543,31 @@ def check_readers_agree(d, files, default):
         expected, error = outcome(per_line, [*some, extra])
         assert outcome(read_atom_columns, [*some, extra]) == (expected, error)
         try:
-            got = state(load_database(schema, some, extra_rows=lambda: read_atom_columns(extra)))
+            got = state(load_database(schema, some, extra_rows=lambda db: read_atom_columns(extra)))
         except Exception as exc:
             assert (type(exc), str(exc)) == error
         else:
             assert (got, None) == (expected, error)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["Cites", "Sim", "Mentions"]), st.sampled_from(PLAIN_NAMES),
+                          st.sampled_from(PLAIN_NAMES)), unique=True, min_size=1, max_size=12),
+       st.randoms(use_true_random=False))
+# rows that meet their constants out of name order
+@example([("Cites", "b", "a"), ("Sim", "ab", "a"), ("Mentions", "abcdefghi", "abcdefgh")], random.Random(0))
+def test_shuffled_rows_intern_the_same_constants(rows, rng):
+    # a store interns a file's constants in name order, whatever the order
+    # of its rows
+    shuffled = rng.sample(rows, len(rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "schema.tsv").write_text(ATOM_SCHEMA)
+        constants = []
+        for k, part in enumerate((rows, shuffled)):
+            path = Path(tmp) / f"atoms{k}.tsv"
+            path.write_text("".join(f"{pred}\t{a}\t{b}\n" for pred, a, b in part))
+            constants.append(load_database(str(Path(tmp) / "schema.tsv"), [str(path)]).constants)
+    assert constants[0] == constants[1] == sorted({name for _, *args in rows for name in args})
 
 
 def test_constants_after_the_first_faulty_row_are_not_interned(tmp_path):

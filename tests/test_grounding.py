@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dfs_ground_clause, ground_terms, grounding_of, random_chain_db
+from conftest import dfs_ground_clause, find_atom, ground_terms, grounding_of, random_chain_db
 
 from hlsl.clauses import (
     GenerationConfig, PathClause, format_clause, generate_candidates, negative_prior, parse_clause,
@@ -30,12 +30,12 @@ def herbrand_groundings(clause, db, threshold=0.5):
         bind = dict(zip(names, combo))
         atoms = []
         for pred, v1, v2 in body:
-            idx = db.find_atom(pred, bind[v1], bind[v2])
+            idx = find_atom(db, pred, bind[v1], bind[v2])
             if idx is None or round_value(db.values[idx], threshold) != 1:
                 break
             atoms.append(idx)
         else:
-            head = db.find_atom(head_pred, bind[h1], bind[h2])
+            head = find_atom(db, head_pred, bind[h1], bind[h2])
             if head is not None and head in targets:
                 out.append(tuple(atoms) + (head,))
     return sorted(out)
