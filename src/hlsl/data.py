@@ -13,18 +13,15 @@ is kept.
 into a per-file table of predicate names and one of constants, each sorted
 by name. Atom files are read whole by `read_atom_columns` and appended by
 `AtomDatabase.add_columns`, which maps only the tables' names to database
-ids. A file that a few whole-array checks prove plain (ASCII, no NUL and no
-whitespace but tabs and newlines, one field count on every line, no empty
-field, every value a float) is coded from its bytes in numpy, with no
-Python string per field; any other file goes line by line through
-`read_atom_rows`, which owns every `MalformedLine` message and keeps the
+ids. One reader, `parse_atoms`, codes any UTF-8 atom text from its bytes in
+numpy, with no Python string per field, whatever its line endings, field
+counts or whitespace; it owns every `MalformedLine` message and keeps the
 first as the columns' `error`, behind their rows.
 """
 from __future__ import annotations
 
 import copy
 import io
-import operator
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -392,61 +389,6 @@ def parse_schema(stream: IO[str] | Iterable[str]) -> list[PredicateSymbol]:
     return preds
 
 
-def read_atom_rows(
-    stream: IO[str] | Iterable[str], source: str = "", default: float | None = 1.0
-) -> AtomColumns:
-    """Validate and split `predicate<TAB>arg1<TAB>arg2[<TAB>value]` lines
-    into columns.
-
-    Blank lines are skipped. Every other line must have three or four
-    tab-separated fields, none of the first three empty after stripping, and
-    a fourth field must parse as a number; the first line that breaks this
-    ends the columns, and its `MalformedLine`, naming `source` and the line,
-    is kept as their `error`. A missing value column reads as `default`.
-    Value ranges are the caller's to check.
-
-    This is the per-line reader: `read_atom_columns` sends it every file
-    its whole-text checks cannot prove plain, so its messages are the only
-    `MalformedLine`s an atom file gives.
-    """
-    where = f"{source}: " if source else ""
-    rows: list[int | str | float | None] = []  # (line_no, pred, arg1, arg2, value) per row, flat
-    error = None
-    try:
-        # a blank line fails one of the checks below, so it is looked for
-        # only there; a line's final newline is whitespace to `float` and
-        # `strip` alike
-        for line_no, raw in enumerate(stream, start=1):
-            fields = raw.split("\t")
-            if len(fields) == 4:
-                pred, arg1, arg2, text = fields
-                try:
-                    value = float(text)
-                except ValueError:
-                    if not raw.strip():
-                        continue
-                    text = text.rstrip("\n")
-                    raise MalformedLine(line_no, f"{where}bad value {text!r}") from None
-            elif len(fields) == 3:
-                (pred, arg1, arg2), value = fields, default
-            elif not raw.strip():
-                continue
-            else:
-                raise MalformedLine(line_no, f"{where}expected 3 or 4 tab-separated fields, got {len(fields)}")
-            pred, arg1, arg2 = pred.strip(), arg1.strip(), arg2.strip()
-            if not (pred and arg1 and arg2):
-                if not raw.strip():
-                    continue
-                raise MalformedLine(line_no, f"{where}empty field")
-            rows += (line_no, pred, arg1, arg2, value)
-    except MalformedLine as exc:
-        error = exc
-    line_no, pred, arg1, arg2, value = (rows[k::5] for k in range(5))
-    has_value = np.fromiter(map(operator.is_not, value, repeat(None)), dtype=bool, count=len(value))
-    return AtomColumns.from_names(np.array(line_no, dtype=np.int64), pred, arg1, arg2,
-                                  np.array(value, dtype=np.float64), has_value, error)
-
-
 @dataclass
 class AtomColumns:
     """Atom rows as columns of codes into name tables: row i is
@@ -456,9 +398,10 @@ class AtomColumns:
     `has_value[i]` is False and `values[i]` NaN. `error` is the
     `MalformedLine` that ended the rows early, if any.
 
-    Both tables are sorted by name, which for the ASCII names of a plain
-    file is their byte order, so every reader gives the same tables for the
-    same rows. A table may hold names no row uses (see `take`)."""
+    Both tables are sorted by name. `parse_atoms` ranks names by their UTF-8
+    bytes, whose order is code-point order, so it gives the tables that
+    `from_names` gives for the same rows. A table may hold names no row uses
+    (see `take`)."""
 
     line_no: np.ndarray
     pred: np.ndarray
@@ -512,141 +455,192 @@ def _ranks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where key `at[c]` has code c."""
     order = np.argsort(key)
     ranked = key[order]
-    new = np.empty(len(key), dtype=bool)
+    new = np.empty(len(key), dtype=bool)  # the first of a run of equal keys
     new[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    runs = np.flatnonzero(new)  # of equal keys
+    del ranked
+    rank = np.cumsum(new, dtype=np.int64)
+    rank -= 1
     codes = np.empty(len(key), dtype=np.int64)
-    codes[order] = np.repeat(np.arange(len(runs)), np.diff(runs, append=len(key)))
-    return codes, order[runs]
+    codes[order] = rank
+    return codes, order[new]
 
 
 # byte masks keeping the first r bytes of a little-endian word, by r
 _MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
 
-def _token_codes(words: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_ranks` of the byte tokens [start[i], end[i]), read as zero-padded
-    8-byte words through `words` (word j holds bytes j to j + 7), packed
-    big-endian so that they rank in byte order. Tokens of equal length and
-    bytes, and only those, read as equal words, and a token ranks before its
-    extensions, because the text holds no NUL byte; a token longer than 8
-    bytes takes one word per 8, its codes refined word by word."""
-    length = end - start
+def _token_codes(
+    words: np.ndarray, start: np.ndarray, length: np.ndarray, nul: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_ranks` of the byte tokens of `length` bytes at `start`, read as
+    zero-padded 8-byte words through `words` (word j holds bytes j to j + 7),
+    packed big-endian so that they rank in byte order; a token longer than
+    8 bytes takes one word per 8, its codes refined word by word. Zero
+    padding reads a token and the token followed by NUL bytes alike (`a`,
+    `a\\x00`), so where the text may hold NUL (`nul`) one more ranking breaks
+    those ties by length, shorter first."""
     codes = at = None
     for k in range(max(1, -(-int(length.max(initial=0)) // 8))):
-        word = words[start + 8 * k]
-        word &= _MASKS.take(np.clip(length - 8 * k, 0, 8))
+        word = words[start + 8 * k if k else start]
+        word &= _MASKS.take(length - 8 * k if k else length, mode="clip")
         word.byteswap(inplace=True)
         if codes is not None:  # order the tokens equal so far by this word
             word_codes, _ = _ranks(word)
             word = codes * (int(word_codes.max()) + 1) + word_codes
         codes, at = _ranks(word)
+    if nul:
+        codes, at = _ranks(codes * (int(length.max(initial=0)) + 1) + length)
     return codes, at
 
 
-# bytes a file must not hold to be read whole: the ASCII whitespace that
-# `str.strip` or universal newlines act on, but for tab and newline, and NUL,
-# which a token's zero padding could not tell from its end
-_UNPLAIN = [b"\x00", b"\x0b", b"\x0c", b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b" "]
+# the ASCII whitespace, but for tab and newline, that `str.strip` removes
+_SPACES = b"\x0b\x0c\x1c\x1d\x1e\x1f "
 
 
-def _split_plain(data: bytes, default: float | None) -> AtomColumns | None:
-    """The columns of an atom file's bytes, coded without a Python string
-    per field, or None unless the text is plain: ASCII without `_UNPLAIN`
-    bytes, the same number of tabs (2 or 3) on every non-empty line, no
-    empty field and every value a float. Plain text reads exactly as
-    `read_atom_rows` reads it, error-free.
-
-    One scan for tabs and newlines gives every field's bounds; each column's
-    tokens are coded in byte order by `_token_codes`, and only the distinct
-    names and values are decoded."""
-    if not data.isascii() or any(byte in data for byte in _UNPLAIN):
+def _number(text: str) -> float | None:
+    """`float(text)`, or None where `float` rejects the text."""
+    try:
+        return float(text)
+    except ValueError:
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
+
+
+def _filled(codes: np.ndarray, names: list[str]) -> np.ndarray:
+    """Which codes into the sorted table `names` name a nonempty name."""
+    return codes >= int(names[:1] == [""])  # the empty name sorts first
+
+
+def _shrink(codes: np.ndarray, names: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Codes into the sorted table `names`, and that table, cut to the names
+    the codes use."""
+    used = np.zeros(len(names), dtype=bool)
+    used[codes] = True
+    if used.all():
+        return codes, names
+    return (np.cumsum(used) - 1)[codes], list(compress(names, used.tolist()))
+
+
+def parse_atoms(data: bytes, source: str = "", default: float | None = 1.0) -> AtomColumns:
+    """Validate and split the `predicate<TAB>arg1<TAB>arg2[<TAB>value]`
+    lines of UTF-8 text into columns.
+
+    Lines end at `\\n`, `\\r\\n` or a lone `\\r`, as in a file opened in text
+    mode; a field is what lies between tabs, stripped as by `str.strip`.
+    Blank lines are skipped. Every other line must have three or four
+    fields, none of the first three empty, and a fourth field that `float`
+    reads as written. The first line that breaks this (checked in that
+    order) ends the columns, and its `MalformedLine`, naming `source` and
+    the line, is kept as their `error`. A missing value column reads as
+    `default`; value ranges are the caller's to check.
+
+    One scan for tabs and newlines bounds every field, and each column's
+    fields are ranked in byte order by `_token_codes`, which for UTF-8 is
+    code-point order, so only the distinct names and values become Python
+    strings.
+    """
+    if not data.isascii():
+        data.decode("utf-8")  # an undecodable byte raises at its offset in the file
+    if b"\r" in data:  # universal newlines; no multibyte UTF-8 character holds 0x0D or 0x0A
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    bare = data.isascii() and not any(byte in data for byte in _SPACES)  # `str.strip` leaves every field
+    nul = b"\x00" in data
+    n = len(data) - data.endswith(b"\n")  # the final line break ends the last line and starts none
+    buf = np.frombuffer(data, dtype=np.uint8, count=n)
     cut = np.flatnonzero((buf == 0x09) | (buf == 0x0A))
-    tab = buf[cut] == 0x09
-    # segment k spans (bounds[k], bounds[k + 1]), ended by a tab where
-    # `ends_tab[k]`, else by a newline or the end of the text
-    bounds = np.concatenate(([-1], cut, [len(buf)]))
-    ends_tab, after_tab = np.append(tab, False), np.insert(tab, 0, False)
-    filled = np.diff(bounds) > 1
-    if np.any(~filled & (ends_tab | after_tab)):  # an empty field; else an empty line
-        return None
-    line_end = ~ends_tab[filled]
-    width = int(np.argmax(line_end)) + 1 if len(line_end) else 3
-    if width not in (3, 4) or len(line_end) % width:
-        return None
-    shape = (len(line_end) // width, width)
-    if np.any(line_end.reshape(shape) != (np.arange(width) == width - 1)):
-        return None
-    line_no = np.flatnonzero(filled[~ends_tab]) + 1
-    start, end = (bounds[:-1][filled] + 1).reshape(shape), bounds[1:][filled].reshape(shape)
-    del cut, bounds  # the largest arrays no longer needed, freed before the tokens are coded
+    first = np.concatenate(([0], np.flatnonzero(buf[cut] == 0x0A) + 1))  # each line's first field
+    # field k spans (bounds[k], bounds[k + 1]); the last, empty one stands
+    # in for the fields a short line lacks
+    bounds = np.concatenate(([-1], cut, [n, n + 1]))
+    width = np.diff(first, append=len(cut) + 1)
+    del buf, cut  # freed before the fields are coded
 
     # zeros past the text, so that every word `_token_codes` reads lies inside
-    padded = np.zeros(len(buf) + 8 * (2 + int((end - start).max(initial=0)) // 8), dtype=np.uint8)
-    padded[: len(buf)] = buf
-    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    data += bytes(8 * (2 + int(np.diff(bounds).max()) // 8))
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
 
-    def names(column: slice) -> tuple[np.ndarray, list[str]]:
-        first, last = start[:, column].ravel(), end[:, column].ravel()
-        codes, at = _token_codes(words, first, last)
-        return codes, [data[a:b].decode("ascii") for a, b in zip(first[at].tolist(), last[at].tolist())]
+    def column(fields: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        """The fields' codes in byte order, and the distinct fields decoded."""
+        lo = bounds[fields] + 1
+        length = bounds[fields + 1] - lo
+        del fields  # freed before the ranking, where the reader's memory peaks
+        codes, at = _token_codes(words, lo, length, nul)
+        lo, length = lo[at].tolist(), length[at].tolist()
+        return codes, [data[a : a + k].decode() for a, k in zip(lo, length)]
 
-    (pred, pred_names), (args, constants) = names(slice(0, 1)), names(slice(1, 3))
-    if width == 4:
-        codes, table = names(slice(3, 4))
-        try:
-            values = np.array(list(map(float, table)), dtype=np.float64)[codes]
-        except ValueError:
-            return None
-    else:
-        values = np.full(shape[0], np.nan if default is None else default, dtype=np.float64)
-    return AtomColumns(line_no, pred, args[0::2], args[1::2], values,
-                       np.full(shape[0], width == 4 or default is not None), pred_names, constants)
+    def stripped(codes: np.ndarray, names: list[str]) -> tuple[np.ndarray, list[str]]:
+        """The codes and sorted table of the names stripped."""
+        if bare:
+            return codes, names
+        recode, names = _intern([name.strip() for name in names])
+        return recode[codes], names
+
+    def field(k: int) -> np.ndarray:
+        """The k-th field of every line, the empty stand-in where it has none."""
+        return np.where(width > k, first + k, len(bounds) - 2)
+
+    pred, pred_names = stripped(*column(first))
+    args, constants = stripped(*column(np.concatenate((field(1), field(2)))))
+    args = args.reshape(2, len(first))
+    value, texts = column(field(3)) if width.max() > 3 else (np.zeros(len(first), dtype=np.int64), [""])
+    filled = np.vstack((_filled(pred, pred_names), _filled(args, constants)))
+    named = filled.all(axis=0)
+    blank = ~(filled.any(axis=0) | _filled(*stripped(value, texts)))
+    if width.max() > 4:  # a line of five or more fields is blank only if its other fields are
+        wide = np.flatnonzero(width > 4)
+        owner, rest = spans(first[wide] + 4, first[wide] + width[wide])
+        blank[wide[owner[_filled(*stripped(*column(rest)))]]] = False
+
+    parsed = list(map(_number, texts))
+    bad = np.array([number is None for number in parsed], dtype=bool)
+    four, odd = width == 4, (width < 3) | (width > 4)
+    faulty = np.flatnonzero(~blank & (odd | four & bad[value] | ~named))
+    error = None
+    if len(faulty):
+        stop = int(faulty[0])
+        if odd[stop]:
+            message = f"expected 3 or 4 tab-separated fields, got {width[stop]}"
+        elif four[stop] and bad[value[stop]]:
+            message = f"bad value {texts[value[stop]]!r}"
+        else:
+            message = "empty field"
+        error = MalformedLine(stop + 1, f"{source}: {message}" if source else message)
+        blank = blank[:stop]
+
+    rows = np.flatnonzero(~blank)
+    four = four[rows]
+    values = np.where(four, np.array(parsed, dtype=np.float64)[value[rows]], np.nan if default is None else default)
+    pred, pred_names = _shrink(pred[rows], pred_names)
+    (arg1, arg2), constants = _shrink(args[:, rows], constants)
+    return AtomColumns(rows + 1, pred, arg1, arg2, values, four | (default is not None),
+                       pred_names, constants, error)
 
 
 def read_atom_columns(path: str, default: float | None = 1.0) -> AtomColumns:
-    """One atom file, read whole, as columns.
-
-    Plain text (see `_split_plain`) is coded from its bytes. Any other file
-    is decoded as UTF-8, so an undecodable byte is reported at its offset in
-    the file, and read line by line through `read_atom_rows`, with lines
-    split as iterating over the opened file splits them; a malformed line
-    then ends the columns and is kept as their `error`.
-    """
+    """One atom file, read whole, as columns (see `parse_atoms`)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    columns = _split_plain(data, default)
-    if columns is None:
-        columns = read_atom_rows(_decoded(data), path, default)
-    return columns
-
-
-def _decoded(data: bytes) -> io.StringIO:
-    """UTF-8 `data` decoded at once, so an undecodable byte is reported at
-    its offset in the file; its lines split as iterating over an opened
-    text file splits them."""
-    return io.StringIO(data.decode("utf-8"), newline=None)
+        return parse_atoms(fh.read(), path, default)
 
 
 def read_text(path: str) -> io.StringIO:
-    """A whole text file, decoded at once (see `_decoded`). Every reader of
-    a schema, clause, model or config file takes its lines from here."""
+    """A whole UTF-8 text file, decoded at once, so an undecodable byte is
+    reported at its offset in the file; its lines split as iterating over an
+    opened text file splits them. Every reader of a schema, clause, model or
+    config file takes its lines from here."""
     with open(path, "rb") as fh:
-        return _decoded(fh.read())
+        return io.StringIO(fh.read().decode("utf-8"), newline=None)
 
 
 def parse_tsv(stream: IO[str] | Iterable[str], schema: Iterable[PredicateSymbol]) -> AtomDatabase:
-    """Read ground atoms from `predicate<TAB>arg1<TAB>arg2[<TAB>value]` lines.
+    """Read ground atoms from `predicate<TAB>arg1<TAB>arg2[<TAB>value]` lines,
+    joined and read as a file's text (see `parse_atoms`).
 
     The value column defaults to 1.0. Duplicate triples, unknown predicates
     and out-of-range values are hard errors so data-preparation bugs surface
     immediately.
     """
     db = AtomDatabase(schema)
-    db.add_columns(read_atom_rows(stream))
+    db.add_columns(parse_atoms("".join(stream).encode("utf-8")))
     return db
 
 

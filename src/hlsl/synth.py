@@ -21,7 +21,7 @@ from .data import (
     AtomDatabase,
     PredicateSymbol,
     build_adjacency,
-    read_atom_rows,
+    parse_atoms,
     round_value,
     serialize_schema,
 )
@@ -39,7 +39,7 @@ class Fixture:
     def train_db(self) -> AtomDatabase:
         """Evidence plus training targets, adjacency built."""
         db = AtomDatabase(self.schema)
-        db.add_columns(read_atom_rows(self.observed + self.train))
+        db.add_columns(parse_atoms("\n".join(self.observed + self.train).encode()))
         return build_adjacency(db)
 
     def eval_db(self) -> tuple[AtomDatabase, list[int], dict[tuple[str, str, str], int]]:
@@ -49,8 +49,8 @@ class Fixture:
         binary labels keyed by (predicate, arg1, arg2).
         """
         db = AtomDatabase(self.schema)
-        db.add_columns(read_atom_rows(self.observed + self.train))
-        test = read_atom_rows(self.test)
+        db.add_columns(parse_atoms("\n".join(self.observed + self.train).encode()))
+        test = parse_atoms("\n".join(self.test).encode())
         db.add_columns(test)
         free = list(range(len(db.atoms) - len(test), len(db.atoms)))
         labels = {(pred, arg1, arg2): round_value(value) for _, pred, arg1, arg2, value in test.rows()}

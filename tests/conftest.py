@@ -1,10 +1,15 @@
 """Shared test fixtures and oracle helpers."""
 from __future__ import annotations
 
+import operator
+from itertools import repeat
+from typing import IO, Iterable
+
 import numpy as np
 import pytest
 
-from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency, round_value
+from hlsl.data import AtomColumns, AtomDatabase, PredicateSymbol, build_adjacency, round_value
+from hlsl.errors import MalformedLine
 
 
 @pytest.fixture
@@ -24,6 +29,61 @@ def find_atom(db: AtomDatabase, pred_name: str, arg1: int, arg2: int) -> int | N
     k = db.pred_ids.get(pred_name, -1)
     hit = np.flatnonzero((db.pred == k) & (db.arg1 == arg1) & (db.arg2 == arg2))
     return int(hit[0]) if len(hit) else None
+
+
+def read_atom_rows(
+    stream: IO[str] | Iterable[str], source: str = "", default: float | None = 1.0
+) -> AtomColumns:
+    """Validate and split `predicate<TAB>arg1<TAB>arg2[<TAB>value]` lines
+    into columns.
+
+    Blank lines are skipped. Every other line must have three or four
+    tab-separated fields, none of the first three empty after stripping, and
+    a fourth field must parse as a number; the first line that breaks this
+    ends the columns, and its `MalformedLine`, naming `source` and the line,
+    is kept as their `error`. A missing value column reads as `default`.
+    Value ranges are the caller's to check.
+
+    This is the per-line oracle of `hlsl.data.parse_atoms`: iterated over
+    an opened file, or over the lines of a text, it splits lines as a file
+    opened in text mode does, and every reader must agree with it.
+    """
+    where = f"{source}: " if source else ""
+    rows: list[int | str | float | None] = []  # (line_no, pred, arg1, arg2, value) per row, flat
+    error = None
+    try:
+        # a blank line fails one of the checks below, so it is looked for
+        # only there; a line's final newline is whitespace to `float` and
+        # `strip` alike
+        for line_no, raw in enumerate(stream, start=1):
+            fields = raw.split("\t")
+            if len(fields) == 4:
+                pred, arg1, arg2, text = fields
+                try:
+                    value = float(text)
+                except ValueError:
+                    if not raw.strip():
+                        continue
+                    text = text.rstrip("\n")
+                    raise MalformedLine(line_no, f"{where}bad value {text!r}") from None
+            elif len(fields) == 3:
+                (pred, arg1, arg2), value = fields, default
+            elif not raw.strip():
+                continue
+            else:
+                raise MalformedLine(line_no, f"{where}expected 3 or 4 tab-separated fields, got {len(fields)}")
+            pred, arg1, arg2 = pred.strip(), arg1.strip(), arg2.strip()
+            if not (pred and arg1 and arg2):
+                if not raw.strip():
+                    continue
+                raise MalformedLine(line_no, f"{where}empty field")
+            rows += (line_no, pred, arg1, arg2, value)
+    except MalformedLine as exc:
+        error = exc
+    line_no, pred, arg1, arg2, value = (rows[k::5] for k in range(5))
+    has_value = np.fromiter(map(operator.is_not, value, repeat(None)), dtype=bool, count=len(value))
+    return AtomColumns.from_names(np.array(line_no, dtype=np.int64), pred, arg1, arg2,
+                                  np.array(value, dtype=np.float64), has_value, error)
 
 
 def random_chain_db(seed: int, n_a: int = 10, n_b: int = 7, n_c: int = 8) -> AtomDatabase:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import find_atom, random_chain_db
+from conftest import find_atom, random_chain_db, read_atom_rows
 
 from hlsl.data import (
     AtomColumns,
@@ -17,13 +17,12 @@ from hlsl.data import (
     PredicateSymbol,
     StepGraph,
     _probe,
-    _split_plain,
     build_adjacency,
     load_database,
+    parse_atoms,
     parse_schema,
     parse_tsv,
     read_atom_columns,
-    read_atom_rows,
     round_value,
     serialize_tsv,
 )
@@ -387,10 +386,9 @@ def test_atoms_are_row_indices(citation_db):
 
 # -- the column reader against the per-line reader ---------------------------
 
-# the byte path reads a name as one 8-byte word per 8 bytes: names of 7, 8,
-# 9, 16 and 17 bytes, names sharing their first 8 or 16 bytes, `ab`, which
+# the column reader reads a name as one 8-byte word per 8 bytes: names of 7,
+# 8, 9, 16 and 17 bytes, names sharing their first 8 or 16 bytes, `ab`, which
 # must sort after `a`, and a name that zero padding would confuse with `a`
-# (a file with a NUL byte is read line by line)
 LONG_NAMES = ["abcdefg", "abcdefgh", "abcdefghi", "abcdefghj", "abcdefghijklmnop", "abcdefghijklmnoq",
               "abcdefghijklmnopq", "abcdefghijklmnopr", "ab", "a\x00"]
 PLAIN_NAMES = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "Paper1", *LONG_NAMES]
@@ -404,7 +402,7 @@ ATOM_SCHEMA = "Cites\tevidence\nSim\tevidence\nSimilarity_of_gene\tevidence\nMen
 @st.composite
 def atom_line(draw, width, odd=False):
     """One atom line of `width` fields; with `odd`, each field may be one
-    that no plain file holds."""
+    that few files hold."""
     def field(plain, others):
         return draw(st.sampled_from(others if odd and draw(st.booleans()) else plain))
 
@@ -416,10 +414,9 @@ def atom_line(draw, width, odd=False):
 
 @st.composite
 def atom_file(draw):
-    """(text, plain): lines of one width, each ending in a newline, into
-    which a file that is not `plain` mixes one to three kinds of oddity:
-    lines of other widths, odd fields, blank or tab-only lines, and other
-    line endings. A file holding a NUL byte is not `plain` either."""
+    """Lines of one width, each ending in a newline, into which a file mixes
+    none to three kinds of oddity: lines of other widths, odd fields, blank
+    or tab-only lines, and other line endings."""
     width = draw(st.sampled_from([3, 4]))
     lines = draw(st.lists(atom_line(width), max_size=8))
     odd = draw(st.sets(st.sampled_from(["width", "fields", "blank", "endings"]), max_size=3))
@@ -435,12 +432,12 @@ def atom_file(draw):
             for line in extra:
                 lines.insert(draw(st.integers(0, len(lines))), line)
     if draw(st.booleans()):
-        lines.insert(draw(st.integers(0, len(lines))), "")  # an empty line is plain
+        lines.insert(draw(st.integers(0, len(lines))), "")
     endings = [draw(st.sampled_from(ENDINGS)) if "endings" in odd else "\n" for _ in lines]
     text = "".join(line + end for line, end in zip(lines, endings))
     if lines and draw(st.booleans()):
         text = text[: -len(endings[-1])]  # no final newline
-    return text, not odd and "\x00" not in text
+    return text
 
 
 def state(db):
@@ -495,24 +492,29 @@ def row_columns(path, default):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(atom_file(), min_size=2, max_size=4), st.sampled_from([1.0, None]))
-# each file below passes the one-pass split when one of its checks is left out
-@example([("Cites\ta b\t\n", False), ("", True)], 1.0)  # inner space, empty field
-@example([("Cites\ta\tb\nSim\ta\tb\t1\nCites\ta\n", False), ("", True)], 1.0)  # 3 + 4 + 2 fields
-@example([("Cites\ta\tb\r\r\nSim\ta\tb\n", False), ("", True)], 1.0)  # a bare CR ends a line
-@example([("Cites\t\x1ca\tb\n", False), ("", True)], 1.0)  # padded, and no line break
-@example([("Cites\t\tb\n", False), ("", True)], 1.0)  # an empty field
+@example(["Cites\ta b\t\n", ""], 1.0)  # inner space, empty field
+@example(["Cites\ta\tb\nSim\ta\tb\t1\nCites\ta\n", ""], 1.0)  # 3 + 4 + 2 fields
+@example(["Cites\ta\tb\r\r\nSim\ta\tb\n", ""], 1.0)  # a bare CR ends a line
+@example(["Cites\t\x1ca\tb\n", ""], 1.0)  # padded, and no line break
+@example(["Cites\t\tb\n", ""], 1.0)  # an empty field
+# CRLF endings, 3- and 4-field lines mixed, and a short line 3
+@example(["Cites\ta\tb\r\nSim\tc\td\t0.5\r\nCites\te\r\nSim\tf\tg\r\n", "Sim\th\ti\n"], None)
+# ` a`, `a` and `a\xa0` strip to one constant
+@example(["Cites\t a\ta\nSim\ta\xa0\t a\nMentions\ta\ta\xa0\t1\n", "Sim\ta\ta\n"], 1.0)
+# `a` beside `a\x00`, which zero padding alone would read alike
+@example(["Cites\ta\ta\x00\n", "Cites\ta\x00\ta\nCites\ta\ta\n"], 1.0)
 # names of one to three words, some sharing their first 8 or 16 bytes, met
 # out of byte order, and `a` beside `ab` and `a\x00`
-@example([("Cites\tabcdefgh\tabcdefghi\nSim\tabcdefghj\tabcdefghijklmnopq\n"
-           "Similarity_of_gene\tabcdefghijklmnopr\tabcdefghijklmnop\nCites\tabcdefg\tabcdefghijklmnoq\n", True),
-          ("Sim\tabcdefghijklmnopq\tabcdefghijklmnop\nCites\tab\ta\nMentions\tabcdefghi\tabcdefgh\n", True),
-          ("Cites\ta\ta\x00\nSim\ta\x00\ta\n", False), ("Cites\ta\x00\ta\x00\n", False)], 1.0)
+@example(["Cites\tabcdefgh\tabcdefghi\nSim\tabcdefghj\tabcdefghijklmnopq\n"
+          "Similarity_of_gene\tabcdefghijklmnopr\tabcdefghijklmnop\nCites\tabcdefg\tabcdefghijklmnoq\n",
+          "Sim\tabcdefghijklmnopq\tabcdefghijklmnop\nCites\tab\ta\nMentions\tabcdefghi\tabcdefgh\n",
+          "Cites\ta\ta\x00\nSim\ta\x00\ta\n", "Cites\ta\x00\ta\x00\n"], 1.0)
 # a faulty row mid-file, then new constants, which are not interned
-@example([("Cites\ta\tb\nNope\tc\td\nCites\te\tf\n", True), ("Sim\tg\th\n", True)], 1.0)
-@example([("Cites\ta\tb\t1\nSim\tc\td\t1.5\nCites\te\tf\t1\n", True), ("", True)], 1.0)
+@example(["Cites\ta\tb\nNope\tc\td\nCites\te\tf\n", "Sim\tg\th\n"], 1.0)
+@example(["Cites\ta\tb\t1\nSim\tc\td\t1.5\nCites\te\tf\t1\n", ""], 1.0)
 # constants repeated across files, first met in another order
-@example([("Cites\tb\ta\nSim\tc\tb\n", True), ("Sim\ta\td\nCites\tc\tb\n", True),
-          ("Mentions\td\tb\t1\nMentions\te\ta\t0\n", True)], None)
+@example(["Cites\tb\ta\nSim\tc\tb\n", "Sim\ta\td\nCites\tc\tb\n", "Mentions\td\tb\t1\nMentions\te\ta\t0\n"],
+         None)
 def test_column_reader_matches_the_per_line_reader(files, default):
     with tempfile.TemporaryDirectory() as tmp:
         check_readers_agree(Path(tmp), files, default)
@@ -520,20 +522,17 @@ def test_column_reader_matches_the_per_line_reader(files, default):
 
 def check_readers_agree(d, files, default):
     paths = []
-    for k, (text, _) in enumerate(files):
+    for k, text in enumerate(files):
         path = d / f"atoms{k}.tsv"
         path.write_bytes(text.encode("utf-8"))
         paths.append(str(path))
     (d / "schema.tsv").write_text(ATOM_SCHEMA)
     *loaded, extra = paths
 
-    for path, (text, plain) in zip(paths, files):
+    for path in paths:
         with open(path, encoding="utf-8") as fh:
             rows = read_atom_rows(fh, path, default)
-        if plain:  # the one-pass split takes every plain file, coded as the per-line reader codes it
-            split = _split_plain(text.encode("ascii"), default)
-            assert split is not None
-            assert tables(split) == tables(rows)
+        assert tables(read_atom_columns(path, default)) == tables(rows)
         for columns in (read_atom_columns(path, default), rows):
             assert all(table == sorted(set(table)) for table in (columns.pred_names, columns.constants))
         assert as_lists(read_atom_columns(path, default)) == row_columns(path, default)
@@ -548,6 +547,27 @@ def check_readers_agree(d, files, default):
             assert (type(exc), str(exc)) == error
         else:
             assert (got, None) == (expected, error)
+
+
+# the characters that a file's line model and `str.strip` treat apart:
+# CR and CRLF end a line, `\x0b`, `\x1c` and `\x85` do not, though
+# `str.splitlines` would break there and `str.strip` removes them; `\xa0`
+# and `\u3000` strip, the BOM does not; `float` reads `nan` and `1_0`, and
+# NUL sits where zero padding ends a name
+RAW_ALPHABET = ["Cites", "Sim", "a", "b", "ab", "abcdefghi", "0.5", "1", "\t", "\t", "\t", "\n", "\n", "\x00", "\r",
+                "\r\n", "\x0b", "\x1c", "\x85", "\xa0", " ", "\u3000", "\ufeff", "nan", "1_0", "\xe9", "\u0431"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(RAW_ALPHABET), max_size=40).map("".join))
+@example("Sim\ta\tb\t1\x1c\n")  # `str.strip` removes `\x1c`, `float` does not
+@example("Sim\ta\tb\n\t\t\t\t\x1c\n\t\t\t\tb\n")  # five fields: blank, then not blank
+def test_column_reader_matches_the_per_line_reader_on_raw_text(text):
+    for default in (1.0, None):
+        columns = parse_atoms(text.encode("utf-8"), "atoms.tsv", default)
+        oracle = read_atom_rows(io.StringIO(text, newline=None), "atoms.tsv", default)
+        assert tables(columns) == tables(oracle)
+        assert as_lists(columns) == as_lists(oracle)
 
 
 @settings(max_examples=100, deadline=None)
@@ -580,9 +600,7 @@ def test_constants_after_the_first_faulty_row_are_not_interned(tmp_path):
 
 
 @pytest.mark.parametrize("fixture", ["example", "recovery", "scaling"])
-def test_every_synth_atom_file_takes_the_byte_path(tmp_path, fixture):
-    # a file that fell back to the per-line reader would read the same,
-    # only slower, so the fall-back is checked for here
+def test_every_synth_atom_file_reads_as_the_oracle_reads_it(tmp_path, fixture):
     from hlsl.cli import main
 
     assert main(["synth", "--fixture", fixture, "--out", str(tmp_path)]) == 0
@@ -590,6 +608,6 @@ def test_every_synth_atom_file_takes_the_byte_path(tmp_path, fixture):
     paths = [str(path) for path in paths if path.exists()]
     assert len(paths) >= 2
     for path in paths:
-        with open(path, "rb") as fh:
-            assert _split_plain(fh.read(), 1.0) is not None, path
+        with open(path, encoding="utf-8") as fh:
+            assert tables(read_atom_columns(path)) == tables(read_atom_rows(fh, path))
         assert as_lists(read_atom_columns(path)) == row_columns(path, 1.0)
