@@ -257,7 +257,9 @@ def _mine(db: AtomDatabase, config: GenerationConfig) -> tuple[RowKeys, np.ndarr
     """`chain_coverage` as keys: (the codec of (head, labels...) rows, every
     chain body's key in ascending order, its coverage)."""
     depth = config.max_depth
-    graph = StepGraph(db, config.include_inverses, config.traverse_target_edges)
+    labels = np.array([[True, config.include_inverses]] * len(db.predicates))  # (forward, backward) steps
+    labels[db.is_target_pred] &= config.traverse_target_edges
+    graph = StepGraph(db, labels=labels.ravel())
     start, goal, head = db.arg1[db.targets], db.arg2[db.targets], db.pred[db.targets]
     # a found path is the row [head, labels..., target row]
     path_keys = RowKeys([0] + [-1] * depth + [0], [len(db.predicates)] + [graph.n_labels + 1] * depth + [len(start)])

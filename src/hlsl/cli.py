@@ -237,15 +237,15 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
 
     db = load_database(cfg.schema, paths, cfg.generation.threshold, extra_rows=read_test)
     # the test atoms are the last ones added
-    free = list(range(len(db.atoms) - len(test[0]), len(db.atoms)))
+    free = np.arange(len(db.atoms) - len(test[0]), len(db.atoms))
     stray = [db.atom_str(free[i]) for i in np.flatnonzero(~db.target_mask()[free])]
     if stray:
         raise NotATarget(f"{cfg.test}: atoms not of a target predicate: {len(stray)}, the first {stray[0]}")
     model = read_model(read_text(model_path), db)
-    grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free), strict=cfg.strict)
+    grounding = ground_clauses(model.clauses, db, free_atoms=free, strict=cfg.strict)
     solution = map_infer(model, db, free_atoms=free, grounding=grounding, p=cfg.learning.p)
     names, consts, score = db.pred_names, db.constants, solution.values
-    rows = zip(db.pred[free].tolist(), db.arg1[free].tolist(), db.arg2[free].tolist(), free)
+    rows = zip(db.pred[free].tolist(), db.arg1[free].tolist(), db.arg2[free].tolist(), free.tolist())
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{names[p]}\t{consts[a]}\t{consts[b]}\t{score[i]:.12g}\n" for p, a, b, i in rows)
 
@@ -278,6 +278,7 @@ def cmd_eval(predictions_path: str, labels_path: str, out_path: str) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hlsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    neg_ratio = "subsample negative train targets to this ratio of positives (0 = keep all)"
 
     def option(p: argparse.ArgumentParser, key: str, **kwargs) -> None:
         """The flag of option `key`, typed like its default."""
@@ -301,6 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output clause file")
     for f in fields(GenerationConfig):
         option(g, f.name)
+    option(g, "neg_ratio", help=neg_ratio)
 
     l = sub.add_parser("learn", help="learn clause weights and structure")
     common(l)
@@ -319,8 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     option(l, "w_max")
     option(l, "l2_sigma")
     option(l, "p", choices=(1, 2))
-    option(l, "neg_ratio", help="subsample negative train targets to this ratio of positives "
-           "(0 = keep all)")
+    option(l, "neg_ratio", help=neg_ratio)
+    option(l, "threshold")
 
     i = sub.add_parser("infer", help="MAP-predict test target atoms")
     common(i)
@@ -329,6 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--out", required=True, help="predictions TSV")
     option(i, "p", choices=(1, 2))
     option(i, "strict", help="exclude observed target atoms from clause bodies")
+    option(i, "threshold")
 
     e = sub.add_parser("eval", help="AUC of predictions against labels")
     e.add_argument("--predictions", required=True)

@@ -94,10 +94,7 @@ class AtomDatabase:
         self.arg2 = np.zeros(0, dtype=np.int64)
         self.values = np.zeros(0, dtype=np.float64)
         self.targets = np.zeros(0, dtype=np.int64)
-        # the atoms that round to 1, and the threshold they were rounded at
-        # (see `build_adjacency`)
-        self.edges = np.zeros(0, dtype=np.int64)
-        self.round_threshold: float = DEFAULT_ROUND_THRESHOLD
+        self.edges = np.zeros(0, dtype=np.int64)  # the atoms that round to 1 (see `build_adjacency`)
 
     # -- construction -----------------------------------------------------
 
@@ -235,16 +232,14 @@ class AtomDatabase:
 def build_adjacency(db: AtomDatabase, threshold: float = DEFAULT_ROUND_THRESHOLD) -> AtomDatabase:
     """Find the edges: the atoms whose value rounds to 1 at `threshold`.
 
-    Sets `db.edges` to their indices in ascending order and
-    `db.round_threshold` to `threshold`; mining and grounding walk the
-    edges as a `StepGraph`. Refuses more constants than that graph's 64-bit
-    step keys hold.
+    Sets `db.edges` to their indices in ascending order; mining and
+    grounding walk the edges as a `StepGraph`. Refuses more constants than
+    that graph's 64-bit step keys hold.
     """
     n, n_preds = len(db.constants), len(db.predicates)
     if n * n * 2 * n_preds >= 2**63:
         raise ValueError(f"{n} constants are too many for 64-bit edge keys")
     db.edges = np.flatnonzero(rounds_to_one(db.values, threshold))
-    db.round_threshold = threshold
     return db
 
 
@@ -279,31 +274,26 @@ class StepGraph:
     """Atoms as the steps of a labelled graph over the constants.
 
     Every atom p(a, b) of `atoms` (by default the edges, `db.edges`) is a
-    forward step a -> b with label 2k, where k is p's predicate id, and,
-    when inverses are walked, a backward step b -> a with label 2k + 1.
-    Steps of target predicates are left out unless `traverse_target_edges`.
+    forward step a -> b with label 2k, where k is p's predicate id, and a
+    backward step b -> a with label 2k + 1. Only the steps whose label is
+    set in the boolean mask `labels` (length `n_labels`, all by default)
+    are kept; which steps a walk may take is the caller's to say.
     Steps are sorted by `key` = (src * n_labels + label) * n_nodes + dst,
     which is unique when `atoms` repeats no atom: `indptr[n]:indptr[n + 1]`
     are the steps leaving node n, `dst[s]` is where step s leads, `label[s]`
     its label and `atom[s]` the atom it walks.
     """
 
-    def __init__(
-        self,
-        db: AtomDatabase,
-        include_inverses: bool = True,
-        traverse_target_edges: bool = True,
-        atoms: np.ndarray | Sequence[int] | None = None,
-    ):
+    def __init__(self, db: AtomDatabase, atoms: np.ndarray | None = None, labels: np.ndarray | None = None):
         atom = db.edges if atoms is None else np.asarray(atoms, dtype=np.int64)
-        if not traverse_target_edges:
-            atom = atom[~db.is_target_pred[db.pred[atom]]]
-        directions = [False, True] if include_inverses else [False]
-        backward = np.repeat(directions, len(atom))
-        atom = np.tile(atom, len(directions))
+        backward = np.repeat([False, True], len(atom))
+        atom = np.tile(atom, 2)
+        label = 2 * db.pred[atom] + backward
+        if labels is not None and not np.all(labels):
+            keep = np.asarray(labels, dtype=bool)[label]
+            atom, label, backward = atom[keep], label[keep], backward[keep]
         src = np.where(backward, db.arg2[atom], db.arg1[atom])
         dst = np.where(backward, db.arg1[atom], db.arg2[atom])
-        label = 2 * db.pred[atom] + backward
         self.n_nodes = len(db.constants)
         self.n_labels = 2 * len(db.predicates)
         key = (src * self.n_labels + label) * self.n_nodes + dst

@@ -403,4 +403,5 @@ class Workspace:
         # bincount adds in group order, as a loop over the groups would
         logz = np.bincount(self.group_atom, weights=self.log_partitions(w))
         energy = np.bincount(self.group_atom, weights=self.observed_energies(w))
-        return {int(a): (float(logz[a]), float(energy[a])) for a in np.unique(self.group_atom)}
+        atoms = np.flatnonzero(np.bincount(self.group_atom))  # the atoms that have a group, ascending
+        return dict(zip(atoms.tolist(), zip(logz[atoms].tolist(), energy[atoms].tolist())))

@@ -18,42 +18,39 @@ from typing import IO, Sequence
 import numpy as np
 
 from .clauses import PathClause
-from .data import AtomDatabase, StepGraph, rounds_to_one, spans
+from .data import AtomDatabase, StepGraph, spans
 
 
-def ground_clause(
-    clause: PathClause,
-    db: AtomDatabase,
-    free_atoms: frozenset[int] | set[int] | None = None,
-    strict: bool = False,
-    graph: StepGraph | None = None,
-) -> Grounding:
+def ground_clause(clause: PathClause, db: AtomDatabase, free_atoms: np.ndarray | Sequence[int] = (),
+                  strict: bool = False, graph: StepGraph | None = None) -> Grounding:
     """All groundings of one clause against the database, as a one-clause
     `Grounding`.
 
     A substitution grounds when every body atom is stored and either rounds
-    to 1 (at the threshold `build_adjacency` rounded at) or is free,
-    and the head is a stored target atom. Variables are substituted
-    independently, so distinct variables may bind the same constant. Mining
-    differs on purpose: it counts only simple paths, yet the clauses it
-    yields also ground substitutions that repeat a constant (P(V1,V2) &
-    Q(V2,V3) -> T(V1,V3) grounds on P(a, b), Q(b, a) with head T(a, a)).
-    Negative priors ground once per target atom of their predicate. With
-    `strict`, groundings whose body contains an observed target atom are
-    dropped (no training labels inside bodies).
+    to 1 (at the threshold `build_adjacency` rounded at) or is free (in
+    `free_atoms`), and the head is a stored target atom. Variables are
+    substituted independently, so distinct variables may bind the same
+    constant. Mining differs on purpose: it counts only simple paths, yet
+    the clauses it yields also ground substitutions that repeat a constant
+    (P(V1,V2) & Q(V2,V3) -> T(V1,V3) grounds on P(a, b), Q(b, a) with head
+    T(a, a)). Negative priors ground once per target atom of their
+    predicate. With `strict`, no body holds an observed (not free) target
+    atom: no training labels inside bodies.
 
-    The body is walked as a chain join over `graph` (by default
-    `walk_graph(db, free_atoms)`) for all head atoms at once: each of the
-    clause's (predicate, inverted) steps extends every partial walk by the
-    graph steps of its label, and the last is a lookup of the graph steps
-    that reach the head's second argument. Groundings come out sorted by
-    their atom indices, body atoms in step order, then the head.
+    The body is walked as a chain join over `graph`, which alone decides
+    what a body may hold (by default `walk_graph(db, [clause], free_atoms,
+    strict)`; a graph passed in must come from `walk_graph` over a clause
+    list that holds this clause), for all head atoms at once: each step of
+    the clause extends every partial walk by the graph steps of its label,
+    and the last is a lookup of those that reach the head's second argument.
+    Groundings come out sorted by their atom indices, body atoms in step
+    order, then the head.
     """
     heads = db.targets[db.pred[db.targets] == db.pred_ids[clause.head]]
     atoms = heads[:, None]
     if clause.steps:
         if graph is None:
-            graph = walk_graph(db, free_atoms)
+            graph = walk_graph(db, [clause], free_atoms, strict)
         labels = [2 * db.pred_ids[pred] + inverted for pred, inverted in clause.steps]
         row = np.arange(len(heads))
         node = db.arg1[heads]
@@ -64,10 +61,6 @@ def ground_clause(
             body = np.column_stack([body[i], graph.atom[s]])
         i, s = graph.lookup(node, db.arg2[heads[row]], labels[-1])
         atoms = np.column_stack([body[i], graph.atom[s], heads[row[i]]])
-        if strict:
-            observed = db.target_mask()
-            observed[list(free_atoms or ())] = False
-            atoms = atoms[~observed[atoms[:, :-1]].any(axis=1)]
         atoms = atoms[np.lexsort(atoms.T[::-1])]
 
     n, width = atoms.shape
@@ -85,13 +78,20 @@ def ground_clause(
     )
 
 
-def walk_graph(db: AtomDatabase, free_atoms: frozenset[int] | set[int] | None = None) -> StepGraph:
-    """The step graph grounding walks: the edges plus the free atoms that
-    round to 0, since those may take any value at inference time. Forward
-    and backward steps of every predicate."""
-    free = np.unique(np.fromiter(free_atoms or (), dtype=np.int64))
-    free = free[~rounds_to_one(db.values[free], db.round_threshold)]
-    return StepGraph(db, atoms=np.concatenate([db.edges, free]))
+def walk_graph(db: AtomDatabase, clauses: Sequence[PathClause], free_atoms: np.ndarray | Sequence[int] = (),
+               strict: bool = False) -> StepGraph:
+    """The step graph that grounding `clauses` walks: the steps of the labels
+    their bodies use, of the atoms a body may hold. Those are the edges and
+    the free atoms (indices), which may take any value at inference time;
+    with `strict`, less the observed (not free) target atoms."""
+    walkable = np.zeros(len(db.values), dtype=bool)
+    walkable[db.edges] = True
+    if strict:
+        walkable &= ~db.target_mask()
+    walkable[np.asarray(free_atoms, dtype=np.int64)] = True
+    labels = np.zeros(2 * len(db.predicates), dtype=bool)
+    labels[[2 * db.pred_ids[pred] + inverted for clause in clauses for pred, inverted in clause.steps]] = True
+    return StepGraph(db, np.flatnonzero(walkable), labels)
 
 
 class Grounding:
@@ -178,16 +178,12 @@ class Grounding:
         )
 
 
-def ground_clauses(
-    clauses: Sequence[PathClause],
-    db: AtomDatabase,
-    free_atoms: frozenset[int] | set[int] | None = None,
-    strict: bool = False,
-) -> Grounding:
-    """Ground an ordered clause list; the owning clause of a ground clause
-    is its list position. One step graph serves every clause."""
-    graph = walk_graph(db, free_atoms)
-    parts = [ground_clause(clause, db, free_atoms, strict, graph) for clause in clauses]
+def ground_clauses(clauses: Sequence[PathClause], db: AtomDatabase, free_atoms: np.ndarray | Sequence[int] = (),
+                   strict: bool = False) -> Grounding:
+    """Ground an ordered clause list (see `ground_clause`); the owning clause
+    of a ground clause is its list position. One `walk_graph` serves all."""
+    graph = walk_graph(db, clauses, free_atoms, strict)
+    parts = [ground_clause(clause, db, graph=graph) for clause in clauses]
 
     def joined(name: str, dtype) -> np.ndarray:
         return np.concatenate([getattr(p, name) for p in parts] + [np.zeros(0, dtype=dtype)])

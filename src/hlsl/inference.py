@@ -68,7 +68,7 @@ class MapSolution:
 def map_infer(
     model: WeightedModel,
     db: AtomDatabase,
-    free_atoms: Sequence[int] | None = None,
+    free_atoms: np.ndarray | Sequence[int] | None = None,
     grounding: Grounding | None = None,
     p: int = 1,
     max_iters: int = MAX_ITERS,
@@ -82,15 +82,17 @@ def map_infer(
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
-    free = list(db.targets) if free_atoms is None else list(free_atoms)
+    free = db.targets if free_atoms is None else np.asarray(free_atoms, dtype=np.int64)
     if grounding is None:
-        grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free))
+        grounding = ground_clauses(model.clauses, db, free_atoms=free)
 
     values = db.value_vector()
     values[free] = 0.0
     weights = np.asarray(model.weights, dtype=np.float64)
 
-    ground, atom, coef = grounding.pairs(np.isin(np.arange(len(values)), free))
+    is_free = np.zeros(len(values), dtype=bool)
+    is_free[free] = True
+    ground, atom, coef = grounding.pairs(is_free)
     # a free atom in both body and head cancels to coefficient 0: that copy
     # constrains nothing, and dropping it keeps every remaining hinge's |a| > 0
     live = coef != 0.0
@@ -142,7 +144,7 @@ def map_infer(
     values[variables] = y + 0.0  # + 0.0 turns a clipped -0.0 into +0.0
     objective = float((weights[grounding.g_clause] * grounding.penalties(values, p)).sum())
     return MapSolution(
-        values={i: float(values[i]) for i in free},
+        values=dict(zip(free.tolist(), values[free].tolist())),
         objective=objective,
         iterations=iterations,
         primal_residual=primal,

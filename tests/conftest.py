@@ -323,14 +323,15 @@ def drop_target_self_step(paths, db, atom):
     return {p for p in paths if p != ((db.pred_names[db.pred[atom]], False, db.arg1[atom], db.arg2[atom]),)}
 
 
-def dfs_ground_clause(clause, db, free_atoms=None, strict=False):
+def dfs_ground_clause(clause, db, free_atoms=(), strict=False):
     """Reference grounding: for one head atom at a time, a depth-first walk
-    of the body chain over dict indexes built from the atom list. Returns
-    the term tuples of every grounding, sorted."""
-    free = set(free_atoms or ())
+    of the body chain over dict indexes built from the atom list, for a
+    database whose atoms round at the default threshold. Returns the term
+    tuples of every grounding, sorted."""
+    free = set(np.asarray(free_atoms, dtype=np.int64).tolist())
     out_by, in_by = {}, {}
     for atom in db.atoms:
-        if atom in free or round_value(db.values[atom], db.round_threshold) == 1:
+        if atom in free or round_value(db.values[atom]) == 1:
             name, arg1, arg2 = db.pred_names[db.pred[atom]], int(db.arg1[atom]), int(db.arg2[atom])
             out_by.setdefault((arg1, name), []).append((arg2, atom))
             in_by.setdefault((arg2, name), []).append((arg1, atom))
@@ -472,7 +473,7 @@ def admm_oracle(model, db, free, grounding, p, max_iters):
     values[variables] = y + 0.0
     objective = float((weights[grounding.g_clause] * grounding.penalties(values, p)).sum())
     return MapSolution(
-        values={i: float(values[i]) for i in free},
+        values={int(i): float(values[i]) for i in free},
         objective=objective,
         iterations=iterations,
         primal_residual=primal,

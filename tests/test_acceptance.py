@@ -230,7 +230,7 @@ def test_c07_synthetic_recovery():
     edb, free, labels = fx.eval_db()
     aucs = {}
     for name, model in (("ppll", ppll_model), ("gls", gls_model)):
-        grounding = ground_clauses(model.clauses, edb, free_atoms=frozenset(free))
+        grounding = ground_clauses(model.clauses, edb, free_atoms=free)
         sol = map_infer(model, edb, free_atoms=free, grounding=grounding)
         scores = {}
         for i in free:

@@ -689,16 +689,32 @@ def test_resolve_without_options_gives_the_config_defaults(command):
     assert cfg.learning == LearnConfig()
 
 
-@pytest.mark.parametrize("key", sorted(_OPTIONS))
-def test_config_entry_resolves_like_its_flag(tmp_path, key):
-    command, flag, entry = SAMPLES[key]
+# the options that another command reads as well, on that command
+MORE_SAMPLES = {
+    "learn-threshold": (LEARN, ("--threshold", "0.25"), "threshold = 0.25"),
+    "infer-threshold": (INFER, ("--threshold", "0.25"), "threshold = 0.25"),
+    "generate-neg_ratio": (GENERATE, ("--neg-ratio", "0.5"), "neg_ratio = 0.5"),
+}
+
+
+def assert_entry_resolves_like_flag(tmp_path, command, flag, entry, read=True):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(entry + "\n")
     by_flag = resolve(*command, *flag)
     # repr tells an int from an equal float
     assert repr(resolve(*command, "--config", cfg)) == repr(by_flag)
-    if key != "threads":  # nothing reads it
+    if read:
         assert by_flag != resolve(*command)
+
+
+@pytest.mark.parametrize("key", sorted(_OPTIONS))
+def test_config_entry_resolves_like_its_flag(tmp_path, key):
+    assert_entry_resolves_like_flag(tmp_path, *SAMPLES[key], read=key != "threads")  # nothing reads threads
+
+
+@pytest.mark.parametrize("case", sorted(MORE_SAMPLES))
+def test_config_entry_resolves_like_its_flag_on_every_command_that_reads_it(tmp_path, case):
+    assert_entry_resolves_like_flag(tmp_path, *MORE_SAMPLES[case])
 
 
 @pytest.mark.parametrize("method, field", [("ppll", "max_iters"), ("gls", "gls_outer_iters")])

@@ -141,17 +141,22 @@ def test_edge_count_matches_rounded_atoms():
     assert n_out == n_in == n_rounded
 
 
-def scanned_steps(db, atoms, inverses, target_edges):
-    """(src, label, dst, atom) of every step, from a scan of the atom
-    columns, sorted by (src, label, dst)."""
+def scanned_steps(db, atoms, labels=None):
+    """(src, label, dst, atom) of every step whose label is set in the mask
+    `labels` (every step when None), from a scan of the atom columns, sorted
+    by (src, label, dst)."""
     steps = []
     for a in atoms:
         p, x, y = int(db.pred[a]), int(db.arg1[a]), int(db.arg2[a])
-        if target_edges or not db.is_target_pred[p]:
-            steps.append((x, 2 * p, y, int(a)))
-            if inverses:
-                steps.append((y, 2 * p + 1, x, int(a)))
+        for label, src, dst in ((2 * p, x, y), (2 * p + 1, y, x)):
+            if labels is None or labels[label]:
+                steps.append((src, label, dst, int(a)))
     return sorted(steps)
+
+
+def label_masks(n_labels):
+    """A `StepGraph` label mask over `n_labels` labels, or None for all."""
+    return st.one_of(st.none(), st.lists(st.booleans(), min_size=n_labels, max_size=n_labels))
 
 
 def scanned_edges(db, threshold, backward):
@@ -168,17 +173,16 @@ def scanned_edges(db, threshold, backward):
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 10**6),
-    st.booleans(),
-    st.booleans(),
+    label_masks(8),  # random_chain_db has 4 predicates
     st.lists(st.booleans(), max_size=60),
     st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 7)), max_size=20),
 )
-def test_step_graph_matches_a_column_scan(seed, inverses, target_edges, free_flags, queries):
+def test_step_graph_matches_a_column_scan(seed, labels, free_flags, queries):
     db = random_chain_db(seed, n_a=5, n_b=4, n_c=4)
     free = [a for a, f in zip(np.flatnonzero(db.values < 0.5).tolist(), free_flags) if f]
     atoms = np.concatenate([db.edges, np.asarray(free, dtype=np.int64)])
-    graph = StepGraph(db, inverses, target_edges, atoms)
-    steps = scanned_steps(db, atoms.tolist(), inverses, target_edges)
+    graph = StepGraph(db, atoms, None if labels is None else np.array(labels))
+    steps = scanned_steps(db, atoms.tolist(), labels)
     n = graph.n_nodes
     src = np.repeat(np.arange(n), np.diff(graph.indptr))
     got = list(zip(src.tolist(), graph.label.tolist(), graph.dst.tolist(), graph.atom.tolist()))
@@ -213,10 +217,10 @@ def test_step_graph_matches_a_column_scan(seed, inverses, target_edges, free_fla
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 4)), unique=True, max_size=25),
-    st.booleans(),
+    label_masks(6),
     st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=30),
 )
-def test_step_graph_probes_match_a_brute_force_scan(cells, inverses, probes):
+def test_step_graph_probes_match_a_brute_force_scan(cells, labels, probes):
     # c0 -> c1 is joined by every predicate; c5 and c6, interned last, appear
     # only in an atom that rounds to 0, so they have no steps and every key
     # from them lies past the last step. Probes come unsorted, repeated or
@@ -225,8 +229,8 @@ def test_step_graph_probes_match_a_brute_force_scan(cells, inverses, probes):
     for k, x, y in dict.fromkeys([(0, 0, 1), (1, 0, 1), (2, 0, 1), *cells]):
         db.add_atom("PQR"[k], f"c{x}", f"c{y}")
     db.add_atom("P", "c5", "c6", 0.0)
-    graph = StepGraph(build_adjacency(db), include_inverses=inverses)
-    steps = scanned_steps(db, db.edges.tolist(), inverses, True)
+    graph = StepGraph(build_adjacency(db), labels=None if labels is None else np.array(labels))
+    steps = scanned_steps(db, db.edges.tolist(), labels)
     n = graph.n_nodes
     nodes = np.array([x % n for x, _ in probes], dtype=np.int64)
     goals = np.array([y % n for _, y in probes], dtype=np.int64)

@@ -206,7 +206,7 @@ def test_restrict_matches_fresh_grounding():
 def test_grounding_twice_gives_identical_arrays():
     db = random_chain_db(1)
     cands = generate_candidates(db, GenerationConfig(max_depth=2, min_coverage=1))
-    free = frozenset(db.targets[::3])
+    free = db.targets[::3]
     a = ground_clauses(cands, db, free_atoms=free)
     b = ground_clauses(cands, db, free_atoms=free)
     for name in ("g_clause", "g_const0", "term_count", "term_start", "term_ground", "term_atom", "term_coef"):
@@ -222,7 +222,7 @@ def test_free_atoms_bypass_body_gate():
     build_adjacency(db)
     clause = parse_clause("P(V1,V2) & T(V2,V3) -> T(V1,V3)", db)
     assert len(ground_clause(clause, db)) == 0
-    free = {1, 2}
+    free = [1, 2]
     grounds = ground_clause(clause, db, free_atoms=free)
     assert len(grounds) == 1
 
@@ -297,7 +297,7 @@ def grounding_cases(draw):
     head = draw(st.sampled_from("TU"))
     text = " & ".join(body) + f" -> {bang}{head}(V1,V{len(steps) + 1})" if body else f"-> {bang}{head}(A,B)"
     clause = parse_clause(text, db)
-    free = draw(st.sets(st.sampled_from(range(len(db.atoms)))))
+    free = np.array(sorted(draw(st.sets(st.sampled_from(range(len(db.atoms)))))), dtype=np.int64)
     return db, clause, free, draw(st.booleans())
 
 
@@ -348,3 +348,20 @@ def test_a_clause_is_its_chain(db, pair):
     got = ground_terms(ground_clause(a, db))
     assert sorted(tuple(atom for atom, _ in terms) for terms in got) == herbrand_groundings(a, db)
     assert {terms[-1][1] for terms in got} <= {-1 if a.negated else 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_dbs(), st.lists(any_clauses, min_size=1, max_size=5), st.data(), st.booleans())
+def test_ground_clauses_joins_each_clauses_own_grounding(db, clauses, data, strict):
+    # one step graph of the union of the clauses' labels grounds every clause
+    # as a graph of its own labels does
+    free = np.array(sorted(data.draw(st.sets(st.sampled_from(range(len(db.atoms)))))), dtype=np.int64)
+    joined = ground_clauses(clauses, db, free_atoms=free, strict=strict)
+    terms, owners = [], []
+    for k, clause in enumerate(clauses):
+        own = ground_terms(ground_clause(clause, db, free_atoms=free, strict=strict))
+        assert own == dfs_ground_clause(clause, db, free, strict)
+        terms += own
+        owners += [k] * len(own)
+    assert ground_terms(joined) == terms
+    assert joined.g_clause.tolist() == owners

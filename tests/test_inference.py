@@ -71,7 +71,7 @@ def test_map_objective_nonincreasing_over_sweeps():
     rng = np.random.default_rng(0)
     model = WeightedModel(list(cands), rng.uniform(0, 3, len(cands)))
     free = list(db.targets)
-    grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free))
+    grounding = ground_clauses(model.clauses, db, free_atoms=free)
     for p in (1, 2):
         sol = map_infer(model, db, grounding=grounding, p=p)
         assert sol.converged and within_oracle(sol, map_oracle(model, grounding, db, free, p)), p
@@ -116,7 +116,7 @@ def test_map_on_clause_groundings_matches_grid():
     ]
     model = WeightedModel(clauses, np.round(rng.uniform(0.2, 2.0, 3), 3))
     free = list(db.targets)
-    grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free))
+    grounding = ground_clauses(model.clauses, db, free_atoms=free)
     sol = map_infer(model, db, free_atoms=free, grounding=grounding)
     from conftest import chain_grid_min
 
@@ -167,7 +167,7 @@ def coupled_instances(draw):
 @given(coupled_instances())
 def test_map_reaches_oracle_on_coupled_chain_databases(instance):
     db, model, free, p = instance
-    grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free))
+    grounding = ground_clauses(model.clauses, db, free_atoms=free)
     # some ground clause holds two distinct free atoms
     is_free = np.isin(grounding.term_atom, free)
     assert any(
@@ -200,7 +200,7 @@ def test_map_equals_admm_oracle_on_random_instances():
 @given(coupled_instances())
 def test_map_equals_admm_oracle_on_coupled_chain_databases(instance):
     db, model, free, _ = instance
-    assert_admm_oracle(model, db, free, ground_clauses(model.clauses, db, free_atoms=frozenset(free)))
+    assert_admm_oracle(model, db, free, ground_clauses(model.clauses, db, free_atoms=free))
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -215,7 +215,7 @@ def test_map_stop_record(p):
     build_adjacency(db)
     clauses = [parse_clause(text, db) for text in COUPLED_CLAUSES] + [negative_prior("T")]
     model = WeightedModel(clauses, np.linspace(0.5, 2.0, len(clauses)))
-    grounding = ground_clauses(model.clauses, db, free_atoms=frozenset(free))
+    grounding = ground_clauses(model.clauses, db, free_atoms=free)
     sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
     assert sol.converged and sol.iterations > 1
     assert 0.0 <= sol.primal_residual <= 1e-4 and 0.0 <= sol.dual_residual <= 1e-4
@@ -241,7 +241,7 @@ def test_map_zero_norm_hinges(p):
     clauses = [parse_clause("T(V1,V2) & R(V2,V3) -> T(V1,V3)", db), negative_prior("T")]
     model = WeightedModel(clauses, np.array([1.5, 0.5]))
     cases = [
-        ground_clauses(clauses, db, free_atoms=frozenset(free)),
+        ground_clauses(clauses, db, free_atoms=free),
         # T(a,x) twice plus T(a,y) in one ground, and T(b,b) alone twice
         grounding_of(clauses, [(0, ((free[0], -1), (free[0], 1), (free[1], 1))), (0, ((free[2], -1), (free[2], 1))),
                                (1, ((free[1], -1),))], db),
@@ -261,7 +261,7 @@ def test_map_converges_at_small_weights(p):
     # free atom, so its weight 1 must not set ADMM's scale
     db, free, _ = recovery_fixture(0).eval_db()
     clauses = [parse_clause(t, db) for t in ("Coassoc(V1,V2) -> T(V1,V2)", "Link(V1,V2) -> T(V2,V1)")]
-    grounding = ground_clauses(clauses, db, free_atoms=frozenset(free))
+    grounding = ground_clauses(clauses, db, free_atoms=free)
     assert set(grounding.g_clause) == {0}
     iterations = []
     for w in (1.0, 1e-2, 1e-4, 1e-6):
