@@ -533,6 +533,45 @@ def test_eval_rejects_malformed_rows(tmp_path, capsys, predictions, labels):
     assert single_error(capsys).startswith("error:MalformedLine:line 1:")
 
 
+SCORED = "T\ta\tb\t0.5\nT\tc\td\t0.1\n"
+
+
+@pytest.mark.parametrize(
+    "predictions, labels, error",
+    [
+        ("T\ta\tb\t0.5\nT\tc\td\nT\te\tf\tnan\n", "T\ta\tb\t1\n",
+         "MalformedLine:line 2: {p}: expected predicate, arg1, arg2, score"),
+        ("T\ta\tb\tnan\nT\tc\td\n", "T\ta\tb\t1\n", "MalformedLine:line 1: {p}: non-finite score nan"),
+        ("T\ta\tb\t0.5\nT\ta\tb\t0.7\nT\tc\td\n", "T\ta\tb\t1\n", "DuplicateAtom:T(a,b)"),
+        ("T\ta\tb\t0.5\nT\t\td\n", "T\ta\tb\t1\n", "MalformedLine:line 2: {p}: empty field"),
+        ("T\ta\tb\t0.5\nT\tc\nT\te\tf\n", "T\ta\tb\t1\n",
+         "MalformedLine:line 2: {p}: expected 3 or 4 tab-separated fields, got 2"),
+        ("T\ta\tb\t0.5\n\nT\tc\td\n", "T\ta\tb\t1\n",
+         "MalformedLine:line 3: {p}: expected predicate, arg1, arg2, score"),
+        ("T\ta\tb\t0.5\n \t \t \nT\tc\td\n", "T\ta\tb\t1\n",
+         "MalformedLine:line 3: {p}: expected predicate, arg1, arg2, score"),
+        ("T\ta\tb\t0.5\nT\tc\td\tx\nT\te\tf\n", "T\ta\tb\t1\n", "MalformedLine:line 2: {p}: bad value 'x'"),
+        ("T\ta\tb\t0.5\r\nT\tc\td\r\n", "T\ta\tb\t1\n",
+         "MalformedLine:line 2: {p}: expected predicate, arg1, arg2, score"),
+        (SCORED, "T\ta\tb\t1\nT\ta\tb\t0\nT\tc\td\t2\n", "DuplicateAtom:T(a,b)"),
+        (SCORED, "T\ta\tb\t1.5\nT\ta\tb\t0\n", "ValueOutOfRange:value 1.5 outside [0, 1]"),
+        (SCORED, "T\ta\tb\t1\nT\tc\n", "MalformedLine:line 2: {l}: expected 3 or 4 tab-separated fields, got 2"),
+    ],
+    ids=["missing-score-before-nan", "nan-before-missing-score", "duplicate-before-missing-score",
+         "empty-field", "two-fields-before-missing-score", "blank-line-then-missing-score",
+         "whitespace-line-skipped", "bad-value", "crlf", "label-duplicate-before-out-of-range",
+         "label-out-of-range-before-duplicate", "label-two-fields"],
+)
+def test_eval_reports_the_first_fault(tmp_path, capsys, predictions, labels, error):
+    # the first faulty line of the predictions wins, then of the labels; a
+    # row the reader yields is checked before a fault the reader stops at
+    p, l = tmp_path / "p.tsv", tmp_path / "l.tsv"
+    p.write_bytes(predictions.encode())
+    l.write_bytes(labels.encode())
+    assert run("eval", "--predictions", p, "--labels", l, "--out", tmp_path / "m.tsv") == 1
+    assert single_error(capsys) == "error:" + error.format(p=p, l=l)
+
+
 def test_eval_rejects_labels_without_prediction(tmp_path, capsys):
     (tmp_path / "p.tsv").write_text("T\ta\tb\t0.9\nT\tc\td\t0.1\nT\tx\ty\t0.5\n")
     (tmp_path / "l.tsv").write_text("T\ta\tb\t1\nT\tb\tc\t0\nT\tc\td\t0\nT\td\te\t1\n")
