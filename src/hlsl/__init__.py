@@ -36,7 +36,7 @@ from .errors import (
     UnknownPredicate,
     ValueOutOfRange,
 )
-from .grounding import Grounding, ground_clause, ground_clauses
+from .grounding import Grounding, ground_clauses
 from .inference import MapSolution, RocResult, auc_roc, map_infer
 from .learning import (
     LearnConfig,

@@ -12,8 +12,9 @@ and capped at a fixed pool size; a body-less negative prior clause per
 target predicate is appended last.
 
 Mining runs as one chain join over a sparse step graph for all target atoms
-at once (`data.StepGraph`, `chain_coverage`); `bfs_paths` is the per-target
-reference enumeration of the same paths.
+at once (`data.StepGraph`, `_mine`); `generate_candidates` is its one entry
+point, and `bfs_paths` is the per-target reference enumeration of the same
+paths.
 """
 from __future__ import annotations
 
@@ -107,8 +108,8 @@ def bfs_paths(
     Paths follow edges (atoms that round to 1), never revisit a
     constant, and have 1..max_depth steps. Backward edges are taken when
     `include_inverses`. The single-step path consisting of the target atom
-    itself is excluded. `generate_candidates` counts the same paths with
-    `chain_coverage`; this per-target enumeration is its reference.
+    itself is excluded. `generate_candidates` counts the same paths by
+    `_mine`; this per-target enumeration is its reference.
     """
     if not db.is_target_pred[db.pred[target]]:
         raise ValueError("bfs_paths roots at a target atom")
@@ -165,10 +166,9 @@ def variablize(path: RelationalPath, head: str, negate_head: bool = False) -> Pa
     return PathClause(head, tuple((pred, inverted) for pred, inverted, _src, _dst in path), negate_head)
 
 
-def negative_prior(pred: PredicateSymbol | str, coverage: int = 0) -> PathClause:
-    """Body-less clause penalizing high values of a target predicate."""
-    name = pred if isinstance(pred, str) else pred.name
-    return PathClause(name, negated=True, coverage=coverage)
+def negative_prior(head: str, coverage: int = 0) -> PathClause:
+    """Body-less clause penalizing high values of the target predicate `head`."""
+    return PathClause(head, negated=True, coverage=coverage)
 
 
 # -- chain joins -----------------------------------------------------------
@@ -254,8 +254,32 @@ def unique_rows(keys: np.ndarray, weights: np.ndarray | None = None):
 
 
 def _mine(db: AtomDatabase, config: GenerationConfig) -> tuple[RowKeys, np.ndarray, np.ndarray]:
-    """`chain_coverage` as keys: (the codec of (head, labels...) rows, every
-    chain body's key in ascending order, its coverage)."""
+    """Coverage of every chain body that connects some target atom, as keys:
+    (the codec of (head, labels...) rows, every body's key in ascending
+    order, its coverage).
+
+    A body is a head predicate and a sequence of step labels; its coverage
+    is the number of distinct target atoms t(a, b) that at least one simple
+    path with those steps connects, from a to b, along the step graph: the
+    paths `bfs_paths` enumerates, counted per relation sequence.
+
+    The walk is a frontier over all target atoms at once. Each frontier row
+    is a partial path: its target row, its end node, its step labels (one
+    column per depth, -1 past its length), and the nodes it has visited.
+    Each depth is closed by a lookup of (end node, goal) steps; rows are
+    then extended by one step, dropping any that revisits a node or reaches
+    the goal (the lookup already found those). Expansions wider than
+    `ROW_BUDGET` steps are split into pieces walked depth first.
+
+    Each path found is packed into one int64 key (`RowKeys`): its head
+    predicate, then every label + 1 (the -1 padding becomes 0), then its
+    target row, as a mixed-radix number. Repeats are dropped by sorting the
+    keys as plain integers. A key divided by the number of targets is its
+    body's key, so a chunk's sorted distinct paths run-length into its
+    bodies' coverage, merged into the running set by one more sort. When the
+    radix product does not fit an int64, the same steps run on the rows,
+    sorted by lexsort.
+    """
     depth = config.max_depth
     labels = np.array([[True, config.include_inverses]] * len(db.predicates))  # (forward, backward) steps
     labels[db.is_target_pred] &= config.traverse_target_edges
@@ -338,39 +362,10 @@ def _chain_bodies(db: AtomDatabase, body_keys: RowKeys, keys: np.ndarray) -> lis
     ]
 
 
-def chain_coverage(db: AtomDatabase, config: GenerationConfig) -> dict[tuple[str, tuple[ChainStep, ...]], int]:
-    """Coverage of every chain body that connects some target atom.
-
-    Maps (head predicate, body steps as (predicate, inverted) pairs) to the
-    number of distinct target atoms t(a, b) that at least one simple path
-    with those steps connects, from a to b, along the step graph: the paths
-    `bfs_paths` enumerates, counted per relation sequence.
-
-    The walk is a frontier over all target atoms at once. Each frontier row
-    is a partial path: its target row, its end node, its step labels (one
-    column per depth, -1 past its length), and the nodes it has visited.
-    Each depth is closed by a lookup of (end node, goal) steps; rows are
-    then extended by one step, dropping any that revisits a node or reaches
-    the goal (the lookup already found those). Expansions wider than
-    `ROW_BUDGET` steps are split into pieces walked depth first.
-
-    Each path found is packed into one int64 key (`RowKeys`): its head
-    predicate, then every label + 1 (the -1 padding becomes 0), then its
-    target row, as a mixed-radix number. Repeats are dropped by sorting the
-    keys as plain integers. A key divided by the number of targets is its
-    body's key, so a chunk's sorted distinct paths run-length into its
-    bodies' coverage, merged into the running set by one more sort. When the
-    radix product does not fit an int64, the same steps run on the rows,
-    sorted by lexsort.
-    """
-    body_keys, keys, counts = _mine(db, config)
-    return dict(zip(_chain_bodies(db, body_keys, keys), counts.tolist()))
-
-
 def generate_candidates(db: AtomDatabase, config: GenerationConfig) -> list[PathClause]:
     """Mine, deduplicate, filter and rank candidate clauses.
 
-    Paths are mined from every target training atom by `chain_coverage`;
+    Paths are mined from every target training atom by `_mine`;
     each unique clause and its head-negated twin share the coverage of their
     body, clauses with coverage below `min_coverage` are dropped, survivors
     are ordered by coverage (descending, ties by clause text with the
@@ -399,7 +394,7 @@ def generate_candidates(db: AtomDatabase, config: GenerationConfig) -> list[Path
         target_preds = db.pred[db.targets]
         for pred in db.target_predicates():
             n_atoms = int(np.count_nonzero(target_preds == db.pred_ids[pred.name]))
-            candidates.append(negative_prior(pred, n_atoms))
+            candidates.append(negative_prior(pred.name, n_atoms))
     elif not candidates:
         raise NoCandidates("no clause covers enough target atoms and priors are disabled")
     return candidates

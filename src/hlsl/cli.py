@@ -253,8 +253,6 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
 def cmd_eval(predictions_path: str, labels_path: str, out_path: str) -> None:
     scores: dict[tuple[str, str, str], float] = {}
     for line_no, pred, arg1, arg2, score in read_atom_columns(predictions_path, default=None).rows():
-        if score is None:
-            raise MalformedLine(line_no, f"{predictions_path}: expected predicate, arg1, arg2, score")
         if not math.isfinite(score):
             raise MalformedLine(line_no, f"{predictions_path}: non-finite score {score!r}")
         if (pred, arg1, arg2) in scores:

@@ -101,7 +101,7 @@ class AtomDatabase:
     def add_atom(self, pred_name: str, arg1: str, arg2: str, value: float = 1.0) -> int:
         """Add one atom row and return its index."""
         self.add_columns(AtomColumns.from_names(np.zeros(1, dtype=np.int64), [pred_name], [arg1], [arg2],
-                                                np.full(1, value, dtype=np.float64), np.ones(1, dtype=bool)))
+                                                np.full(1, value, dtype=np.float64)))
         return len(self.values) - 1
 
     def copy(self) -> AtomDatabase:
@@ -383,10 +383,8 @@ def parse_schema(stream: IO[str] | Iterable[str]) -> list[PredicateSymbol]:
 class AtomColumns:
     """Atom rows as columns of codes into name tables: row i is
     `pred_names[pred[i]](constants[arg1[i]], constants[arg2[i]])` with value
-    `values[i]`, read from line `line_no[i]`. A line without a value column
-    reads as the reader's default; where that default is None,
-    `has_value[i]` is False and `values[i]` NaN. `error` is the
-    `MalformedLine` that ended the rows early, if any.
+    `values[i]`, read from line `line_no[i]`. `error` is the `MalformedLine`
+    that ended the rows early, if any.
 
     Both tables are sorted by name. `parse_atoms` ranks names by their UTF-8
     bytes, whose order is code-point order, so it gives the tables that
@@ -398,7 +396,6 @@ class AtomColumns:
     arg1: np.ndarray
     arg2: np.ndarray
     values: np.ndarray
-    has_value: np.ndarray
     pred_names: list[str]
     constants: list[str]
     error: MalformedLine | None = None
@@ -406,11 +403,11 @@ class AtomColumns:
     @classmethod
     def from_names(
         cls, line_no: np.ndarray, pred: Sequence[str], arg1: Sequence[str], arg2: Sequence[str],
-        values: np.ndarray, has_value: np.ndarray, error: MalformedLine | None = None,
+        values: np.ndarray, error: MalformedLine | None = None,
     ) -> AtomColumns:
         """The columns of rows given by their names."""
         (pred, pred_names), (args, constants) = _intern(pred), _intern([*arg1, *arg2])
-        return cls(line_no, pred, *np.split(args, 2), values, has_value, pred_names, constants, error)
+        return cls(line_no, pred, *np.split(args, 2), values, pred_names, constants, error)
 
     def __len__(self) -> int:
         return len(self.pred)
@@ -419,16 +416,15 @@ class AtomColumns:
         """The rows at the indices `rows`, in that order, over the same
         tables, without `error`."""
         return AtomColumns(self.line_no[rows], self.pred[rows], self.arg1[rows], self.arg2[rows],
-                           self.values[rows], self.has_value[rows], self.pred_names, self.constants)
+                           self.values[rows], self.pred_names, self.constants)
 
-    def rows(self) -> Iterator[tuple[int, str, str, str, float | None]]:
-        """The rows as (line number, predicate, arg1, arg2, value or None),
-        then `error`, if any, raised: a caller that checks each row reports
-        the first faulty line."""
+    def rows(self) -> Iterator[tuple[int, str, str, str, float]]:
+        """The rows as (line number, predicate, arg1, arg2, value), then
+        `error`, if any, raised: a caller that checks each row reports the
+        first faulty line."""
         preds, consts = self.pred_names.__getitem__, self.constants.__getitem__
-        values = [v if has else None for v, has in zip(self.values.tolist(), self.has_value.tolist())]
         yield from zip(self.line_no.tolist(), map(preds, self.pred.tolist()), map(consts, self.arg1.tolist()),
-                       map(consts, self.arg2.tolist()), values)
+                       map(consts, self.arg2.tolist()), self.values.tolist())
         if self.error is not None:
             raise self.error
 
@@ -519,10 +515,11 @@ def parse_atoms(data: bytes, source: str = "", default: float | None = 1.0) -> A
     mode; a field is what lies between tabs, stripped as by `str.strip`.
     Blank lines are skipped. Every other line must have three or four
     fields, none of the first three empty, and a fourth field that `float`
-    reads as written. The first line that breaks this (checked in that
-    order) ends the columns, and its `MalformedLine`, naming `source` and
-    the line, is kept as their `error`. A missing value column reads as
-    `default`; value ranges are the caller's to check.
+    reads as written, or, where `default` is None, four fields. The first
+    line that breaks this (checked in that order) ends the columns, and its
+    `MalformedLine`, naming `source` and the line, is kept as their
+    `error`. A missing value column reads as `default`; value ranges are
+    the caller's to check.
 
     One scan for tabs and newlines bounds every field, and each column's
     fields are ranked in byte order by `_token_codes`, which for UTF-8 is
@@ -584,7 +581,7 @@ def parse_atoms(data: bytes, source: str = "", default: float | None = 1.0) -> A
     parsed = list(map(_number, texts))
     bad = np.array([number is None for number in parsed], dtype=bool)
     four, odd = width == 4, (width < 3) | (width > 4)
-    faulty = np.flatnonzero(~blank & (odd | four & bad[value] | ~named))
+    faulty = np.flatnonzero(~blank & (odd | four & bad[value] | ~named | ~four & (default is None)))
     error = None
     if len(faulty):
         stop = int(faulty[0])
@@ -592,18 +589,19 @@ def parse_atoms(data: bytes, source: str = "", default: float | None = 1.0) -> A
             message = f"expected 3 or 4 tab-separated fields, got {width[stop]}"
         elif four[stop] and bad[value[stop]]:
             message = f"bad value {texts[value[stop]]!r}"
-        else:
+        elif not named[stop]:
             message = "empty field"
+        else:
+            message = "expected predicate, arg1, arg2, score"
         error = MalformedLine(stop + 1, f"{source}: {message}" if source else message)
         blank = blank[:stop]
 
     rows = np.flatnonzero(~blank)
-    four = four[rows]
-    values = np.where(four, np.array(parsed, dtype=np.float64)[value[rows]], np.nan if default is None else default)
+    values = np.where(four[rows], np.array(parsed, dtype=np.float64)[value[rows]],
+                      np.nan if default is None else default)
     pred, pred_names = _shrink(pred[rows], pred_names)
     (arg1, arg2), constants = _shrink(args[:, rows], constants)
-    return AtomColumns(rows + 1, pred, arg1, arg2, values, four | (default is not None),
-                       pred_names, constants, error)
+    return AtomColumns(rows + 1, pred, arg1, arg2, values, pred_names, constants, error)
 
 
 def read_atom_columns(path: str, default: float | None = 1.0) -> AtomColumns:

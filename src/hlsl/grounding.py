@@ -21,36 +21,31 @@ from .clauses import PathClause
 from .data import AtomDatabase, StepGraph, spans
 
 
-def ground_clause(clause: PathClause, db: AtomDatabase, free_atoms: np.ndarray | Sequence[int] = (),
-                  strict: bool = False, graph: StepGraph | None = None) -> Grounding:
+def ground_clause(clause: PathClause, db: AtomDatabase, graph: StepGraph) -> Grounding:
     """All groundings of one clause against the database, as a one-clause
-    `Grounding`.
+    `Grounding`; `ground_clauses` grounds a clause list through it.
 
-    A substitution grounds when every body atom is stored and either rounds
-    to 1 (at the threshold `build_adjacency` rounded at) or is free (in
-    `free_atoms`), and the head is a stored target atom. Variables are
+    A substitution grounds when every body atom is a step of `graph` and
+    the head is a stored target atom. The graph comes from `walk_graph`
+    over a clause list that holds this clause, so a body atom is stored and
+    either rounds to 1 (at the threshold `build_adjacency` rounded at) or
+    is free, and with `strict` is no observed target atom. Variables are
     substituted independently, so distinct variables may bind the same
     constant. Mining differs on purpose: it counts only simple paths, yet
     the clauses it yields also ground substitutions that repeat a constant
     (P(V1,V2) & Q(V2,V3) -> T(V1,V3) grounds on P(a, b), Q(b, a) with head
     T(a, a)). Negative priors ground once per target atom of their
-    predicate. With `strict`, no body holds an observed (not free) target
-    atom: no training labels inside bodies.
+    predicate.
 
-    The body is walked as a chain join over `graph`, which alone decides
-    what a body may hold (by default `walk_graph(db, [clause], free_atoms,
-    strict)`; a graph passed in must come from `walk_graph` over a clause
-    list that holds this clause), for all head atoms at once: each step of
-    the clause extends every partial walk by the graph steps of its label,
-    and the last is a lookup of those that reach the head's second argument.
-    Groundings come out sorted by their atom indices, body atoms in step
-    order, then the head.
+    The body is walked as a chain join over `graph` for all head atoms at
+    once: each step of the clause extends every partial walk by the graph
+    steps of its label, and the last is a lookup of those that reach the
+    head's second argument. Groundings come out sorted by their atom
+    indices, body atoms in step order, then the head.
     """
     heads = db.targets[db.pred[db.targets] == db.pred_ids[clause.head]]
     atoms = heads[:, None]
     if clause.steps:
-        if graph is None:
-            graph = walk_graph(db, [clause], free_atoms, strict)
         labels = [2 * db.pred_ids[pred] + inverted for pred, inverted in clause.steps]
         row = np.arange(len(heads))
         node = db.arg1[heads]
@@ -180,10 +175,14 @@ class Grounding:
 
 def ground_clauses(clauses: Sequence[PathClause], db: AtomDatabase, free_atoms: np.ndarray | Sequence[int] = (),
                    strict: bool = False) -> Grounding:
-    """Ground an ordered clause list (see `ground_clause`); the owning clause
-    of a ground clause is its list position. One `walk_graph` serves all."""
+    """Ground an ordered clause list: the one way to ground. A body atom is
+    stored and either rounds to 1 or is free (in `free_atoms`, indices),
+    and with `strict` is no observed (not free) target atom: no training
+    labels inside bodies. One `walk_graph` serves every clause's
+    `ground_clause`; the owning clause of a ground clause is its list
+    position."""
     graph = walk_graph(db, clauses, free_atoms, strict)
-    parts = [ground_clause(clause, db, graph=graph) for clause in clauses]
+    parts = [ground_clause(clause, db, graph) for clause in clauses]
 
     def joined(name: str, dtype) -> np.ndarray:
         return np.concatenate([getattr(p, name) for p in parts] + [np.zeros(0, dtype=dtype)])

@@ -36,7 +36,7 @@ import numpy as np
 
 from .data import AtomDatabase
 from .errors import DegenerateLabels
-from .grounding import Grounding, ground_clauses
+from .grounding import Grounding
 from .learning import WeightedModel
 
 ABS_TOL = 1e-7  # absolute residual tolerance, scaled by the square root of the copy count
@@ -68,23 +68,23 @@ class MapSolution:
 def map_infer(
     model: WeightedModel,
     db: AtomDatabase,
-    free_atoms: np.ndarray | Sequence[int] | None = None,
-    grounding: Grounding | None = None,
+    free_atoms: np.ndarray | Sequence[int],
+    grounding: Grounding,
     p: int = 1,
     max_iters: int = MAX_ITERS,
 ) -> MapSolution:
     """Minimize the model's total weighted penalty over the free variables.
 
-    `free_atoms` defaults to all target atoms; their stored values are
-    ignored and ADMM starts them at 0. Other atoms stay fixed at their
-    stored values, and only hinges on free atoms set the weights' scale.
-    Iterations stop once both residuals pass their tests or after `max_iters`.
+    `grounding` is the model's clauses grounded by `ground_clauses` with the
+    same `free_atoms` (indices). The free atoms' stored values are ignored
+    and ADMM starts them at 0. Other atoms stay fixed at their stored
+    values, and only hinges on free atoms set the weights' scale.
+    Iterations stop once both residuals pass their tests or after
+    `max_iters`.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
-    free = db.targets if free_atoms is None else np.asarray(free_atoms, dtype=np.int64)
-    if grounding is None:
-        grounding = ground_clauses(model.clauses, db, free_atoms=free)
+    free = np.asarray(free_atoms, dtype=np.int64)
 
     values = db.value_vector()
     values[free] = 0.0

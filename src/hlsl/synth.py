@@ -1,6 +1,8 @@
 """Built-in synthetic fixtures.
 
-Three deterministic, seeded datasets back the test and benchmark harnesses:
+Three deterministic, seeded datasets back the tests and `hlsl synth`. This
+module only generates them and writes them (`write_fixture`); they are read
+back as every command reads its inputs, by `data.load_database`:
 
   example   - the three-atom citation snippet used throughout the docs;
   recovery  - data planted from two known rules plus label noise, bundled
@@ -17,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clauses import PathClause, negative_prior, parse_clause, write_clause_file
-from .data import (
-    AtomDatabase,
-    PredicateSymbol,
-    build_adjacency,
-    parse_atoms,
-    round_value,
-    serialize_schema,
-)
+from .data import PredicateSymbol, serialize_schema
 
 
 @dataclass
@@ -35,26 +30,6 @@ class Fixture:
     train: list[str]
     test: list[str]
     candidates: list[PathClause]
-
-    def train_db(self) -> AtomDatabase:
-        """Evidence plus training targets, adjacency built."""
-        db = AtomDatabase(self.schema)
-        db.add_columns(parse_atoms("\n".join(self.observed + self.train).encode()))
-        return build_adjacency(db)
-
-    def eval_db(self) -> tuple[AtomDatabase, list[int], dict[tuple[str, str, str], int]]:
-        """Evidence, training targets (observed) and test targets (free).
-
-        Returns the database, the free atom indices, and the held-out
-        binary labels keyed by (predicate, arg1, arg2).
-        """
-        db = AtomDatabase(self.schema)
-        db.add_columns(parse_atoms("\n".join(self.observed + self.train).encode()))
-        test = parse_atoms("\n".join(self.test).encode())
-        db.add_columns(test)
-        free = list(range(len(db.atoms) - len(test), len(db.atoms)))
-        labels = {(pred, arg1, arg2): round_value(value) for _, pred, arg1, arg2, value in test.rows()}
-        return build_adjacency(db), free, labels
 
 
 def _row(pred: str, a: str, b: str, value: float | None = None) -> str:

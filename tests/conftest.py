@@ -1,15 +1,16 @@
 """Shared test fixtures and oracle helpers."""
 from __future__ import annotations
 
-import operator
-from itertools import repeat
 from typing import IO, Iterable
 
 import numpy as np
 import pytest
 
-from hlsl.data import AtomColumns, AtomDatabase, PredicateSymbol, build_adjacency, round_value
+from hlsl.data import (
+    AtomColumns, AtomDatabase, PredicateSymbol, build_adjacency, load_database, read_atom_columns, round_value,
+)
 from hlsl.errors import MalformedLine
+from hlsl.synth import Fixture, write_fixture
 
 
 @pytest.fixture
@@ -21,6 +22,26 @@ def citation_db() -> AtomDatabase:
     db.add_atom("Mentions", "Paper2", "Gene")
     db.add_atom("Mentions", "Paper1", "Gene")
     return build_adjacency(db)
+
+
+def load_train_db(fixture: Fixture, out_dir) -> AtomDatabase:
+    """A fixture written by `write_fixture` under `out_dir`, and its evidence
+    and training targets loaded as `generate` and `learn` load them."""
+    paths = write_fixture(fixture, str(out_dir))
+    return load_database(paths["schema"], [paths["observed"], paths["train"]])
+
+
+def load_eval_db(fixture: Fixture, out_dir) -> tuple[AtomDatabase, np.ndarray, dict[tuple[str, str, str], int]]:
+    """A fixture written by `write_fixture` under `out_dir` and loaded as
+    `infer` loads it: the database, the free atoms (the test file's rows,
+    added last) and the held-out labels (the test values rounded), keyed by
+    (predicate, arg1, arg2)."""
+    paths = write_fixture(fixture, str(out_dir))
+    test = read_atom_columns(paths["test"])
+    db = load_database(paths["schema"], [paths["observed"], paths["train"]], extra_rows=lambda _: test)
+    free = np.arange(len(db.atoms) - len(test), len(db.atoms))
+    labels = {(pred, arg1, arg2): round_value(value) for _, pred, arg1, arg2, value in test.rows()}
+    return db, free, labels
 
 
 def find_atom(db: AtomDatabase, pred_name: str, arg1: int, arg2: int) -> int | None:
@@ -39,17 +60,18 @@ def read_atom_rows(
 
     Blank lines are skipped. Every other line must have three or four
     tab-separated fields, none of the first three empty after stripping, and
-    a fourth field must parse as a number; the first line that breaks this
-    ends the columns, and its `MalformedLine`, naming `source` and the line,
-    is kept as their `error`. A missing value column reads as `default`.
-    Value ranges are the caller's to check.
+    a fourth field must parse as a number, or, where `default` is None,
+    there must be four fields; the first line that breaks this (checked in
+    that order) ends the columns, and its `MalformedLine`, naming `source`
+    and the line, is kept as their `error`. A missing value column reads as
+    `default`. Value ranges are the caller's to check.
 
     This is the per-line oracle of `hlsl.data.parse_atoms`: iterated over
     an opened file, or over the lines of a text, it splits lines as a file
     opened in text mode does, and every reader must agree with it.
     """
     where = f"{source}: " if source else ""
-    rows: list[int | str | float | None] = []  # (line_no, pred, arg1, arg2, value) per row, flat
+    rows: list[int | str | float] = []  # (line_no, pred, arg1, arg2, value) per row, flat
     error = None
     try:
         # a blank line fails one of the checks below, so it is looked for
@@ -77,13 +99,14 @@ def read_atom_rows(
                 if not raw.strip():
                     continue
                 raise MalformedLine(line_no, f"{where}empty field")
+            if value is None:
+                raise MalformedLine(line_no, f"{where}expected predicate, arg1, arg2, score")
             rows += (line_no, pred, arg1, arg2, value)
     except MalformedLine as exc:
         error = exc
     line_no, pred, arg1, arg2, value = (rows[k::5] for k in range(5))
-    has_value = np.fromiter(map(operator.is_not, value, repeat(None)), dtype=bool, count=len(value))
     return AtomColumns.from_names(np.array(line_no, dtype=np.int64), pred, arg1, arg2,
-                                  np.array(value, dtype=np.float64), has_value, error)
+                                  np.array(value, dtype=np.float64), error)
 
 
 def random_chain_db(seed: int, n_a: int = 10, n_b: int = 7, n_c: int = 8) -> AtomDatabase:

@@ -16,6 +16,8 @@ from conftest import (
     chain_grid_min,
     greedy_reference,
     hinge_workspace,
+    load_eval_db,
+    load_train_db,
     random_chain_db,
     random_map_instance,
 )
@@ -112,9 +114,9 @@ def test_c02_gradient_check():
 # -- 3. decoupling: joint piecewise fit equals independent per-clause fits ---
 
 
-def test_c03_decoupled_weight_learning():
+def test_c03_decoupled_weight_learning(tmp_path):
     fx = recovery_fixture(3)
-    db = fx.train_db()
+    db = load_train_db(fx, tmp_path)
     cands = fx.candidates[:10]
     grounding = ground_clauses(cands, db)
     obs = db.value_vector()
@@ -209,10 +211,10 @@ def test_c06_greedy_reference():
 # -- 7. structure recovery on planted rules ----------------------------------
 
 
-def test_c07_synthetic_recovery():
+def test_c07_synthetic_recovery(tmp_path):
     started = time.perf_counter()
     fx = recovery_fixture(0)
-    db = fx.train_db()
+    db = load_train_db(fx, tmp_path)
     true_ids = {fx.candidates[0].id, fx.candidates[1].id}
     decoy_ids = {c.id for c in fx.candidates[2:12]}
     cfg = LearnConfig()
@@ -227,7 +229,7 @@ def test_c07_synthetic_recovery():
     min_true = min(ppll_w.get(t, 0.0) for t in true_ids)
     weights_ok = min_true > max_decoy
 
-    edb, free, labels = fx.eval_db()
+    edb, free, labels = load_eval_db(fx, tmp_path)
     aucs = {}
     for name, model in (("ppll", ppll_model), ("gls", gls_model)):
         grounding = ground_clauses(model.clauses, edb, free_atoms=free)
@@ -250,10 +252,10 @@ def test_c07_synthetic_recovery():
 # -- 8. runtime scaling: decoupled learning vs greedy search ------------------
 
 
-def test_c08_scaling_study():
+def test_c08_scaling_study(tmp_path):
     started = time.perf_counter()
     fx = scaling_fixture(0)
-    db = fx.train_db()
+    db = load_train_db(fx, tmp_path)
     assert len(db.targets) >= 500 and len(fx.candidates) == 100
     cfg = LearnConfig()
 

@@ -1,5 +1,7 @@
 """Clause generation: path enumeration, variablization, candidate pipeline."""
 import io
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from hlsl.clauses import (
     RowKeys,
     StepGraph,
     bfs_paths,
-    chain_coverage,
     format_clause,
     generate_candidates,
     negative_prior,
@@ -27,7 +28,7 @@ from hlsl.clauses import (
 )
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency
 from hlsl.errors import MalformedLine, NoCandidates, UnknownPredicate
-from hlsl.grounding import ground_clause
+from hlsl.grounding import ground_clauses
 
 
 def target_atom(db, name, a, b):
@@ -132,7 +133,7 @@ def test_variablize_inverted_step_regrounds():
     clause = variablize(next(iter(paths)), "T")
     assert format_clause(clause) == "P(V1,V2) & Q(V3,V2) -> T(V1,V3)"
     assert clause.steps[1] == ("Q", True)
-    (terms,) = ground_terms(ground_clause(clause, db))
+    (terms,) = ground_terms(ground_clauses([clause], db))
     atoms_used = {a for a, _ in terms}
     assert atoms_used == {0, 1, 2}
 
@@ -184,7 +185,7 @@ def test_generated_coverage_is_verified_by_regrounding():
     for clause in generate_candidates(db, cfg):
         if clause.is_prior:
             continue
-        heads = {terms[-1][0] for terms in ground_terms(ground_clause(clause, db))}
+        heads = {terms[-1][0] for terms in ground_terms(ground_clauses([clause], db))}
         assert len(heads) >= cfg.min_coverage
 
 
@@ -284,6 +285,14 @@ def reference_coverage(db, cfg):
     return {key: len(atoms) for key, atoms in covered.items()}
 
 
+def mined_coverage(db, cfg):
+    """(head, steps) -> distinct target atoms, as mining counts them: the
+    positive non-prior clauses of `generate_candidates` with no coverage
+    floor and a cut above twice the bodies."""
+    every = generate_candidates(db, replace(cfg, min_coverage=1, top_k=sys.maxsize))
+    return {(c.head, c.steps): c.coverage for c in every if not (c.is_prior or c.negated)}
+
+
 def reference_candidates(db, cfg):
     """`generate_candidates` rebuilt from `variablize(bfs_paths(...))` with
     the same coverage filter, twins, ranking, cut and priors."""
@@ -366,7 +375,7 @@ def test_generate_matches_dfs_oracle(db, depth, inverses, target_edges, min_cove
             if not packed:  # every key stays a row, sorted by lexsort
                 mp.setattr(hlsl.clauses, "KEY_SPAN", 0)
                 assert not RowKeys([0], [2]).packed
-            assert chain_coverage(db, cfg) == coverage
+            assert mined_coverage(db, cfg) == coverage
             assert clause_lines(generate_candidates(db, cfg)) == lines
 
 
@@ -382,13 +391,13 @@ def test_target_atom_own_step_is_dropped_but_parallel_atoms_count():
     db.add_atom("T", "a", "a")  # a self-pair connects nothing
     build_adjacency(db)
     cfg = GenerationConfig(max_depth=1, min_coverage=1, include_inverses=False)
-    assert chain_coverage(db, cfg) == {
+    assert mined_coverage(db, cfg) == {
         ("T", (("P", False),)): 1,
         ("T", (("U", False),)): 1,
         ("U", (("P", False),)): 1,
         ("U", (("T", False),)): 1,
     }
-    assert chain_coverage(db, cfg) == reference_coverage(db, cfg)
+    assert mined_coverage(db, cfg) == reference_coverage(db, cfg)
 
 
 def test_coverage_ties_across_the_cut_rank_as_the_oracle(monkeypatch):
@@ -507,13 +516,13 @@ def test_depth4_high_degree_mining_runs_in_bounded_chunks(monkeypatch):
 
     monkeypatch.setattr(StepGraph, "expand", recording)
     monkeypatch.setattr(hlsl.clauses, "ROW_BUDGET", budget)
-    got = chain_coverage(db, cfg)
+    got = mined_coverage(db, cfg)
     monkeypatch.undo()
     # an unsplit walk would expand far past the budget at depth 3
     assert sum(sizes) > 50 * budget
     assert max(sizes) < budget + max_degree
     assert got == reference_coverage(db, cfg)
-    assert chain_coverage(db, cfg) == got
+    assert mined_coverage(db, cfg) == got
 
 
 def test_depth9_chains_over_many_predicates_match_the_oracle():
@@ -527,7 +536,7 @@ def test_depth9_chains_over_many_predicates_match_the_oracle():
     db.add_atom("T", "x9", "x0")
     build_adjacency(db)
     cfg = GenerationConfig(max_depth=9, min_coverage=1)
-    got = chain_coverage(db, cfg)
+    got = mined_coverage(db, cfg)
     assert got == reference_coverage(db, cfg)
     # two nine-step chains, and T(x0,x9) walked backwards for T(x9,x0)
     assert sorted(len(steps) for _, steps in got) == [1, 9, 9, 9]

@@ -320,7 +320,7 @@ def test_bulk_rows_match_one_at_a_time(rows, cut):
     def batch(part):
         line_no, pred, arg1, arg2, value = zip(*part) if part else ((),) * 5
         return AtomColumns.from_names(np.array(line_no, dtype=np.int64), pred, arg1, arg2,
-                                      np.array(value, dtype=np.float64), np.ones(len(part), dtype=bool))
+                                      np.array(value, dtype=np.float64))
 
     def load():
         db.add_columns(batch(numbered[:cut]))
@@ -360,8 +360,7 @@ def test_taken_rows_add_as_the_rows_themselves(rows, rng):
     # that the kept rows use
     def columns(part):
         pred, arg1, arg2 = zip(*part) if part else ((),) * 3
-        return AtomColumns.from_names(np.arange(len(part)), pred, arg1, arg2, np.ones(len(part)),
-                                      np.ones(len(part), dtype=bool))
+        return AtomColumns.from_names(np.arange(len(part)), pred, arg1, arg2, np.ones(len(part)))
 
     kept = rng.sample(range(len(rows)), rng.randint(0, len(rows)))
     taken, direct = AtomDatabase(SCHEMA), AtomDatabase(SCHEMA)
@@ -472,13 +471,13 @@ def per_line(path):
 
 
 def as_lists(columns):
-    """The rows of `columns` with their line numbers, `has_value`, the bits
-    of the values, and the error's type and message (or None)."""
+    """The rows of `columns` with their line numbers, the bits of the
+    values, and the error's type and message (or None)."""
     preds, consts = columns.pred_names, columns.constants
     rows = [(line_no, preds[p], consts[a], consts[b]) for line_no, p, a, b in zip(
         columns.line_no.tolist(), columns.pred.tolist(), columns.arg1.tolist(), columns.arg2.tolist())]
     error = columns.error and (type(columns.error), str(columns.error))
-    return rows, columns.has_value.tolist(), columns.values.view(np.int64).tolist(), error
+    return rows, columns.values.view(np.int64).tolist(), error
 
 
 def tables(columns):

@@ -14,7 +14,7 @@ from hlsl.clauses import (
 )
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency, round_value
 from hlsl.engine import Workspace
-from hlsl.grounding import ground_clause, ground_clauses
+from hlsl.grounding import ground_clauses
 
 
 def herbrand_groundings(clause, db, threshold=0.5):
@@ -43,14 +43,14 @@ def herbrand_groundings(clause, db, threshold=0.5):
 
 def test_ground_example_clause(citation_db):
     clause = parse_clause("Cites(V1,V2) & Mentions(V2,V3) -> Mentions(V1,V3)", citation_db)
-    (terms,) = ground_terms(ground_clause(clause, citation_db))
+    (terms,) = ground_terms(ground_clauses([clause], citation_db))
     minus = {a for a, s in terms if s == -1}
     plus = {a for a, s in terms if s == 1}
     assert minus == {0, 1} and plus == {2}
 
 
 def test_ground_negative_prior(citation_db):
-    grounds = ground_clause(negative_prior("Mentions"), citation_db)
+    grounds = ground_clauses([negative_prior("Mentions")], citation_db)
     assert ground_terms(grounds) == [((1, -1),), ((2, -1),)]
 
 
@@ -62,7 +62,7 @@ def test_ground_absent_predicate_body(citation_db):
     db.add_atom("Mentions", "a", "b")
     build_adjacency(db)
     clause = parse_clause("Absent(V1,V2) -> Mentions(V1,V2)", db)
-    assert len(ground_clause(clause, db)) == 0
+    assert len(ground_clauses([clause], db)) == 0
 
 
 @pytest.mark.parametrize("seed", [0, 3, 9])
@@ -72,7 +72,7 @@ def test_lazy_grounding_matches_herbrand(seed):
     for clause in cands:
         if clause.is_prior:
             continue
-        got = sorted(tuple(a for a, _ in terms) for terms in ground_terms(ground_clause(clause, db)))
+        got = sorted(tuple(a for a, _ in terms) for terms in ground_terms(ground_clauses([clause], db)))
         assert got == herbrand_groundings(clause, db)
 
 
@@ -221,16 +221,16 @@ def test_free_atoms_bypass_body_gate():
     db.add_atom("T", "a", "c", 0.0)
     build_adjacency(db)
     clause = parse_clause("P(V1,V2) & T(V2,V3) -> T(V1,V3)", db)
-    assert len(ground_clause(clause, db)) == 0
+    assert len(ground_clauses([clause], db)) == 0
     free = [1, 2]
-    grounds = ground_clause(clause, db, free_atoms=free)
+    grounds = ground_clauses([clause], db, free_atoms=free)
     assert len(grounds) == 1
 
 
 def test_strict_mode_drops_observed_target_bodies(citation_db):
     clause = parse_clause("Cites(V1,V2) & Mentions(V2,V3) -> Mentions(V1,V3)", citation_db)
-    assert len(ground_clause(clause, citation_db)) == 1
-    assert len(ground_clause(clause, citation_db, strict=True)) == 0
+    assert len(ground_clauses([clause], citation_db)) == 1
+    assert len(ground_clauses([clause], citation_db, strict=True)) == 0
 
 
 def test_mined_clause_grounds_a_repeated_constant():
@@ -249,7 +249,7 @@ def test_mined_clause_grounds_a_repeated_constant():
     rule = mined[0]
     assert rule.id == "P(V1,V2) & Q(V2,V3) -> T(V1,V3)"
     assert rule.coverage == 1  # only T(c,e)
-    heads = sorted(db.atom_str(terms[-1][0]) for terms in ground_terms(ground_clause(rule, db)))
+    heads = sorted(db.atom_str(terms[-1][0]) for terms in ground_terms(ground_clauses([rule], db)))
     assert heads == ["T(a,a)", "T(c,e)"]
 
 
@@ -264,7 +264,7 @@ def test_threshold_value_is_an_edge_and_passes_the_gate():
     assert db.outgoing[0] == [("P", 1, 0), ("T", 1, 1)]
     mined = generate_candidates(db, GenerationConfig(max_depth=1, min_coverage=1, include_inverses=False))
     assert [(c.id, c.coverage) for c in mined[:1]] == [("P(V1,V2) -> T(V1,V2)", 1)]
-    assert ground_terms(ground_clause(mined[0], db)) == [((0, -1), (1, 1))]
+    assert ground_terms(ground_clauses([mined[0]], db)) == [((0, -1), (1, 1))]
 
 
 @st.composite
@@ -305,7 +305,7 @@ def grounding_cases(draw):
 @given(grounding_cases())
 def test_ground_clause_matches_dfs_oracle(case):
     db, clause, free, strict = case
-    got = ground_clause(clause, db, free_atoms=free, strict=strict)
+    got = ground_clauses([clause], db, free_atoms=free, strict=strict)
     assert ground_terms(got) == dfs_ground_clause(clause, db, free, strict)
     prior = dfs_ground_clause(negative_prior("T"), db)
     both = ground_clauses([negative_prior("T"), clause], db, free_atoms=free, strict=strict)
@@ -345,7 +345,7 @@ def test_a_clause_is_its_chain(db, pair):
     text = format_clause(a)
     assert parse_clause(text, db) == a
     assert (text == format_clause(b)) == (a == b and hash(a) == hash(b))
-    got = ground_terms(ground_clause(a, db))
+    got = ground_terms(ground_clauses([a], db))
     assert sorted(tuple(atom for atom, _ in terms) for terms in got) == herbrand_groundings(a, db)
     assert {terms[-1][1] for terms in got} <= {-1 if a.negated else 1}
 
@@ -359,7 +359,7 @@ def test_ground_clauses_joins_each_clauses_own_grounding(db, clauses, data, stri
     joined = ground_clauses(clauses, db, free_atoms=free, strict=strict)
     terms, owners = [], []
     for k, clause in enumerate(clauses):
-        own = ground_terms(ground_clause(clause, db, free_atoms=free, strict=strict))
+        own = ground_terms(ground_clauses([clause], db, free_atoms=free, strict=strict))
         assert own == dfs_ground_clause(clause, db, free, strict)
         terms += own
         owners += [k] * len(own)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import admm_oracle, grounding_of, map_oracle, random_chain_db, random_map_instance
+from conftest import admm_oracle, grounding_of, load_eval_db, map_oracle, random_chain_db, random_map_instance
 
 from hlsl.clauses import GenerationConfig, generate_candidates, negative_prior, parse_clause
 from hlsl.data import AtomDatabase, PredicateSymbol, build_adjacency
@@ -14,15 +14,20 @@ from hlsl.learning import WeightedModel
 from hlsl.synth import recovery_fixture
 
 
+def map_targets(model, db, p=1):
+    """MAP over every target atom, grounded as `infer` grounds its free atoms."""
+    return map_infer(model, db, db.targets, ground_clauses(model.clauses, db, free_atoms=db.targets), p)
+
+
 def test_map_prior_only():
     db = AtomDatabase([PredicateSymbol("T", is_target=True)])
     db.add_atom("T", "x", "y", 1.0)
     build_adjacency(db)
     model = WeightedModel([negative_prior("T")], np.array([3.0]))
-    sol = map_infer(model, db)
+    sol = map_targets(model, db)
     assert sol.values[0] == 0.0 and sol.objective == 0.0
     with pytest.raises(ValueError):
-        map_infer(model, db, p=3)
+        map_targets(model, db, p=3)
 
 
 def rule_and_prior_db():
@@ -37,7 +42,7 @@ def rule_and_prior_db():
 def test_map_rule_beats_prior():
     db, rule = rule_and_prior_db()
     model = WeightedModel([rule, negative_prior("T")], np.array([2.0, 1.0]))
-    sol = map_infer(model, db)
+    sol = map_targets(model, db)
     assert sol.values[1] == pytest.approx(1.0)
     assert sol.objective == pytest.approx(1.0)
 
@@ -47,14 +52,14 @@ def test_map_flat_tie_resolves_to_zero():
     # cost 1, and the solver may end anywhere in that flat minimum
     db, rule = rule_and_prior_db()
     model = WeightedModel([rule, negative_prior("T")], np.array([1.0, 1.0]))
-    sol = map_infer(model, db)
+    sol = map_targets(model, db)
     assert 0.0 <= sol.values[1] <= 1.0
     assert sol.objective == pytest.approx(1.0, abs=1e-5)
 
 
 def test_map_empty_model_values_zero():
     db = random_chain_db(2)
-    sol = map_infer(WeightedModel([], np.zeros(0)), db)
+    sol = map_targets(WeightedModel([], np.zeros(0)), db)
     assert all(v == 0.0 for v in sol.values.values())
     assert sol.objective == 0.0
 
@@ -73,7 +78,7 @@ def test_map_objective_nonincreasing_over_sweeps():
     free = list(db.targets)
     grounding = ground_clauses(model.clauses, db, free_atoms=free)
     for p in (1, 2):
-        sol = map_infer(model, db, grounding=grounding, p=p)
+        sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
         assert sol.converged and within_oracle(sol, map_oracle(model, grounding, db, free, p)), p
 
 
@@ -255,11 +260,11 @@ def test_map_zero_norm_hinges(p):
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_map_converges_at_small_weights(p):
+def test_map_converges_at_small_weights(tmp_path, p):
     # Coassoc(V1,V2) -> T(V1,V2) has the optimum y = 1 on every held-out pair
     # its rule covers, whatever the weight; the second clause grounds on no
     # free atom, so its weight 1 must not set ADMM's scale
-    db, free, _ = recovery_fixture(0).eval_db()
+    db, free, _ = load_eval_db(recovery_fixture(0), tmp_path)
     clauses = [parse_clause(t, db) for t in ("Coassoc(V1,V2) -> T(V1,V2)", "Link(V1,V2) -> T(V2,V1)")]
     grounding = ground_clauses(clauses, db, free_atoms=free)
     assert set(grounding.g_clause) == {0}
