@@ -598,6 +598,61 @@ def test_infer_rejects_test_atom_of_evidence_predicate(recovery_dir, tmp_path, c
     assert not (tmp_path / "preds.tsv").exists()
 
 
+# constants x, y, z (stored from --observed) and w (met only in --test): one
+# byte each, or over 8 bytes, sharing their first 8 or 16 bytes
+NAMES = {"short": ("x", "y", "z", "w"),
+         "long": ("entity_number_0002", "entity_number_0001", "entity_n", "entity_number_00010")}
+
+
+def write_named(tmp_path, names, **texts):
+    """The files named by `texts`, each text formatted with the constants
+    x, y, z and w of `names`, beside a schema and an observed file; returns
+    their paths."""
+    paths = {}
+    texts = {"schema": "R\tevidence\nT\ttarget\n", "observed": "R\t{x}\t{y}\nR\t{y}\t{z}\n", **texts}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.tsv"
+        paths[name].write_text(text.format(**dict(zip("xyzw", NAMES[names]))))
+    return paths
+
+
+@pytest.mark.parametrize("names", sorted(NAMES))
+@pytest.mark.parametrize("flags", [(), ("--neg-ratio", "1")], ids=["plain", "neg-ratio"])
+@pytest.mark.parametrize(
+    "train, error",
+    [
+        # an atom first stored from --observed, repeated in --train
+        ("T\t{x}\t{z}\t1\nR\t{y}\t{z}\t0.5\n", "DuplicateAtom:R({y},{z})"),
+        # a bad value on constants that only --observed introduced
+        ("T\t{x}\t{y}\t1\nT\t{z}\t{x}\t1.5\n", "ValueOutOfRange:T({z},{x}) = 1.5"),
+    ],
+    ids=["duplicate", "out-of-range"],
+)
+def test_train_faults_name_the_constants_of_the_observed_file(tmp_path, capsys, names, flags, train, error):
+    paths = write_named(tmp_path, names, train=train)
+    out = tmp_path / "clauses.tsv"
+    code = run("generate", "--schema", paths["schema"], "--observed", paths["observed"], "--train", paths["train"],
+               *flags, "--out", out)
+    assert code == 1
+    assert single_error(capsys) == "error:" + error.format(**dict(zip("xyzw", NAMES[names])))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("names", sorted(NAMES))
+def test_infer_names_the_first_stray_test_atom(tmp_path, capsys, names):
+    paths = write_named(tmp_path, names, train="T\t{x}\t{z}\t1\n", test="T\t{y}\t{x}\nR\t{z}\t{w}\nR\t{x}\t{z}\n",
+                        model="# hlsl-model v1\n1\t-> !T(A,B)\n")
+    out = tmp_path / "preds.tsv"
+    code = run("infer", "--schema", paths["schema"], "--observed", paths["observed"], "--train", paths["train"],
+               "--test", paths["test"], "--model", paths["model"], "--out", out)
+    assert code == 1
+    _, _, z, w = NAMES[names]
+    assert single_error(capsys) == (
+        f"error:NotATarget:{paths['test']}: atoms not of a target predicate: 2, the first R({z},{w})"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("coverage", ["abc", "-3", "1.5"])
 def test_learn_rejects_bad_clause_coverage(recovery_dir, tmp_path, capsys, coverage):
     clauses = tmp_path / "clauses.tsv"
