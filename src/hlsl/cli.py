@@ -15,6 +15,7 @@ seed and configuration. Errors print a single machine-parsable
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -238,16 +239,19 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
     db = load_database(cfg.schema, paths, cfg.generation.threshold, extra_rows=read_test)
     # the test atoms are the last ones added
     free = np.arange(len(db.atoms) - len(test[0]), len(db.atoms))
-    stray = [db.atom_str(free[i]) for i in np.flatnonzero(~db.target_mask()[free])]
-    if stray:
-        raise NotATarget(f"{cfg.test}: atoms not of a target predicate: {len(stray)}, the first {stray[0]}")
+    stray = free[~db.target_mask()[free]]
+    if len(stray):
+        raise NotATarget(f"{cfg.test}: atoms not of a target predicate: {len(stray)}, "
+                         f"the first {db.atom_str(stray[0])}")
     model = read_model(read_text(model_path), db)
     grounding = ground_clauses(model.clauses, db, free_atoms=free, strict=cfg.strict)
     solution = map_infer(model, db, free_atoms=free, grounding=grounding, p=cfg.learning.p)
-    names, consts, score = db.pred_names, db.constants, solution.values
-    rows = zip(db.pred[free].tolist(), db.arg1[free].tolist(), db.arg2[free].tolist(), free.tolist())
+    names, score = db.pred_names, solution.values
+    # only the constants of the rows written are decoded
+    rows = zip(db.pred[free].tolist(), db.constants.decode(db.arg1[free]), db.constants.decode(db.arg2[free]),
+               free.tolist())
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{names[p]}\t{consts[a]}\t{consts[b]}\t{score[i]:.12g}\n" for p, a, b, i in rows)
+        fh.writelines(f"{names[p]}\t{a}\t{b}\t{score[i]:.12g}\n" for p, a, b, i in rows)
 
 
 def cmd_eval(predictions_path: str, labels_path: str, out_path: str) -> None:
@@ -273,7 +277,10 @@ def cmd_eval(predictions_path: str, labels_path: str, out_path: str) -> None:
         fh.write(f"{result.auc:.12g}\t{result.n_pos}\t{result.n_neg}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(prog="hlsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     neg_ratio = "subsample negative train targets to this ratio of positives (0 = keep all)"

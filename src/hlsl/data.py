@@ -12,11 +12,16 @@ is kept.
 `AtomColumns` is the one in-memory form of atom-file rows: integer codes
 into a per-file table of predicate names and one of constants, each sorted
 by name. Atom files are read whole by `read_atom_columns` and appended by
-`AtomDatabase.add_columns`, which maps only the tables' names to database
-ids. One reader, `parse_atoms`, codes any UTF-8 atom text from its bytes in
-numpy, with no Python string per field, whatever its line endings, field
-counts or whitespace; it owns every `MalformedLine` message and keeps the
-first as the columns' `error`, behind their rows.
+`AtomDatabase.add_columns`, which ranks the constant table's names against
+the store's by their packed words. One reader, `parse_atoms`, codes any
+UTF-8 atom text from its bytes in numpy, with no Python string per field,
+whatever its line endings, field counts or whitespace; it owns every
+`MalformedLine` message and keeps the first as the columns' `error`, behind
+their rows.
+
+Constant names stay bytes from the file to the output: a `Names` table
+holds them as packed words, and a name becomes a `str` only where it is
+written, in an error message, `atom_str` or a prediction file.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -66,13 +71,18 @@ class AtomDatabase:
     value `values[i]`, where `pred` holds predicate ids (`pred_ids`) and the
     arguments constant ids, and `atoms` is the range of the indices.
     Constants are interned to dense ids batch by batch, each batch's new
-    ones in name order (see `_append`); string names are kept for
-    serialization. `targets` holds the indices of the target-predicate
-    atoms in ascending order. `build_adjacency` sets `edges`, the indices
-    of the atoms that round to 1; after it the database is treated as
-    immutable. `outgoing` / `incoming` group the edges by constant into a
-    new dict on every read; nothing is cached. The columns are the store's
-    only copy of the atoms, with no index beside them.
+    ones in name order (see `_append`). `constants` holds their names by id
+    as a `Names` table, which decodes a name only where it is read;
+    `_by_name` lists the ids in name order, so that a batch's names are
+    found by a search of packed words. `targets` holds the indices of the
+    target-predicate atoms in ascending order. `build_adjacency` sets
+    `edges`, the indices of the atoms that round to 1; after it the database
+    is treated as immutable. `outgoing` / `incoming` group the edges by
+    constant into a new dict on every read; nothing is cached. While rows
+    are added, the store keeps one index of its atoms beside the columns,
+    `_row_keys`: their (arg1, pred, arg2) keys in ascending order, which
+    finds a batch's repeats without sorting the stored rows again.
+    `build_adjacency` drops it, so that it takes no memory after loading.
     """
 
     def __init__(self, schema: Iterable[PredicateSymbol]):
@@ -87,8 +97,12 @@ class AtomDatabase:
         self.pred_ids: dict[str, int] = {name: k for k, name in enumerate(self.pred_names)}
         self.is_target_pred = np.array([self.predicates[n].is_target for n in self.pred_names], dtype=bool)
 
-        self.constants: list[str] = []
-        self._const_ids: dict[str, int] = {}
+        self.constants = Names(np.zeros((0, 1), dtype=np.uint64))
+        self._by_name = np.zeros(0, dtype=np.int64)  # the constant ids in name order
+        # the stored atoms' keys (arg1 * P + pred) * radix + arg2, ascending,
+        # or None where none are kept
+        self._row_keys: np.ndarray | None = None
+        self._radix = 0
         self.pred = np.zeros(0, dtype=np.int64)
         self.arg1 = np.zeros(0, dtype=np.int64)
         self.arg2 = np.zeros(0, dtype=np.int64)
@@ -106,10 +120,9 @@ class AtomDatabase:
 
     def copy(self) -> AtomDatabase:
         """A store of the same atoms to add rows to apart: adding rows replaces
-        the columns instead of changing them, so only the constants are copied."""
-        other = copy.copy(self)
-        other.constants, other._const_ids = list(self.constants), dict(self._const_ids)
-        return other
+        the columns, the constants and the indices instead of changing them,
+        so nothing is copied."""
+        return copy.copy(self)
 
     def add_columns(self, columns: AtomColumns) -> None:
         """Add atom rows in bulk, checked over whole arrays.
@@ -129,10 +142,10 @@ class AtomDatabase:
     def _append(self, columns: AtomColumns) -> None:
         """Add the rows before the first faulty one and raise that row's
         error (see `add_columns`). Only the columns' name tables are mapped
-        to ids, with a loop over their names; the rows take their ids by
-        indexing. The constants that the rows before the first unknown
-        predicate or bad value use are interned, the new ones in the order
-        of the columns' table, which is name order."""
+        to ids; the rows take their ids by indexing. The constants that the
+        rows before the first unknown predicate or bad value use are
+        interned, the new ones in the order of the columns' table, which is
+        name order."""
         n = len(columns)
         if not n:
             return
@@ -143,32 +156,16 @@ class AtomDatabase:
         valid = int(faulty[0]) if len(faulty) else n  # rows[:valid] have known ids and values
 
         codes1, codes2 = columns.arg1[:valid], columns.arg2[:valid]
-        table, ids = columns.constants, self._const_ids
-        code = np.fromiter(map(ids.get, table, repeat(-1)), dtype=np.int64, count=len(table))
-        new = np.zeros(len(table), dtype=bool)  # the unknown names that rows[:valid] use
-        new[codes1] = new[codes2] = True
-        new &= code < 0
-        names = list(compress(table, new.tolist()))
-        code[new] = np.arange(len(self.constants), len(self.constants) + len(names))
-        ids.update(zip(names, code[new].tolist()))
-        self.constants.extend(names)
+        used = np.zeros(len(columns.constants), dtype=bool)
+        used[codes1] = used[codes2] = True
+        code = self._intern(columns.constants, used)
         arg1, arg2 = code[codes1], code[codes2]
+        stop = self._index_rows(pred[:valid], arg1, arg2)
 
         old = len(self.values)
-        self.pred = np.concatenate([self.pred, pred[:valid]])
-        self.arg1 = np.concatenate([self.arg1, arg1])
-        self.arg2 = np.concatenate([self.arg2, arg2])
-        # the key orders by (arg1, pred, arg2) and stays below C * P * C,
-        # which fits in 64 bits for any C that fits in memory; a plain sort
-        # tells whether any atom repeats, and only then a stable argsort,
-        # which puts each repeat after its original, finds the first one
-        key = (self.arg1 * len(self.predicates) + self.pred) * len(self.constants) + self.arg2
-        stop, ranked = valid, np.sort(key)
-        if (ranked[1:] == ranked[:-1]).any():
-            order = np.argsort(key, kind="stable")
-            stop = int(order[1:][key[order[1:]] == key[order[:-1]]].min()) - old
-        end = old + stop
-        self.pred, self.arg1, self.arg2 = self.pred[:end], self.arg1[:end], self.arg2[:end]
+        self.pred = np.concatenate([self.pred, pred[:stop]])
+        self.arg1 = np.concatenate([self.arg1, arg1[:stop]])
+        self.arg2 = np.concatenate([self.arg2, arg2[:stop]])
         self.values = np.concatenate([self.values, value[:stop]])
         self.targets = np.concatenate([self.targets, old + np.flatnonzero(self.is_target_pred[pred[:stop]])])
 
@@ -180,6 +177,63 @@ class AtomDatabase:
             if pred[stop] < 0:
                 raise UnknownPredicate(name)
             raise ValueOutOfRange(f"{atom} = {float(value[stop])}")
+
+    def _intern(self, table: Names, used: np.ndarray) -> np.ndarray:
+        """The ids of the names of the sorted `table`, -1 where a name is
+        neither stored nor `used`. The used names not stored yet take the
+        next ids in table order. The table is searched among the stored
+        names by packed words, and no name is decoded."""
+        width = max(table.words.shape[1], self.constants.words.shape[1])
+        stored = _sortable(self.constants.words[self._by_name], width)
+        probes = _sortable(table.words, width)
+        at = np.searchsorted(stored, probes)
+        code = np.full(len(table), -1, dtype=np.int64)
+        if len(stored):
+            found = stored.take(at, mode="clip") == probes
+            code[found] = self._by_name[at[found]]
+        new = used & (code < 0)
+        code[new] = ids = np.arange(len(self.constants), len(self.constants) + int(np.count_nonzero(new)))
+        self.constants = self.constants + table.take(new)
+        self._by_name = np.insert(self._by_name, at[new], ids)
+        return code
+
+    def _index_rows(self, pred: np.ndarray, arg1: np.ndarray, arg2: np.ndarray) -> int:
+        """Add the rows' keys to `_row_keys` up to the first row that repeats
+        a stored atom or an earlier row, and return that row's index (the
+        row count if none does).
+
+        A key orders by (arg1, pred, arg2), with arg2 in the radix R, the
+        power of two at or above the constant count C, so it stays below
+        C * P * 2C, which fits in 64 bits wherever the step graph's keys do
+        (see `build_adjacency`). Its order does not depend on R, so a store
+        whose constants outgrow R re-radixes its keys without sorting them;
+        one that keeps none sorts its rows' keys once. A plain sort of the
+        rows' keys, searched among the stored ones, tells whether any row
+        repeats; only then a stable argsort, which puts each repeat after
+        its original, finds the first.
+        """
+        radix, stored = 1 << max(len(self.constants) - 1, 0).bit_length(), self._row_keys
+        n_preds = len(self.predicates)
+        if stored is None:
+            stored = np.sort((self.arg1 * n_preds + self.pred) * radix + self.arg2)
+        elif radix != self._radix:
+            high, low = np.divmod(stored, self._radix)
+            stored = high * radix + low
+        self._radix = radix
+        key = (arg1 * n_preds + pred) * radix + arg2
+        ranked = np.sort(key)
+        repeat = np.zeros(len(key), dtype=bool)  # in `ranked` order
+        np.equal(ranked[1:], ranked[:-1], out=repeat[1:])
+        if len(stored):
+            at = np.searchsorted(stored, ranked)
+            repeat |= stored.take(at, mode="clip") == ranked
+        stop = len(key)
+        if repeat.any():
+            stop = int(np.argsort(key, kind="stable")[repeat].min())
+            ranked = np.sort(key[:stop])
+            at = np.searchsorted(stored, ranked)
+        self._row_keys = np.insert(stored, at, ranked) if len(stored) else ranked
+        return stop
 
     # -- lookups ----------------------------------------------------------
 
@@ -234,12 +288,14 @@ def build_adjacency(db: AtomDatabase, threshold: float = DEFAULT_ROUND_THRESHOLD
 
     Sets `db.edges` to their indices in ascending order; mining and
     grounding walk the edges as a `StepGraph`. Refuses more constants than
-    that graph's 64-bit step keys hold.
+    that graph's 64-bit step keys hold. Drops the store's index of atom
+    keys, which only adding rows reads (see `AtomDatabase`).
     """
     n, n_preds = len(db.constants), len(db.predicates)
     if n * n * 2 * n_preds >= 2**63:
         raise ValueError(f"{n} constants are too many for 64-bit edge keys")
     db.edges = np.flatnonzero(rounds_to_one(db.values, threshold))
+    db._row_keys = None
     return db
 
 
@@ -379,6 +435,101 @@ def parse_schema(stream: IO[str] | Iterable[str]) -> list[PredicateSymbol]:
     return preds
 
 
+class Names(Sequence[str]):
+    """A table of UTF-8 names held as packed words, each name decoded to a
+    `str` only where it is read.
+
+    Row i of `words` (uint64) is name i, one word per 7 bytes: the next 7
+    bytes, zero-padded, in the word's high bytes, big-endian, over a count
+    byte holding the bytes left from there, 8 where more words follow. A
+    name takes zero words after its last, so rows compare word by word as
+    the names compare in byte order, which for UTF-8 is code-point order;
+    a name and the same name followed by NUL bytes differ in their counts.
+    A table of names up to 7 bytes is one word per name. Two tables compare
+    equal, and equal to a list, when they hold the same names in order.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    @classmethod
+    def from_strs(cls, names: Sequence[str]) -> Names:
+        encoded = [name.encode() for name in names]
+        length = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+        _, words = _word_view(b"".join(encoded), int(length.max(initial=0)))
+        return cls(_name_words(words, np.cumsum(length) - length, length))
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, i: int) -> str:
+        return self.decode([i])[0]
+
+    def decode(self, rows: np.ndarray | None = None) -> list[str]:
+        """The names (those at `rows`, if given) as strings, decoded at once."""
+        words = self.words if rows is None else self.words[rows]
+        kept = np.minimum(words & 0xFF, 7).astype(np.int64)  # each word's name bytes
+        text = words.astype(">u8").view(np.uint8).reshape(*words.shape, 8)[:, :, :7]
+        data = text[np.arange(7) < kept[:, :, None]].tobytes()
+        end = np.cumsum(kept.sum(axis=1)).tolist()
+        return [data[a:b].decode() for a, b in zip([0, *end[:-1]], end)]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.decode())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Names):
+            other = other.decode()
+        return self.decode() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Names({self.decode()!r})"
+
+    def take(self, rows: np.ndarray) -> Names:
+        """The names at `rows` (indices or a boolean mask)."""
+        return Names(self.words[rows])
+
+    def __add__(self, other: Names) -> Names:
+        width = max(self.words.shape[1], other.words.shape[1])
+        return Names(np.concatenate([_widen(self.words, width), _widen(other.words, width)]))
+
+
+def _widen(words: np.ndarray, width: int) -> np.ndarray:
+    """`Names.words` rows padded with zero words to `width` words."""
+    return words if words.shape[1] == width else np.pad(words, ((0, 0), (0, width - words.shape[1])))
+
+
+def _sortable(words: np.ndarray, width: int) -> np.ndarray:
+    """`Names.words` rows widened to `width` words, as one array whose
+    element order is the rows' order: the words themselves for one word,
+    else their big-endian bytes as fixed-width strings, which numpy
+    compares byte by byte."""
+    words = _widen(words, width)
+    return words[:, 0] if width == 1 else words.astype(">u8").view(f"S{8 * width}")[:, 0]
+
+
+def _word_view(data: bytes, width: int) -> tuple[bytes, np.ndarray]:
+    """`data` with zeros past its end, and the little-endian 8-byte word at
+    every offset of it, so that every word read for a field up to `width`
+    bytes long, by `_token_codes` or `_name_words`, lies inside."""
+    data += bytes(8 * (2 + width // 8))
+    return data, np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+
+
+def _name_words(words: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The `Names.words` of the names of `length` bytes at `start`, read
+    through `words` (see `_word_view`)."""
+    out = np.empty((len(start), max(1, -(-int(length.max(initial=0)) // 7))), dtype=np.uint64)
+    for k in range(out.shape[1]):
+        left = length - 7 * k
+        word = words[start + 7 * k]
+        word &= _MASKS[np.clip(left, 0, 7)]
+        word.byteswap(inplace=True)
+        word |= np.clip(left, 0, 8).astype(np.uint64)
+        out[:, k] = word
+    return out
+
+
 @dataclass
 class AtomColumns:
     """Atom rows as columns of codes into name tables: row i is
@@ -386,10 +537,10 @@ class AtomColumns:
     `values[i]`, read from line `line_no[i]`. `error` is the `MalformedLine`
     that ended the rows early, if any.
 
-    Both tables are sorted by name. `parse_atoms` ranks names by their UTF-8
-    bytes, whose order is code-point order, so it gives the tables that
-    `from_names` gives for the same rows. A table may hold names no row uses
-    (see `take`)."""
+    Both tables are sorted by name; the constants stay packed (`Names`).
+    `parse_atoms` ranks names by their UTF-8 bytes, whose order is
+    code-point order, so it gives the tables that `from_names` gives for the
+    same rows. A table may hold names no row uses (see `take`)."""
 
     line_no: np.ndarray
     pred: np.ndarray
@@ -397,7 +548,7 @@ class AtomColumns:
     arg2: np.ndarray
     values: np.ndarray
     pred_names: list[str]
-    constants: list[str]
+    constants: Names
     error: MalformedLine | None = None
 
     @classmethod
@@ -407,7 +558,7 @@ class AtomColumns:
     ) -> AtomColumns:
         """The columns of rows given by their names."""
         (pred, pred_names), (args, constants) = _intern(pred), _intern([*arg1, *arg2])
-        return cls(line_no, pred, *np.split(args, 2), values, pred_names, constants, error)
+        return cls(line_no, pred, *np.split(args, 2), values, pred_names, Names.from_strs(constants), error)
 
     def __len__(self) -> int:
         return len(self.pred)
@@ -422,7 +573,7 @@ class AtomColumns:
         """The rows as (line number, predicate, arg1, arg2, value), then
         `error`, if any, raised: a caller that checks each row reports the
         first faulty line."""
-        preds, consts = self.pred_names.__getitem__, self.constants.__getitem__
+        preds, consts = self.pred_names.__getitem__, self.constants.decode().__getitem__
         yield from zip(self.line_no.tolist(), map(preds, self.pred.tolist()), map(consts, self.arg1.tolist()),
                        map(consts, self.arg2.tolist()), self.values.tolist())
         if self.error is not None:
@@ -492,19 +643,17 @@ def _number(text: str) -> float | None:
         return None
 
 
-def _filled(codes: np.ndarray, names: list[str]) -> np.ndarray:
+def _filled(codes: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """Which codes into the sorted table `names` name a nonempty name."""
-    return codes >= int(names[:1] == [""])  # the empty name sorts first
+    return codes >= int(len(names) > 0 and names[0] == "")  # the empty name sorts first
 
 
-def _shrink(codes: np.ndarray, names: list[str]) -> tuple[np.ndarray, list[str]]:
-    """Codes into the sorted table `names`, and that table, cut to the names
-    the codes use."""
-    used = np.zeros(len(names), dtype=bool)
+def _shrink(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes into a sorted table of `size` names, cut to the names the codes
+    use, and which names those are."""
+    used = np.zeros(size, dtype=bool)
     used[codes] = True
-    if used.all():
-        return codes, names
-    return (np.cumsum(used) - 1)[codes], list(compress(names, used.tolist()))
+    return (codes if used.all() else (np.cumsum(used) - 1)[codes]), used
 
 
 def parse_atoms(data: bytes, source: str = "", default: float | None = 1.0) -> AtomColumns:
@@ -523,8 +672,8 @@ def parse_atoms(data: bytes, source: str = "", default: float | None = 1.0) -> A
 
     One scan for tabs and newlines bounds every field, and each column's
     fields are ranked in byte order by `_token_codes`, which for UTF-8 is
-    code-point order, so only the distinct names and values become Python
-    strings.
+    code-point order. The distinct names are packed as `Names`, and only
+    the distinct values and predicate names become Python strings.
     """
     if not data.isascii():
         data.decode("utf-8")  # an undecodable byte raises at its offset in the file
@@ -542,18 +691,20 @@ def parse_atoms(data: bytes, source: str = "", default: float | None = 1.0) -> A
     width = np.diff(first, append=len(cut) + 1)
     del buf, cut  # freed before the fields are coded
 
-    # zeros past the text, so that every word `_token_codes` reads lies inside
-    data += bytes(8 * (2 + int(np.diff(bounds).max()) // 8))
-    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    data, words = _word_view(data, int(np.diff(bounds).max()))  # the unpadded text is freed
 
-    def column(fields: np.ndarray) -> tuple[np.ndarray, list[str]]:
-        """The fields' codes in byte order, and the distinct fields decoded."""
+    def column(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The fields' codes in byte order, and the start and length of each
+        distinct field."""
         lo = bounds[fields] + 1
         length = bounds[fields + 1] - lo
         del fields  # freed before the ranking, where the reader's memory peaks
         codes, at = _token_codes(words, lo, length, nul)
-        lo, length = lo[at].tolist(), length[at].tolist()
-        return codes, [data[a : a + k].decode() for a, k in zip(lo, length)]
+        return codes, lo[at], length[at]
+
+    def text(codes: np.ndarray, lo: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        """The codes and the distinct fields decoded."""
+        return codes, [data[a : a + k].decode() for a, k in zip(lo.tolist(), length.tolist())]
 
     def stripped(codes: np.ndarray, names: list[str]) -> tuple[np.ndarray, list[str]]:
         """The codes and sorted table of the names stripped."""
@@ -566,17 +717,22 @@ def parse_atoms(data: bytes, source: str = "", default: float | None = 1.0) -> A
         """The k-th field of every line, the empty stand-in where it has none."""
         return np.where(width > k, first + k, len(bounds) - 2)
 
-    pred, pred_names = stripped(*column(first))
-    args, constants = stripped(*column(np.concatenate((field(1), field(2)))))
+    pred, pred_names = stripped(*text(*column(first)))
+    args, lo, length = column(np.concatenate((field(1), field(2))))
+    if bare:  # the constants are packed from the bytes, with none decoded
+        constants = Names(_name_words(words, lo, length))
+    else:
+        args, table = stripped(*text(args, lo, length))
+        constants = Names.from_strs(table)
     args = args.reshape(2, len(first))
-    value, texts = column(field(3)) if width.max() > 3 else (np.zeros(len(first), dtype=np.int64), [""])
+    value, texts = text(*column(field(3))) if width.max() > 3 else (np.zeros(len(first), dtype=np.int64), [""])
     filled = np.vstack((_filled(pred, pred_names), _filled(args, constants)))
     named = filled.all(axis=0)
     blank = ~(filled.any(axis=0) | _filled(*stripped(value, texts)))
     if width.max() > 4:  # a line of five or more fields is blank only if its other fields are
         wide = np.flatnonzero(width > 4)
         owner, rest = spans(first[wide] + 4, first[wide] + width[wide])
-        blank[wide[owner[_filled(*stripped(*column(rest)))]]] = False
+        blank[wide[owner[_filled(*stripped(*text(*column(rest))))]]] = False
 
     parsed = list(map(_number, texts))
     bad = np.array([number is None for number in parsed], dtype=bool)
@@ -599,9 +755,10 @@ def parse_atoms(data: bytes, source: str = "", default: float | None = 1.0) -> A
     rows = np.flatnonzero(~blank)
     values = np.where(four[rows], np.array(parsed, dtype=np.float64)[value[rows]],
                       np.nan if default is None else default)
-    pred, pred_names = _shrink(pred[rows], pred_names)
-    (arg1, arg2), constants = _shrink(args[:, rows], constants)
-    return AtomColumns(rows + 1, pred, arg1, arg2, values, pred_names, constants, error)
+    pred, kept = _shrink(pred[rows], len(pred_names))
+    (arg1, arg2), used = _shrink(args[:, rows], len(constants))
+    return AtomColumns(rows + 1, pred, arg1, arg2, values, list(compress(pred_names, kept.tolist())),
+                       constants.take(used), error)
 
 
 def read_atom_columns(path: str, default: float | None = 1.0) -> AtomColumns:
@@ -634,7 +791,7 @@ def parse_tsv(stream: IO[str] | Iterable[str], schema: Iterable[PredicateSymbol]
 
 def serialize_tsv(db: AtomDatabase) -> str:
     """Write atoms back to the TSV format; reparsing yields an equal database."""
-    names, consts = db.pred_names, db.constants
+    names, consts = db.pred_names, db.constants.decode()
     lines = [
         f"{names[p]}\t{consts[a]}\t{consts[b]}\t{v!r}"
         for p, a, b, v in zip(db.pred.tolist(), db.arg1.tolist(), db.arg2.tolist(), db.values.tolist())

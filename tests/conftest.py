@@ -44,6 +44,11 @@ def load_eval_db(fixture: Fixture, out_dir) -> tuple[AtomDatabase, np.ndarray, d
     return db, free, labels
 
 
+def const_id(db: AtomDatabase, name: str) -> int:
+    """The id of constant `name` in `db`."""
+    return db.constants.index(name)
+
+
 def find_atom(db: AtomDatabase, pred_name: str, arg1: int, arg2: int) -> int | None:
     """Atom index for (predicate, const id, const id) in `db`, or None: a
     masked lookup over its columns."""

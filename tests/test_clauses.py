@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_simple_paths, find_atom, ground_terms, random_chain_db
+from conftest import brute_force_simple_paths, const_id, find_atom, ground_terms, random_chain_db
 
 import hlsl.clauses
 from hlsl.clauses import (
@@ -32,14 +32,14 @@ from hlsl.grounding import ground_clauses
 
 
 def target_atom(db, name, a, b):
-    return find_atom(db, name, db._const_ids[a], db._const_ids[b])
+    return find_atom(db, name, const_id(db, a), const_id(db, b))
 
 
 def test_bfs_example_path(citation_db):
     atom = target_atom(citation_db, "Mentions", "Paper1", "Gene")
     paths = bfs_paths(citation_db, atom, 2, include_inverses=False)
     db = citation_db
-    p1, p2, g = (db._const_ids[c] for c in ("Paper1", "Paper2", "Gene"))
+    p1, p2, g = (const_id(db, c) for c in ("Paper1", "Paper2", "Gene"))
     assert paths == {(("Cites", False, p1, p2), ("Mentions", False, p2, g))}
 
 

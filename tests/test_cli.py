@@ -831,3 +831,39 @@ def test_bench_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--counts", "1", "--out", str(tmp_path / "bench.csv")])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call_of_a_process(recovery_dir, tmp_path, capsys):
+    # the parser is built once per process; calls through it end, write and
+    # report as the same calls each made on a freshly built parser
+    import hlsl.cli
+
+    def calls(out, fresh):
+        out.mkdir()
+        data = ("--schema", recovery_dir / "schema.tsv", "--observed", recovery_dir / "observed.tsv",
+                "--train", recovery_dir / "train.tsv")
+        argvs = [
+            ("generate", *data, "--out", out / "clauses.tsv"),
+            ("learn", *data, "--clauses", out / "clauses.tsv", "--out", out / "none.tsv", "--no-such-flag"),
+            ("learn", *data, "--clauses", out / "clauses.tsv", "--out", out / "model.tsv", "--trace", out / "trace.tsv"),
+            ("infer", *data, "--test", recovery_dir / "test.tsv", "--model", out / "model.tsv",
+             "--out", out / "preds.tsv"),
+            ("eval", "--predictions", out / "preds.tsv", "--labels", recovery_dir / "test.tsv",
+             "--out", out / "metrics.tsv"),
+        ]
+        codes, errors = [], []
+        for argv in argvs:
+            if fresh:
+                hlsl.cli._build_parser.cache_clear()
+            try:
+                codes.append(run(*argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+            errors.append(capsys.readouterr().err.splitlines())
+        return codes, errors, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    shared = calls(tmp_path / "shared", fresh=False)
+    assert shared[0] == [0, 2, 0, 0, 0]
+    assert shared[1][1][-1] == "hlsl: error: unrecognized arguments: --no-such-flag"
+    assert hlsl.cli._build_parser() is hlsl.cli._build_parser()
+    assert calls(tmp_path / "fresh", fresh=True) == shared

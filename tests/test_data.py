@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import find_atom, random_chain_db, read_atom_rows
+from conftest import const_id, find_atom, random_chain_db, read_atom_rows
 
 from hlsl.data import (
     AtomColumns,
@@ -110,7 +110,7 @@ def test_targets_evidence_partition(citation_db):
 
 def test_adjacency_example(citation_db):
     db = citation_db
-    p1 = db._const_ids["Paper1"]
+    p1 = const_id(db, "Paper1")
     out = {(pred, db.constants[nbr]) for pred, nbr, _ in db.outgoing[p1]}
     assert out == {("Cites", "Paper2"), ("Mentions", "Gene")}
 
@@ -591,6 +591,48 @@ def test_shuffled_rows_intern_the_same_constants(rows, rng):
             path.write_text("".join(f"{pred}\t{a}\t{b}\n" for pred, a, b in part))
             constants.append(load_database(str(Path(tmp) / "schema.tsv"), [str(path)]).constants)
     assert constants[0] == constants[1] == sorted({name for _, *args in rows for name in args})
+
+
+# names a store meets across files: one word of 7 bytes or fewer, and names
+# over 8 bytes sharing their first 7, 8, 14 or 16 bytes, met before, between
+# and after one another, beside `b` and `b\x00`
+CROSS_NAMES = ["a", "b", "b\x00", "m", "z", "prefix0", "prefix00", "prefix01", "prefix00prefix", "prefix00prefix0",
+               "prefix00prefix00", "prefix00prefix00a", "prefix00prefix00z", "prefix00prefix01", "prefix1"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["Cites", "Sim", "Mentions"]), st.sampled_from(CROSS_NAMES),
+                          st.sampled_from(CROSS_NAMES)), unique=True, min_size=1, max_size=16),
+       st.lists(st.integers(0, 16), min_size=1, max_size=3))
+# the stored names fall between the later ones, and the later long names
+# share their first 8 or 16 bytes with stored ones
+@example([("Cites", "m", "prefix00prefix00"), ("Sim", "prefix01", "b"), ("Sim", "a", "prefix00prefix00a"),
+          ("Cites", "z", "prefix00"), ("Mentions", "b\x00", "prefix00prefix0"), ("Mentions", "prefix0", "a")],
+         [2, 4])
+def test_later_files_intern_against_the_stored_constants(rows, cuts):
+    # every file's constants are interned against those the store holds: ids,
+    # constants and columns as the per-line reader's rows added file by file
+    # give them, through `extra_rows` and through a copy of the store
+    bounds = [0, *sorted(min(cut, len(rows)) for cut in cuts), len(rows)]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "schema.tsv").write_text(ATOM_SCHEMA)
+        paths = []
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            paths.append(str(d / f"atoms{k}.tsv"))
+            Path(paths[-1]).write_text("".join(f"{pred}\t{a}\t{b}\n" for pred, a, b in rows[lo:hi]))
+        *loaded, extra = paths
+        expected, error = outcome(per_line, paths)
+        assert error is None
+        schema = str(d / "schema.tsv")
+        assert state(load_database(schema, loaded, extra_rows=lambda db: read_atom_columns(extra))) == expected
+
+        db = load_database(schema, loaded)
+        before = state(db), list(db.constants)
+        checked = db.copy()
+        checked.add_columns(read_atom_columns(extra))
+        assert state(build_adjacency(checked)) == expected
+        assert (state(db), list(db.constants)) == before  # the copy's rows leave the original as it was
 
 
 def test_constants_after_the_first_faulty_row_are_not_interned(tmp_path):
