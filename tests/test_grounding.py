@@ -311,6 +311,9 @@ def test_ground_clause_matches_dfs_oracle(case):
     both = ground_clauses([negative_prior("T"), clause], db, free_atoms=free, strict=strict)
     assert ground_terms(both) == prior + ground_terms(got)
     assert both.g_clause.tolist() == [0] * len(prior) + [1] * len(got)
+    # each hinge's constant is 1 less its negated occurrences (positive coefficients)
+    assert both.g_const0.tolist() == [1.0 - sum(sign < 0 for _, sign in terms) for terms in ground_terms(both)]
+    assert both.term_count.tolist() == [1] * len(prior) + [len(clause.steps) + 1] * len(got)
 
 
 # -- a clause is its chain: text, equality and grounding read one field -------
@@ -365,3 +368,5 @@ def test_ground_clauses_joins_each_clauses_own_grounding(db, clauses, data, stri
         owners += [k] * len(own)
     assert ground_terms(joined) == terms
     assert joined.g_clause.tolist() == owners
+    assert joined.g_const0.tolist() == [1.0 - sum(sign < 0 for _, sign in t) for t in terms]
+    assert joined.term_count.tolist() == [len(clauses[k].steps) + 1 for k in owners]
