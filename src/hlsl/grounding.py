@@ -2,8 +2,11 @@
 
 A substitution is emitted only when every body atom exists in the database
 with a rounded value of 1 (free variables bypass the gate at inference
-time) and the head atom is a stored target atom. A ground clause is a run
-of (atom, coefficient) terms in flat arrays; its potential is
+time) and the head atom is a stored target atom. `ground_clause` gives a
+clause's groundings as a matrix of atom indices, and `ground_clauses`
+builds one `Grounding` of a clause list from those matrices. In it a
+ground clause is a run of (atom, coefficient) terms in flat arrays; its
+potential is
 
     max(1 - sum_{plus} x_i - sum_{minus} (1 - x_i), 0) ** p
 
@@ -21,56 +24,45 @@ from .clauses import PathClause
 from .data import AtomDatabase, StepGraph, spans
 
 
-def ground_clause(clause: PathClause, db: AtomDatabase, graph: StepGraph) -> Grounding:
-    """All groundings of one clause against the database, as a one-clause
-    `Grounding`; `ground_clauses` grounds a clause list through it.
+def _step_labels(db: AtomDatabase, clause: PathClause) -> list[int]:
+    """The `StepGraph` label of each step of a clause's body."""
+    return [2 * db.pred_ids[pred] + inverted for pred, inverted in clause.steps]
+
+
+def ground_clause(clause: PathClause, db: AtomDatabase, graph: StepGraph) -> np.ndarray:
+    """All groundings of one clause against the database, as an (n,
+    len(steps) + 1) matrix of atom indices: body atoms in step order, then
+    the head, rows sorted. `ground_clauses` grounds a clause list through it.
 
     A substitution grounds when every body atom is a step of `graph` and
     the head is a stored target atom. The graph comes from `walk_graph`
-    over a clause list that holds this clause, so a body atom is stored and
-    either rounds to 1 (at the threshold `build_adjacency` rounded at) or
-    is free, and with `strict` is no observed target atom. Variables are
-    substituted independently, so distinct variables may bind the same
-    constant. Mining differs on purpose: it counts only simple paths, yet
-    the clauses it yields also ground substitutions that repeat a constant
-    (P(V1,V2) & Q(V2,V3) -> T(V1,V3) grounds on P(a, b), Q(b, a) with head
-    T(a, a)). Negative priors ground once per target atom of their
-    predicate.
+    over a clause list that holds this clause, so it decides which atoms a
+    body may hold. Variables are substituted independently, so distinct
+    variables may bind the same constant. Mining differs on purpose: it
+    counts only simple paths, yet the clauses it yields also ground
+    substitutions that repeat a constant (P(V1,V2) & Q(V2,V3) -> T(V1,V3)
+    grounds on P(a, b), Q(b, a) with head T(a, a)). Negative priors ground
+    once per target atom of their predicate.
 
     The body is walked as a chain join over `graph` for all head atoms at
     once: each step of the clause extends every partial walk by the graph
     steps of its label, and the last is a lookup of those that reach the
-    head's second argument. Groundings come out sorted by their atom
-    indices, body atoms in step order, then the head.
+    head's second argument.
     """
     heads = db.targets[db.pred[db.targets] == db.pred_ids[clause.head]]
-    atoms = heads[:, None]
-    if clause.steps:
-        labels = [2 * db.pred_ids[pred] + inverted for pred, inverted in clause.steps]
-        row = np.arange(len(heads))
-        node = db.arg1[heads]
-        body = np.zeros((len(heads), 0), dtype=np.int64)
-        for label in labels[:-1]:
-            i, s = graph.expand(node, label)
-            row, node = row[i], graph.dst[s]
-            body = np.column_stack([body[i], graph.atom[s]])
-        i, s = graph.lookup(node, db.arg2[heads[row]], labels[-1])
-        atoms = np.column_stack([body[i], graph.atom[s], heads[row[i]]])
-        atoms = atoms[np.lexsort(atoms.T[::-1])]
-
-    n, width = atoms.shape
-    n_minus = width - 1 + clause.negated
-    coef = np.ones(width)
-    coef[-1] = 1.0 if clause.negated else -1.0
-    return Grounding(
-        [clause],
-        db,
-        np.zeros(n, dtype=np.int64),
-        np.full(n, 1.0 - n_minus),
-        np.full(n, width, dtype=np.int64),
-        atoms.ravel(),
-        np.tile(coef, n),
-    )
+    if not clause.steps:
+        return heads[:, None]
+    labels = _step_labels(db, clause)
+    row = np.arange(len(heads))
+    node = db.arg1[heads]
+    body = np.zeros((len(heads), 0), dtype=np.int64)
+    for label in labels[:-1]:
+        i, s = graph.expand(node, label)
+        row, node = row[i], graph.dst[s]
+        body = np.column_stack([body[i], graph.atom[s]])
+    i, s = graph.lookup(node, db.arg2[heads[row]], labels[-1])
+    atoms = np.column_stack([body[i], graph.atom[s], heads[row[i]]])
+    return atoms[np.lexsort(atoms.T[::-1])]
 
 
 def walk_graph(db: AtomDatabase, clauses: Sequence[PathClause], free_atoms: np.ndarray | Sequence[int] = (),
@@ -85,7 +77,7 @@ def walk_graph(db: AtomDatabase, clauses: Sequence[PathClause], free_atoms: np.n
         walkable &= ~db.target_mask()
     walkable[np.asarray(free_atoms, dtype=np.int64)] = True
     labels = np.zeros(2 * len(db.predicates), dtype=bool)
-    labels[[2 * db.pred_ids[pred] + inverted for clause in clauses for pred, inverted in clause.steps]] = True
+    labels[[label for clause in clauses for label in _step_labels(db, clause)]] = True
     return StepGraph(db, np.flatnonzero(walkable), labels)
 
 
@@ -179,22 +171,25 @@ def ground_clauses(clauses: Sequence[PathClause], db: AtomDatabase, free_atoms: 
     stored and either rounds to 1 or is free (in `free_atoms`, indices),
     and with `strict` is no observed (not free) target atom: no training
     labels inside bodies. One `walk_graph` serves every clause's
-    `ground_clause`; the owning clause of a ground clause is its list
-    position."""
+    `ground_clause`, and one `Grounding` is built from their atom
+    matrices; the owning clause of a ground clause is its list position."""
     graph = walk_graph(db, clauses, free_atoms, strict)
     parts = [ground_clause(clause, db, graph) for clause in clauses]
-
-    def joined(name: str, dtype) -> np.ndarray:
-        return np.concatenate([getattr(p, name) for p in parts] + [np.zeros(0, dtype=dtype)])
-
+    n = np.array([len(atoms) for atoms in parts], dtype=np.int64)
+    width = np.repeat(np.array([len(clause.steps) + 1 for clause in clauses], dtype=np.int64), n)
+    negated = np.repeat(np.array([clause.negated for clause in clauses], dtype=bool), n)
+    # every term is a negated occurrence (+1) except a ground clause's last,
+    # its head, which is -1 unless the head is negated
+    term_coef = np.ones(int(width.sum()))
+    term_coef[np.cumsum(width) - 1] = np.where(negated, 1.0, -1.0)
     return Grounding(
         clauses,
         db,
-        np.repeat(np.arange(len(parts), dtype=np.int64), [len(p) for p in parts]),
-        joined("g_const0", np.float64),
-        joined("term_count", np.int64),
-        joined("term_atom", np.int64),
-        joined("term_coef", np.float64),
+        np.repeat(np.arange(len(parts), dtype=np.int64), n),
+        1.0 - (width - 1 + negated),
+        width,
+        np.concatenate([atoms.ravel() for atoms in parts] + [np.zeros(0, dtype=np.int64)]),
+        term_coef,
     )
 
 
