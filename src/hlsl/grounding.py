@@ -180,7 +180,7 @@ def ground_clauses(clauses: Sequence[PathClause], db: AtomDatabase, free_atoms: 
     negated = np.repeat(np.array([clause.negated for clause in clauses], dtype=bool), n)
     # every term is a negated occurrence (+1) except a ground clause's last,
     # its head, which is -1 unless the head is negated
-    term_coef = np.ones(int(width.sum()))
+    term_coef = np.ones(width.sum())
     term_coef[np.cumsum(width) - 1] = np.where(negated, 1.0, -1.0)
     return Grounding(
         clauses,
