@@ -220,7 +220,7 @@ def cmd_learn(
                 dump_grounding_tsv(grounding, fh)
         if score_report_path:
             score = log_ppll if cfg.method == "ppll" else log_pll
-            report = score(model, grounding, db.value_vector(), p=cfg.learning.p)
+            report = score(model, grounding, db.value_vector())
             with open(score_report_path, "w", encoding="utf-8") as fh:
                 write_score_tsv(report, grounding, fh)
 
@@ -245,7 +245,7 @@ def cmd_infer(cfg: RunConfig, model_path: str, out_path: str) -> None:
                          f"the first {db.atom_str(stray[0])}")
     model = read_model(read_text(model_path), db)
     grounding = ground_clauses(model.clauses, db, free_atoms=free, strict=cfg.strict)
-    solution = map_infer(model, db, free_atoms=free, grounding=grounding, p=cfg.learning.p)
+    solution = map_infer(model, db, free_atoms=free, grounding=grounding)
     names, score = db.pred_names, solution.values
     # only the constants of the rows written are decoded
     rows = zip(db.pred[free].tolist(), db.constants.decode(db.arg1[free]), db.constants.decode(db.arg2[free]),
@@ -334,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     option(i, "test", help="test target atoms TSV (values ignored)")
     i.add_argument("--model", required=True, help="model file")
     i.add_argument("--out", required=True, help="predictions TSV")
-    option(i, "p", choices=(1, 2))
     option(i, "strict", help="exclude observed target atoms from clause bodies")
     option(i, "threshold")
 

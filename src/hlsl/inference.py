@@ -4,10 +4,10 @@ MAP minimizes the total weighted hinge penalty
 
     sum_g w_g * max(c_g + sum_j a_gj y_j, 0) ** p,    p in {1, 2},
 
-over the free target variables y in [0, 1]^n, a convex problem solved by
-consensus ADMM, the hinge-loss MRF MAP solver of Bach et al. (2017, JMLR).
-Every (ground clause, free atom) row of `Grounding.pairs` holds a local copy
-of its atom's value. One iteration
+at the model's p, over the free target variables y in [0, 1]^n, a convex
+problem solved by consensus ADMM, the hinge-loss MRF MAP solver of Bach et
+al. (2017, JMLR). Every (ground clause, free atom) row of `Grounding.pairs`
+holds a local copy of its atom's value. One iteration
 
 - moves each ground clause's copies to the proximal point of its hinge, in
   closed form: the hinge varies only along its coefficient vector a, so the
@@ -70,21 +70,18 @@ def map_infer(
     db: AtomDatabase,
     free_atoms: np.ndarray | Sequence[int],
     grounding: Grounding,
-    p: int = 1,
     max_iters: int = MAX_ITERS,
 ) -> MapSolution:
-    """Minimize the model's total weighted penalty over the free variables.
+    """Minimize the model's total weighted penalty, at the model's p, over
+    the free variables.
 
     `grounding` is the model's clauses grounded by `ground_clauses` with the
     same `free_atoms` (indices). The free atoms' stored values are ignored
     and ADMM starts them at 0. Other atoms stay fixed at their stored
     values, and only hinges on free atoms set the weights' scale.
-    Iterations stop once both residuals pass their tests or after
-    `max_iters`.
+    Iterations stop once both residuals pass their tests or after `max_iters`.
     """
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    free = np.asarray(free_atoms, dtype=np.int64)
+    p, free = model.p, np.asarray(free_atoms, dtype=np.int64)
 
     values = db.value_vector()
     values[free] = 0.0

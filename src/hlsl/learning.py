@@ -30,6 +30,7 @@ from .errors import MalformedLine, NoCandidates, NonFiniteObjective
 from .grounding import Grounding, ground_clauses
 
 MODEL_HEADER = "# hlsl-model v1"
+_HEADERS = {1: MODEL_HEADER, 2: MODEL_HEADER + " p=2"}  # a model file's header at each p
 
 # One trace row per iteration: (iteration, objective, largest projected
 # gradient); a weight fit's iteration is a Newton step, a gls iteration a
@@ -39,13 +40,17 @@ TraceRow = tuple[int, float, float]
 
 @dataclass
 class WeightedModel:
-    """An ordered clause list with its nonnegative weight vector."""
+    """An ordered clause list with its nonnegative weight vector, and the
+    hinge power p (1 or 2) that the weights were fitted at."""
 
     clauses: list[PathClause]
     weights: np.ndarray
+    p: int = 1
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
+        if self.p not in (1, 2):
+            raise ValueError("p must be 1 or 2")
         if len(self.clauses) != len(self.weights):
             raise ValueError("clauses and weights differ in length")
         if not np.isfinite(self.weights).all():
@@ -60,7 +65,8 @@ class WeightedModel:
 @dataclass(frozen=True)
 class LearnConfig:
     """Optimizer knobs. `l2_sigma` is the Gaussian prior variance (0 turns
-    the prior off) and `w_max` the weight cap, for both learners.
+    the prior off), `w_max` the weight cap and `p` the hinge power, 1 or 2,
+    for both learners; the model a learner returns carries its `p`.
 
     Every weight fit takes projected Newton steps from the given weights (a
     new gls clause at 0) and stops once every clause's projected gradient
@@ -234,7 +240,7 @@ def learn_weights(
         raise NoCandidates("cannot learn weights of an empty model")
     ws = Workspace(grounding, observed, mode=objective, p=config.p)
     w, _, _ = _newton(ws, model.weights, config, trace)
-    return WeightedModel(model.clauses, w)
+    return WeightedModel(model.clauses, w, config.p)
 
 
 def ppll_structure_learn(
@@ -255,7 +261,7 @@ def ppll_structure_learn(
     model = learn_weights(unfit, grounding, observed, "ppll", config, trace)
     keep = model.weights > 0.0
     return WeightedModel(
-        [c for c, k in zip(model.clauses, keep) if k], model.weights[keep]
+        [c for c, k in zip(model.clauses, keep) if k], model.weights[keep], config.p
     )
 
 
@@ -326,14 +332,14 @@ def gls_structure_learn(
         current = float(scores[best])
         if trace is not None:
             trace.append((outer, current, float(residual[best])))
-    return WeightedModel([candidates[i] for i in chosen], chosen_w)
+    return WeightedModel([candidates[i] for i in chosen], chosen_w, config.p)
 
 
 # -- model and trace files --------------------------------------------------
 
 
 def write_model(model: WeightedModel, stream: IO[str]) -> None:
-    stream.write(MODEL_HEADER + "\n")
+    stream.write(_HEADERS[model.p] + "\n")
     for clause, w in zip(model.clauses, model.weights):
         stream.write(f"{w:.12g}\t{format_clause(clause)}\n")
 
@@ -344,7 +350,8 @@ def read_model(stream: IO[str] | Iterable[str], schema) -> WeightedModel:
         header = next(lines).rstrip("\n")
     except StopIteration:
         raise MalformedLine(1, "empty model file") from None
-    if header.strip() != MODEL_HEADER:
+    p = {text: power for power, text in _HEADERS.items()}.get(header.strip())
+    if p is None:
         raise MalformedLine(1, f"expected {MODEL_HEADER!r} header, got {header!r}")
     clauses: list[PathClause] = []
     weights: list[float] = []
@@ -368,7 +375,7 @@ def read_model(stream: IO[str] | Iterable[str], schema) -> WeightedModel:
         except MalformedLine as exc:
             raise MalformedLine(line_no, exc.detail) from None
         weights.append(weight)
-    return WeightedModel(clauses, np.asarray(weights))
+    return WeightedModel(clauses, np.asarray(weights), p)
 
 
 def write_trace(trace: Sequence[TraceRow], stream: IO[str]) -> None:

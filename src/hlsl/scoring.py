@@ -26,20 +26,20 @@ class ScoreReport:
     per_clause: dict[int, float] | None = None
 
 
-def log_pll(model, grounding: Grounding, observed: np.ndarray, p: int = 1) -> ScoreReport:
+def log_pll(model, grounding: Grounding, observed: np.ndarray) -> ScoreReport:
     """Log pseudolikelihood: sum over variables of -log Z_i minus the
     variable's observed conditional energy, the workspace's one block (none
     without clauses). Variables untouched by any ground clause contribute zero."""
-    ws = Workspace(grounding, observed, mode="pll", p=p)
+    ws = Workspace(grounding, observed, mode="pll", p=model.p)
     w = np.asarray(model.weights, dtype=np.float64)
     return ScoreReport(total=float(ws.total(w).sum()), per_variable=ws.per_variable(w))
 
 
-def log_ppll(model, grounding: Grounding, observed: np.ndarray, p: int = 1) -> ScoreReport:
+def log_ppll(model, grounding: Grounding, observed: np.ndarray) -> ScoreReport:
     """Piecewise pseudolikelihood: the per-variable factors are additionally
     split per clause, so the total decomposes exactly into the single-clause
     pseudolikelihoods reported in `per_clause`."""
-    ws = Workspace(grounding, observed, mode="ppll", p=p)
+    ws = Workspace(grounding, observed, mode="ppll", p=model.p)
     w = np.asarray(model.weights, dtype=np.float64)
     totals = ws.total(w)
     return ScoreReport(float(totals.sum()), ws.per_variable(w), dict(enumerate(totals.tolist())))

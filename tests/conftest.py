@@ -304,7 +304,7 @@ def greedy_reference(candidates, db, config):
             grounding = ground_clauses(clauses, db)
             start = WeightedModel(clauses, np.asarray(weights + [0.0]))
             fitted = learn_weights(start, grounding, observed, "pll", inner)
-            score = log_pll(fitted, grounding, observed, p=config.p).total
+            score = log_pll(fitted, grounding, observed).total
             if best is None or score > best[0]:
                 best = (score, cand, fitted.weights)
         if best is None or best[0] - current < config.tolerance * max(1.0, abs(current)):

@@ -5,11 +5,15 @@ import random
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hlsl.clauses import GenerationConfig
 from hlsl.cli import _OPTIONS, RunConfig, _build_parser, _resolve, main
-from hlsl.learning import LearnConfig
+from hlsl.data import load_database, read_atom_columns
+from hlsl.grounding import ground_clauses
+from hlsl.inference import map_infer
+from hlsl.learning import LearnConfig, WeightedModel, read_model
 from hlsl.synth import example_fixture, recovery_fixture, write_fixture
 
 
@@ -89,10 +93,25 @@ def full_pipeline(d, tmp_path, tag, threads, method="ppll", p=1):
         "learn", *base, "--clauses", clauses, "--method", method, "--out", model, "--trace", trace, "--p", p,
     ) == 0
     assert run(
-        "infer", *base, "--test", d / "test.tsv", "--model", model, "--out", preds, "--p", p,
+        "infer", *base, "--test", d / "test.tsv", "--model", model, "--out", preds,
     ) == 0
     assert run("eval", "--predictions", preds, "--labels", d / "test.tsv", "--out", metrics) == 0
     return clauses, model, trace, preds, metrics
+
+
+def map_at(d, model_path, p):
+    """The prediction lines of `map_infer` at hinge power `p` on the model
+    file's clauses and weights, over the free atoms `infer` takes from `d`."""
+    test = read_atom_columns(str(d / "test.tsv"))
+    paths = [str(d / "observed.tsv"), str(d / "train.tsv")]
+    db = load_database(str(d / "schema.tsv"), paths, extra_rows=lambda _: test)
+    free = np.arange(len(db.atoms) - len(test), len(db.atoms))  # the test atoms, added last
+    with open(model_path, encoding="utf-8") as fh:
+        m = read_model(fh, db)
+    grounding = ground_clauses(m.clauses, db, free_atoms=free)
+    score = map_infer(WeightedModel(m.clauses, m.weights, p), db, free, grounding).values
+    names, consts = db.pred_names, db.constants
+    return [f"{names[db.pred[i]]}\t{consts[db.arg1[i]]}\t{consts[db.arg2[i]]}\t{score[i]:.12g}" for i in free.tolist()]
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -105,6 +124,13 @@ def test_full_pipeline_and_determinism_across_threads(recovery_dir, tmp_path, p)
             assert a.read_bytes() == b.read_bytes()
         auc = float(second[-1].read_text().splitlines()[1].split("\t")[0])
         assert auc > 0.8
+        # the model file carries its p, and `infer` predicts at it
+        _, model, _, preds, _ = second
+        assert model.read_text().splitlines()[0] == ("# hlsl-model v1" if p == 1 else "# hlsl-model v1 p=2")
+        assert preds.read_text().splitlines() == map_at(recovery_dir, model, p)
+    with pytest.raises(SystemExit) as exc:  # `infer` has no --p of its own
+        run("infer", "--test", recovery_dir / "test.tsv", "--model", model, "--out", tmp_path / "p.tsv", "--p", p)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("method", ["ppll", "gls"])

@@ -1,4 +1,6 @@
 """MAP inference and AUC evaluation."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from hlsl.synth import recovery_fixture
 
 def map_targets(model, db, p=1):
     """MAP over every target atom, grounded as `infer` grounds its free atoms."""
-    return map_infer(model, db, db.targets, ground_clauses(model.clauses, db, free_atoms=db.targets), p)
+    return map_infer(replace(model, p=p), db, db.targets, ground_clauses(model.clauses, db, free_atoms=db.targets))
 
 
 def test_map_prior_only():
@@ -78,7 +80,7 @@ def test_map_objective_nonincreasing_over_sweeps():
     free = list(db.targets)
     grounding = ground_clauses(model.clauses, db, free_atoms=free)
     for p in (1, 2):
-        sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+        sol = map_infer(replace(model, p=p), db, free_atoms=free, grounding=grounding)
         assert sol.converged and within_oracle(sol, map_oracle(model, grounding, db, free, p)), p
 
 
@@ -86,7 +88,7 @@ def test_map_objective_nonincreasing_over_sweeps():
 def test_map_matches_oracle_on_random_instances(p):
     for seed in range(300):
         db, model, grounding, free = random_map_instance(seed)
-        sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+        sol = map_infer(replace(model, p=p), db, free_atoms=free, grounding=grounding)
         assert sol.converged and within_oracle(sol, map_oracle(model, grounding, db, free, p)), seed
 
 
@@ -179,7 +181,7 @@ def test_map_reaches_oracle_on_coupled_chain_databases(instance):
         len(set(grounding.term_atom[s : s + c][is_free[s : s + c]])) >= 2
         for s, c in zip(grounding.term_start, grounding.term_count)
     )
-    sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+    sol = map_infer(replace(model, p=p), db, free_atoms=free, grounding=grounding)
     assert sol.converged and within_oracle(sol, map_oracle(model, grounding, db, free, p))
 
 
@@ -190,7 +192,7 @@ CAPS = (1, 2, 7, MAX_ITERS)
 def assert_admm_oracle(model, db, free, grounding):
     for p in (1, 2):
         for cap in CAPS:
-            got = map_infer(model, db, free_atoms=free, grounding=grounding, p=p, max_iters=cap)
+            got = map_infer(replace(model, p=p), db, free_atoms=free, grounding=grounding, max_iters=cap)
             # repr tells -0.0 from 0.0, so every field must match bit for bit
             assert repr(got) == repr(admm_oracle(model, db, free, grounding, p, cap)), (p, cap)
 
@@ -219,16 +221,16 @@ def test_map_stop_record(p):
         db.add_atom("T", a, b, 0.0)
     build_adjacency(db)
     clauses = [parse_clause(text, db) for text in COUPLED_CLAUSES] + [negative_prior("T")]
-    model = WeightedModel(clauses, np.linspace(0.5, 2.0, len(clauses)))
+    model = WeightedModel(clauses, np.linspace(0.5, 2.0, len(clauses)), p)
     grounding = ground_clauses(model.clauses, db, free_atoms=free)
-    sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+    sol = map_infer(model, db, free_atoms=free, grounding=grounding)
     assert sol.converged and sol.iterations > 1
     assert 0.0 <= sol.primal_residual <= 1e-4 and 0.0 <= sol.dual_residual <= 1e-4
     assert within_oracle(sol, map_oracle(model, grounding, db, free, p))
     # the run stopped at the first iteration whose residuals passed
-    short = map_infer(model, db, free_atoms=free, grounding=grounding, p=p, max_iters=sol.iterations - 1)
+    short = map_infer(model, db, free_atoms=free, grounding=grounding, max_iters=sol.iterations - 1)
     assert not short.converged and short.iterations == sol.iterations - 1
-    capped = map_infer(model, db, free_atoms=free, grounding=grounding, p=p, max_iters=1)
+    capped = map_infer(model, db, free_atoms=free, grounding=grounding, max_iters=1)
     assert not capped.converged and capped.iterations == 1
     assert all(0.0 <= y <= 1.0 for y in capped.values.values())
 
@@ -244,7 +246,7 @@ def test_map_zero_norm_hinges(p):
     build_adjacency(db)
     free = list(db.targets)
     clauses = [parse_clause("T(V1,V2) & R(V2,V3) -> T(V1,V3)", db), negative_prior("T")]
-    model = WeightedModel(clauses, np.array([1.5, 0.5]))
+    model = WeightedModel(clauses, np.array([1.5, 0.5]), p)
     cases = [
         ground_clauses(clauses, db, free_atoms=free),
         # T(a,x) twice plus T(a,y) in one ground, and T(b,b) alone twice
@@ -254,7 +256,7 @@ def test_map_zero_norm_hinges(p):
     for grounding in cases:
         assert (grounding.pairs(np.isin(np.arange(len(db.atoms)), free))[2] == 0.0).any()
         with np.errstate(all="raise"):
-            sol = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+            sol = map_infer(model, db, free_atoms=free, grounding=grounding)
         assert sol.converged and all(np.isfinite(list(sol.values.values())))
         assert within_oracle(sol, map_oracle(model, grounding, db, free, p))
 
@@ -270,7 +272,7 @@ def test_map_converges_at_small_weights(tmp_path, p):
     assert set(grounding.g_clause) == {0}
     iterations = []
     for w in (1.0, 1e-2, 1e-4, 1e-6):
-        sol = map_infer(WeightedModel(clauses, np.array([w, 1.0])), db, free_atoms=free, grounding=grounding, p=p)
+        sol = map_infer(WeightedModel(clauses, np.array([w, 1.0]), p), db, free_atoms=free, grounding=grounding)
         iterations.append(sol.iterations)
         assert sol.converged and max(sol.values.values()) == pytest.approx(1.0, abs=1e-6), w
     assert iterations == iterations[:1] * 4, iterations
@@ -281,10 +283,10 @@ def test_map_invariant_to_weight_scale(p):
     # scaling every weight by c scales the objective by c and keeps its argmin
     for seed in range(40):
         db, model, grounding, free = random_map_instance(seed)
-        base = map_infer(model, db, free_atoms=free, grounding=grounding, p=p)
+        base = map_infer(replace(model, p=p), db, free_atoms=free, grounding=grounding)
         for c in (1e-6, 1e-3, 1e3):
-            scaled = WeightedModel(model.clauses, model.weights * c)
-            sol = map_infer(scaled, db, free_atoms=free, grounding=grounding, p=p)
+            scaled = WeightedModel(model.clauses, model.weights * c, p)
+            sol = map_infer(scaled, db, free_atoms=free, grounding=grounding)
             assert (sol.iterations, sol.converged) == (base.iterations, base.converged), (seed, c)
             assert all(abs(sol.values[i] - base.values[i]) <= 1e-9 for i in free), (seed, c)
             assert sol.objective == pytest.approx(c * base.objective, rel=1e-8, abs=0.0), (seed, c)

@@ -517,19 +517,22 @@ def test_learners_run_with_squared_hinge():
 
 def test_model_file_round_trip(citation_db, tmp_path):
     clause = parse_clause("Cites(V1,V2) & Mentions(V2,V3) -> Mentions(V1,V3)", citation_db)
-    model = WeightedModel([clause, negative_prior("Mentions")], np.array([1.234567890123, 0.5]))
-    buf = io.StringIO()
-    write_model(model, buf)
-    text = buf.getvalue()
-    assert text.splitlines()[0] == "# hlsl-model v1"
-    again = read_model(io.StringIO(text), citation_db)
-    assert [c.id for c in again.clauses] == [c.id for c in model.clauses]
-    assert np.allclose(again.weights, model.weights, atol=1e-11)
+    for p, header in ((1, "# hlsl-model v1"), (2, "# hlsl-model v1 p=2")):
+        model = WeightedModel([clause, negative_prior("Mentions")], np.array([1.234567890123, 0.5]), p)
+        buf = io.StringIO()
+        write_model(model, buf)
+        text = buf.getvalue()
+        assert text.splitlines()[0] == header
+        again = read_model(io.StringIO(text), citation_db)
+        assert [c.id for c in again.clauses] == [c.id for c in model.clauses]
+        assert np.allclose(again.weights, model.weights, atol=1e-11)
+        assert again.p == p
 
 
 def test_model_file_errors(citation_db):
-    with pytest.raises(MalformedLine):
-        read_model(io.StringIO("not a header\n"), citation_db)
+    for header in ("not a header", "# hlsl-model v1 p=3", "# hlsl-model v1 p=", "# hlsl-model v2"):
+        with pytest.raises(MalformedLine, match="^line 1: "):
+            read_model(io.StringIO(header + "\n"), citation_db)
     with pytest.raises(MalformedLine):
         read_model(io.StringIO("# hlsl-model v1\n-1.0\t-> !Mentions(A,B)\n"), citation_db)
     for weight in ("nan", "inf", "-nan"):

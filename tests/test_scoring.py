@@ -369,8 +369,8 @@ def test_engine_squared_hinge_matches_profiles_and_quadrature():
         wp[i] += h
         wm[i] -= h
         fd = (
-            log_pll(WeightedModel(list(cands), wp), grounding, obs, p=2).total
-            - log_pll(WeightedModel(list(cands), wm), grounding, obs, p=2).total
+            log_pll(WeightedModel(list(cands), wp, 2), grounding, obs).total
+            - log_pll(WeightedModel(list(cands), wm, 2), grounding, obs).total
         ) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
