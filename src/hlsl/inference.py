@@ -6,20 +6,29 @@ MAP minimizes the total weighted hinge penalty
 
 at the model's p, over the free target variables y in [0, 1]^n, a convex
 problem solved by consensus ADMM, the hinge-loss MRF MAP solver of Bach et
-al. (2017, JMLR). Every (ground clause, free atom) row of `Grounding.pairs`
-holds a local copy of its atom's value. One iteration
+al. (2017, JMLR).
+
+At p = 1 a presolve, as an LP presolve does (Andersen & Andersen 1995),
+first takes out every hinge max(c + a y, 0) on one free atom whose sign
+holds on [0, 1]. With c >= 0 and c + a >= 0 it is the linear term
+w (c + a y) there, and its slope w a joins its atom's consensus step; with
+c <= 0 and c + a <= 0 it is zero there, and is dropped. Every (ground
+clause, free atom) row of `Grounding.pairs` of the other hinges holds a
+local copy of its atom's value. An atom left without copies is solved in
+closed form: 1 if its slopes sum below 0, else 0. One iteration
 
 - moves each ground clause's copies to the proximal point of its hinge, in
   closed form: the hinge varies only along its coefficient vector a, so the
   copies step along a by one length per ground clause;
-- sets every variable to the mean of its copies plus their scaled duals,
-  clipped to [0, 1] (the consensus step);
+- sets every variable to the sum of its copies plus their scaled duals,
+  less its slope, over its copy count, clipped to [0, 1] (the consensus
+  step);
 - adds each copy's disagreement with its variable to its scaled dual.
 
-ADMM runs with penalty 1 on the weights divided by their mean over the live
-hinges: that keeps the minimizer, where a fixed penalty suits only weights
-near its own size (Boyd et al. 2011, section 3.4.1). The reported objective
-uses the model's own weights.
+ADMM runs with penalty 1 on the weights divided by their mean over all live
+hinges, folded ones included: that keeps the minimizer, where a fixed
+penalty suits only weights near its own size (Boyd et al. 2011, section
+3.4.1). The reported objective uses the model's own weights.
 
 It stops once the primal residual (copies against variables) and the dual
 residual (the last change of the variables) pass the absolute and relative
@@ -55,7 +64,9 @@ def _norm(z: np.ndarray, work: np.ndarray) -> float:
 class MapSolution:
     """MAP values per free target atom, the total weighted penalty, and the
     stop record: iterations run, the final primal and dual residual norms,
-    and whether both passed their tests before the iteration cap."""
+    and whether both passed their tests before the iteration cap. When the
+    presolve leaves no copy, no iteration runs: `iterations` is 0, both
+    residuals are 0 and `converged` is True."""
 
     values: dict[int, float]
     objective: float
@@ -77,8 +88,9 @@ def map_infer(
 
     `grounding` is the model's clauses grounded by `ground_clauses` with the
     same `free_atoms` (indices). The free atoms' stored values are ignored
-    and ADMM starts them at 0. Other atoms stay fixed at their stored
-    values, and only hinges on free atoms set the weights' scale.
+    and ADMM starts the ones holding copies at 0. Other atoms stay fixed at
+    their stored values, and only hinges on free atoms set the weights'
+    scale.
     Iterations stop once both residuals pass their tests or after `max_iters`.
     """
     p, free = model.p, np.asarray(free_atoms, dtype=np.int64)
@@ -93,13 +105,26 @@ def map_infer(
     # a free atom in both body and head cancels to coefficient 0: that copy
     # constrains nothing, and dropping it keeps every remaining hinge's |a| > 0
     live = coef != 0.0
-    grounds, g = np.unique(ground[live], return_inverse=True)
-    variables, v = np.unique(atom[live], return_inverse=True)
-    a = coef[live]
-    const = grounding.inner_values(values)[grounds]  # each hinge's expression at y = 0
-    w = weights[grounding.g_clause[grounds]]
+    ground, atom, a = ground[live], atom[live], coef[live]
+    hinges, g = np.unique(ground, return_inverse=True)
+    c = grounding.inner_values(values)[hinges]  # each hinge's expression at y = 0
+    w = weights[grounding.g_clause[hinges]]
     if len(w) and w.mean() > 0.0:
         w = w / w.mean()  # same minimizer, at the penalty's scale
+    # presolve at p = 1: a hinge max(c + a y, 0) on one free atom whose sign
+    # holds on [0, 1] is there the linear term w (c + a y), or zero. It holds
+    # no copy: its slope w a joins its atom's consensus step, and an atom
+    # left without copies takes the end of [0, 1] its slope points to, 0 on
+    # a flat tie
+    start, end = c[g], c[g] + a
+    alone = (np.bincount(g)[g] == 1) & (p == 1)
+    linear = alone & (start >= 0.0) & (end >= 0.0)
+    held = ~linear & ~(alone & (start <= 0.0) & (end <= 0.0))
+    slope = np.bincount(atom[linear], weights=w[g[linear]] * a[linear], minlength=len(values))
+    values[free] = np.where(slope[free] < 0.0, 1.0, 0.0)
+    grounds, g = np.unique(g[held], return_inverse=True)
+    variables, v = np.unique(atom[held], return_inverse=True)
+    a, const, w, slope = a[held], c[grounds], w[grounds], slope[variables]
     norm2 = np.bincount(g, weights=a * a, minlength=len(grounds))
     # the prox step along a is min(max(s, 0), w |a|^2) / |a|^2 for p = 1 and
     # max(s, 0) * 2w / (1 + 2w |a|^2) for p = 2, s the hinge at the point
@@ -116,15 +141,17 @@ def map_infer(
 
     y, y_rows, u = np.zeros(len(variables)), np.zeros(n), np.zeros(n)
     x, r, rows, work = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    iterations, primal, dual, converged = 0, 0.0, 0.0, False
+    iterations, primal, dual, converged = 0, 0.0, 0.0, n == 0
     while iterations < max_iters and not converged:
         iterations += 1
         np.subtract(y_rows, u, out=x)  # each copy's prox centre
         s = const + np.bincount(g, weights=np.multiply(a, x, out=work), minlength=len(grounds))
         step = np.minimum(np.maximum(s, 0.0), cap) * scale
-        x -= np.multiply(np.take(step, g, out=work), a, out=work)
-        y = np.clip(np.bincount(v, weights=np.add(x, u, out=work), minlength=len(variables)) / copies, 0.0, 1.0)
-        np.take(y, v, out=rows)
+        # mode="clip" lets `take` write into `out` unbuffered; g and v are in range
+        x -= np.multiply(np.take(step, g, out=work, mode="clip"), a, out=work)
+        total = np.bincount(v, weights=np.add(x, u, out=work), minlength=len(variables))
+        y = np.clip((total - slope) / copies, 0.0, 1.0)
+        np.take(y, v, out=rows, mode="clip")
         np.subtract(x, rows, out=r)
         u += r
         primal = _norm(r, work)

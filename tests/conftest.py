@@ -453,9 +453,10 @@ def map_oracle(model, grounding, db, free, p):
 
 
 def admm_oracle(model, db, free, grounding, p, max_iters):
-    """`map_infer`'s consensus ADMM as a plain loop: every residual norm
-    computed on every iteration, fresh arrays for every row vector. The
-    solver must return exactly this `MapSolution`."""
+    """`map_infer`'s presolve and consensus ADMM as plain loops: each hinge
+    classified on its own, every residual norm computed on every iteration,
+    fresh arrays for every row vector. The solver must return exactly this
+    `MapSolution`."""
     from hlsl.inference import ABS_TOL, REL_TOL, MapSolution
 
     def norm(z):
@@ -466,13 +467,36 @@ def admm_oracle(model, db, free, grounding, p, max_iters):
     weights = np.asarray(model.weights, dtype=np.float64)
     ground, atom, coef = grounding.pairs(np.isin(np.arange(len(values)), free))
     live = coef != 0.0
-    grounds, g = np.unique(ground[live], return_inverse=True)
-    variables, v = np.unique(atom[live], return_inverse=True)
-    a = coef[live]
-    const = grounding.inner_values(values)[grounds]
-    w = weights[grounding.g_clause[grounds]]
+    ground, atom, coef = ground[live], atom[live], coef[live]
+    inner = grounding.inner_values(values)
+    hinges = np.unique(ground)
+    w = weights[grounding.g_clause[hinges]]
     if len(w) and w.mean() > 0.0:
         w = w / w.mean()
+    weight_of = dict(zip(hinges.tolist(), w))
+
+    # at p = 1 a hinge on one free atom leaves ADMM when c and c + a, its
+    # values at y = 0 and y = 1, share a sign: as a slope when both are
+    # >= 0, dropped when both are <= 0
+    slope, kept = {}, []
+    for k in hinges.tolist():
+        rows = np.flatnonzero(ground == k).tolist()
+        if p == 1 and len(rows) == 1:
+            r = rows[0]
+            at_0, at_1 = inner[k], inner[k] + coef[r]
+            if at_0 >= 0.0 and at_1 >= 0.0:
+                slope[int(atom[r])] = slope.get(int(atom[r]), 0.0) + weight_of[k] * coef[r]
+                continue
+            if at_0 <= 0.0 and at_1 <= 0.0:
+                continue
+        kept += rows
+    kept = np.array(kept, dtype=np.int64)
+    grounds, g = np.unique(ground[kept], return_inverse=True)
+    variables, v = np.unique(atom[kept], return_inverse=True)
+    a = coef[kept]
+    const = inner[grounds]
+    w = np.array([weight_of[k] for k in grounds.tolist()])
+    lin = np.array([slope.get(j, 0.0) for j in variables.tolist()])
     norm2 = np.bincount(g, weights=a * a, minlength=len(grounds))
     cap = w * norm2 if p == 1 else np.inf
     scale = 1.0 / norm2 if p == 1 else 2.0 * w / (1.0 + 2.0 * w * norm2)
@@ -480,14 +504,14 @@ def admm_oracle(model, db, free, grounding, p, max_iters):
     eps_abs = float(np.sqrt(len(a))) * ABS_TOL
 
     y, y_rows, u = np.zeros(len(variables)), np.zeros(len(a)), np.zeros(len(a))
-    iterations, primal, dual, converged = 0, 0.0, 0.0, False
+    iterations, primal, dual, converged = 0, 0.0, 0.0, len(a) == 0
     while iterations < max_iters and not converged:
         iterations += 1
         local = y_rows - u
         s = const + np.bincount(g, weights=a * local, minlength=len(grounds))
         step = np.minimum(np.maximum(s, 0.0), cap) * scale
         x = local - step[g] * a
-        y = np.clip(np.bincount(v, weights=x + u, minlength=len(variables)) / copies, 0.0, 1.0)
+        y = np.clip((np.bincount(v, weights=x + u, minlength=len(variables)) - lin) / copies, 0.0, 1.0)
         new_rows = y[v]
         r = x - new_rows
         u += r
@@ -498,6 +522,8 @@ def admm_oracle(model, db, free, grounding, p, max_iters):
             and dual <= eps_abs + REL_TOL * norm(u)
         )
 
+    for j in free:
+        values[j] = 1.0 if slope.get(int(j), 0.0) < 0.0 else 0.0
     values[variables] = y + 0.0
     objective = float((weights[grounding.g_clause] * grounding.penalties(values, p)).sum())
     return MapSolution(

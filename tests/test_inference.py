@@ -51,12 +51,14 @@ def test_map_rule_beats_prior():
 
 def test_map_flat_tie_resolves_to_zero():
     # rule and prior of equal weight: every value in [0, 1] is optimal at
-    # cost 1, and the solver may end anywhere in that flat minimum
+    # cost 1; both hinges are linear on [0, 1], their slopes cancel, and the
+    # atom is solved in closed form at 0
     db, rule = rule_and_prior_db()
     model = WeightedModel([rule, negative_prior("T")], np.array([1.0, 1.0]))
     sol = map_targets(model, db)
     assert 0.0 <= sol.values[1] <= 1.0
     assert sol.objective == pytest.approx(1.0, abs=1e-5)
+    assert sol.values[1] == 0.0 and sol.iterations == 0
 
 
 def test_map_empty_model_values_zero():
@@ -183,6 +185,67 @@ def test_map_reaches_oracle_on_coupled_chain_databases(instance):
     )
     sol = map_infer(replace(model, p=p), db, free_atoms=free, grounding=grounding)
     assert sol.converged and within_oracle(sol, map_oracle(model, grounding, db, free, p))
+
+
+def test_map_closed_form_when_every_hinge_folds():
+    # at p = 1 every hinge below holds one free atom and keeps its sign on
+    # [0, 1]: linear (c >= 0 and c + a >= 0) or zero (c <= 0 and c + a <= 0)
+    db = AtomDatabase([PredicateSymbol("E"), PredicateSymbol("T", is_target=True)])
+    hard = [db.add_atom("E", f"s{i}", f"t{i}", v) for i, v in enumerate((1.0, 0.0))]
+    free = [db.add_atom("T", f"x{i}", f"y{i}", 0.0) for i in range(4)]
+    build_adjacency(db)
+    clauses = [negative_prior("T") for _ in range(3)]
+    grounds = [
+        (0, ((hard[0], -1), (free[0], 1))),  # 1 - y0: pulls y0 up
+        (0, ((hard[0], -1), (free[1], 1))),  # 1 - y1, outweighed by its prior
+        (0, ((hard[1], -1), (free[2], 1))),  # max(-y2, 0) = 0 on [0, 1]
+        (1, ((hard[1], -1), (free[3], -1))),  # max(y3 - 1, 0) = 0 on [0, 1]
+        (2, ((free[1], -1),)),  # y1
+        (2, ((free[2], -1),)),  # y2
+    ]
+    model = WeightedModel(clauses, np.array([0.5, 1.0, 0.75]))
+    grounding = grounding_of(clauses, grounds, db)
+    for cap in (1, MAX_ITERS):
+        sol = map_infer(model, db, free_atoms=free, grounding=grounding, max_iters=cap)
+        assert (sol.iterations, sol.converged, sol.primal_residual, sol.dual_residual) == (0, True, 0.0, 0.0)
+        assert [sol.values[i] for i in free] == [1.0, 0.0, 0.0, 0.0]
+        assert sol.objective == 0.5 and within_oracle(sol, map_oracle(model, grounding, db, free, 1))
+
+
+@st.composite
+def mixed_evidence_instances(draw):
+    """A MAP problem over free atoms and evidence that is partly hard (0 or
+    1) and partly soft (in (0, 1)), as explicit ground clauses of one or two
+    free atoms. `E(s0,t0) -> T(x0,y0)` with E(s0,t0) soft always grounds, so
+    a one-atom hinge kinks inside (0, 1); `E(s1,t1) -> T(x0,y0)` with
+    E(s1,t1) = 1 always grounds too, so another one keeps its sign there."""
+    n_free = draw(st.integers(1, 4))
+    soft = st.integers(1, 999).map(lambda k: k / 1000)
+    levels = [draw(soft), 1.0] + draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), soft), min_size=1, max_size=4))
+    db = AtomDatabase([PredicateSymbol("E"), PredicateSymbol("T", is_target=True)])
+    evid = [db.add_atom("E", f"s{i}", f"t{i}", v) for i, v in enumerate(levels)]
+    free = [db.add_atom("T", f"x{i}", f"y{i}", 0.0) for i in range(n_free)]
+    build_adjacency(db)
+    sign = st.sampled_from([-1, 1])
+    grounds = [(0, ((evid[0], -1), (free[0], 1))), (0, ((evid[1], -1), (free[0], 1)))]
+    for _ in range(draw(st.integers(1, 8))):
+        atoms = draw(st.lists(st.sampled_from(free), min_size=1, max_size=min(2, n_free), unique=True))
+        body = draw(st.lists(st.sampled_from(evid), max_size=2, unique=True))
+        terms = tuple((e, draw(sign)) for e in body) + tuple((x, draw(sign)) for x in atoms)
+        grounds.append((draw(st.integers(0, 2)), terms))
+    grounds.sort(key=lambda ground: ground[0])
+    clauses = [negative_prior("T") for _ in range(3)]
+    weights = draw(st.lists(st.integers(100, 2000).map(lambda k: k / 1000), min_size=3, max_size=3))
+    model = WeightedModel(clauses, np.array(weights), draw(st.sampled_from([1, 2])))
+    return db, model, grounding_of(clauses, grounds, db), free
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_evidence_instances())
+def test_map_reaches_oracle_with_hard_and_soft_evidence(instance):
+    db, model, grounding, free = instance
+    sol = map_infer(model, db, free_atoms=free, grounding=grounding)
+    assert sol.converged and within_oracle(sol, map_oracle(model, grounding, db, free, model.p))
 
 
 # iteration caps that stop ADMM before, and at, its own stopping test
